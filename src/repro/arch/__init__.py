@@ -13,7 +13,7 @@ from repro.arch.config import (
     TileConfig,
     default_config,
 )
-from repro.arch.crossbar import Crossbar, CrossbarModel
+from repro.arch.crossbar import Crossbar, CrossbarModel, CrossbarStack
 from repro.arch.mvmu import MVMU
 from repro.arch.rom_lut import RomLutTable, build_lut
 from repro.arch.registers import RegisterFile
@@ -29,6 +29,7 @@ __all__ = [
     "default_config",
     "Crossbar",
     "CrossbarModel",
+    "CrossbarStack",
     "MVMU",
     "RomLutTable",
     "build_lut",

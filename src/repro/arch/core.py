@@ -97,11 +97,8 @@ class Core:
         self.memory = shared_memory
         self.batch = batch
         self._rng = rng if rng is not None else np.random.default_rng()
-        model = crossbar_model if crossbar_model is not None else CrossbarModel(
-            dim=config.mvmu_dim,
-            bits_per_cell=config.bits_per_cell,
-            bits_per_input=config.bits_per_input,
-        )
+        model = crossbar_model if crossbar_model is not None \
+            else CrossbarModel.for_core(config)
         if model.dim != config.mvmu_dim:
             raise ValueError(
                 f"crossbar dim {model.dim} != core mvmu_dim {config.mvmu_dim}")
@@ -119,10 +116,6 @@ class Core:
         # cache the expansions (read-only) instead of re-allocating np.full
         # in the loop bodies the compiler emits.
         self._imm_vectors: dict[tuple[int, int], np.ndarray] = {}
-
-    def program_mvmu(self, mvmu_index: int, matrix: np.ndarray) -> None:
-        """Configuration-time crossbar write (Section 3.2.5)."""
-        self.mvmus[mvmu_index].program(matrix)
 
     def reset(self) -> None:
         """Reset control state (registers and crossbars persist)."""

@@ -69,6 +69,12 @@ class CrossbarModel:
         if self.write_noise_sigma < 0:
             raise ValueError("write_noise_sigma must be non-negative")
 
+    @classmethod
+    def for_core(cls, core) -> "CrossbarModel":
+        """The default (noiseless, lossless) model of a ``CoreConfig``."""
+        return cls(dim=core.mvmu_dim, bits_per_cell=core.bits_per_cell,
+                   bits_per_input=core.bits_per_input)
+
     @property
     def levels(self) -> int:
         """Conductance levels per device."""
@@ -112,121 +118,127 @@ class CrossbarModel:
         return self.write_noise_sigma == 0.0 and lossless
 
 
-class Crossbar:
-    """One programmed crossbar holding a single bit slice of a weight tile.
+class CrossbarStack:
+    """The programmed devices of the crossbars ganged in one MVMU.
 
-    The crossbar is written once at configuration time (Section 3.2.5) and
-    read through :meth:`column_sums` during execution.
+    One record per unit: a ``(num_slices, dim, dim)`` level stack in the
+    narrowest unsigned dtype (``uint8`` up to 8 bits per cell) and the
+    matching conductance stack.  A noisy model's conductances carry RNG
+    draws and are held from programming time on; a noiseless model's are a
+    pure function of the levels, derived on the first analog read — the
+    ideal datapath never reads them, so it never pays for them.
+
+    :meth:`program` performs the device writes; :meth:`restore` adopts
+    already-programmed arrays as they are (shared, not copied: devices are
+    written once at configuration time and only read afterwards) without
+    consuming RNG draws.
     """
 
-    def __init__(self, model: CrossbarModel,
-                 rng: np.random.Generator | None = None) -> None:
+    __slots__ = ("model", "levels", "_conductance", "dac", "adc")
+
+    def __init__(self, model: CrossbarModel, levels: np.ndarray,
+                 conductance: np.ndarray | None) -> None:
         self.model = model
-        self._rng = rng if rng is not None else np.random.default_rng()
-        self._levels = np.zeros((model.dim, model.dim), dtype=np.int64)
-        self._conductance = np.full(
-            (model.dim, model.dim), model.g_min, dtype=np.float64)
-        self._programmed = False
+        self.levels = levels
+        self._conductance = conductance
         # The converter arrays are physical peripherals shared by every
-        # read of this crossbar: build them once here, not per column_sums
-        # call — that call sits on the innermost hot path (input steps x
-        # weight slices per MVM).
+        # read of the unit: built once here, not per column_sums call —
+        # that call sits on the innermost hot path (input steps x weight
+        # slices per MVM).
         self.dac = model.build_dac()
         self.adc = model.build_adc()
 
-    @property
-    def target_levels(self) -> np.ndarray:
-        """The digital levels the crossbar was asked to store (read-only)."""
-        return self._levels.copy()
-
-    @property
-    def conductance(self) -> np.ndarray:
-        """The (possibly noisy) programmed conductances (read-only)."""
-        return self._conductance.copy()
-
-    def program(self, levels: np.ndarray) -> None:
-        """Serially write a matrix of device levels (configuration time).
-
-        Args:
-            levels: ``(dim, dim)`` integers in ``[0, 2**bits_per_cell)``;
-                ``levels[i, j]`` is the device at row *i*, column *j*.
-        """
-        arr = np.asarray(levels, dtype=np.int64)
-        if arr.shape != (self.model.dim, self.model.dim):
+    @staticmethod
+    def _check_levels(model: CrossbarModel, levels: np.ndarray) -> None:
+        if levels.ndim != 3 or levels.shape[1:] != (model.dim, model.dim):
             raise ValueError(
-                f"expected shape {(self.model.dim, self.model.dim)}, "
-                f"got {arr.shape}"
-            )
-        if np.any(arr < 0) or np.any(arr >= self.model.levels):
-            raise ValueError(
-                f"levels out of range [0, {self.model.levels})"
-            )
-        self._levels = arr.copy()
-        target_g = self.model.g_min + arr * self.model.level_spacing
-        if self.model.write_noise_sigma > 0.0:
-            noise = self._rng.normal(
-                0.0, self.model.noise_sigma_conductance, size=arr.shape)
-            target_g = target_g + noise
-        self._conductance = np.clip(target_g, self.model.g_min, self.model.g_max)
-        self._programmed = True
-
-    def export_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """The programmed device state ``(levels, conductance)``.
-
-        The returned arrays are the live ones, *not* copies: a crossbar is
-        written once at configuration time and only read afterwards, so a
-        replica restored from this state shares the device arrays with the
-        original (copy-on-write across forked worker processes).
-        """
-        if not self._programmed:
-            raise RuntimeError("crossbar has not been programmed")
-        return self._levels, self._conductance
-
-    def restore_state(self, levels: np.ndarray,
-                      conductance: np.ndarray) -> None:
-        """Install device state exported from an identically-programmed
-        crossbar, without consuming any write-noise RNG draws.
-
-        Validates both arrays (shape, integer levels in range, float
-        conductances within the model's window) so state deserialized
-        from disk cannot silently corrupt the analog path::
-
-            levels, conductance = source_crossbar.export_state()
-            replica.restore_state(levels, conductance)   # bitwise replica
-        """
-        expected = (self.model.dim, self.model.dim)
-        if levels.shape != expected:
-            raise ValueError(
-                f"expected shape {expected}, got {levels.shape}")
-        if conductance.shape != expected:
-            raise ValueError(
-                f"conductance expected shape {expected}, "
-                f"got {conductance.shape}")
+                f"expected shape (slices, {model.dim}, {model.dim}), "
+                f"got {levels.shape}")
         if not np.issubdtype(levels.dtype, np.integer):
             raise ValueError(
                 f"levels must be integers, got dtype {levels.dtype}")
-        if np.any(levels < 0) or np.any(levels >= self.model.levels):
-            raise ValueError(
-                f"restored levels out of range [0, {self.model.levels})")
-        if not np.issubdtype(conductance.dtype, np.floating):
-            raise ValueError(
-                f"conductance must be float, got dtype {conductance.dtype}")
-        # program() clips to [g_min, g_max]; anything outside cannot have
-        # come from an identically-configured crossbar.
-        if (np.any(conductance < self.model.g_min - 1e-18)
-                or np.any(conductance > self.model.g_max + 1e-18)):
-            raise ValueError(
-                "restored conductances fall outside the device window")
-        self._levels = levels
-        self._conductance = conductance
-        self._programmed = True
+        if levels.min() < 0 or levels.max() >= model.levels:
+            raise ValueError(f"levels out of range [0, {model.levels})")
 
-    def effective_levels(self) -> np.ndarray:
-        """Continuous level values implied by the programmed conductances."""
-        return (self._conductance - self.model.g_min) / self.model.level_spacing
+    @classmethod
+    def program(cls, model: CrossbarModel, levels: np.ndarray,
+                rng: np.random.Generator) -> "CrossbarStack":
+        """Serially write a stack of device levels (configuration time).
 
-    def column_sums(self, input_slices: np.ndarray) -> np.ndarray:
-        """Analog MVM for one or more input slices: digitized column sums.
+        Args:
+            levels: ``(num_slices, dim, dim)`` integers in
+                ``[0, 2**bits_per_cell)``; ``levels[s, i, j]`` is the
+                device at row *i*, column *j* of slice *s*.
+            rng: write-noise source.  One draw covers the whole stack, in
+                slice order — the same stream, and the same generator
+                position afterwards, as one draw per slice.
+        """
+        cls._check_levels(model, levels)
+        stack = cls(model,
+                    levels.astype(np.min_scalar_type(model.levels - 1)), None)
+        if model.write_noise_sigma > 0.0:
+            stack._conductance = stack._realise(rng.normal(
+                0.0, model.noise_sigma_conductance, size=levels.shape))
+        return stack
+
+    @classmethod
+    def restore(cls, model: CrossbarModel, levels: np.ndarray,
+                conductance: np.ndarray | None = None) -> "CrossbarStack":
+        """Adopt device state exported from an identically-programmed
+        stack, validating both arrays (shape, integer levels in range,
+        float conductances within the model's window) so state
+        deserialized from disk cannot silently corrupt the analog path.
+
+        ``conductance`` may be ``None`` for a noiseless model only.
+        """
+        cls._check_levels(model, levels)
+        if conductance is None:
+            if model.write_noise_sigma > 0.0:
+                raise ValueError(
+                    "a noisy model's conductances carry write-noise draws "
+                    "and cannot be derived from the levels")
+        else:
+            if conductance.shape != levels.shape:
+                raise ValueError(
+                    f"conductance expected shape {levels.shape}, "
+                    f"got {conductance.shape}")
+            if not np.issubdtype(conductance.dtype, np.floating):
+                raise ValueError(
+                    f"conductance must be float, got dtype "
+                    f"{conductance.dtype}")
+            # program() clips to [g_min, g_max]; anything outside cannot
+            # have come from an identically-configured crossbar.
+            if (conductance.min() < model.g_min - 1e-18
+                    or conductance.max() > model.g_max + 1e-18):
+                raise ValueError(
+                    "restored conductances fall outside the device window")
+        return cls(model, levels, conductance)
+
+    def _realise(self, noise: np.ndarray | None = None) -> np.ndarray:
+        """The one definition of a programmed conductance: the level's
+        target, displaced by its write noise, clipped to the window."""
+        target = self.model.g_min + self.levels * self.model.level_spacing
+        if noise is not None:
+            target += noise
+        return np.clip(target, self.model.g_min, self.model.g_max)
+
+    @property
+    def conductance(self) -> np.ndarray:
+        """The ``(num_slices, dim, dim)`` programmed conductances."""
+        if self._conductance is None:
+            self._conductance = self._realise()
+        return self._conductance
+
+    def effective_levels(self, index: int) -> np.ndarray:
+        """Continuous level values implied by slice ``index``'s programmed
+        conductances."""
+        return ((self.conductance[index] - self.model.g_min)
+                / self.model.level_spacing)
+
+    def column_sums(self, index: int,
+                    input_slices: np.ndarray) -> np.ndarray:
+        """Analog MVM of slice ``index`` for one or more input slices:
+        digitized column sums.
 
         Implements the full chain of Figure 2a: DAC -> crossbar currents ->
         integrator -> ADC.  The returned values are in *level units*, i.e.
@@ -246,8 +258,6 @@ class Crossbar:
             Column sums with the same leading shape as the input:
             ``(dim,)`` for a single slice, ``(batch, dim)`` for a batch.
         """
-        if not self._programmed:
-            raise RuntimeError("crossbar has not been programmed")
         x = np.asarray(input_slices, dtype=np.int64)
         if x.ndim not in (1, 2) or x.shape[-1] != self.model.dim:
             raise ValueError(
@@ -257,7 +267,7 @@ class Crossbar:
         lanes = x if batched else x[np.newaxis, :]
 
         voltages = self.dac.convert(lanes)
-        currents = voltages @ self._conductance  # I_j = sum_i V_i * g_ij
+        currents = voltages @ self.conductance[index]  # I_j = sum_i V_i * g_ij
 
         # The integrator converts charge to a voltage proportional to the
         # column sum in level units; digital logic removes the g_min offset
@@ -271,3 +281,53 @@ class Crossbar:
         codes = self.adc.convert(np.maximum(level_sums, 0.0))
         estimates = self.adc.reconstruct(codes)
         return estimates if batched else estimates[0]
+
+
+class Crossbar:
+    """One crossbar holding a single bit slice of a weight tile: a
+    one-slice :class:`CrossbarStack` of its own (an MVMU reads its slices
+    through its stack directly).
+
+    The crossbar is written once at configuration time (Section 3.2.5) and
+    read through :meth:`column_sums` during execution.
+    """
+
+    def __init__(self, model: CrossbarModel,
+                 rng: np.random.Generator | None = None) -> None:
+        self.model = model
+        self._rng = rng if rng is not None else np.random.default_rng()
+        self._stack: CrossbarStack | None = None
+
+    def _programmed(self) -> CrossbarStack:
+        if self._stack is None:
+            raise RuntimeError("crossbar has not been programmed")
+        return self._stack
+
+    @property
+    def target_levels(self) -> np.ndarray:
+        """The digital levels the crossbar was asked to store (a copy)."""
+        return self._programmed().levels[0].astype(np.int64)
+
+    @property
+    def conductance(self) -> np.ndarray:
+        """The (possibly noisy) programmed conductances (a copy)."""
+        return self._programmed().conductance[0].copy()
+
+    def program(self, levels: np.ndarray) -> None:
+        """Serially write a matrix of device levels (configuration time).
+
+        Args:
+            levels: ``(dim, dim)`` integers in ``[0, 2**bits_per_cell)``;
+                ``levels[i, j]`` is the device at row *i*, column *j*.
+        """
+        self._stack = CrossbarStack.program(
+            self.model, np.asarray(levels, dtype=np.int64)[np.newaxis],
+            self._rng)
+
+    def effective_levels(self) -> np.ndarray:
+        """Continuous level values implied by the programmed conductances."""
+        return self._programmed().effective_levels(0)
+
+    def column_sums(self, input_slices: np.ndarray) -> np.ndarray:
+        """Slice 0 of :meth:`CrossbarStack.column_sums`."""
+        return self._programmed().column_sums(0, input_slices)

@@ -16,7 +16,8 @@ signed arithmetic on unipolar conductances.
 The unit exposes two functionally identical paths:
 
 * :meth:`execute` — full analog emulation through
-  :class:`~repro.arch.crossbar.Crossbar` (DAC/ADC, write noise).
+  :meth:`~repro.arch.crossbar.CrossbarStack.column_sums` (DAC/ADC, write
+  noise).
 * the ideal shortcut taken automatically when the model is bit-exact, which
   computes the same integer product directly (orders of magnitude faster;
   property tests in ``tests/test_mvmu.py`` check the equivalence).
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.crossbar import Crossbar, CrossbarModel
+from repro.arch.crossbar import CrossbarModel, CrossbarStack
 from repro.fixedpoint import FixedPointFormat, bit_slices
 
 
@@ -51,10 +52,12 @@ class MVMU:
         self._rng = rng if rng is not None else np.random.default_rng()
         self.num_slices = self.fmt.total_bits // model.bits_per_cell
         self.num_input_steps = self.fmt.total_bits // model.bits_per_input
-        self._crossbars: list[Crossbar] = []
-        self._column_offset_sums: np.ndarray | None = None
         self._matrix: np.ndarray | None = None
-        self._matrix_f64: np.ndarray | None = None  # lazy BLAS operand
+        self._stack: CrossbarStack | None = None
+        # Derived from the record on first use: the BLAS operand by the
+        # ideal shortcut, the offset sums by the analog path.
+        self._matrix_f64: np.ndarray | None = None
+        self._column_offset_sums: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -69,7 +72,7 @@ class MVMU:
         """The signed fixed-point matrix the unit was programmed with."""
         if self._matrix is None:
             raise RuntimeError("MVMU has not been programmed")
-        return self._matrix.copy()
+        return self._matrix.astype(np.int64)
 
     def program(self, matrix: np.ndarray) -> None:
         """Program a signed fixed-point weight tile (configuration time).
@@ -81,59 +84,58 @@ class MVMU:
         arr = np.asarray(matrix, dtype=np.int64)
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"expected {(self.dim, self.dim)}, got {arr.shape}")
-        if np.any(arr < self.fmt.int_min) or np.any(arr > self.fmt.int_max):
+        if arr.min() < self.fmt.int_min or arr.max() > self.fmt.int_max:
             raise ValueError("matrix values exceed the fixed-point range")
 
         # Offset-binary encoding: value + 2^15 in [0, 2^16), NOT the two's
         # complement pattern — the offset-cancellation algebra in dot()
         # requires the true biased representation.
         offset = 1 << (self.fmt.total_bits - 1)
-        unsigned = arr + offset
-        slices = bit_slices(unsigned, self.model.bits_per_cell,
+        levels = bit_slices(arr + offset, self.model.bits_per_cell,
                             self.fmt.total_bits)
-        self._crossbars = []
-        for level_matrix in slices:
-            xbar = Crossbar(self.model, rng=self._rng)
-            xbar.program(level_matrix)
-            self._crossbars.append(xbar)
-        # Per-column sums of unsigned weights, used to cancel the input
-        # offset term digitally.  With noise, use the conductances actually
-        # programmed so the cancellation matches the analog array.
-        effective = self._effective_unsigned_matrix()
-        self._column_offset_sums = effective.sum(axis=0)
-        self._matrix = arr.copy()
+        # The record holds words, not int64: 16-bit fixed point in int16.
+        self._adopt(arr.astype(np.min_scalar_type(self.fmt.int_min)),
+                    CrossbarStack.program(self.model, levels, self._rng))
+
+    def _adopt(self, matrix: np.ndarray, stack: CrossbarStack) -> None:
+        self._matrix = matrix
+        self._stack = stack
         self._matrix_f64 = None
+        self._column_offset_sums = None
 
     def export_programmed_state(
-            self) -> tuple[np.ndarray, np.ndarray,
-                           tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Everything :meth:`program` computed, for replica fan-out.
+            self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Everything :meth:`program` wrote, for replica fan-out.
 
-        Returns ``(matrix, column_offset_sums, crossbar_states)`` sharing
-        the live arrays (read-only after configuration time, so sharing is
-        safe and keeps forked replicas copy-on-write).
+        Returns ``(matrix, levels, conductance)`` — the signed matrix, the
+        ``(num_slices, dim, dim)`` level stack and, for a noisy model
+        only, the conductance stack (``None`` otherwise: noiseless
+        conductances are derived, not state) — sharing the live arrays
+        (read-only after configuration time, so sharing is safe and keeps
+        forked replicas copy-on-write).
         """
         if self._matrix is None:
             raise RuntimeError("MVMU has not been programmed")
-        return (self._matrix, self._column_offset_sums,
-                tuple(xbar.export_state() for xbar in self._crossbars))
+        noisy = self.model.write_noise_sigma > 0.0
+        return (self._matrix, self._stack.levels,
+                self._stack.conductance if noisy else None)
 
     def restore_programmed_state(
-            self, state: tuple[np.ndarray, np.ndarray,
-                               tuple[tuple[np.ndarray, np.ndarray], ...]]
+            self, state: tuple[np.ndarray, np.ndarray, np.ndarray | None]
     ) -> None:
         """Install state exported from an identically-configured MVMU.
 
-        Skips the bit-slicing and (noisy) device writes of :meth:`program`
-        without consuming RNG draws; callers who need bitwise parity with a
-        freshly-programmed unit must restore the RNG state alongside (see
+        Adopts the arrays as they are — no bit-slicing, no device writes,
+        no RNG draws, one validation per stack; callers who need bitwise
+        parity with a freshly-programmed unit must restore the RNG state
+        alongside (see
         :meth:`repro.node.node.Node.export_programmed_state`).
         """
-        matrix, column_offset_sums, xbar_states = state
-        if len(xbar_states) != self.num_slices:
+        matrix, levels, conductance = state
+        if levels.shape[:1] != (self.num_slices,):
             raise ValueError(
-                f"state holds {len(xbar_states)} crossbar slices, "
-                f"unit expects {self.num_slices}")
+                f"state level stack of shape {levels.shape} does not hold "
+                f"the unit's {self.num_slices} crossbar slices")
         if matrix.shape != (self.dim, self.dim):
             raise ValueError(
                 f"state matrix expected {(self.dim, self.dim)}, "
@@ -141,26 +143,21 @@ class MVMU:
         if not np.issubdtype(matrix.dtype, np.integer):
             raise ValueError(
                 f"state matrix must be integer, got dtype {matrix.dtype}")
-        if column_offset_sums.shape != (self.dim,):
-            raise ValueError(
-                f"state column sums expected ({self.dim},), "
-                f"got {column_offset_sums.shape}")
-        self._crossbars = []
-        for levels, conductance in xbar_states:
-            xbar = Crossbar(self.model, rng=self._rng)
-            xbar.restore_state(levels, conductance)
-            self._crossbars.append(xbar)
-        self._column_offset_sums = column_offset_sums
-        self._matrix = matrix
-        self._matrix_f64 = None
+        self._adopt(matrix,
+                    CrossbarStack.restore(self.model, levels, conductance))
 
-    def _effective_unsigned_matrix(self) -> np.ndarray:
-        """Unsigned weights implied by the programmed conductances."""
-        acc = np.zeros((self.dim, self.dim), dtype=np.float64)
-        for i, xbar in enumerate(self._crossbars):
-            acc += xbar.effective_levels() * float(
-                1 << (i * self.model.bits_per_cell))
-        return acc
+    def _weight_sums(self) -> np.ndarray:
+        """Per-column sums of the unsigned weights, used to cancel the
+        input offset term digitally.  Taken from the conductances actually
+        programmed, so with noise the cancellation matches the analog
+        array."""
+        if self._column_offset_sums is None:
+            acc = np.zeros((self.dim, self.dim), dtype=np.float64)
+            for s in range(self.num_slices):
+                acc += self._stack.effective_levels(s) * float(
+                    1 << (s * self.model.bits_per_cell))
+            self._column_offset_sums = acc.sum(axis=0)
+        return self._column_offset_sums
 
     def _f64_product_is_exact(self) -> bool:
         """Whether the float64 BLAS product can never round.
@@ -237,15 +234,15 @@ class MVMU:
         acc = np.zeros(x.shape, dtype=np.float64)
         for k, x_step in enumerate(input_steps):
             shift_k = k * self.model.bits_per_input
-            for s, xbar in enumerate(self._crossbars):
+            for s in range(self.num_slices):
                 shift_s = s * self.model.bits_per_cell
-                partial = xbar.column_sums(x_step)
+                partial = self._stack.column_sums(s, x_step)
                 acc += partial * float(1 << (shift_k + shift_s))
 
         # Remove offset-binary cross terms:
         #   sum (ux-H)(uw-H) = sum ux*uw - H*sum(ux) - H*sum(uw) + n*H^2
         input_sums = unsigned_x.sum(axis=-1, keepdims=True).astype(np.float64)
-        weight_sums = self._column_offset_sums
+        weight_sums = self._weight_sums()
         n = float(self.dim)
         h = float(offset)
         return acc - h * weight_sums - h * input_sums + n * h * h

@@ -50,7 +50,15 @@ class RegisterFile:
         self.config = config
         self.enforce_classes = enforce_classes
         self.batch = batch
-        self._data = np.zeros((batch, config.num_registers), dtype=np.int64)
+        # Class boundaries and the word range as plain ints: every access
+        # checks against them, and CoreConfig derives each through a chain
+        # of properties.
+        self._xbar_in_end = config.xbar_in_size
+        self._xbar_out_end = config.general_base
+        self._num_registers = config.num_registers
+        self._int_min = config.fixed_point.int_min
+        self._int_max = config.fixed_point.int_max
+        self._data = np.zeros((batch, self._num_registers), dtype=np.int64)
         self.rom = RomEmbeddedRam(config.rom_lut_entries, config.fixed_point)
         self.reads = {cls: 0 for cls in RegisterClass}
         self.writes = {cls: 0 for cls in RegisterClass}
@@ -58,18 +66,24 @@ class RegisterFile:
     def _check_range(self, start: int, width: int) -> None:
         if width < 1:
             raise ValueError(f"vector width must be >= 1, got {width}")
-        if start < 0 or start + width > self.config.num_registers:
+        if start < 0 or start + width > self._num_registers:
             raise IndexError(
                 f"register range [{start}, {start + width}) exceeds the "
-                f"register space [0, {self.config.num_registers})"
+                f"register space [0, {self._num_registers})"
             )
 
+    def _class_of(self, index: int) -> RegisterClass:
+        """The class of an index :meth:`_check_range` has accepted."""
+        if index < self._xbar_in_end:
+            return RegisterClass.XBAR_IN
+        if index < self._xbar_out_end:
+            return RegisterClass.XBAR_OUT
+        return RegisterClass.GENERAL
+
     def _classes_in_range(self, start: int, width: int) -> set[RegisterClass]:
-        classes = {self.config.register_class(start)}
-        classes.add(self.config.register_class(start + width - 1))
+        classes = {self._class_of(start), self._class_of(start + width - 1)}
         # A range can straddle at most adjacent classes given the layout.
-        if (start < self.config.xbar_in_size
-                and start + width > self.config.xbar_in_size):
+        if start < self._xbar_in_end < start + width:
             classes.add(RegisterClass.XBAR_OUT)
         return classes
 
@@ -119,8 +133,7 @@ class RegisterFile:
             if from_mvm and classes != {RegisterClass.XBAR_OUT}:
                 raise RegisterAccessError(
                     f"MVM write outside XbarOut registers at {start}")
-        fmt = self.config.fixed_point
-        if np.any(arr < fmt.int_min) or np.any(arr > fmt.int_max):
+        if arr.min() < self._int_min or arr.max() > self._int_max:
             raise ValueError("register write exceeds the fixed-point range")
         for cls in classes:
             self.writes[cls] += width
@@ -136,7 +149,7 @@ class RegisterFile:
         access counters behave exactly like :meth:`read`.
         """
         self._check_range(reg, 1)
-        cls = self.config.register_class(reg)
+        cls = self._class_of(reg)
         if self.enforce_classes and cls == RegisterClass.XBAR_IN:
             raise RegisterAccessError(
                 f"non-MVM read of XbarIn registers at {reg}")

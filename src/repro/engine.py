@@ -105,7 +105,8 @@ from repro.store import (
 )
 
 # Most programmed-crossbar snapshots kept per compiled model (each holds
-# every MVMU's levels + conductances — multi-MB for mid-size models).
+# every MVMU's matrix + level stack, 160 KB a unit at the Table 3 sizes —
+# and 1 MB of conductances on top for a noisy model).
 _PROGRAMMED_STATE_CAP = 8
 # Execution tapes kept per compiled model (one per distinct
 # (config, crossbar model, seed); tapes are batch-generic, so one entry
@@ -787,12 +788,13 @@ class InferenceEngine:
                 states.pop(next(iter(states)), None)
 
     def _simulator(self, batch: int,
-                   tape_recorder: TapeRecorder | None = None) -> Simulator:
+                   tape_recorder: TapeRecorder | None = None,
+                   stats_batch: int | None = None) -> Simulator:
         """A fresh simulator, reusing cached crossbar programming.
 
         The first construction for a given (config, crossbar model, seed)
         programs the crossbars and harvests the configuration-time state
-        (conductances + post-programming RNG position) onto the compiled
+        (device levels + post-programming RNG position) onto the compiled
         model; every later construction — any batch size, any replica
         engine sharing the compilation — installs that state instead of
         re-programming, bitwise identically (Section 3.2.5: weights are
@@ -806,7 +808,7 @@ class InferenceEngine:
                         crossbar_model=self.crossbar_model,
                         seed=self.seed, batch=batch,
                         programmed_state=state,
-                        tape_recorder=tape_recorder)
+                        tape_recorder=tape_recorder, stats_batch=stats_batch)
         if key is not None and state is None:
             self._harvest_programmed_state(key, sim.node)
         return sim
@@ -984,15 +986,7 @@ class InferenceEngine:
                 for name, (_tile, _addr, length)
                 in self.program.input_layout.items()
             }
-            key = self._state_key()
-            state = self.compiled.programmed_states.get(key) if key else None
-            sim = Simulator(self.config, self.program,
-                            crossbar_model=self.crossbar_model,
-                            seed=self.seed, batch=1,
-                            programmed_state=state,
-                            stats_batch=batch)
-            if key is not None and state is None:
-                self._harvest_programmed_state(key, sim.node)
+            sim = self._simulator(1, stats_batch=batch)
             sim.run(zeros)
             tape.add_stats(batch, sim.stats)
             _count_tape_event("derived")

@@ -155,7 +155,7 @@ def to_float(ints: np.ndarray | int,
 
 
 def bit_slices(words: np.ndarray, bits_per_slice: int,
-               total_bits: int = TOTAL_BITS) -> list[np.ndarray]:
+               total_bits: int = TOTAL_BITS) -> np.ndarray:
     """Split unsigned words into little-endian slices of ``bits_per_slice``.
 
     This is the digital half of the paper's bit-slicing scheme (Fig 2b): a
@@ -168,7 +168,9 @@ def bit_slices(words: np.ndarray, bits_per_slice: int,
         total_bits: total word width.
 
     Returns:
-        List of arrays, slice 0 being the least significant.
+        The slices stacked along a new leading axis, slice 0 being the
+        least significant, in the narrowest unsigned dtype that holds a
+        word (one shift/mask pass over the whole stack).
     """
     if total_bits % bits_per_slice != 0:
         raise ValueError(
@@ -176,11 +178,15 @@ def bit_slices(words: np.ndarray, bits_per_slice: int,
             f"bits_per_slice ({bits_per_slice})"
         )
     arr = np.asarray(words, dtype=np.int64)
-    if np.any(arr < 0):
+    if arr.size and arr.min() < 0:
         raise ValueError("bit_slices expects unsigned words")
-    n_slices = total_bits // bits_per_slice
-    mask = (1 << bits_per_slice) - 1
-    return [(arr >> (i * bits_per_slice)) & mask for i in range(n_slices)]
+    # Narrowing wraps, i.e. drops the bits above the word, which no slice
+    # would hold anyway.
+    word_type = np.min_scalar_type((1 << total_bits) - 1)
+    shifts = np.arange(0, total_bits, bits_per_slice, dtype=word_type)
+    shifts = shifts.reshape((-1,) + (1,) * arr.ndim)
+    return ((arr.astype(word_type) >> shifts)
+            & word_type.type((1 << bits_per_slice) - 1))
 
 
 def combine_slices(slices: list[np.ndarray], bits_per_slice: int,

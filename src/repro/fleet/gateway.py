@@ -37,7 +37,6 @@ import asyncio
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -368,12 +367,12 @@ class PumaFleet:
         if drain:
             limit = (self.drain_timeout_s if drain_timeout_s is None
                      else drain_timeout_s)
-            deadline = time.monotonic() + limit
+            deadline = self.clock.now() + limit
             while any(state.queue.qsize() or state.inflight
                       for state in self.models.values()):
-                if time.monotonic() > deadline:
+                if self.clock.now() > deadline:
                     break           # hung worker: drain bound lapsed
-                await asyncio.sleep(0.01)
+                await self.clock.sleep(0.01)
         for state in self.models.values():
             while not state.queue.empty():
                 _key, pending = state.queue.get_nowait()

@@ -35,9 +35,11 @@ class NodeProgrammedState:
     identical to a freshly-programmed node:
 
     Attributes:
-        mvmus: per-``(tile, core, mvmu)`` programmed-state tuples from
+        mvmus: per-``(tile, core, mvmu)`` programmed-state tuples
+            ``(matrix, levels, conductance)`` from
             :meth:`repro.arch.mvmu.MVMU.export_programmed_state` (live
-            arrays, shared — crossbars are read-only after configuration).
+            arrays, shared — crossbars are read-only after configuration;
+            ``conductance`` is ``None`` for a noiseless model).
         rng_state: the node RNG's bit-generator state *after* the
             (write-noise-consuming) programming pass, so runtime draws
             (the RANDOM op) continue from exactly where a fresh
@@ -48,28 +50,23 @@ class NodeProgrammedState:
     rng_state: dict
 
     def to_flat_arrays(self) -> dict[str, np.ndarray]:
-        """Flatten into named numpy arrays for on-disk persistence.
+        """Name the state's arrays for on-disk persistence.
 
         Each MVMU at ``(tile, core, mvmu)`` contributes its programmed
-        matrix (``m{t}_{c}_{u}_matrix``), column offset sums
-        (``..._colsums``), and the bit slices' device levels and
-        conductances stacked along a leading slice axis (``..._lv`` /
-        ``..._cd``, shape ``(num_slices, dim, dim)`` — one array per
-        unit, not per slice: large models have thousands of slices and
-        per-member archive overhead would dominate load time) — the
-        layout :meth:`from_flat_arrays` reverses.  The RNG state is
-        JSON-safe and travels separately (in the artifact manifest).
+        matrix (``m{t}_{c}_{u}_matrix``), its ``(num_slices, dim, dim)``
+        level stack (``..._lv``) and, when the model is noisy, its
+        conductance stack (``..._cd``) — the arrays themselves, one per
+        unit (large models have thousands of slices and per-member archive
+        overhead would dominate load time).  :meth:`from_flat_arrays`
+        reverses the naming.  The RNG state is JSON-safe and travels
+        separately (in the artifact manifest).
         """
         arrays: dict[str, np.ndarray] = {}
         for (tile_id, core_id, mvmu_id), state in sorted(self.mvmus.items()):
-            matrix, column_offset_sums, xbar_states = state
             prefix = f"m{tile_id}_{core_id}_{mvmu_id}"
-            arrays[f"{prefix}_matrix"] = matrix
-            arrays[f"{prefix}_colsums"] = column_offset_sums
-            arrays[f"{prefix}_lv"] = np.stack(
-                [levels for levels, _cond in xbar_states])
-            arrays[f"{prefix}_cd"] = np.stack(
-                [cond for _levels, cond in xbar_states])
+            for part, array in zip(("matrix", "lv", "cd"), state):
+                if array is not None:
+                    arrays[f"{prefix}_{part}"] = array
         return arrays
 
     @classmethod
@@ -78,14 +75,14 @@ class NodeProgrammedState:
         """Rebuild from :meth:`to_flat_arrays` output.
 
         Validates structural completeness — every unit must carry a
-        matrix, column sums, and level/conductance stacks of matching
-        shape — and raises ``ValueError`` otherwise (the artifact store
-        surfaces that as a load rejection).  The per-slice arrays are
-        views into the stacks, so no data is copied.
+        matrix and a level stack, and a conductance stack, when present,
+        must match the levels' shape — and raises ``ValueError`` otherwise
+        (the artifact store surfaces that as a load rejection).  The
+        arrays are adopted as they are, so no data is copied.
         """
         if not isinstance(rng_state, dict) or "bit_generator" not in rng_state:
             raise ValueError("programmed-state RNG snapshot is malformed")
-        pattern = re.compile(r"^m(\d+)_(\d+)_(\d+)_(matrix|colsums|lv|cd)$")
+        pattern = re.compile(r"^m(\d+)_(\d+)_(\d+)_(matrix|lv|cd)$")
         units: dict[tuple[int, int, int], dict[str, np.ndarray]] = {}
         for name, array in arrays.items():
             match = pattern.match(name)
@@ -97,22 +94,32 @@ class NodeProgrammedState:
             raise ValueError("programmed state holds no MVMU entries")
         mvmus: dict[tuple[int, int, int], tuple] = {}
         for key, parts in units.items():
-            missing = {"matrix", "colsums", "lv", "cd"} - set(parts)
+            missing = {"matrix", "lv"} - set(parts)
             if missing:
                 raise ValueError(
                     f"MVMU {key} state is missing {sorted(missing)}")
-            levels, conductance = parts["lv"], parts["cd"]
-            if levels.ndim != 3 or levels.shape != conductance.shape:
+            levels, conductance = parts["lv"], parts.get("cd")
+            if levels.ndim != 3 or (conductance is not None
+                                    and conductance.shape != levels.shape):
                 raise ValueError(
                     f"MVMU {key} level/conductance stacks disagree: "
-                    f"{levels.shape} vs {conductance.shape}")
-            mvmus[key] = (parts["matrix"], parts["colsums"],
-                          tuple((levels[k], conductance[k])
-                                for k in range(levels.shape[0])))
+                    f"{levels.shape} vs {getattr(conductance, 'shape', None)}")
+            mvmus[key] = (parts["matrix"], levels, conductance)
         # JSON round-trips the RNG snapshot's ints losslessly but may
         # arrive with list-typed values; numpy's bit-generator setter
         # validates the rest.
         return cls(mvmus=mvmus, rng_state=copy.deepcopy(rng_state))
+
+    def check_covers(self, program: NodeProgram) -> None:
+        """Raise ``ValueError`` unless the state programs exactly the
+        MVMUs ``program`` does — a partial state would load cleanly and
+        fail mid-run on the first unprogrammed unit."""
+        if self.mvmus.keys() != program.weights.keys():
+            missing = sorted(program.weights.keys() - self.mvmus.keys())
+            extra = sorted(self.mvmus.keys() - program.weights.keys())
+            raise ValueError(
+                f"programmed state does not match the program's weight map "
+                f"(missing MVMUs {missing}, unexpected MVMUs {extra})")
 
 
 class Node:
@@ -137,12 +144,7 @@ class Node:
         rng = np.random.default_rng(seed)
         self.rng = rng
         if crossbar_model is None:
-            core = config.core
-            crossbar_model = CrossbarModel(
-                dim=core.mvmu_dim,
-                bits_per_cell=core.bits_per_cell,
-                bits_per_input=core.bits_per_input,
-            )
+            crossbar_model = CrossbarModel.for_core(config.core)
         self.crossbar_model = crossbar_model
         self.tiles: dict[int, Tile] = {}
         for tile_id in sorted(set(tile_ids)):
@@ -189,23 +191,20 @@ class Node:
         bit for bit.
         """
         if programmed_state is not None:
-            for (tile_id, core_id, mvmu_id), state in \
-                    programmed_state.mvmus.items():
-                tile = self.tiles.get(tile_id)
-                if tile is None:
-                    raise KeyError(
-                        f"programmed state references missing tile {tile_id}")
-                tile.cores[core_id].mvmus[mvmu_id] \
-                    .restore_programmed_state(state)
-            self.rng.bit_generator.state = copy.deepcopy(
-                programmed_state.rng_state)
-            return
-        for (tile_id, core_id, mvmu_id), matrix in program.weights.items():
+            programmed_state.check_covers(program)
+        for key, matrix in program.weights.items():
+            tile_id, core_id, mvmu_id = key
             tile = self.tiles.get(tile_id)
             if tile is None:
                 raise KeyError(f"program references missing tile {tile_id}")
-            tile.cores[core_id].program_mvmu(
-                mvmu_id, np.asarray(matrix, dtype=np.int64))
+            mvmu = tile.cores[core_id].mvmus[mvmu_id]
+            if programmed_state is None:
+                mvmu.program(matrix)
+            else:
+                mvmu.restore_programmed_state(programmed_state.mvmus[key])
+        if programmed_state is not None:
+            self.rng.bit_generator.state = copy.deepcopy(
+                programmed_state.rng_state)
 
     def export_programmed_state(self, program: NodeProgram
                                 ) -> NodeProgrammedState:

@@ -29,13 +29,11 @@ An artifact is a directory holding three files:
   model / seed the engine was built with — one gzipped pickle, so the
   tape keeps sharing instruction objects with the program.
 * ``programmed_state.npz`` — the numeric payload: every MVMU's
-  programmed matrix, column offset sums, and per-slice device levels +
-  conductances as flat numpy arrays (the multi-MB part of an artifact).
-  Stored losslessly but compactly: levels as ``uint8``, matrices as
-  ``int16`` where the values fit, and *noiseless* conductances dropped
-  entirely (they are a pure function of the levels and re-derived
-  bit-identically at load time; noisy conductances carry RNG draws and
-  are stored in full).
+  programmed-state record as the engine holds it in memory (see
+  :meth:`~repro.arch.mvmu.MVMU.export_programmed_state`) — the ``int16``
+  matrix, the ``uint8`` level stack and, for a *noisy* model only, the
+  conductance stack (it carries RNG draws; noiseless conductances are a
+  pure function of the levels and are not state at all).
 
 **Validation policy: never a wrong answer.**  Loads verify the format
 version, the integrity hashes, the fingerprint digests (recomputed from
@@ -89,11 +87,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import NodeProgrammedState
     from repro.sim.tape import ExecutionTape
 
-# Version 2: one batch-generic tape (``tape`` + per-batch stats metadata
-# and an ``optimizer`` digest in the manifest) replaced the version-1
-# per-batch tape table.  Version-1 artifacts are rejected like any other
+# Version 3: the programmed state is the in-memory record (no column
+# offset sums — they are derived from the conductances on first analog
+# read — and no manifest ``conductances`` mode: a conductance stack is
+# present exactly when the model is noisy).  Version 2 introduced the
+# single batch-generic tape.  Older artifacts are rejected like any other
 # unsupported format — a cache miss and rebuild, never a wrong answer.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl.gz"
 STATE_NAME = "programmed_state.npz"
@@ -304,83 +304,24 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _effective_crossbar_model(config: Any,
-                              crossbar_model: Any) -> CrossbarModel:
-    """The device model a node would actually build (mirrors ``Node``).
+def _unpack_state(arrays: dict[str, np.ndarray], rng_state: Any,
+                  model: CrossbarModel,
+                  program: "NodeProgram") -> "NodeProgrammedState":
+    """The stored arrays as a programmed state for ``program``.
 
-    ``crossbar_model=None`` means "derive from the core configuration";
-    the store needs the resolved model to decide whether conductances are
-    exactly reconstructible.
+    Raises ``ValueError`` when the state does not program exactly the
+    program's MVMUs, or when conductance stacks are not present exactly
+    for a noisy model (dropping them would silently drop the noise).
     """
-    if crossbar_model is not None:
-        return crossbar_model
-    core = config.core
-    return CrossbarModel(dim=core.mvmu_dim,
-                         bits_per_cell=core.bits_per_cell,
-                         bits_per_input=core.bits_per_input)
+    from repro.node.node import NodeProgrammedState
 
-
-def _pack_state_arrays(arrays: dict[str, np.ndarray],
-                       derive_conductances: bool) -> dict[str, np.ndarray]:
-    """Shrink the flat state arrays for disk without losing a bit.
-
-    * device levels are small unsigned ints — stored as ``uint8`` when
-      they fit (they do for every cell format up to 8 bits/cell);
-    * programmed matrices are 16-bit fixed point — stored as ``int16``
-      when the values fit;
-    * conductances of a *noiseless* model are a pure function of the
-      levels (``clip(g_min + levels * spacing, g_min, g_max)``, exactly
-      the arithmetic ``Crossbar.program`` performs), so they are dropped
-      and re-derived bit-identically at load time.  Noisy conductances
-      carry irreproducible RNG draws and are stored in full.
-
-    Loading normalizes every integer array back to ``int64``, so the
-    compaction is invisible to the restored state.
-    """
-    packed: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        part = name.rsplit("_", 1)[-1]
-        if part == "cd" and derive_conductances:
-            continue
-        if part == "lv" and arr.size \
-                and 0 <= arr.min() and arr.max() < 256:
-            arr = arr.astype(np.uint8)
-        elif part == "matrix" and arr.size \
-                and -(1 << 15) <= arr.min() and arr.max() < (1 << 15):
-            arr = arr.astype(np.int16)
-        packed[name] = arr
-    return packed
-
-
-def _unpack_state_arrays(arrays: dict[str, np.ndarray],
-                         conductances: str,
-                         model: CrossbarModel) -> dict[str, np.ndarray]:
-    """Reverse :func:`_pack_state_arrays`; raises ``ValueError`` on a
-    manifest/model contradiction (claiming derived conductances for a
-    noisy model would silently drop the noise — rejected instead)."""
-    if conductances not in ("stored", "derived"):
-        raise ValueError(
-            f"unknown conductance storage mode {conductances!r}")
-    if conductances == "derived" and model.write_noise_sigma != 0.0:
-        raise ValueError(
-            "artifact claims derived conductances but the crossbar model "
-            "is noisy (write noise cannot be re-derived)")
-    unpacked: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        part = name.rsplit("_", 1)[-1]
-        if part == "matrix" or part == "lv":
-            arr = arr.astype(np.int64)
-        unpacked[name] = arr
-    if conductances == "derived":
-        for name in list(unpacked):
-            if not name.endswith("_lv"):
-                continue
-            # Exactly Crossbar.program without noise — target then clip —
-            # vectorized over the whole slice stack in one pass.
-            target = model.g_min + unpacked[name] * model.level_spacing
-            conductance = np.clip(target, model.g_min, model.g_max)
-            unpacked[name[:-2] + "cd"] = conductance
-    return unpacked
+    state = NodeProgrammedState.from_flat_arrays(arrays, rng_state)
+    state.check_covers(program)
+    noisy = model.write_noise_sigma != 0.0
+    if any((unit[2] is None) == noisy for unit in state.mvmus.values()):
+        raise ValueError("conductance stacks must be stored exactly when "
+                         "the crossbar model is noisy")
+    return state
 
 
 # -- save --------------------------------------------------------------------
@@ -505,9 +446,7 @@ def save_artifact(path: str | Path, *, compiled: Any,
         "crossbar_model": crossbar_model,
         "seed": seed,
     }
-    device_model = _effective_crossbar_model(config, crossbar_model)
-    derive = device_model.write_noise_sigma == 0.0
-    arrays = _pack_state_arrays(programmed_state.to_flat_arrays(), derive)
+    arrays = programmed_state.to_flat_arrays()
 
     # Static-verifier clean bill: records that *these* program bits passed
     # *this* analyzer version without errors (``clean_bill`` is null when
@@ -551,7 +490,6 @@ def save_artifact(path: str | Path, *, compiled: Any,
                 "digest": opt.digest(),
                 "report": opt.report.as_dict(),
             },
-            "conductances": "derived" if derive else "stored",
             "rng_state": programmed_state.rng_state,
             "lint": {
                 "analyzer_version": ANALYZER_VERSION,
@@ -616,7 +554,6 @@ def load_artifact(path: str | Path,
         ArtifactError: any validation failure (see the failure-mode tests
             in ``tests/test_store.py``).
     """
-    from repro.node.node import NodeProgrammedState
     from repro.sim.tape import ExecutionTape, find_unsupported_op
     from repro.sim.tapeopt import OptimizedTape
 
@@ -746,11 +683,12 @@ def load_artifact(path: str | Path,
         with open(root / STATE_NAME, "rb") as handle:
             with np.load(handle) as npz:
                 arrays = {name: npz[name] for name in npz.files}
-        arrays = _unpack_state_arrays(
-            arrays, manifest.get("conductances", "stored"),
-            _effective_crossbar_model(payload.get("config"),
-                                      payload.get("crossbar_model")))
-        state = NodeProgrammedState.from_flat_arrays(arrays, rng_state)
+        # The device model a node would build, as ``Node`` resolves it.
+        state = _unpack_state(
+            arrays, rng_state,
+            payload.get("crossbar_model")
+            or CrossbarModel.for_core(payload.get("config").core),
+            compiled.program)
     except ArtifactError:
         raise
     except Exception as error:  # zip/npz corruption raises several types

@@ -778,3 +778,47 @@ class TestFleetWorker:
                 await worker.close()
 
         run(main())
+
+
+# -- gateway time: every deadline reads the injected clock -------------------
+
+
+class TestGatewayClock:
+    def test_stop_drain_bound_runs_on_the_injected_clock(self, tmp_path):
+        """A lapsed drain bound fails queued work with FleetError, and
+        the bound is measured on the fleet's clock: on a VirtualClock the
+        drain parks until the test advances time, never on a wall-clock
+        sleep."""
+        import time
+
+        from repro.fleet import FleetError, PumaFleet
+        from repro.serve import VirtualClock
+
+        spec = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
+
+        async def main():
+            clock = VirtualClock()
+            fleet = PumaFleet([spec], work_dir=str(tmp_path), clock=clock)
+            # No workers and no dispatchers: queued work can only drain
+            # by the bound lapsing.
+            fleet._running = True
+            queued = asyncio.create_task(
+                fleet.predict("mlp", {"x": [0.0] * 8}))
+            await asyncio.sleep(0)
+            started = time.monotonic()
+            stopping = asyncio.create_task(
+                fleet.stop(drain=True, drain_timeout_s=5.0))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not stopping.done()
+            assert clock.pending_sleepers == 1     # parked on virtual time
+            await clock.advance(4.9)
+            assert not stopping.done()             # bound not reached yet
+            await clock.advance(0.2)
+            await asyncio.wait_for(stopping, timeout=5.0)
+            with pytest.raises(FleetError, match="stopped before"):
+                await queued
+            assert not fleet._running
+            assert time.monotonic() - started < 2.0
+
+        run(main())

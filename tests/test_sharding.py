@@ -39,6 +39,9 @@ from repro.workloads.mlp import build_mlp_model
 
 DIMS = [32, 24, 10]
 NOISY = CrossbarModel(write_noise_sigma=0.05, adc_bits=8)
+# Noiseless devices behind a lossy ADC: every MVM is an analog read of
+# conductances the programmed state does not carry.
+ANALOG = CrossbarModel(adc_bits=7)
 
 
 @pytest.fixture(scope="module")
@@ -311,8 +314,8 @@ class TestProgrammedStateCache:
         assert first.stats.cycles == cached.stats.cycles
         assert first.stats.total_energy_j == cached.stats.total_energy_j
 
-    @pytest.mark.parametrize("crossbar", [None, NOISY],
-                             ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("crossbar", [None, NOISY, ANALOG],
+                             ids=["ideal", "noisy", "analog"])
     def test_replica_engine_shares_state(self, model, crossbar):
         primary = InferenceEngine(model, crossbar_model=crossbar, seed=0)
         inputs = batch_inputs(primary, 4)
@@ -322,6 +325,30 @@ class TestProgrammedStateCache:
         result = replica.run_batch(inputs)
         for name in reference:
             assert np.array_equal(reference[name], result[name])
+
+    @pytest.mark.parametrize("crossbar", [None, NOISY, ANALOG],
+                             ids=["ideal", "noisy", "analog"])
+    def test_restore_equals_fresh_programming(self, model, crossbar):
+        """State harvested by warm() — before any MVM, so before any
+        analog read — restores into a simulator bitwise equal to one
+        that programs its own crossbars."""
+        from repro import Simulator
+
+        warmed = InferenceEngine(model, crossbar_model=crossbar, seed=3,
+                                 execution_mode="interpret").warm()
+        state = warmed.compiled.programmed_states[warmed._state_key()]
+        inputs = batch_inputs(warmed, 2)
+        config = default_config()
+        fresh = Simulator(config, warmed.program, crossbar_model=crossbar,
+                          seed=3, batch=2)
+        restored = Simulator(config, warmed.program,
+                             crossbar_model=crossbar, seed=3, batch=2,
+                             programmed_state=state)
+        expected, found = fresh.run(inputs), restored.run(inputs)
+        for name in expected:
+            assert np.array_equal(expected[name], found[name])
+        assert restored.node.rng.bit_generator.state == \
+            fresh.node.rng.bit_generator.state
 
     def test_rng_position_restored_for_random_op(self):
         """RANDOM draws after a cached (skipped) programming pass match a

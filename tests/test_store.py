@@ -55,8 +55,20 @@ def noisy_model(sigma=0.1):
                          write_noise_sigma=sigma)
 
 
+def analog_model():
+    """Noiseless devices behind a lossy ADC: the analog path runs, on
+    conductances the programmed state does not carry."""
+    core = CFG.core
+    return CrossbarModel(dim=core.mvmu_dim, bits_per_cell=core.bits_per_cell,
+                         bits_per_input=core.bits_per_input, adc_bits=7)
+
+
+DEVICES = {"ideal": lambda: None, "noisy": noisy_model,
+           "analog": analog_model}
+
+
 def make_engine(workload, device, seed=7, execution_mode="auto", **kwargs):
-    xbar = None if device == "ideal" else noisy_model()
+    xbar = DEVICES[device]()
     if workload == "cnn":
         compiled = compile_cnn(small_cnn_spec(seed=0), CFG)
         return InferenceEngine.from_compiled(
@@ -112,9 +124,11 @@ def test_loaded_engine_bitwise_equals_cold_built(tmp_path, workload,
     assert_same_result(warm.run_batch(inputs2), cold.run_batch(inputs2))
 
 
-@pytest.mark.parametrize("device", ["ideal", "noisy"])
+@pytest.mark.parametrize("device", ["ideal", "noisy", "analog"])
 def test_loaded_interpreter_path_bitwise(tmp_path, device):
-    """The programmed-state restore alone (no tape) is bitwise exact."""
+    """The programmed-state restore alone (no tape) is bitwise exact —
+    for "analog" too, whose artifact is written before any analog read
+    and whose every MVM then reads conductances derived at load side."""
     cold = make_engine("mlp", device)
     cold.warm()                                # program, but record no tape
     path = cold.save_artifacts(tmp_path / "artifact")
@@ -409,6 +423,134 @@ def test_rejects_malformed_manifest_fields(tmp_path):
     (path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(ArtifactError, match="malformed"):
         load_artifact(path)
+
+
+def rewrite_state(path, edit):
+    """Edit the programmed-state arrays in place and re-sign the manifest,
+    so only the state's own validation stands between it and an engine."""
+    import hashlib
+    with np.load(path / STATE_NAME) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    edit(arrays)
+    with open(path / STATE_NAME, "wb") as handle:
+        np.savez(handle, **arrays)
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    blob = (path / STATE_NAME).read_bytes()
+    manifest["files"][STATE_NAME] = {
+        "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def drop_one_mvmu(arrays):
+    prefix = sorted(arrays)[0].rsplit("_", 1)[0]
+    for name in [n for n in arrays if n.startswith(prefix + "_")]:
+        del arrays[name]
+
+
+def add_phantom_mvmu(arrays):
+    """A unit at an MVMU index no core has (cores hold two)."""
+    prefix = sorted(arrays)[0].rsplit("_", 1)[0]
+    phantom = prefix.rsplit("_", 1)[0] + "_9"
+    for name in [n for n in arrays if n.startswith(prefix + "_")]:
+        arrays[phantom + name[len(prefix):]] = arrays[name]
+
+
+def drop_conductances(arrays):
+    for name in [n for n in arrays if n.endswith("_cd")]:
+        del arrays[name]
+
+
+STATE_CORRUPTIONS = {
+    "missing MVMU": ("ideal", drop_one_mvmu, "missing MVMUs"),
+    "phantom MVMU": ("ideal", add_phantom_mvmu, "unexpected MVMUs"),
+    "noisy without conductances": (
+        "noisy", drop_conductances, "exactly when the crossbar model is noisy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_CORRUPTIONS))
+def test_rejects_state_that_does_not_fit_the_program(tmp_path, name):
+    """A partial programmed state used to load cleanly and fail mid-run
+    ("MVMU has not been programmed"), a phantom index as a bare
+    IndexError; both are load rejections now."""
+    device, edit, message = STATE_CORRUPTIONS[name]
+    path = saved_artifact(tmp_path, device)
+    rewrite_state(path, edit)
+    with pytest.raises(ArtifactError, match=message):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize("edit", [drop_one_mvmu, add_phantom_mvmu])
+def test_ill_fitting_state_triggers_cold_rebuild(tmp_path, edit):
+    model = build_mlp_model([32, 24, 16, 10], seed=0)
+    InferenceEngine(model, CFG, seed=7,
+                    artifact_dir=tmp_path).ensure_artifacts()
+    rewrite_state(next(Path(tmp_path).glob(f"*/{MANIFEST_NAME}")).parent,
+                  edit)
+    before = store_info().rejections
+    clear_compile_cache()
+    engine = InferenceEngine(build_mlp_model([32, 24, 16, 10], seed=0),
+                             CFG, seed=7, artifact_dir=tmp_path)
+    assert store_info().rejections > before
+    cold = make_engine("mlp", "ideal")
+    inputs = random_inputs(cold, batch=2, seed=17)
+    assert_same_result(engine.run_batch(inputs), cold.run_batch(inputs))
+
+
+@pytest.mark.parametrize("edit,message", [(drop_one_mvmu, "missing MVMUs"),
+                                          (add_phantom_mvmu,
+                                           "unexpected MVMUs")])
+def test_node_rejects_ill_fitting_state_up_front(edit, message):
+    """Node.load_weights compares the key sets before touching a unit."""
+    from repro import Simulator
+    from repro.node.node import NodeProgrammedState
+
+    engine = make_engine("mlp", "ideal").warm()
+    state = engine.compiled.programmed_states[engine._state_key()]
+    arrays = state.to_flat_arrays()
+    edit(arrays)
+    broken = NodeProgrammedState.from_flat_arrays(arrays, state.rng_state)
+    with pytest.raises(ValueError, match=message):
+        Simulator(CFG, engine.program, seed=7, programmed_state=broken)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_superseded_format_versions_rebuild(tmp_path, version):
+    """Version-2 artifacts (column sums on disk, a manifest conductance
+    mode) are refused like version 1: a rejection and a cold rebuild."""
+    model = build_mlp_model([32, 24, 16, 10], seed=0)
+    InferenceEngine(model, CFG, seed=7,
+                    artifact_dir=tmp_path).ensure_artifacts()
+    manifest_path = next(Path(tmp_path).glob(f"*/{MANIFEST_NAME}"))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ArtifactError, match="format version"):
+        load_artifact(manifest_path.parent)
+    clear_compile_cache()
+    engine = InferenceEngine(build_mlp_model([32, 24, 16, 10], seed=0),
+                             CFG, seed=7, artifact_dir=tmp_path)
+    cold = make_engine("mlp", "ideal")
+    inputs = random_inputs(cold, batch=2, seed=18)
+    assert_same_result(engine.run_batch(inputs), cold.run_batch(inputs))
+
+
+def test_state_on_disk_is_the_in_memory_record(tmp_path):
+    """int16 matrices, uint8 level stacks, no conductances for a
+    noiseless model, no column sums: what the engine holds is what the
+    artifact stores."""
+    path = saved_artifact(tmp_path)
+    with np.load(path / STATE_NAME) as npz:
+        parts = {name.rsplit("_", 1)[-1] for name in npz.files}
+        levels = [npz[n] for n in npz.files if n.endswith("_lv")]
+        assert all(npz[n].dtype == np.int16 for n in npz.files
+                   if n.endswith("_matrix"))
+    assert parts == {"matrix", "lv"}
+    assert all(lv.dtype == np.uint8 and lv.ndim == 3 for lv in levels)
+    noisy = saved_artifact(tmp_path / "noisy", "noisy")
+    with np.load(noisy / STATE_NAME) as npz:
+        assert {n.rsplit("_", 1)[-1] for n in npz.files} == \
+            {"matrix", "lv", "cd"}
 
 
 def test_malformed_manifest_triggers_cold_rebuild_not_crash(tmp_path):
