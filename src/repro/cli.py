@@ -545,8 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of concurrent clients (default 16)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="dynamic batching limit (default 8)")
-    serve.add_argument("--window", type=float, default=0.05,
-                       help="batching window in seconds (default 0.05)")
+    serve.add_argument("--window", type=float, default=0.0,
+                       help="seconds an idle engine holds an under-full "
+                            "batch open for more arrivals (default 0: "
+                            "work-conserving, dispatch whatever is queued)")
     serve.add_argument("--shards", type=int, default=1,
                        help="fan each coalesced micro-batch out across N "
                             "engine replicas (default 1)")

@@ -11,12 +11,18 @@
 * **per-model queues** — every model gets its own queue + dispatcher
   pool, so a burst of heavy CNN traffic queues behind *itself*, never
   in front of MLP requests (head-of-line isolation);
-* **dispatch with retry** — a request goes to one replica of its
-  model; on a transport failure or 5xx the gateway backs off and
-  retries on a *different* replica.  Safe by construction: engines are
-  deterministic (seeded weights + seeded crossbar programming), so any
-  replica's answer is bitwise the same — the fleet-level invariant
-  ``docs/guarantees.md`` pins and ``tests/test_fleet.py`` enforces;
+* **work-conserving micro-batches** — a dispatcher that wakes takes
+  the head of its model's queue *and everything else already queued*
+  and sends them to one replica in one exchange, so requests that
+  arrive together reach the engine as one batch; a free dispatcher
+  sends at once, and nothing ever waits on a clock for company;
+* **dispatch with retry** — each rider of an exchange gets its own
+  outcome; on a transport failure or 5xx the gateway backs off and
+  retries the affected riders on a *different* replica.  Safe by
+  construction: engines are deterministic (seeded weights + seeded
+  crossbar programming), so any replica's answer is bitwise the same —
+  the fleet-level invariant ``docs/guarantees.md`` pins and
+  ``tests/test_fleet.py`` / ``tests/test_fleet_microbatch.py`` enforce;
 * **health & lifecycle** — periodic ``/healthz`` probes; consecutive
   failures (or a dead process) evict the worker and respawn a fresh one
   that warm-starts its models off the networked store;
@@ -71,6 +77,7 @@ from repro.fleet.resilience import (
     backoff_delay,
 )
 from repro.fleet.ring import HashRing
+from repro.fleet.worker import predict_fields
 
 PREDICT_TIMEOUT_S = 120.0
 LOAD_TIMEOUT_S = 300.0
@@ -119,6 +126,8 @@ class _ModelState:
         default_factory=asyncio.PriorityQueue)
     dispatchers: list = field(default_factory=list)
     rr: int = 0                     # round-robin cursor over placement
+    # All of these count *requests*, never exchanges.  Every request
+    # ends in exactly one of served / failed / sheds / rejections.
     inflight: int = 0
     served: int = 0
     failed: int = 0
@@ -139,6 +148,8 @@ class _Pending:
     deadline_at: float | None = None
     token: int = 0
     priority: int = 0
+    # Why the latest dispatch attempt did not answer this request.
+    last_error: str = "no healthy replica available"
 
     def sort_key(self) -> tuple:
         """EDF order for the gateway queue (mirrors the worker scheduler)."""
@@ -165,10 +176,13 @@ class PumaFleet:
         replicas_per_model: initial replicas per model (default:
             ``min(2, num_workers)``); the autoscaler moves it between
             ``min_replicas`` and ``max_replicas`` when enabled.
-        max_batch_size / batch_window_s: per-model worker batching.
-        dispatch_concurrency: concurrent dispatches per model — kept
-            above ``max_batch_size``'s reach so worker-side
-            micro-batching still coalesces.
+        max_batch_size: most requests one dispatch carries, and the
+            batching limit of each worker's ``PumaServer``.
+        dispatch_concurrency: concurrent *exchanges* per model, each
+            carrying up to ``max_batch_size`` requests.  A free
+            dispatcher sends whatever is queued at once, so a lone
+            request never waits for company; only when all of them are
+            busy does the queue build (and coalesce).
         max_attempts: dispatch attempts per request (distinct replicas
             preferred; transport failures and 5xx retry, 400 never).
         health_interval_s / health_failures: probe cadence and the
@@ -215,7 +229,6 @@ class PumaFleet:
                  work_dir: str | Path,
                  replicas_per_model: int | None = None,
                  max_batch_size: int = 16,
-                 batch_window_s: float = 0.002,
                  dispatch_concurrency: int = 16,
                  max_attempts: int = 3,
                  health_interval_s: float = 0.5,
@@ -254,7 +267,6 @@ class PumaFleet:
                                    if replicas_per_model is None
                                    else min(replicas_per_model, num_workers))
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self.dispatch_concurrency = dispatch_concurrency
         self.max_attempts = max_attempts
         self.health_interval_s = health_interval_s
@@ -323,8 +335,7 @@ class PumaFleet:
         self.manager = WorkerManager(
             str(self.work_dir / "workers"),
             store_address=(self.host, self.http.port),
-            max_batch_size=self.max_batch_size,
-            batch_window_s=self.batch_window_s, host=self.host,
+            max_batch_size=self.max_batch_size, host=self.host,
             max_queue_depth=self.max_queue_depth,
             scheduler_policy=self.scheduler_policy,
             fault_plan=self.fault_plan)
@@ -376,9 +387,8 @@ class PumaFleet:
         for state in self.models.values():
             while not state.queue.empty():
                 _key, pending = state.queue.get_nowait()
-                if not pending.future.done():
-                    pending.future.set_exception(FleetError(
-                        "fleet stopped before this request was served"))
+                self._settle(state, pending, FleetError(
+                    "fleet stopped before this request was served"))
         await _cancel_and_wait(
             self._background
             + [t for s in self.models.values() for t in s.dispatchers])
@@ -489,14 +499,15 @@ class PumaFleet:
         try:
             return await asyncio.wait_for(future, wait_timeout)
         except asyncio.TimeoutError:
-            # wait_for cancelled the future, so the dispatcher (which
-            # guards every resolve with future.done()) won't also count
-            # this request — the shed tally stays single-entry.
+            # wait_for cancelled the future, so the dispatcher (whose
+            # _settle skips a future that is already done) won't also
+            # count this request — every tally stays single-entry.
             if deadline_at is not None and self.clock.now() >= deadline_at:
                 state.sheds += 1
                 raise FleetDeadlineError(
                     f"{model}: deadline of {deadline_ms:g}ms expired "
                     f"before a reply arrived") from None
+            state.failed += 1
             raise FleetError(
                 f"{model}: no reply within {wait_timeout:g}s") from None
 
@@ -505,64 +516,86 @@ class PumaFleet:
         per_request_s = 0.02
         return round(max(0.1, state.queue.qsize() * per_request_s / 2), 2)
 
+    def _settle(self, state: _ModelState, rider: _Pending,
+                outcome: dict | FleetError) -> None:
+        """Resolve one request's future and count it — exactly once.
+
+        A caller that already gave up (``predict``'s timeout, which
+        counted it there, or a cancel) is skipped.
+        """
+        if rider.future.done():
+            return
+        if not isinstance(outcome, FleetError):
+            state.served += 1
+            rider.future.set_result(outcome)
+            return
+        if isinstance(outcome, FleetDeadlineError):
+            state.sheds += 1
+        else:
+            state.failed += 1
+        rider.future.set_exception(outcome)
+
+    def _still_wanted(self, state: _ModelState, riders: list[_Pending],
+                      where: str) -> list[_Pending]:
+        """The riders still worth a dispatch: callers that gave up are
+        dropped, passed deadlines are shed before any work is spent."""
+        now = self.clock.now()
+        wanted = []
+        for rider in riders:
+            if rider.deadline_at is not None and now >= rider.deadline_at:
+                self._settle(state, rider, FleetDeadlineError(
+                    f"{state.spec.name}: deadline passed {where}"))
+            elif not rider.future.done():
+                wanted.append(rider)
+        return wanted
+
     async def _dispatch_loop(self, state: _ModelState) -> None:
         while True:
-            _key, pending = await state.queue.get()
-            if pending.future.done():
-                continue             # caller gave up (timeout/cancel)
-            if pending.deadline_at is not None \
-                    and self.clock.now() >= pending.deadline_at:
-                # Expired while queued: shed now, spend no dispatch.
-                state.sheds += 1
-                pending.future.set_exception(FleetDeadlineError(
-                    f"{state.spec.name}: deadline passed in the gateway "
-                    f"queue"))
-                continue
-            state.inflight += 1
+            _key, head = await state.queue.get()
+            # Work-conserving coalescing: whatever is queued right now
+            # rides this dispatch; nothing waits for more to arrive.
+            riders = [head]
+            while len(riders) < self.max_batch_size \
+                    and not state.queue.empty():
+                riders.append(state.queue.get_nowait()[1])
+            state.inflight += len(riders)
             try:
-                result = await self._dispatch_one(state, pending)
-                if not pending.future.done():
-                    pending.future.set_result(result)
-                state.served += 1
+                await self._dispatch_riders(state, riders)
             except asyncio.CancelledError:
-                if not pending.future.done():
-                    pending.future.set_exception(FleetError(
+                for rider in riders:
+                    self._settle(state, rider, FleetError(
                         "fleet dispatcher cancelled mid-request"))
                 raise
-            except Exception as error:  # noqa: BLE001 - fail that request
-                state.failed += 1
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        error if isinstance(error, FleetError)
-                        else FleetError(f"{type(error).__name__}: {error}"))
+            except Exception as error:  # noqa: BLE001 - fail those riders
+                for rider in riders:
+                    self._settle(state, rider, FleetError(
+                        f"{type(error).__name__}: {error}"))
             finally:
-                state.inflight -= 1
+                state.inflight -= len(riders)
 
-    async def _dispatch_one(self, state: _ModelState,
-                            pending: _Pending) -> dict:
-        """Route one request; retry transient failures on other replicas.
+    async def _dispatch_riders(self, state: _ModelState,
+                               riders: list[_Pending]) -> None:
+        """Route one micro-batch; retry what fails on other replicas.
 
-        Retries are bounded (``max_attempts``) and paced by capped
-        exponential backoff with deterministic jitter
-        (:func:`backoff_delay` keyed on this request's token).  Each
-        attempt re-checks the request's remaining deadline budget,
-        which also rides to the worker as ``deadline_ms`` and caps the
-        HTTP timeout.  Per-replica circuit breakers record the outcome:
-        transport failures, garbage replies, and 5xx open them; an
-        honest answer (including a worker-side 504) closes them.
+        Every rider is settled before this returns.  Each attempt is one
+        exchange with one replica (:meth:`_exchange`); the riders it
+        could not answer go to a *different* replica, bounded by
+        ``max_attempts`` and paced by capped exponential backoff with
+        deterministic jitter (:func:`backoff_delay`, keyed on the head
+        rider's token).  Each attempt — the first included, so an entry
+        that expired or was abandoned while queued costs no dispatch —
+        re-checks every rider's remaining deadline budget, which also
+        rides to the worker as ``deadline_ms``.
         """
         tried: set[str] = set()
-        last_error: str = "no healthy replica available"
         for attempt in range(self.max_attempts):
-            remaining_s = None
-            if pending.deadline_at is not None:
-                remaining_s = pending.deadline_at - self.clock.now()
-                if remaining_s <= 0:
-                    state.sheds += 1
-                    raise FleetDeadlineError(
-                        f"{state.spec.name}: deadline expired after "
-                        f"{attempt} dispatch attempt(s) "
-                        f"(last error: {last_error})")
+            riders = self._still_wanted(
+                state, riders,
+                f"after {attempt} dispatch attempt(s) "
+                f"(last error: {riders[0].last_error})" if attempt
+                else "in the gateway queue")
+            if not riders:
+                return
             handle = self._pick_replica(state, tried)
             if handle is None:
                 # Everything tried or unhealthy: wait for health/respawn
@@ -573,82 +606,98 @@ class PumaFleet:
                 if handle is None:
                     continue
             tried.add(handle.worker_id)
-            breaker = self.breakers.get(handle.worker_id)
-            payload: dict[str, Any] = {"route_key": state.key,
-                                       "inputs": pending.inputs,
-                                       "priority": pending.priority}
-            http_timeout = PREDICT_TIMEOUT_S
-            if remaining_s is not None:
+            riders = await self._exchange(state, handle, riders)
+            if not riders:
+                return
+            state.retries += len(riders)
+            await self._backoff(attempt, riders[0].token)
+        for rider in riders:
+            self._settle(state, rider, FleetError(
+                f"{state.spec.name}: no replica answered after "
+                f"{self.max_attempts} attempts "
+                f"(last error: {rider.last_error})"))
+
+    async def _exchange(self, state: _ModelState, handle: WorkerHandle,
+                        riders: list[_Pending]) -> list[_Pending]:
+        """One ``POST /v1/predict`` carrying ``riders`` to one replica.
+
+        Settles every rider the replica answered for good (200, a 400
+        no replica would read differently, a 504 deadline verdict) and
+        returns the ones to send elsewhere: all of them after a
+        transport failure, failed load or garbage 200 body; otherwise
+        those whose own status was 409/429/5xx.  The replica's breaker
+        and health tally record the exchange once: transport failures,
+        garbage and 5xx count against it; an honest answer (including
+        a worker-side 504) closes it; 409/429 are load, not sickness.
+        """
+        name, worker_id = state.spec.name, handle.worker_id
+        breaker = self.breakers.get(worker_id)
+        now = self.clock.now()
+        requests = []
+        http_timeout = 0.0
+        for rider in riders:
+            item = {"inputs": rider.inputs, "priority": rider.priority}
+            budget_s = PREDICT_TIMEOUT_S
+            if rider.deadline_at is not None:
                 # The worker sheds on its own clock; the grace margin
                 # lets its 504 beat our transport timeout.
-                payload["deadline_ms"] = remaining_s * 1000.0
-                http_timeout = min(PREDICT_TIMEOUT_S, remaining_s + 0.5)
-            body = json.dumps(payload).encode()
-            try:
-                await self._ensure_loaded(state, handle)
-                response = await self.pool.request(
-                    handle.host, handle.port, "POST", "/v1/predict",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                    timeout=http_timeout)
-            except (FleetConnectionError, FleetError) as error:
-                # Transport failure or failed load: this replica may be
-                # dying — flag it for the health loop, open its breaker
-                # a notch, and go elsewhere.
-                handle.consecutive_failures += 1
-                if breaker is not None:
-                    breaker.record_failure()
-                await self.pool.forget(handle.host, handle.port)
-                last_error = str(error)
-                state.retries += 1
-                await self._backoff(attempt, pending.token)
-                continue
-            if response.status == 200:
-                try:
-                    reply = response.json()
-                except ProtocolError as error:
-                    # A 200 with a garbage body: the replica is lying.
-                    # Never surface it — retry elsewhere (any replica's
-                    # honest answer is bitwise the same).
-                    handle.consecutive_failures += 1
-                    if breaker is not None:
-                        breaker.record_failure()
-                    await self.pool.forget(handle.host, handle.port)
-                    last_error = (f"garbage 200 body from "
-                                  f"{handle.worker_id}: {error}")
-                    state.retries += 1
-                    await self._backoff(attempt, pending.token)
-                    continue
-                if breaker is not None:
-                    breaker.record_success()
-                return reply
-            if response.status == 400:
+                remaining_s = rider.deadline_at - now
+                item["deadline_ms"] = remaining_s * 1000.0
+                budget_s = min(budget_s, remaining_s + 0.5)
+            # The exchange lives as long as its most patient rider.
+            http_timeout = max(http_timeout, budget_s)
+            requests.append(item)
+        body = json.dumps({"route_key": state.key,
+                           "requests": requests}).encode()
+        try:
+            await self._ensure_loaded(state, handle)
+            response = await self.pool.request(
+                handle.host, handle.port, "POST", "/v1/predict",
+                body=body, headers={"Content-Type": "application/json"},
+                timeout=http_timeout)
+            envelope, replies = _item_replies(response, len(riders))
+        except (FleetConnectionError, FleetError, ProtocolError) as error:
+            # Transport failure, failed load, or a 200 with a garbage
+            # body (the replica is lying — never surface it; any
+            # replica's honest answer is bitwise the same).  It may be
+            # dying: flag it for the health loop, open its breaker a
+            # notch, and go elsewhere.
+            handle.consecutive_failures += 1
+            if breaker is not None:
+                breaker.record_failure()
+            await self.pool.forget(handle.host, handle.port)
+            for rider in riders:
+                rider.last_error = f"{worker_id}: {error}"
+            return riders
+        retry = []
+        statuses = set()
+        for rider, reply in zip(riders, replies):
+            status = reply.pop("status")
+            statuses.add(status)
+            if status == 200:
+                self._settle(state, rider, {**envelope, **reply})
+            elif status == 400:
                 # The request itself is bad; no replica will differ.
-                raise FleetError(
-                    f"{state.spec.name}: rejected by {handle.worker_id}: "
-                    f"{_error_text(response)}")
-            if response.status == 504:
-                # The worker shed it: the deadline verdict is final (a
-                # healthy answer — close the breaker, don't retry).
-                if breaker is not None:
-                    breaker.record_success()
-                state.sheds += 1
-                raise FleetDeadlineError(
-                    f"{state.spec.name}: {handle.worker_id} shed the "
-                    f"request: {_error_text(response)}")
-            if response.status in (409, 429):
-                # Placement race (reload next attempt) or a full worker
-                # queue — load, not sickness: no breaker penalty.
-                if response.status == 409:
-                    handle.hosted.discard(state.key)
-            elif breaker is not None:
-                breaker.record_failure()         # 5xx: count it
-            last_error = f"{response.status} {_error_text(response)}"
-            state.retries += 1
-            await self._backoff(attempt, pending.token)
-        raise FleetError(
-            f"{state.spec.name}: no replica answered after "
-            f"{self.max_attempts} attempts (last error: {last_error})")
+                self._settle(state, rider, FleetError(
+                    f"{name}: rejected by {worker_id}: "
+                    f"{reply.get('error')}"))
+            elif status == 504:
+                # The worker shed it: the deadline verdict is final.
+                self._settle(state, rider, FleetDeadlineError(
+                    f"{name}: {worker_id} shed the request: "
+                    f"{reply.get('error')}"))
+            else:
+                rider.last_error = f"{status} {reply.get('error')}"
+                retry.append(rider)
+        if 409 in statuses:
+            # Placement raced an eviction: reload on the next attempt.
+            handle.hosted.discard(state.key)
+        if breaker is not None:
+            if statuses - {200, 400, 504, 409, 429}:
+                breaker.record_failure()
+            elif statuses & {200, 504}:
+                breaker.record_success()
+        return retry
 
     async def _backoff(self, attempt: int, token: int) -> None:
         await self.clock.sleep(backoff_delay(
@@ -760,6 +809,13 @@ class PumaFleet:
     # -- HTTP front door ----------------------------------------------------
 
     async def _handle(self, request: HttpRequest) -> HttpResponse:
+        try:
+            return await self._route(request)
+        except ProtocolError as error:
+            # Valid HTTP, but not a body this endpoint accepts.
+            return error_response(400, str(error), reason="bad_request")
+
+    async def _route(self, request: HttpRequest) -> HttpResponse:
         route = (request.method, request.path)
         if route == ("GET", "/healthz"):
             return json_response({
@@ -795,29 +851,13 @@ class PumaFleet:
             return error_response(503, "fleet is draining; "
                                        "not accepting new requests",
                                   reason="draining")
-        payload = request.json()
+        payload = request.json_object()
         model = payload.get("model")
-        inputs = payload.get("inputs")
-        if model not in self.models:
+        if not isinstance(model, str) or model not in self.models:
             return error_response(
                 404, f"unknown model {model!r}; deployed: "
                      f"{sorted(self.models)}", reason="unknown_model")
-        if not isinstance(inputs, dict):
-            return error_response(400, "predict body needs an 'inputs' "
-                                       "object of float vectors")
-        deadline_ms = payload.get("deadline_ms")
-        if deadline_ms is not None:
-            try:
-                deadline_ms = float(deadline_ms)
-            except (TypeError, ValueError):
-                return error_response(
-                    400, f"bad deadline_ms {payload['deadline_ms']!r}")
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            return error_response(
-                400, f"bad priority {payload['priority']!r} "
-                     f"(must be an integer)")
+        inputs, deadline_ms, priority = predict_fields(payload)
         try:
             reply = await self.predict(model, inputs,
                                        deadline_ms=deadline_ms,
@@ -943,6 +983,32 @@ async def _cancel_and_wait(tasks: list[asyncio.Task],
         for task in pending:
             task.cancel()
         _, pending = await asyncio.wait(pending, timeout=poll_s)
+
+
+def _item_replies(response: HttpResponse,
+                  count: int) -> tuple[dict, list[dict]]:
+    """One exchange's reply as ``(envelope, per-rider outcomes)``.
+
+    A 200 must carry ``replies``: one object with an integer ``status``
+    per rider, in order; the envelope (``model``, ``worker``) is what
+    every 200 rider's reply shares.  Anything else under a 200 is a
+    garbage body (:class:`ProtocolError`).  A non-200 response (409 not
+    hosted, an injected 500) is every rider's outcome.
+    """
+    if response.status != 200:
+        outcome = {"status": response.status,
+                   "error": _error_text(response)}
+        return {}, [dict(outcome) for _ in range(count)]
+    envelope = response.json()
+    replies = (envelope.pop("replies", None)
+               if isinstance(envelope, dict) else None)
+    if not isinstance(replies, list) or len(replies) != count \
+            or not all(isinstance(reply, dict)
+                       and isinstance(reply.get("status"), int)
+                       for reply in replies):
+        raise ProtocolError(f"garbage 200 body: no reply item for each "
+                            f"of {count} request(s)")
+    return envelope, replies
 
 
 def _error_text(response: HttpResponse) -> str:

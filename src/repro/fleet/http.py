@@ -98,6 +98,17 @@ class HttpRequest:
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"malformed JSON body: {error}") from error
 
+    def json_object(self) -> dict:
+        """The body parsed as a JSON *object*; :class:`ProtocolError` for
+        anything else — ``[]``, ``3`` and ``"x"`` are valid JSON but not
+        a request, and a handler that went on to ``.get`` a field would
+        turn them into a 500."""
+        payload = self.json()
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"the JSON body must be an object, not "
+                                f"{type(payload).__name__}")
+        return payload
+
 
 @dataclass
 class HttpResponse:

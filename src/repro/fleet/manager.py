@@ -84,8 +84,8 @@ class WorkerManager:
         work_dir: per-fleet scratch root; each worker gets a
             subdirectory for its unpacked/saved artifacts.
         store_address: the gateway's artifact plane, passed to workers.
-        max_batch_size / batch_window_s: per-model server tuning,
-            uniform across the fleet.
+        max_batch_size: per-model server batching limit, uniform
+            across the fleet.
         max_queue_depth: per-model admission bound, uniform across the
             fleet (``None`` = unbounded).
         fault_plan: chaos schedule; each spawned worker receives the
@@ -96,7 +96,6 @@ class WorkerManager:
     def __init__(self, work_dir: str, *,
                  store_address: tuple[str, int] | None = None,
                  max_batch_size: int = 16,
-                 batch_window_s: float = 0.002,
                  host: str = "127.0.0.1",
                  max_queue_depth: int | None = None,
                  scheduler_policy: str = "edf",
@@ -104,7 +103,6 @@ class WorkerManager:
         self.work_dir = work_dir
         self.store_address = store_address
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self.host = host
         self.max_queue_depth = max_queue_depth
         self.scheduler_policy = scheduler_policy
@@ -126,7 +124,7 @@ class WorkerManager:
             worker_id, f"{self.work_dir}/{worker_id}",
             store_address=self.store_address,
             max_batch_size=self.max_batch_size,
-            batch_window_s=self.batch_window_s, host=self.host,
+            host=self.host,
             max_queue_depth=self.max_queue_depth,
             scheduler_policy=self.scheduler_policy,
             fault_events=fault_events, chaos_seed=chaos_seed)

@@ -13,9 +13,12 @@ that serves a small HTTP API on an OS-assigned port:
   verify, unpack, :meth:`InferenceEngine.from_artifacts`), falling back
   to a **cold build** (compile + program + record, then PUT the packed
   artifact back so the *next* cold worker warm-starts);
-* ``POST /v1/predict`` — submit one inference to the hosted model's
-  :class:`~repro.serve.PumaServer` (micro-batching happens here, per
-  worker, exactly as in single-process serving);
+* ``POST /v1/predict`` — submit a micro-batch (``{"route_key",
+  "requests": [...]}``, one gateway dispatch) to the hosted model's
+  :class:`~repro.serve.PumaServer` in one loop turn, so the riders
+  reach the engine as one batch; each gets its own status in the reply.
+  The single-request body (``{"route_key", "inputs", ...}``) is the
+  one-element case of the same code, answered unwrapped;
 * ``POST /v1/shutdown`` — graceful drain: every hosted server finishes
   its queue, then the process exits.
 
@@ -47,6 +50,7 @@ from repro.fleet.http import (
     HttpRequest,
     HttpResponse,
     HttpServer,
+    ProtocolError,
     error_response,
     json_response,
 )
@@ -86,7 +90,7 @@ class FleetWorker:
         store_address: ``(host, port)`` of the gateway's artifact plane,
             or ``None`` to always cold-build (standalone/testing).
         work_dir: scratch directory for unpacked/saved artifacts.
-        max_batch_size / batch_window_s: per-model ``PumaServer`` tuning.
+        max_batch_size: per-model ``PumaServer`` batching limit.
         max_queue_depth: per-model admission bound handed to each hosted
             :class:`~repro.serve.PumaServer` (``None`` = unbounded).
         scheduler_policy: batch-formation policy for each hosted
@@ -101,7 +105,6 @@ class FleetWorker:
     def __init__(self, worker_id: str,
                  store_address: tuple[str, int] | None,
                  work_dir: str, *, max_batch_size: int = 16,
-                 batch_window_s: float = 0.002,
                  host: str = "127.0.0.1",
                  max_queue_depth: int | None = None,
                  scheduler_policy: str = "edf",
@@ -111,7 +114,6 @@ class FleetWorker:
         self.store_address = store_address
         self.work_dir = work_dir
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
         self.max_queue_depth = max_queue_depth
         self.scheduler_policy = scheduler_policy
         self.hosted: dict[str, _HostedModel] = {}
@@ -149,6 +151,13 @@ class FleetWorker:
                     body=b"\x00chaos{{this is not json")
             return error_response(500, "injected fault (chaos plan)",
                                   reason="chaos_error")
+        try:
+            return await self._route(request)
+        except ProtocolError as error:
+            # Valid HTTP, but not a body this endpoint accepts.
+            return error_response(400, str(error), reason="bad_request")
+
+    async def _route(self, request: HttpRequest) -> HttpResponse:
         route = (request.method, request.path)
         if route == ("GET", "/healthz"):
             return json_response({"ok": True, "worker": self.worker_id,
@@ -173,7 +182,7 @@ class FleetWorker:
         Body: ``{"events": [...], "seed": int}`` to arm, or
         ``{"disarm": true}`` to clear everything armed so far.
         """
-        payload = request.json()
+        payload = request.json_object()
         if payload.get("disarm"):
             self.injector.disarm()
             return json_response({"ok": True, "chaos": self.injector.ledger()})
@@ -284,7 +293,6 @@ class FleetWorker:
 
             server = PumaServer(engine,
                                 max_batch_size=self.max_batch_size,
-                                batch_window_s=self.batch_window_s,
                                 max_queue_depth=self.max_queue_depth,
                                 scheduler=self.scheduler_policy)
             await server.start()
@@ -295,7 +303,7 @@ class FleetWorker:
                     "warm_start": source == "network", "source": source}
 
     async def handle_load(self, request: HttpRequest) -> HttpResponse:
-        payload = request.json()
+        payload = request.json_object()
         try:
             spec = FleetModelSpec.from_dict(payload.get("spec"))
             key = payload.get("route_key")
@@ -308,7 +316,7 @@ class FleetWorker:
     # -- inference ----------------------------------------------------------
 
     async def handle_predict(self, request: HttpRequest) -> HttpResponse:
-        payload = request.json()
+        payload = request.json_object()
         key = payload.get("route_key")
         hosted = self.hosted.get(key) if isinstance(key, str) else None
         if hosted is None:
@@ -316,61 +324,66 @@ class FleetWorker:
             # placement raced an eviction.  409 is retryable fleet-side.
             return error_response(
                 409, f"model {key!r} is not hosted on {self.worker_id}")
-        inputs = payload.get("inputs")
-        if not isinstance(inputs, dict):
-            return error_response(400, "predict body needs an 'inputs' "
-                                       "object of float vectors")
+        items, wrapped = predict_items(payload)
+        # Every rider is pushed in this loop turn, before the server's
+        # batcher wakes: one exchange lands as one batch.
+        replies = await asyncio.gather(
+            *(self._predict_item(hosted, item) for item in items))
+        envelope = {"model": hosted.spec.name, "worker": self.worker_id}
+        if wrapped:
+            return json_response({**envelope, "replies": replies})
+        reply, = replies
+        status = reply.pop("status")
+        if status == 200:
+            return json_response({**envelope, **reply})
+        return error_response(
+            status, reply["error"], reason=reply.get("reason"),
+            headers={"Retry-After": "1"} if status == 429 else None)
+
+    async def _predict_item(self, hosted: _HostedModel, item: dict) -> dict:
+        """Serve one rider; its outcome as a reply item (never raises)."""
+        try:
+            inputs, deadline_ms, priority = predict_fields(item)
+        except ProtocolError as error:
+            return _failed(400, str(error))
         try:
             arrays = {name: np.asarray(values, dtype=np.float64)
                       for name, values in inputs.items()}
         except (TypeError, ValueError) as error:
-            return error_response(400, f"bad input vectors: {error}")
-        deadline_s = None
-        if payload.get("deadline_ms") is not None:
-            try:
-                deadline_s = float(payload["deadline_ms"]) / 1000.0
-            except (TypeError, ValueError):
-                return error_response(
-                    400, f"bad deadline_ms {payload['deadline_ms']!r}")
-            if deadline_s <= 0:
-                # The budget was spent in flight (gateway queue + wire);
-                # don't even enqueue.
-                self.deadline_rejections += 1
-                return error_response(
-                    504, "deadline expired before the request reached "
-                         "the model server", reason="deadline_exceeded")
-        try:
-            priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError):
-            return error_response(
-                400, f"bad priority {payload['priority']!r} "
-                     f"(must be an integer)")
+            return _failed(400, f"bad input vectors: {error}")
+        deadline_s = None if deadline_ms is None else deadline_ms / 1000.0
+        if deadline_s is not None and deadline_s <= 0:
+            # The budget was spent in flight (gateway queue + wire);
+            # don't even enqueue.
+            self.deadline_rejections += 1
+            return _failed(504, "deadline expired before the request "
+                                "reached the model server",
+                           "deadline_exceeded")
         try:
             result = await hosted.server.submit(arrays,
                                                 deadline_s=deadline_s,
                                                 priority=priority)
         except ValueError as error:
-            return error_response(400, str(error))
+            return _failed(400, str(error))
         except DeadlineExceeded as error:
             self.deadline_rejections += 1
-            return error_response(504, str(error),
-                                  reason="deadline_exceeded")
+            return _failed(504, str(error), "deadline_exceeded")
         except AdmissionError as error:
-            return error_response(
-                429, str(error), reason="queue_full",
-                headers={"Retry-After": "1"})
-        except RuntimeError as error:
-            return error_response(503, str(error),    # draining/stopped
-                                  reason="not_serving")
-        return json_response({
-            "model": hosted.spec.name,
-            "worker": self.worker_id,
+            return _failed(429, str(error), "queue_full")
+        except RuntimeError as error:               # draining/stopped
+            return _failed(503, str(error), "not_serving")
+        except Exception as error:  # noqa: BLE001 - fail this rider only
+            # The pass itself failed; co-riders keep their own outcomes
+            # and the gateway retries this one elsewhere.
+            return _failed(500, f"{type(error).__name__}: {error}")
+        return {
+            "status": 200,
             "execution": result.execution,
             "outputs": {name: np.asarray(values).tolist()
                         for name, values in result.outputs.items()},
             "words": {name: np.asarray(words).tolist()
                       for name, words in result.words.items()},
-        })
+        }
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -406,6 +419,59 @@ class FleetWorker:
         await self.http.close()
 
 
+def predict_items(payload: dict) -> tuple[list[dict], bool]:
+    """The riders of one ``POST /v1/predict`` body, and whether they
+    came wrapped in ``requests`` (and so are answered in ``replies``).
+
+    A body without ``requests`` is itself the only rider.  Raises
+    :class:`ProtocolError` when ``requests`` is not a non-empty list of
+    objects.
+    """
+    if "requests" not in payload:
+        return [payload], False
+    items = payload["requests"]
+    if not isinstance(items, list) or not items \
+            or not all(isinstance(item, dict) for item in items):
+        raise ProtocolError("'requests' must be a non-empty list of "
+                            "request objects")
+    return items, True
+
+
+def predict_fields(item: dict) -> tuple[dict, float | None, int]:
+    """``(inputs, deadline_ms, priority)`` of one predict request, typed.
+
+    The one reading of these wire fields, shared by the gateway's front
+    door and the worker.  Raises :class:`ProtocolError` naming the
+    field that is missing or has the wrong type.
+    """
+    inputs = item.get("inputs")
+    if not isinstance(inputs, dict):
+        raise ProtocolError("predict body needs an 'inputs' object of "
+                            "float vectors")
+    deadline_ms = item.get("deadline_ms")
+    if deadline_ms is not None:
+        try:
+            deadline_ms = float(deadline_ms)
+        except (TypeError, ValueError):
+            raise ProtocolError(
+                f"bad deadline_ms {item['deadline_ms']!r}") from None
+    try:
+        priority = int(item.get("priority", 0))
+    except (TypeError, ValueError):
+        raise ProtocolError(f"bad priority {item['priority']!r} "
+                            f"(must be an integer)") from None
+    return inputs, deadline_ms, priority
+
+
+def _failed(status: int, message: str, reason: str | None = None) -> dict:
+    """One rider's failure as a reply item (``error_response``'s body
+    plus the status the rider would have got on its own)."""
+    item = {"status": status, "error": message}
+    if reason is not None:
+        item["reason"] = reason
+    return item
+
+
 def _engine_from_artifact(path: str):
     """Thread-side warm start (blocking: hash, inflate, re-program)."""
     from repro.engine import InferenceEngine
@@ -431,7 +497,6 @@ async def _worker_main(bootstrap: dict, conn) -> None:
         if bootstrap.get("store_address") else None,
         work_dir=bootstrap["work_dir"],
         max_batch_size=bootstrap.get("max_batch_size", 16),
-        batch_window_s=bootstrap.get("batch_window_s", 0.002),
         host=bootstrap.get("host", "127.0.0.1"),
         max_queue_depth=bootstrap.get("max_queue_depth"),
         scheduler_policy=bootstrap.get("scheduler_policy", "edf"),
@@ -456,7 +521,6 @@ def run_worker(bootstrap: dict, conn) -> None:
 def worker_bootstrap(worker_id: str, work_dir: str, *,
                      store_address: tuple[str, int] | None = None,
                      max_batch_size: int = 16,
-                     batch_window_s: float = 0.002,
                      host: str = "127.0.0.1",
                      max_queue_depth: int | None = None,
                      scheduler_policy: str = "edf",
@@ -466,7 +530,7 @@ def worker_bootstrap(worker_id: str, work_dir: str, *,
     return {"worker_id": worker_id, "work_dir": work_dir,
             "store_address": list(store_address) if store_address else None,
             "max_batch_size": max_batch_size,
-            "batch_window_s": batch_window_s, "host": host,
+            "host": host,
             "max_queue_depth": max_queue_depth,
             "scheduler_policy": scheduler_policy,
             "fault_events": [event.to_dict() for event in fault_events],

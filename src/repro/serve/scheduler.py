@@ -14,6 +14,13 @@ open*:
   priorities or deadlines this degenerates to exact FIFO order, which
   is why it is safe as the default.
 
+**The hold is opt-in.**  ``batch_window_s`` defaults to ``0``: an idle
+engine takes whatever is queued immediately and requests that arrive
+during a pass form the next batch, so coalescing comes from concurrency
+that is actually visible and never from waiting on a clock (PUMA's
+weights are stationary — it needs no batch to be efficient).  Pass an
+explicit window to trade latency for fill.
+
 **Early close.**  An EDF window additionally closes *early* when the
 most urgent queued deadline no longer affords waiting: with ``d`` the
 earliest absolute deadline in the queue and ``s`` the EWMA-observed
@@ -147,7 +154,7 @@ class BatchScheduler:
     policy = "base"
 
     def __init__(self, *, max_batch_size: int = 16,
-                 batch_window_s: float = 0.002,
+                 batch_window_s: float = 0.0,
                  service_times: ServiceTimeTracker | None = None) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, "
@@ -159,6 +166,9 @@ class BatchScheduler:
         self.service_times = service_times or ServiceTimeTracker()
         self.counters = SchedulerCounters()
         self._heap: list[_Entry] = []
+        # Queued entries carrying a deadline; at zero the deadline scans
+        # (pop_expired, earliest_deadline) have nothing to find.
+        self._deadlines = 0
         self._seq = itertools.count()
 
     # -- ordering ----------------------------------------------------------
@@ -176,6 +186,7 @@ class BatchScheduler:
         heapq.heappush(self._heap, _Entry(
             self._sort_key(priority, deadline_at, seq), item,
             priority=priority, deadline_at=deadline_at))
+        self._deadlines += deadline_at is not None
         self.counters.admitted += 1
 
     def __len__(self) -> int:
@@ -186,12 +197,16 @@ class BatchScheduler:
         limit = self.max_batch_size if limit is None else limit
         batch: list[Any] = []
         while self._heap and len(batch) < limit:
-            batch.append(heapq.heappop(self._heap).item)
+            entry = heapq.heappop(self._heap)
+            self._deadlines -= entry.deadline_at is not None
+            batch.append(entry.item)
         self.counters.dispatched += len(batch)
         return batch
 
     def pop_expired(self, now: float) -> list[Any]:
         """Remove and return every queued request whose deadline passed."""
+        if not self._deadlines:
+            return []
         expired = [e for e in self._heap
                    if e.deadline_at is not None and now >= e.deadline_at]
         if expired:
@@ -199,6 +214,7 @@ class BatchScheduler:
                           if not (e.deadline_at is not None
                                   and now >= e.deadline_at)]
             heapq.heapify(self._heap)
+            self._deadlines -= len(expired)
             self.counters.shed += len(expired)
         return [e.item for e in expired]
 
@@ -207,14 +223,16 @@ class BatchScheduler:
         drained = [e.item for e in sorted(self._heap)]
         self.counters.drained += len(drained)
         self._heap.clear()
+        self._deadlines = 0
         return drained
 
     # -- the hold policy ---------------------------------------------------
 
     def earliest_deadline(self) -> float | None:
-        deadlines = [e.deadline_at for e in self._heap
-                     if e.deadline_at is not None]
-        return min(deadlines) if deadlines else None
+        if not self._deadlines:
+            return None
+        return min(e.deadline_at for e in self._heap
+                   if e.deadline_at is not None)
 
     def hold_for(self, now: float, window_started_at: float) -> float:
         """Seconds to keep the forming batch open; ``<= 0`` = dispatch."""
@@ -281,7 +299,7 @@ class EdfScheduler(BatchScheduler):
 
 
 def make_scheduler(policy: str, *, max_batch_size: int = 16,
-                   batch_window_s: float = 0.002,
+                   batch_window_s: float = 0.0,
                    service_times: ServiceTimeTracker | None = None,
                    ) -> BatchScheduler:
     """Build the named scheduling policy (see :data:`SCHEDULER_POLICIES`)."""

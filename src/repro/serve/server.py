@@ -11,16 +11,23 @@ execution is bitwise identical to sequential single-input runs (the
 engine's core guarantee), coalescing is invisible to clients except in
 latency and throughput.
 
+Batch formation is **work-conserving by default**: an idle engine takes
+whatever is queued the moment it arrives, and requests that arrive
+while a pass is in flight form the next batch.  The weights are
+stationary, so a batch buys throughput but is never needed for
+efficiency — nothing waits on a clock unless the caller asks for it
+with an explicit ``batch_window_s``.
+
 Three scheduling modes:
 
-* **Fixed-window FIFO** (``scheduler="fifo"``) — the original behavior:
-  arrival order, ``batch_window_s`` hold.  Kept as the benchmark
-  baseline.
+* **FIFO** (``scheduler="fifo"``) — the original behavior: arrival
+  order, and a fixed ``batch_window_s`` hold when one is passed.  Kept
+  as the benchmark baseline.
 * **EDF** (``scheduler="edf"``, the default) — priority-then-earliest-
-  deadline order with an early-close rule: the window also closes when
-  the most urgent queued deadline can no longer afford waiting, given
-  the EWMA-observed per-batch service time.  Degenerates to exact FIFO
-  when no request carries a priority or deadline.
+  deadline order with an early-close rule: an explicit window also
+  closes when the most urgent queued deadline can no longer afford
+  waiting, given the EWMA-observed per-batch service time.  Degenerates
+  to exact FIFO when no request carries a priority or deadline.
 * **Continuous** (``continuous=True``) — sequence workloads join and
   leave the active batch at recorded step boundaries
   (:mod:`repro.serve.continuous`): a lane freed at sequence end refills
@@ -144,9 +151,12 @@ class PumaServer:
         max_batch_size: most requests coalesced into one simulator pass
             (in continuous mode: the node's lane count — the most
             requests in flight at once).
-        batch_window_s: how long to hold an under-full batch open waiting
-            for more arrivals before dispatching it (the EDF early-close
-            rule can only shorten this, never extend it).
+        batch_window_s: how long an *idle* engine holds an under-full
+            batch open waiting for more arrivals.  ``0`` (the default)
+            never holds: coalescing comes only from requests already
+            queued — those that arrived together or during the previous
+            pass.  A positive window trades that latency for fill (the
+            EDF early-close rule can only shorten it, never extend it).
         num_shards: engine replicas each coalesced micro-batch is fanned
             out across (:class:`~repro.serve.sharding.ShardedEngine`);
             1 (the default) serves every batch on the single engine.
@@ -187,7 +197,7 @@ class PumaServer:
 
     def __init__(self, engine: "InferenceEngine", *,
                  max_batch_size: int = 16,
-                 batch_window_s: float = 0.002,
+                 batch_window_s: float = 0.0,
                  num_shards: int = 1,
                  shard_policy: str = "contiguous",
                  shard_executor: str = "auto",
@@ -391,10 +401,10 @@ class PumaServer:
         the condition it is waiting on (a submit between the check and
         this wait then completes the event immediately — no lost wakeup).
         """
-        waiter = asyncio.ensure_future(self._arrival.wait())
         if timeout is None:
-            await waiter
+            await self._arrival.wait()
             return
+        waiter = asyncio.ensure_future(self._arrival.wait())
         sleeper = asyncio.ensure_future(self._clock.sleep(timeout))
         _done, pending = await asyncio.wait(
             {waiter, sleeper}, return_when=asyncio.FIRST_COMPLETED)
@@ -455,9 +465,11 @@ class PumaServer:
                     if self._closed:
                         return
                     await self._wait_arrival(None)
-                # Formation: hold the window open per the scheduler's
-                # policy (fixed for FIFO; deadline-pressure early close
-                # for EDF), re-evaluated on every arrival.
+                # Formation: with no window (the default) the first
+                # hold_for is <= 0 and the batch is whatever is queued.
+                # An explicit window is held per the scheduler's policy
+                # (fixed for FIFO; deadline-pressure early close for
+                # EDF), re-evaluated on every arrival.
                 window_started_at = self._clock.now()
                 while True:
                     self._arrival.clear()
@@ -540,10 +552,11 @@ class PumaServer:
                 if not batcher.busy() and not self._closed \
                         and depth < min(self.max_batch_size,
                                         batcher.max_lanes):
-                    # Idle node, under-full queue: hold the window open
-                    # exactly like the discrete loop.  Once cohorts are
-                    # in flight, ticks happen anyway and arrivals join
-                    # at the next step boundary with no extra hold.
+                    # Idle node, under-full queue: hold an explicit
+                    # window open exactly like the discrete loop (no
+                    # window, no hold).  Once cohorts are in flight,
+                    # ticks happen anyway and arrivals join at the next
+                    # step boundary with no extra hold.
                     if window_started_at is None:
                         window_started_at = self._clock.now()
                     hold = self._scheduler.hold_for(

@@ -780,6 +780,76 @@ class TestVirtualClockHarness:
         assert counters.requests_shed == 1
         assert counters.requests_served == 1
 
+    def test_default_window_never_consults_the_clock(self, engine):
+        """Work-conserving by default: an idle server answers a lone
+        request without ever asking the clock to sleep — there is no
+        hold to wait out — and a burst made in one loop turn is still
+        one batch."""
+
+        class CountingClock(VirtualClock):
+            sleeps = 0
+
+            async def sleep(self, delay):
+                self.sleeps += 1
+                await super().sleep(delay)
+
+        async def scenario():
+            clock = CountingClock()
+            server = await PumaServer(engine, max_batch_size=8,
+                                      clock=clock).start()
+            assert server.batch_window_s == 0.0
+            assert server.scheduler.batch_window_s == 0.0
+            xs = float_inputs(5, seed=33)
+            # Never advanced: a server waiting on the clock would hang.
+            lone = await asyncio.wait_for(server.submit({"x": xs[0]}), 30)
+            assert server.counters.batches_formed == 1
+            burst = await asyncio.wait_for(asyncio.gather(
+                *(server.submit({"x": xs[i]}) for i in range(1, 5))), 30)
+            stats = server.stats()
+            await server.stop()
+            return lone, burst, stats, clock
+
+        lone, burst, stats, clock = serve(scenario())
+        assert clock.sleeps == 0 and clock.now() == 0.0
+        assert (stats["batches_formed"], stats["lanes_simulated"]) == (2, 5)
+        assert sorted(stats["scheduler"]["service_time_ewma_s"]) == \
+            ["1", "4"]
+        assert stats["scheduler"]["early_closes"] == 0
+        xs = float_inputs(5, seed=33)
+        for x, result in zip(xs, [lone, *burst]):
+            assert np.array_equal(result["out"],
+                                  engine.predict({"x": x})["out"])
+
+    def test_explicit_window_still_holds_and_early_closes(self, engine):
+        """Passing a window is the only switch: it is held on the
+        clock, and deadline pressure still closes it early."""
+
+        async def scenario():
+            clock = VirtualClock()
+            server = await PumaServer(engine, max_batch_size=8,
+                                      batch_window_s=5.0,
+                                      clock=clock).start()
+            xs = float_inputs(2, seed=34)
+            held = asyncio.create_task(server.submit({"x": xs[0]}))
+            await until(lambda: clock.pending_sleepers == 1)
+            assert server.counters.batches_formed == 0      # held
+            await clock.advance(5.0)
+            await asyncio.wait_for(held, 30)
+            assert server.scheduler.counters.early_closes == 0
+            # A batch of 1 is estimated at 2 s: a 1.5 s deadline cannot
+            # afford any of the 5 s hold.
+            server.scheduler.service_times.seed(1, 2.0)
+            urgent = await asyncio.wait_for(
+                server.submit({"x": xs[1]}, deadline_s=1.5), 30)
+            early_closes = server.scheduler.counters.early_closes
+            await server.stop()
+            return urgent, early_closes, clock.now()
+
+        urgent, early_closes, now = serve(scenario())
+        assert early_closes == 1
+        assert now == 5.0                # the second hold never slept
+        assert urgent["out"].shape == (DIMS[-1],)
+
 
 # ---------------------------------------------------------------------------
 # Submit side-effect ordering (PR 10 regression guard)
