@@ -289,7 +289,7 @@ def test_continuous_batching_bitwise(once):
           f"{stats['batches_formed']} cohorts")
     assert not mismatches, (
         f"continuous lanes differ from sequential reference: {mismatches}")
-    assert executions == {"continuous"}
+    assert executions == {"optimized"}
     assert scheduler["admitted"] == 12
     assert (scheduler["admitted"]
             == scheduler["dispatched"] + scheduler["shed"]

@@ -63,7 +63,6 @@ Quickstart::
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -117,7 +116,7 @@ _EXECUTION_TAPE_CAP = 8
 # (batch, words) arrays dominate, so keep only the recent batch sizes.
 _REPLAYER_CAP = 4
 
-EXECUTION_MODES = ("auto", "replay", "optimized", "interpret")
+EXECUTION_MODES = ("auto", "replay", "interpret")
 
 # model -> {config/options fingerprint -> CompiledModel}.  Weak keys: the
 # cache must not keep dead models (and their weight arrays) alive.
@@ -304,6 +303,15 @@ def _count_tape_event(kind: str) -> None:
             _tape_fallbacks += 1
 
 
+def _reject_nan(inputs: Mapping[str, np.ndarray]) -> None:
+    """NaN has no fixed-point word (the cast yields ``INT64_MIN``, which
+    the interpreter rejects as out of range and a replay serves as
+    garbage); +/-inf saturates, which is defined."""
+    for name, values in inputs.items():
+        if np.isnan(values).any():
+            raise ValueError(f"input {name!r} contains NaN")
+
+
 class InferenceEngine:
     """Serves batched inference for one compiled model.
 
@@ -323,16 +331,14 @@ class InferenceEngine:
             batch size, falling back to the event-driven interpreter when
             the program cannot be taped (stochastic RANDOM op, unseeded
             engine) and to plain replay when the tape cannot be optimized
-            or fails its equivalence probe; ``"optimized"`` is the strict
-            variant of ``"auto"`` that raises ``ValueError`` for engines
-            that can *never* replay; ``"replay"`` is strict like
-            ``"optimized"`` but never invokes the optimizer — every
-            replay runs the plain step-for-step tape (recording passes —
-            the first run, or the one after a tape is invalidated — are
-            part of both strict modes, exactly as in ``"auto"``);
-            ``"interpret"`` always runs the event-driven interpreter.
-            All four produce bitwise-identical outputs and
-            field-identical stats.
+            or fails its equivalence probe; ``"replay"`` never invokes
+            the optimizer — every replay runs the plain step-for-step
+            tape — and is strict: it raises ``ValueError`` for engines
+            that can *never* replay (recording passes — the first run,
+            or the one after a tape is invalidated — are part of it,
+            exactly as in ``"auto"``); ``"interpret"`` always runs the
+            event-driven interpreter.  All three produce
+            bitwise-identical outputs and field-identical stats.
         artifact_dir: persistent artifact store directory
             (:mod:`repro.store`).  At construction the engine loads a
             matching artifact if one exists — skipping compilation,
@@ -391,7 +397,6 @@ class InferenceEngine:
             self.compiled = self._resolve_compiled()
         self.program = self.compiled.program
         self.fmt = self.config.core.fixed_point
-        self._last_stats: SimulationStats | None = None
         # Trace-replay state: bound replayers by batch size, guarded by a
         # lock (a replayer mutates its node's arrays while running).
         self._replayers: dict[int, TapeReplayer] = {}
@@ -671,28 +676,6 @@ class InferenceEngine:
             self.warm(batch=batch)
         return self.save_artifacts(path)
 
-    # -- deprecated mutable state ------------------------------------------
-
-    @property
-    def last_stats(self) -> SimulationStats | None:
-        """Deprecated: stats of the most recent run.
-
-        Mutable per-engine state is a hazard once a server interleaves
-        runs; read ``.stats`` on the :class:`RunResult` a run returns.
-        """
-        warnings.warn(
-            "InferenceEngine.last_stats is deprecated; use the RunResult "
-            "returned by predict()/run_batch()/run_sequential() "
-            "(its .stats attribute)", DeprecationWarning, stacklevel=2)
-        return self._last_stats
-
-    @last_stats.setter
-    def last_stats(self, value: SimulationStats | None) -> None:
-        warnings.warn(
-            "InferenceEngine.last_stats is deprecated; stats travel on "
-            "RunResult now", DeprecationWarning, stacklevel=2)
-        self._last_stats = value
-
     # -- data formatting ---------------------------------------------------
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
@@ -702,6 +685,14 @@ class InferenceEngine:
     def dequantize(self, words: np.ndarray) -> np.ndarray:
         """Fixed-point words -> real values (any shape)."""
         return self.fmt.dequantize(words)
+
+    def quantize_inputs(self, inputs: Mapping[str, np.ndarray]
+                        ) -> dict[str, np.ndarray]:
+        """Named real-valued inputs -> fixed-point words, NaN rejected."""
+        arrays = {name: np.asarray(values, dtype=np.float64)
+                  for name, values in inputs.items()}
+        _reject_nan(arrays)
+        return {name: self.quantize(arr) for name, arr in arrays.items()}
 
     # -- input validation --------------------------------------------------
 
@@ -764,6 +755,7 @@ class InferenceEngine:
                     f"request input {name!r} must be a 1-D vector "
                     f"(one inference), got shape {arr.shape}")
         self._infer_batch(inputs)
+        _reject_nan(inputs)
 
     def _state_key(self) -> tuple | None:
         """Programmed-state cache key; ``None`` when seed=None (fresh
@@ -882,7 +874,7 @@ class InferenceEngine:
 
     def _optimizer_enabled(self) -> bool:
         """Whether this engine should fuse tapes into optimized plans."""
-        return self.execution_mode in ("auto", "optimized")
+        return self.execution_mode == "auto"
 
     def _optimized_plan(self, tape: ExecutionTape) -> OptimizedTape | None:
         """The tape's fused plan, building (and caching) it on first use.
@@ -943,15 +935,49 @@ class InferenceEngine:
             # (invalidation, clear_tape_caches, a failed equivalence
             # probe): drop the stale binding and rebind below.
             self._replayers.pop(batch, None)
-        node = self._fresh_node(batch)
-        if plan is not None:
-            replayer = OptimizedReplayer(tape, plan, node, self.program)
-        else:
-            replayer = TapeReplayer(tape, node, self.program)
+        replayer = self._bind_replayer(tape, plan, batch)
         self._replayers[batch] = replayer
         while len(self._replayers) > _REPLAYER_CAP:
             self._replayers.pop(next(iter(self._replayers)))
         return replayer
+
+    def _bind_replayer(self, tape: ExecutionTape,
+                       plan: OptimizedTape | None, batch: int
+                       ) -> TapeReplayer:
+        """Bind ``tape`` (through ``plan`` when given) to a fresh node."""
+        node = self._fresh_node(batch)
+        if plan is not None:
+            return OptimizedReplayer(tape, plan, node, self.program)
+        return TapeReplayer(tape, node, self.program)
+
+    def private_replayer(self, batch: int) -> TapeReplayer | None:
+        """A replayer on its own ``batch``-lane node, owned by the caller
+        (``None`` when this engine cannot trace-replay).
+
+        Continuous batching drives this one's ops itself, cohort by
+        cohort; the replayers behind :meth:`run_batch` are overwritten
+        by every run and cannot be shared.  The optimized plan is bound
+        only once :meth:`_verify_optimized` has passed at this width:
+        one seeded non-zero batch goes through :meth:`run_batch` (after
+        :meth:`warm` has recorded the tape), which runs that probe.  A
+        declined or poisoned plan leaves the caller on plain replay.
+        """
+        if self._replay_blocker() is not None:
+            return None
+        self.warm(batch=batch)
+        rng = np.random.default_rng(0)
+        self.run_batch({
+            name: self.quantize(rng.uniform(-1.0, 1.0, size=(batch, length)))
+            for name, (_tile, _addr, length)
+            in self.program.input_layout.items()})
+        tape = self.compiled.execution_tapes.get(self._fingerprint)
+        if tape is None:  # the recording failed its dependence cross-check
+            return None
+        plan = (self._optimized_plan(tape)
+                if self._optimizer_enabled() else None)
+        if plan is not None and batch not in plan.verified_batches:
+            plan = None
+        return self._bind_replayer(tape, plan, batch)
 
     def _invalidate_tape(self) -> None:
         """Drop the tape, its bound replayers, and the persistence
@@ -1031,10 +1057,10 @@ class InferenceEngine:
         """
         blocker = self._replay_blocker()
         if blocker is not None:
-            if self.execution_mode in ("replay", "optimized"):
+            if self.execution_mode == "replay":
                 raise ValueError(
-                    f"execution_mode={self.execution_mode!r} but the "
-                    f"program cannot be trace-replayed: {blocker}")
+                    f"execution_mode='replay' but the program cannot be "
+                    f"trace-replayed: {blocker}")
             if self.execution_mode != "interpret":
                 _count_tape_event("fallback")
             sim = self._simulator(batch)
@@ -1106,16 +1132,13 @@ class InferenceEngine:
 
         Raises:
             ValueError: unknown/missing input names, per-lane lengths that
-                disagree with the compiled ``input_layout``, or
-                inconsistent batch sizes — checked up front, before any
-                simulation starts.
+                disagree with the compiled ``input_layout``,
+                inconsistent batch sizes, or a NaN value — checked up
+                front, before any simulation starts.
         """
-        arrays = {name: np.asarray(values, dtype=np.float64)
-                  for name, values in inputs.items()}
         # Validation (names, lengths, batch consistency) happens in
         # run_batch; quantization preserves every checked property.
-        return self.run_batch({name: self.quantize(arr)
-                               for name, arr in arrays.items()})
+        return self.run_batch(self.quantize_inputs(inputs))
 
     def run_batch(self, inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Run a whole batch of fixed-point words in one SIMD pass.
@@ -1133,7 +1156,6 @@ class InferenceEngine:
         self._check_names(inputs)
         batch = self._infer_batch(inputs)
         words, stats, execution = self._execute(dict(inputs), batch)
-        self._last_stats = stats
         return RunResult(words=words, fmt=self.fmt, stats=stats,
                          batch=batch, execution=execution)
 
@@ -1150,9 +1172,8 @@ class InferenceEngine:
         must not share a simulator (e.g. stochastic RANDOM-op workloads
         where each input should draw fresh noise).
 
-        The result's ``stats`` are the final row's run (matching the
-        legacy ``last_stats`` contract); ``lane_stats`` carries every
-        row's stats.
+        The result's ``stats`` are the final row's run; ``lane_stats``
+        carries every row's stats.
         """
         self._check_names(inputs)
         batch = self._infer_batch(inputs)
@@ -1172,7 +1193,6 @@ class InferenceEngine:
             sim = self._simulator(1)
             rows.append(sim.run(lane_inputs))
             lane_stats.append(sim.stats)
-            self._last_stats = sim.stats
         words = {name: np.stack([row[name] for row in rows])
                  for name in rows[0]}
         return RunResult(words=words, fmt=self.fmt, stats=lane_stats[-1],

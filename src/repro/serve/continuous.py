@@ -3,66 +3,46 @@
 Fixed-window batching makes every rider wait for the batch to *form*;
 continuous batching (the key scheduling trick of modern LLM serving)
 lets requests join and leave the active batch at recorded step
-boundaries instead.  The batch-generic execution tape (PR 8,
-:mod:`repro.sim.tape`) makes this a *slice choice*: every data-carrying
-closure it records operates on ``array[:, start:stop]`` — all lanes, one
-address range.  Re-binding the same steps over an explicit lane-index
-array (``array[lanes, start:stop]``) yields closures that touch **only
-the named lanes' rows**, so groups of lanes ("cohorts") can sit at
-*different positions* of the same tape on one shared node without
-observing each other.
-
-Why per-lane isolation is exact, not approximate:
-
-* Register files, tile memories, and the NoC payloads are all
-  ``(batch, width)`` arrays, and every recorded step addresses them
-  row-wise.  The one recorded closure that *broadcast* across lanes —
-  ``ALU_INT``, which writes a scalar loop-counter to ``reg[:, dest]``
-  — is control bookkeeping (control-uniform programs compute identical
-  values in every lane); here it is re-bound to read the cohort's lane
-  0 and write the cohort's lanes only.
-* NoC flows become per-cohort deques: the k-th receive of a flow
-  consumes the k-th send *of the same cohort*, exactly the recorded
-  pairing.
-* Cohort start re-zeroes the cohort's register rows and re-preloads its
-  constant-memory rows — the same per-run initialization
-  :class:`~repro.sim.tape.TapeReplayer` performs, restricted to the
-  joining lanes.
-
-Consequently each lane's value trajectory is identical to a sequential
-single-request replay — bitwise, regardless of which cohorts share the
-node or where segment boundaries fall (asserted by
-``tests/test_scheduler_properties.py`` and ``tests/test_serve_stress.py``).
+boundaries instead.  The tape binder (:mod:`repro.sim.tape`) makes this
+an *argument choice*: every bound step is ``step(rows, flows)`` over
+``array[rows, start:stop]``, so the replayer the engine builds for a
+whole-batch run (``rows = slice(None)``) serves groups of lanes
+("cohorts") just as well — each cohort passes its own lane-index array
+and its own NoC flow dict, and cohorts sit at *different positions* of
+the same op list on one shared node without observing each other
+(:class:`~repro.sim.tape.TapeReplayer` says why that isolation is
+exact).  The op list is whatever the engine bound: the optimized plan
+(:mod:`repro.sim.tapeopt`) once its equivalence probe has passed at the
+node's width, the plain tape otherwise.  Each lane's value trajectory
+is identical to a sequential single-request replay — bitwise,
+regardless of which cohorts share the node or where segment boundaries
+fall (``tests/test_scheduler_properties.py``, ``tests/test_replay.py``,
+``tests/test_serve_stress.py``).
 
 **Step boundaries.**  A cohort may only join while no other cohort is
 mid-segment, so boundary granularity sets refill latency, not
-correctness.  Boundaries are derived from the tape: after the last step
-that *reads* each program input's memory region (a ``load`` or a tile
-``send`` overlapping the input's ``input_layout`` slot) — the points
-where a sequence workload has consumed one conceptual input chunk —
-plus the end of the tape.  For a single-consumption MLP this degenerates
-to one segment (continuous == dynamic batching); for the LSTM/RNN tapes
-it yields one boundary per recurrent step region.
+correctness.  Boundaries are derived from the bound plan: after the last
+op that *reads* each program input's memory region — the points where a
+sequence workload has consumed one conceptual input chunk — plus the end
+of the plan.  A plan with one segment *is* whole-batch serving:
+:class:`~repro.serve.server.WholeBatchExecutor` is that one-cohort,
+one-segment case with the same two methods, which is why the server
+runs one loop.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.arch.mvmu import MVMU
-from repro.isa.opcodes import AluOp, Opcode
 from repro.isa.program import NodeProgram
-from repro.sim.tape import ExecutionTape, TapeStep, TapeValidationError
+from repro.serve.types import RunResult
+from repro.sim.tapeopt import OptimizedReplayer, _mem_effects
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import InferenceEngine
-
-# A lane-sliced op: (lanes, flows) -> None.  ``lanes`` is the cohort's
-# lane-index array, ``flows`` its private NoC deques.
-_LaneOp = Callable[[np.ndarray, dict], None]
 
 
 class ContinuousUnsupported(RuntimeError):
@@ -70,190 +50,38 @@ class ContinuousUnsupported(RuntimeError):
 
     Raised at server start for interpreter-mode engines, ``seed=None``
     engines, and RANDOM-op programs — exactly the tape-replay blockers:
-    continuous batching *is* tape replay with lane-sliced bindings.
+    continuous batching *is* tape replay over a lane selection.
     """
 
 
-def segment_boundaries(tape: ExecutionTape,
-                       program: NodeProgram) -> tuple[int, ...]:
+def segment_boundaries(plan: Sequence, program: NodeProgram
+                       ) -> tuple[int, ...]:
     """Join points: after the last read of each input's memory region.
 
-    Returns ascending end-exclusive step indices; the final entry is
-    always ``len(tape.steps)``.  Boundary placement affects only how
-    soon a freed lane can be refilled — per-lane outputs are invariant
-    to it (lane isolation), which the property suite asserts by
-    comparing against sequential references across cohort layouts.
+    ``plan`` is what a replayer's ops were bound from (tape steps or
+    optimized plan ops).  Returns ascending end-exclusive op indices;
+    the final entry is always ``len(plan)``.  Boundary placement affects
+    only how soon a freed lane can be refilled — per-lane outputs are
+    invariant to it (lane isolation), which the property suite asserts
+    by comparing against sequential references across cohort layouts.
     """
     regions = [(tile_id, addr, addr + length)
                for (tile_id, addr, length) in program.input_layout.values()]
     last_read: dict[int, int] = {}
-    for index, step in enumerate(tape.steps):
-        instr = step.instruction
-        if instr.opcode == Opcode.LOAD or (step.core_id is None
-                                           and instr.opcode == Opcode.SEND):
-            lo = step.eff_addr
-            hi = lo + instr.vec_width
-            for slot, (tile_id, start, stop) in enumerate(regions):
-                if step.tile_id == tile_id and lo < stop and hi > start:
+    for index, op in enumerate(plan):
+        for tile_id, kind, lo, width in _mem_effects(op):
+            if kind != "r":
+                continue
+            for slot, (region_tile, start, stop) in enumerate(regions):
+                if tile_id == region_tile and lo < stop and lo + width > start:
                     last_read[slot] = index
-    total = len(tape.steps)
-    cuts = sorted({index + 1 for index in last_read.values()}
-                  - {total})
+    total = len(plan)
+    cuts = sorted({index + 1 for index in last_read.values()} - {total})
     return tuple(cuts) + (total,)
 
 
-# -- lane-sliced step bindings ---------------------------------------------
-#
-# These mirror repro.sim.tape's batch-generic bindings closure for
-# closure, with ``array[:, a:b]`` replaced by ``array[lanes, a:b]``.
-# Numpy note: mixing an integer-array index with a slice selects the
-# named rows over the sliced columns; *reads* materialize a copy (so no
-# aliasing hazards survive), *writes* scatter into exactly those rows.
-
-
-def _bind_mvm(core, instr) -> _LaneOp:
-    config = core.config
-    active = [i for i in range(config.num_mvmus) if instr.mask & (1 << i)]
-    if not active:
-        raise TapeValidationError("recorded MVM selects no MVMU")
-    dim = config.mvmu_dim
-    reg = core.registers._data
-    units = [(core.mvmus[i], config.xbar_in_base(i), config.xbar_out_base(i))
-             for i in active]
-    filter_, stride = instr.filter, instr.stride
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        for mvmu, in_base, out_base in units:
-            x = reg[lanes, in_base:in_base + dim]
-            if filter_:
-                x = MVMU.shuffle_inputs(x, filter_, stride)
-            reg[lanes, out_base:out_base + dim] = mvmu.execute(x)
-
-    return step
-
-
-def _bind_alu(core, instr) -> _LaneOp:
-    apply_op = core.vfu._apply
-    reg = core.registers._data
-    op = instr.alu_op
-    w = instr.vec_width
-    dest, src1, src2 = instr.dest, instr.src1, instr.src2
-    if op == AluOp.SUBSAMPLE:
-        def step(lanes: np.ndarray, _flows: dict) -> None:
-            a = reg[lanes, src1:src1 + w]  # fancy read: already a copy
-            result = apply_op(op, a, reg[lanes, src2:src2 + 1])
-            reg[lanes, dest:dest + result.shape[-1]] = result
-    elif op.num_sources == 2:
-        def step(lanes: np.ndarray, _flows: dict) -> None:
-            reg[lanes, dest:dest + w] = apply_op(
-                op, reg[lanes, src1:src1 + w], reg[lanes, src2:src2 + w])
-    else:
-        def step(lanes: np.ndarray, _flows: dict) -> None:
-            reg[lanes, dest:dest + w] = apply_op(
-                op, reg[lanes, src1:src1 + w], None)
-    return step
-
-
-def _bind_alui(core, instr) -> _LaneOp:
-    apply_op = core.vfu._apply
-    reg = core.registers._data
-    op, w, dest, src1 = instr.alu_op, instr.vec_width, instr.dest, instr.src1
-    imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        reg[lanes, dest:dest + w] = apply_op(
-            op, reg[lanes, src1:src1 + w], imm_vec)
-
-    return step
-
-
-def _bind_alu_int(core, instr) -> _LaneOp:
-    # The lane-isolation fix relative to the plain tape binding: read the
-    # scalar from the cohort's own lane 0 (control-uniform, so any lane
-    # agrees) and write only the cohort's rows — never reg[:, dest].
-    sfu_execute = core.sfu.execute
-    reg = core.registers._data
-    op, dest, src1 = instr.alu_op, instr.dest, instr.src1
-
-    if instr.imm_mode:
-        imm = instr.imm
-
-        def step(lanes: np.ndarray, _flows: dict) -> None:
-            reg[lanes, dest] = sfu_execute(op, int(reg[lanes[0], src1]), imm)
-    else:
-        src2 = instr.src2
-
-        def step(lanes: np.ndarray, _flows: dict) -> None:
-            reg[lanes, dest] = sfu_execute(op, int(reg[lanes[0], src1]),
-                                           int(reg[lanes[0], src2]))
-    return step
-
-
-def _bind_set(core, instr) -> _LaneOp:
-    reg = core.registers._data
-    dest, w = instr.dest, instr.vec_width
-    imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        reg[lanes, dest:dest + w] = imm_vec
-
-    return step
-
-
-def _bind_copy(core, instr) -> _LaneOp:
-    reg = core.registers._data
-    dest, src1, w = instr.dest, instr.src1, instr.vec_width
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        # The fancy read materializes a copy, so overlap is always safe.
-        reg[lanes, dest:dest + w] = reg[lanes, src1:src1 + w]
-
-    return step
-
-
-def _bind_load(core, mem: np.ndarray, instr, eff_addr: int) -> _LaneOp:
-    reg = core.registers._data
-    dest, w = instr.dest, instr.vec_width
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        reg[lanes, dest:dest + w] = mem[lanes, eff_addr:eff_addr + w]
-
-    return step
-
-
-def _bind_store(core, mem: np.ndarray, instr, eff_addr: int) -> _LaneOp:
-    reg = core.registers._data
-    src1, w = instr.src1, instr.vec_width
-
-    def step(lanes: np.ndarray, _flows: dict) -> None:
-        mem[lanes, eff_addr:eff_addr + w] = reg[lanes, src1:src1 + w]
-
-    return step
-
-
-def _bind_send(mem: np.ndarray, instr, eff_addr: int, key: tuple) -> _LaneOp:
-    w = instr.vec_width
-
-    def step(lanes: np.ndarray, flows: dict) -> None:
-        # Fancy read = snapshot copy, mirroring the plain binding's
-        # explicit .copy(); the payload rides the cohort's own flow.
-        flows[key].append(mem[lanes, eff_addr:eff_addr + w])
-
-    return step
-
-
-def _bind_receive(mem: np.ndarray, instr, eff_addr: int,
-                  key: tuple) -> _LaneOp:
-    w = instr.vec_width
-
-    def step(lanes: np.ndarray, flows: dict) -> None:
-        mem[lanes, eff_addr:eff_addr + w] = flows[key].popleft()
-
-    return step
-
-
 class Cohort:
-    """A group of lanes advancing through the tape in lockstep.
+    """A group of lanes advancing through the plan in lockstep.
 
     Attributes:
         lanes: the node lane indices this cohort occupies.
@@ -279,10 +107,11 @@ class Cohort:
 class ContinuousBatcher:
     """One shared node serving multiple in-flight cohorts of lanes.
 
-    Built once at server start from the engine's batch-generic tape;
-    the server's continuous loop then alternates ``start_cohort`` (fill
-    free lanes from the queue) and ``tick`` (advance every active
-    cohort one segment; collect finished cohorts and their outputs).
+    Built once at server start around a replayer the engine binds for it
+    (:meth:`~repro.engine.InferenceEngine.private_replayer`); the serve
+    loop then alternates ``start_cohort`` (fill free lanes from the
+    queue) and ``tick`` (advance every active cohort one segment;
+    collect finished cohorts and their results).
 
     Args:
         engine: the serving engine; must be tape-replayable (anything
@@ -297,76 +126,26 @@ class ContinuousBatcher:
         if blocker is not None:
             raise ContinuousUnsupported(
                 f"continuous batching requires tape replay: {blocker}")
-        engine.warm(batch=1)
-        tape = engine.compiled.execution_tapes.get(engine._fingerprint)
-        if tape is None:  # pragma: no cover - warm() guarantees a tape
+        replayer = engine.private_replayer(max_lanes)
+        if replayer is None:  # pragma: no cover - the recording was rejected
             raise ContinuousUnsupported("no execution tape was recorded")
         self.engine = engine
-        self.tape = tape
+        self.replayer = replayer
+        self.tape = replayer.tape
         self.program = engine.program
         self.max_lanes = max_lanes
-        self.node = engine._fresh_node(max_lanes)
-        self._register_files: list[np.ndarray] = []
-        try:
-            self._ops = [self._bind_one(step) for step in tape.steps]
-        except (KeyError, IndexError, AttributeError) as error:
-            raise TapeValidationError(
-                f"tape does not match the node/program: {error}") from error
-        self.boundaries = segment_boundaries(tape, self.program)
+        self.execution = ("optimized"
+                          if isinstance(replayer, OptimizedReplayer)
+                          else "replay")
+        self.boundaries = segment_boundaries(replayer.plan, self.program)
         self._free = list(range(max_lanes))
         self._cohorts: list[Cohort] = []
-
-    # -- binding -----------------------------------------------------------
-
-    def _track_registers(self, core) -> None:
-        regs = core.registers._data
-        if not any(regs is seen for seen in self._register_files):
-            self._register_files.append(regs)
-
-    def _bind_one(self, step: TapeStep) -> _LaneOp:
-        tile_id, core_id, instr, eff_addr = step
-        tile = self.node.tiles[tile_id]
-        mem = tile.memory._data
-        op = instr.opcode
-        if core_id is None:
-            if op == Opcode.SEND:
-                return _bind_send(mem, instr, eff_addr,
-                                  (instr.target, instr.fifo_id))
-            if op == Opcode.RECEIVE:
-                return _bind_receive(mem, instr, eff_addr,
-                                     (tile_id, instr.fifo_id))
-            raise TapeValidationError(
-                f"unexpected tile-stream opcode {op.name} on tape")
-        core = tile.cores[core_id]
-        self._track_registers(core)
-        if op == Opcode.MVM:
-            return _bind_mvm(core, instr)
-        if op == Opcode.ALU:
-            return _bind_alu(core, instr)
-        if op == Opcode.ALUI:
-            return _bind_alui(core, instr)
-        if op == Opcode.ALU_INT:
-            return _bind_alu_int(core, instr)
-        if op == Opcode.SET:
-            return _bind_set(core, instr)
-        if op == Opcode.COPY:
-            return _bind_copy(core, instr)
-        if op == Opcode.LOAD:
-            return _bind_load(core, mem, instr, eff_addr)
-        if op == Opcode.STORE:
-            return _bind_store(core, mem, instr, eff_addr)
-        raise TapeValidationError(
-            f"unexpected core-stream opcode {op.name} on tape")
 
     # -- occupancy ---------------------------------------------------------
 
     @property
     def free_lanes(self) -> int:
         return len(self._free)
-
-    @property
-    def active_cohorts(self) -> int:
-        return len(self._cohorts)
 
     def busy(self) -> bool:
         return bool(self._cohorts)
@@ -381,9 +160,9 @@ class ContinuousBatcher:
                      tag: Any = None) -> Cohort:
         """Admit ``rows`` (float input dicts, one per request) as a cohort.
 
-        Performs the same per-run initialization a fresh replay would,
-        restricted to the joining lanes: zeroed registers, re-preloaded
-        constant memory, quantized inputs written to the input layout.
+        Everything that can reject the rows happens before a lane is
+        claimed; the claimed lanes then get the per-run initialisation
+        a fresh replay would perform, and the quantized inputs.
         """
         count = len(rows)
         if count == 0:
@@ -391,61 +170,58 @@ class ContinuousBatcher:
         if count > len(self._free):
             raise ValueError(f"{count} requests need {count} lanes; "
                              f"only {len(self._free)} free")
-        lanes = np.asarray(self._free[:count], dtype=np.intp)
-        del self._free[:count]
-        for registers in self._register_files:
-            registers[lanes, :] = 0
-        for tile_id, entries in self.program.const_memory.items():
-            mem = self.node.tiles[tile_id].memory._data
-            for addr, values in entries:
-                arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
-                mem[lanes, addr:addr + arr.shape[-1]] = arr[np.newaxis, :]
-        for name, (tile_id, addr, length) in \
-                self.program.input_layout.items():
-            stacked = np.stack([np.asarray(row[name], dtype=np.float64)
-                                for row in rows])
-            if stacked.shape != (count, length):
+        stacked = {}
+        for name, (_tile, _addr, length) in self.program.input_layout.items():
+            stacked[name] = np.stack([np.asarray(row[name], dtype=np.float64)
+                                      for row in rows])
+            if stacked[name].shape != (count, length):
                 raise ValueError(
                     f"input {name!r} expects {length} values per request, "
-                    f"got shape {stacked.shape}")
-            words = np.asarray(self.engine.quantize(stacked),
-                               dtype=np.int64)
-            self.node.tiles[tile_id].memory._data[
-                lanes, addr:addr + length] = words
+                    f"got shape {stacked[name].shape}")
+        words = self.engine.quantize_inputs(stacked)
+        lanes = np.asarray(self._free[:count], dtype=np.intp)
+        del self._free[:count]
+        self.replayer.begin(lanes)
+        for name, values in words.items():
+            self.replayer.write_input(name, values, lanes)
         cohort = Cohort(lanes, tag)
         self._cohorts.append(cohort)
         return cohort
 
-    def tick(self) -> list[tuple[Cohort, dict[str, np.ndarray]]]:
+    def tick(self) -> list[tuple[Cohort, RunResult | Exception]]:
         """Advance every active cohort one segment; return the finishers.
 
-        Each finished entry is ``(cohort, words)`` with ``words`` the
-        fixed-point output rows ``(len(cohort), length)`` per output
-        name, read straight off the cohort's lanes.  Finished cohorts'
-        lanes return to the free pool before this call returns, so the
-        caller can refill them ahead of the next tick.
+        Each finished entry is ``(cohort, result)`` — ``result`` a
+        ``len(cohort)``-lane :class:`RunResult` read off the cohort's
+        lanes (or the exception that building it raised: those riders'
+        outcome, nobody else's).  Finished cohorts' lanes return to the
+        free pool before this call returns, so the caller can refill
+        them ahead of the next tick.
         """
-        finished: list[tuple[Cohort, dict[str, np.ndarray]]] = []
+        finished: list[tuple[Cohort, RunResult | Exception]] = []
+        ops = self.replayer.ops
         for cohort in list(self._cohorts):
             start = (0 if cohort.position == 0
                      else self.boundaries[cohort.position - 1])
-            stop = self.boundaries[cohort.position]
-            for op in self._ops[start:stop]:
+            for op in ops[start:self.boundaries[cohort.position]]:
                 op(cohort.lanes, cohort.flows)
             cohort.position += 1
             if cohort.position == len(self.boundaries):
                 self._cohorts.remove(cohort)
                 self._free.extend(int(lane) for lane in cohort.lanes)
                 self._free.sort()
-                words = {
-                    name: self._read_output(name, cohort.lanes)
-                    for name in self.program.output_layout
-                }
                 self.tape.replay_count += 1
-                finished.append((cohort, words))
+                finished.append((cohort, self._result(cohort)))
         return finished
 
-    def _read_output(self, name: str, lanes: np.ndarray) -> np.ndarray:
-        tile_id, addr, length = self.program.output_layout[name]
-        mem = self.node.tiles[tile_id].memory._data
-        return mem[lanes, addr:addr + length]  # fancy read: a fresh copy
+    def _result(self, cohort: Cohort) -> RunResult | Exception:
+        try:
+            words = {name: self.replayer.read_output(name, cohort.lanes)
+                     for name in self.program.output_layout}
+            # Timing stats are batch-size dependent: derived by a shadow
+            # simulation on first use, cached on the tape afterwards.
+            stats = self.engine._stats_for_batch(self.tape, len(cohort))
+            return RunResult(words=words, fmt=self.engine.fmt, stats=stats,
+                             batch=len(cohort), execution=self.execution)
+        except Exception as error:  # noqa: BLE001 - these riders' outcome
+            return error

@@ -33,6 +33,11 @@ Three scheduling modes:
   (:mod:`repro.serve.continuous`): a lane freed at sequence end refills
   from the queue instead of idling until the longest rider drains.
 
+One loop serves all three: it claims riders for an *executor* with two
+methods, ``start_cohort`` and ``tick``.  Whole-batch serving
+(:class:`WholeBatchExecutor`) is the one-cohort, one-segment executor;
+:class:`~repro.serve.continuous.ContinuousBatcher` is the general one.
+
 All wall-clock decisions go through an injectable :class:`Clock`
 (:mod:`repro.serve.clock`), so the deterministic test harness drives
 windows, deadlines, and EDF order on virtual time.
@@ -51,12 +56,12 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.continuous import ContinuousBatcher, Cohort
+from repro.serve.continuous import Cohort, ContinuousBatcher
 from repro.serve.scheduler import BatchScheduler, make_scheduler
 from repro.serve.sharding import ShardedEngine
 from repro.serve.types import InferenceRequest, RunResult
@@ -139,6 +144,50 @@ class _Pending:
     # Absolute clock.now() after which the request is shed, or None.
     deadline_at: float | None = None
     priority: int = 0
+
+
+class WholeBatchExecutor:
+    """Whole-batch serving in the batcher's shape: one cohort, one segment.
+
+    ``start_cohort`` claims every lane for one coalesced batch and
+    ``tick`` runs it as a single ``runner.predict`` pass — ``runner`` is
+    an :class:`~repro.engine.InferenceEngine` or a
+    :class:`~repro.serve.sharding.ShardedEngine`, and ``predict`` is
+    looked up per pass.  A failed pass is its riders' outcome.
+    """
+
+    def __init__(self, runner, max_lanes: int) -> None:
+        self.runner = runner
+        self.max_lanes = max_lanes
+        self._cohort: Cohort | None = None
+        self._rows: list[dict[str, np.ndarray]] = []
+
+    @property
+    def free_lanes(self) -> int:
+        return 0 if self._cohort is not None else self.max_lanes
+
+    def busy(self) -> bool:
+        return self._cohort is not None
+
+    def cohorts(self) -> list[Cohort]:
+        return [] if self._cohort is None else [self._cohort]
+
+    def start_cohort(self, rows: list[dict[str, np.ndarray]],
+                     tag: Any = None) -> Cohort:
+        self._cohort = Cohort(np.arange(len(rows)), tag)
+        self._rows = rows
+        return self._cohort
+
+    def tick(self) -> list[tuple[Cohort, RunResult | Exception]]:
+        cohort, rows = self._cohort, self._rows
+        try:
+            outcome = self.runner.predict({
+                name: np.stack([row[name] for row in rows])
+                for name in rows[0]})
+        except Exception as error:  # noqa: BLE001 - fail every rider
+            outcome = error
+        self._cohort, self._rows = None, []
+        return [(cohort, outcome)]
 
 
 class PumaServer:
@@ -240,7 +289,9 @@ class PumaServer:
         self._arrival: asyncio.Event | None = None
         self._batcher_task: asyncio.Task | None = None
         self._sharded: ShardedEngine | None = None
-        self._batcher: ContinuousBatcher | None = None
+        # What runs claimed riders: a ContinuousBatcher or the one-cohort
+        # WholeBatchExecutor, chosen once in start().
+        self._executor: ContinuousBatcher | WholeBatchExecutor | None = None
         self._closed = False
         self._next_request_id = 0
 
@@ -270,17 +321,19 @@ class PumaServer:
                     shard_policy=self.shard_policy,
                     executor=self.shard_executor,
                     artifact_dir=self.artifact_dir).start()
-            if self.continuous and self._batcher is None:
+            if self.continuous:
                 # Warm-up (tape recording) is a blocking interpreter
                 # pass; keep it off the event loop.
-                self._batcher = await loop.run_in_executor(
+                self._executor = await loop.run_in_executor(
                     None, ContinuousBatcher, self.engine,
                     self.max_batch_size)
+            else:
+                self._executor = WholeBatchExecutor(
+                    self._sharded if self._sharded is not None
+                    else self.engine, self.max_batch_size)
             self._arrival = asyncio.Event()
             self._closed = False
-            runner = (self._continuous_loop() if self.continuous
-                      else self._batch_loop())
-            self._batcher_task = asyncio.create_task(runner)
+            self._batcher_task = asyncio.create_task(self._serve_loop())
         return self
 
     async def stop(self, *, drain: bool = True) -> None:
@@ -314,7 +367,7 @@ class PumaServer:
         finally:
             self._batcher_task = None
             self._arrival = None
-            self._batcher = None
+            self._executor = None
             if self._sharded is not None:
                 self._sharded.close()
                 self._sharded = None
@@ -444,119 +497,36 @@ class PumaServer:
             f"PumaServer batching loop crashed: "
             f"{type(error).__name__}: {error}")
         failure.__cause__ = error
-        for pending in claimed:
-            self.counters.requests_failed += 1
-            if not pending.future.done():
-                pending.future.set_exception(failure)
+        self._fail_riders(claimed, failure)
         self._fail_queued(failure)
         return failure
 
-    # -- discrete batching loop --------------------------------------------
+    # -- the serve loop ----------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        batch: list[_Pending] = []
-        try:
-            while True:
-                # Outer wait: idle until work (or stop) arrives.
-                while True:
-                    self._arrival.clear()
-                    if len(self._scheduler):
-                        break
-                    if self._closed:
-                        return
-                    await self._wait_arrival(None)
-                # Formation: with no window (the default) the first
-                # hold_for is <= 0 and the batch is whatever is queued.
-                # An explicit window is held per the scheduler's policy
-                # (fixed for FIFO; deadline-pressure early close for
-                # EDF), re-evaluated on every arrival.
-                window_started_at = self._clock.now()
-                while True:
-                    self._arrival.clear()
-                    self._shed_expired_queued()
-                    depth = len(self._scheduler)
-                    if depth == 0 or depth >= self.max_batch_size \
-                            or self._closed:
-                        break
-                    hold = self._scheduler.hold_for(
-                        self._clock.now(), window_started_at)
-                    if hold <= 0:
-                        break
-                    await self._wait_arrival(hold)
-                batch = self._scheduler.pop_batch(self.max_batch_size)
-                if batch:
-                    await self._serve_batch(batch)
-                batch = []
-        except BaseException as error:
-            # The loop itself crashed (not a per-batch engine error —
-            # _serve_batch contains those).  A dead loop must not leave
-            # clients awaiting futures that will never resolve: fail the
-            # claimed batch and everything still queued, then surface the
-            # error to stop().
-            failure = self._crash(error, batch)
-            if isinstance(error, asyncio.CancelledError):
-                raise
-            raise failure from error
-
-    async def _serve_batch(self, batch: list[_Pending]) -> None:
-        """One coalesced SIMD-over-batch pass; resolve every future.
-
-        Every failure mode inside the pass — stacking, the engine run,
-        lane slicing — resolves the riders' futures with the exception;
-        nothing escapes to kill the batching loop.
-        """
-        loop = asyncio.get_running_loop()
-        self.counters.batches_formed += 1
-        self.counters.lanes_simulated += len(batch)
-        runner = (self._sharded.predict if self._sharded is not None
-                  else self.engine.predict)
-        try:
-            stacked = {
-                name: np.stack([p.request.inputs[name] for p in batch])
-                for name in batch[0].request.inputs
-            }
-            # The simulator pass is pure CPU; run it off-loop so new
-            # requests keep queueing (and coalescing) while it executes.
-            started_at = self._clock.now()
-            result = await loop.run_in_executor(None, runner, stacked)
-            self._scheduler.observe_service(
-                len(batch), self._clock.now() - started_at)
-        except Exception as exc:  # noqa: BLE001 - fail every rider
-            self.counters.requests_failed += len(batch)
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        for index, pending in enumerate(batch):
-            self.counters.requests_served += 1
-            if not pending.future.done():
-                pending.future.set_result(result.lane(index))
-
-    # -- continuous batching loop ------------------------------------------
-
-    async def _continuous_loop(self) -> None:
-        batcher = self._batcher
-        loop = asyncio.get_running_loop()
+    async def _serve_loop(self) -> None:
+        executor = self._executor
         window_started_at: float | None = None
         try:
             while True:
                 self._arrival.clear()
                 self._shed_expired_queued()
                 depth = len(self._scheduler)
-                if not batcher.busy() and depth == 0:
+                if not executor.busy() and depth == 0:
                     window_started_at = None
                     if self._closed:
                         return
                     await self._wait_arrival(None)
                     continue
-                if not batcher.busy() and not self._closed \
-                        and depth < min(self.max_batch_size,
-                                        batcher.max_lanes):
-                    # Idle node, under-full queue: hold an explicit
-                    # window open exactly like the discrete loop (no
-                    # window, no hold).  Once cohorts are in flight,
-                    # ticks happen anyway and arrivals join at the next
-                    # step boundary with no extra hold.
+                if not executor.busy() and not self._closed \
+                        and depth < executor.max_lanes:
+                    # Idle engine, under-full queue: with no window (the
+                    # default) the first hold_for is <= 0 and the batch
+                    # is whatever is queued.  An explicit window is held
+                    # per the scheduler's policy (fixed for FIFO;
+                    # deadline-pressure early close for EDF),
+                    # re-evaluated on every arrival.  Once cohorts are
+                    # in flight, ticks happen anyway and arrivals join
+                    # at the next step boundary with no extra hold.
                     if window_started_at is None:
                         window_started_at = self._clock.now()
                     hold = self._scheduler.hold_for(
@@ -565,18 +535,21 @@ class PumaServer:
                         await self._wait_arrival(hold)
                         continue
                 window_started_at = None
-                if batcher.free_lanes and len(self._scheduler):
-                    refill = batcher.busy()
-                    riders = self._scheduler.pop_batch(batcher.free_lanes)
+                if executor.free_lanes and depth:
+                    refill = executor.busy()
+                    riders = self._scheduler.pop_batch(executor.free_lanes)
                     if riders:
                         self._start_cohort(riders, refill=refill)
-                if not batcher.busy():
+                if not executor.busy():
                     continue  # admission failed or everything shed
-                finished = await loop.run_in_executor(None, batcher.tick)
-                for cohort, words in finished:
-                    await self._finish_cohort(cohort, words)
+                await self._serve_batch()
         except BaseException as error:
-            claimed = [rider for cohort in batcher.cohorts()
+            # The loop itself crashed (not a failed pass — _serve_batch
+            # hands those to the riders).  A dead loop must not leave
+            # clients awaiting futures that will never resolve: fail the
+            # claimed riders and everything still queued, then surface
+            # the error to stop().
+            claimed = [rider for cohort in executor.cohorts()
                        for rider in cohort.tag[0]]
             failure = self._crash(error, claimed)
             if isinstance(error, asyncio.CancelledError):
@@ -585,51 +558,48 @@ class PumaServer:
 
     def _start_cohort(self, riders: list[_Pending], *,
                       refill: bool) -> None:
-        """Admit ``riders`` onto free lanes as one cohort."""
-        batcher = self._batcher
+        """Hand ``riders`` to the executor as one cohort."""
         try:
-            cohort = batcher.start_cohort(
+            self._executor.start_cohort(
                 [p.request.inputs for p in riders],
                 tag=(riders, self._clock.now()))
         except Exception as exc:  # noqa: BLE001 - fail these riders only
-            self.counters.requests_failed += len(riders)
-            for pending in riders:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+            self._fail_riders(riders, exc)
             return
         self.counters.batches_formed += 1
         self.counters.lanes_simulated += len(riders)
         if refill:
             self._scheduler.counters.refills += len(riders)
-        return
 
-    async def _finish_cohort(self, cohort: Cohort,
-                             words: dict[str, np.ndarray]) -> None:
-        """Resolve one finished cohort's riders from its output rows."""
-        riders, started_at = cohort.tag
-        loop = asyncio.get_running_loop()
-        try:
-            # Timing stats are batch-size dependent; derive (cached on
-            # the tape after first use) off-loop — a shadow simulation.
-            stats = await loop.run_in_executor(
-                None, self.engine._stats_for_batch, self._batcher.tape,
-                len(riders))
-            result = RunResult(words=words, fmt=self.engine.fmt,
-                               stats=stats, batch=len(riders),
-                               execution="continuous")
-            lanes = [result.lane(i) for i in range(len(riders))]
-        except Exception as exc:  # noqa: BLE001 - fail these riders only
-            self.counters.requests_failed += len(riders)
-            for pending in riders:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        self._scheduler.observe_service(
-            len(riders), self._clock.now() - started_at)
-        for pending, lane in zip(riders, lanes):
-            self.counters.requests_served += 1
+    def _fail_riders(self, riders: list[_Pending],
+                     error: BaseException) -> None:
+        self.counters.requests_failed += len(riders)
+        for pending in riders:
             if not pending.future.done():
-                pending.future.set_result(lane)
+                pending.future.set_exception(error)
+
+    async def _serve_batch(self) -> None:
+        """One executor tick off-loop; resolve every finished cohort.
+
+        The pass is pure CPU; running it off-loop lets new requests keep
+        queueing (and coalescing) while it executes.  A finished
+        cohort's outcome — a result to slice per lane, or the exception
+        its pass raised — goes to its riders' futures; nothing a pass
+        raises escapes to kill the serve loop.
+        """
+        loop = asyncio.get_running_loop()
+        finished = await loop.run_in_executor(None, self._executor.tick)
+        for cohort, outcome in finished:
+            riders, started_at = cohort.tag
+            if isinstance(outcome, Exception):
+                self._fail_riders(riders, outcome)
+                continue
+            self._scheduler.observe_service(
+                len(riders), self._clock.now() - started_at)
+            for index, pending in enumerate(riders):
+                self.counters.requests_served += 1
+                if not pending.future.done():
+                    pending.future.set_result(outcome.lane(index))
 
     # -- observability -----------------------------------------------------
 

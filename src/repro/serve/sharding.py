@@ -480,10 +480,7 @@ class ShardedEngine:
 
     def predict(self, inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Float-first sharded inference (mirrors ``InferenceEngine``)."""
-        arrays = {name: np.asarray(values, dtype=np.float64)
-                  for name, values in inputs.items()}
-        return self.run_batch({name: self.engine.quantize(arr)
-                               for name, arr in arrays.items()})
+        return self.run_batch(self.engine.quantize_inputs(inputs))
 
     def run_batch(self, inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Shard, run concurrently, merge — bitwise == unsharded.

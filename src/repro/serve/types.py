@@ -72,6 +72,9 @@ class RunResult(Mapping):
             ``"replay"`` (plain trace replay, :mod:`repro.sim.tape`) or
             ``"interpreter"`` (event-driven simulation); ``None`` when
             unknown (e.g. merged across shards that took different paths).
+            Continuous-batching cohorts report the path their replayer
+            runs (``"optimized"`` or ``"replay"``); the serving mode is
+            on ``PumaServer.stats()["continuous"]``.
             Purely observational: all paths are bitwise identical.
 
     Mapping protocol: iterating/indexing a ``RunResult`` reads ``words``,

@@ -21,8 +21,9 @@ This module implements the fast path:
   recorded order already reflects every branch resolution.
 * :class:`ExecutionTape` is the resulting artifact: the step list plus
   per-batch :class:`~repro.sim.stats.SimulationStats`.  The step list is
-  **batch-generic** — closures slice ``array[:, ...]`` and scalar control
-  reads lane 0, so one tape replays at any batch size.  Timing, energy,
+  **batch-generic** — closures index ``array[rows, ...]`` and scalar
+  control reads the selection's first row, so one tape replays at any
+  batch size and over any subset of a node's lanes.  Timing, energy,
   stalls, and NoC traffic are input-independent but *batch*-dependent
   (latencies stretch with lanes), so stats are cached per batch size: the
   recording run seeds one entry, and the engine derives the others with a
@@ -55,7 +56,7 @@ them (see :func:`find_unsupported_op` and ``repro.engine``).
 from __future__ import annotations
 
 import copy
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -110,10 +111,11 @@ _TILE_CONTROL_OPCODES = _CONTROL_OPCODES | {Opcode.SET, Opcode.ALU_INT}
 class ExecutionTape:
     """The resolved dynamic schedule of one (program, config, seed) key.
 
-    The tape is **batch-generic**: every step's closure slices its arrays
-    as ``array[:, start:start+width]``, scalar reads take lane 0, and the
-    valid/count protocol plus per-flow FIFO ordering are batch-independent
-    — so one recorded step list replays correctly at *any* batch size.
+    The tape is **batch-generic**: every step's closure indexes its arrays
+    as ``array[rows, start:start+width]``, scalar reads take the first
+    selected row, and the valid/count protocol plus per-flow FIFO ordering
+    are batch-independent — so one recorded step list replays correctly
+    at *any* batch size.
     What does depend on the batch is timing (latencies stretch with lanes,
     which changes the event interleaving, stall counts, cycle totals, and
     energy): those live in ``stats_by_batch``, seeded by the recording run
@@ -225,7 +227,16 @@ def find_unsupported_op(program: NodeProgram) -> str | None:
     return None
 
 
-def _bind_mvm(core, instr: Instruction) -> Callable[[], None]:
+# A bound step: ``(rows, flows) -> None``.  ``rows`` selects the batch
+# lanes the step touches — ``slice(None)`` for a whole-batch run (basic
+# indexing: every ``array[rows, a:b]`` is a view), an integer index array
+# for a cohort of lanes (reads gather a copy, writes scatter into exactly
+# those rows).  ``flows`` maps ``(destination tile, fifo)`` to the deque
+# carrying that NoC flow's payloads for the rows being run.
+TapeOp = Callable[[object, dict], None]
+
+
+def _bind_mvm(core, instr: Instruction) -> TapeOp:
     config = core.config
     active = [i for i in range(config.num_mvmus) if instr.mask & (1 << i)]
     if not active:
@@ -236,17 +247,17 @@ def _bind_mvm(core, instr: Instruction) -> Callable[[], None]:
              for i in active]
     filter_, stride = instr.filter, instr.stride
 
-    def step() -> None:
+    def step(rows, _flows) -> None:
         for mvmu, in_base, out_base in units:
-            x = reg[:, in_base:in_base + dim]
+            x = reg[rows, in_base:in_base + dim]
             if filter_:
                 x = MVMU.shuffle_inputs(x, filter_, stride)
-            reg[:, out_base:out_base + dim] = mvmu.execute(x)
+            reg[rows, out_base:out_base + dim] = mvmu.execute(x)
 
     return step
 
 
-def _bind_alu(core, instr: Instruction) -> Callable[[], None]:
+def _bind_alu(core, instr: Instruction) -> TapeOp:
     apply_op = core.vfu._apply
     reg = core.registers._data
     op = instr.alu_op
@@ -255,35 +266,39 @@ def _bind_alu(core, instr: Instruction) -> Callable[[], None]:
     if op == AluOp.SUBSAMPLE:
         # _apply may return a strided *view* of its operand; materialize the
         # operand so the destination write cannot alias the source.
-        def step() -> None:
-            a = reg[:, src1:src1 + w].copy()
-            result = apply_op(op, a, reg[:, src2:src2 + 1])
-            reg[:, dest:dest + result.shape[-1]] = result
+        def step(rows, _flows) -> None:
+            a = reg[rows, src1:src1 + w].copy()
+            result = apply_op(op, a, reg[rows, src2:src2 + 1])
+            reg[rows, dest:dest + result.shape[-1]] = result
     elif op.num_sources == 2:
-        def step() -> None:
-            result = apply_op(op, reg[:, src1:src1 + w],
-                              reg[:, src2:src2 + w])
-            reg[:, dest:dest + w] = result
+        def step(rows, _flows) -> None:
+            result = apply_op(op, reg[rows, src1:src1 + w],
+                              reg[rows, src2:src2 + w])
+            reg[rows, dest:dest + w] = result
     else:
-        def step() -> None:
-            result = apply_op(op, reg[:, src1:src1 + w], None)
-            reg[:, dest:dest + w] = result
+        def step(rows, _flows) -> None:
+            result = apply_op(op, reg[rows, src1:src1 + w], None)
+            reg[rows, dest:dest + w] = result
     return step
 
 
-def _bind_alui(core, instr: Instruction) -> Callable[[], None]:
+def _bind_alui(core, instr: Instruction) -> TapeOp:
     apply_op = core.vfu._apply
     reg = core.registers._data
     op, w, dest, src1 = instr.alu_op, instr.vec_width, instr.dest, instr.src1
     imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
 
-    def step() -> None:
-        reg[:, dest:dest + w] = apply_op(op, reg[:, src1:src1 + w], imm_vec)
+    def step(rows, _flows) -> None:
+        reg[rows, dest:dest + w] = apply_op(op, reg[rows, src1:src1 + w],
+                                            imm_vec)
 
     return step
 
 
-def _bind_alu_int(core, instr: Instruction) -> Callable[[], None]:
+def _bind_alu_int(core, instr: Instruction) -> TapeOp:
+    # Scalar loop bookkeeping: control-uniform programs compute the same
+    # value in every lane, so read the selection's first row and write
+    # only the selection (never rows some other cohort owns).
     sfu_execute = core.sfu.execute
     reg = core.registers._data
     op, dest, src1 = instr.alu_op, instr.dest, instr.src1
@@ -291,81 +306,81 @@ def _bind_alu_int(core, instr: Instruction) -> Callable[[], None]:
     if instr.imm_mode:
         imm = instr.imm
 
-        def step() -> None:
-            reg[:, dest] = sfu_execute(op, int(reg[0, src1]), imm)
+        def step(rows, _flows) -> None:
+            reg[rows, dest] = sfu_execute(op, int(reg[rows, src1][0]), imm)
     else:
         src2 = instr.src2
 
-        def step() -> None:
-            reg[:, dest] = sfu_execute(op, int(reg[0, src1]),
-                                       int(reg[0, src2]))
+        def step(rows, _flows) -> None:
+            reg[rows, dest] = sfu_execute(op, int(reg[rows, src1][0]),
+                                          int(reg[rows, src2][0]))
     return step
 
 
-def _bind_set(core, instr: Instruction) -> Callable[[], None]:
+def _bind_set(core, instr: Instruction) -> TapeOp:
     reg = core.registers._data
     dest, w = instr.dest, instr.vec_width
     imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
 
-    def step() -> None:
-        reg[:, dest:dest + w] = imm_vec
+    def step(rows, _flows) -> None:
+        reg[rows, dest:dest + w] = imm_vec
 
     return step
 
 
-def _bind_copy(core, instr: Instruction) -> Callable[[], None]:
+def _bind_copy(core, instr: Instruction) -> TapeOp:
     reg = core.registers._data
     dest, src1, w = instr.dest, instr.src1, instr.vec_width
     if src1 < dest + w and dest < src1 + w:  # overlapping ranges
-        def step() -> None:
-            reg[:, dest:dest + w] = reg[:, src1:src1 + w].copy()
+        def step(rows, _flows) -> None:
+            reg[rows, dest:dest + w] = reg[rows, src1:src1 + w].copy()
     else:
-        def step() -> None:
-            reg[:, dest:dest + w] = reg[:, src1:src1 + w]
+        def step(rows, _flows) -> None:
+            reg[rows, dest:dest + w] = reg[rows, src1:src1 + w]
     return step
 
 
 def _bind_load(core, mem: np.ndarray, instr: Instruction,
-               eff_addr: int) -> Callable[[], None]:
+               eff_addr: int) -> TapeOp:
     reg = core.registers._data
     dest, w = instr.dest, instr.vec_width
 
-    def step() -> None:
-        reg[:, dest:dest + w] = mem[:, eff_addr:eff_addr + w]
+    def step(rows, _flows) -> None:
+        reg[rows, dest:dest + w] = mem[rows, eff_addr:eff_addr + w]
 
     return step
 
 
 def _bind_store(core, mem: np.ndarray, instr: Instruction,
-                eff_addr: int) -> Callable[[], None]:
+                eff_addr: int) -> TapeOp:
     reg = core.registers._data
     src1, w = instr.src1, instr.vec_width
 
-    def step() -> None:
-        mem[:, eff_addr:eff_addr + w] = reg[:, src1:src1 + w]
+    def step(rows, _flows) -> None:
+        mem[rows, eff_addr:eff_addr + w] = reg[rows, src1:src1 + w]
 
     return step
 
 
 def _bind_send(mem: np.ndarray, instr: Instruction, eff_addr: int,
-               flow: deque) -> Callable[[], None]:
+               key: tuple[int, int]) -> TapeOp:
     w = instr.vec_width
 
-    def step() -> None:
+    def step(rows, flows) -> None:
         # Copy: the attribute protocol lets the source words be recycled
         # before the matching receive lands, so snapshot at send time (the
         # interpreter's try_read copies too).
-        flow.append(mem[:, eff_addr:eff_addr + w].copy())
+        flows[key].append(mem[rows, eff_addr:eff_addr + w].copy())
 
     return step
 
 
 def _bind_receive(mem: np.ndarray, instr: Instruction, eff_addr: int,
-                  flow: deque) -> Callable[[], None]:
+                  key: tuple[int, int]) -> TapeOp:
     w = instr.vec_width
 
-    def step() -> None:
-        mem[:, eff_addr:eff_addr + w] = flow.popleft()
+    def step(rows, flows) -> None:
+        mem[rows, eff_addr:eff_addr + w] = flows[key].popleft()
 
     return step
 
@@ -379,14 +394,29 @@ class TapeReplayer:
     written earlier in that same run (inputs/constants are re-preloaded per
     run), so stale data from a previous run is unreachable.
 
-    The tape is batch-generic (see :class:`ExecutionTape`): every closure
-    slices ``array[:, ...]``, so the node's batch — not the recording
-    batch — determines the lane count of a replay.
+    The row selection is a *call-time* argument of every bound step
+    (:data:`TapeOp`).  :meth:`run` drives all of the node's lanes with
+    ``slice(None)`` and the replayer's own flow dict; continuous batching
+    (:mod:`repro.serve.continuous`) drives :attr:`ops` directly, one
+    lane-index array and one flow dict per cohort, with cohorts at
+    different positions of the same list.  Lanes outside a selection are
+    never read or written — exactly, not approximately: register files,
+    tile memories and NoC payloads are all ``(batch, width)`` arrays
+    addressed row-wise; the one broadcasting step (``ALU_INT``) reads the
+    selection's first row and writes the selection only; the k-th
+    receive of a flow pops the k-th send *of the same flow dict*; and
+    :meth:`begin` re-initialises only the rows it is given.
 
     Args:
         tape: the recorded schedule.
         node: an instantiated, weight-programmed node (any batch size).
         program: the compiled program (input/output layouts, constants).
+
+    Attributes:
+        plan: the sequence :attr:`ops` was bound from, index for index
+            (the tape's steps here; the fused plan in
+            :class:`~repro.sim.tapeopt.OptimizedReplayer`).
+        ops: the bound steps.
     """
 
     def __init__(self, tape: ExecutionTape, node: "Node",
@@ -395,7 +425,7 @@ class TapeReplayer:
         self.node = node
         self.program = program
         self.batch = node.batch
-        self._flows: dict[tuple[int, int], deque] = {}
+        self._flows: dict[tuple[int, int], deque] = defaultdict(deque)
         # Register files of every core the tape touches, zeroed at the
         # start of each run: unlike shared memory, whose valid/count
         # protocol guarantees def-before-use, register reads are ungated —
@@ -404,13 +434,17 @@ class TapeReplayer:
         # replay (not a previous run's leftovers).
         self._register_files: list[np.ndarray] = []
         try:
-            self._ops = self._bind()
+            self.ops = self._bind()
         except (KeyError, IndexError, AttributeError) as error:
             raise TapeValidationError(
                 f"tape does not match the node/program: {error}") from error
 
-    def _bind(self) -> list[Callable[[], None]]:
-        return [self._bind_one(step) for step in self.tape.steps]
+    @property
+    def plan(self) -> tuple:
+        return self.tape.steps
+
+    def _bind(self) -> list[TapeOp]:
+        return [self._bind_one(step) for step in self.plan]
 
     def _track_registers(self, core) -> None:
         """Note a core's register file for the per-run re-zeroing pass."""
@@ -418,12 +452,13 @@ class TapeReplayer:
         if not any(regs is seen for seen in self._register_files):
             self._register_files.append(regs)
 
-    def _reset_registers(self) -> None:
-        """Zero every tracked register file (subclasses may narrow this)."""
+    def _reset_registers(self, rows) -> None:
+        """Zero ``rows`` of every tracked register file (subclasses may
+        narrow this)."""
         for registers in self._register_files:
-            registers.fill(0)
+            registers[rows] = 0
 
-    def _bind_one(self, step: TapeStep) -> Callable[[], None]:
+    def _bind_one(self, step: TapeStep) -> TapeOp:
         """Bind one tape step to the node's live arrays (a closure)."""
         tile_id, core_id, instr, eff_addr = step
         tile = self.node.tiles[tile_id]
@@ -431,13 +466,11 @@ class TapeReplayer:
         op = instr.opcode
         if core_id is None:
             if op == Opcode.SEND:
-                flow = self._flows.setdefault(
-                    (instr.target, instr.fifo_id), deque())
-                return _bind_send(mem, instr, eff_addr, flow)
+                return _bind_send(mem, instr, eff_addr,
+                                  (instr.target, instr.fifo_id))
             if op == Opcode.RECEIVE:
-                flow = self._flows.setdefault(
-                    (tile_id, instr.fifo_id), deque())
-                return _bind_receive(mem, instr, eff_addr, flow)
+                return _bind_receive(mem, instr, eff_addr,
+                                     (tile_id, instr.fifo_id))
             raise TapeValidationError(
                 f"unexpected tile-stream opcode {op.name} on tape")
         core = tile.cores[core_id]
@@ -463,56 +496,59 @@ class TapeReplayer:
 
     # -- data movement (mirrors Simulator.write_input / read_output) -------
 
-    def _preload(self, addr_data: np.ndarray, addr: int,
-                 values: np.ndarray) -> None:
-        arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
-        if arr.ndim == 1:
-            addr_data[:, addr:addr + arr.shape[-1]] = arr[np.newaxis, :]
-        else:
-            addr_data[:, addr:addr + arr.shape[-1]] = arr
+    def begin(self, rows=slice(None)) -> None:
+        """Per-run initialisation of ``rows``: zeroed registers and
+        re-preloaded constant memory (what a fresh node would hold)."""
+        self._reset_registers(rows)
+        for tile_id, entries in self.program.const_memory.items():
+            mem = self.node.tiles[tile_id].memory._data
+            for addr, values in entries:
+                arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
+                mem[rows, addr:addr + arr.shape[-1]] = arr
 
-    def write_input(self, name: str, values: np.ndarray) -> None:
-        """Preload one named model input (already fixed-point integers)."""
+    def write_input(self, name: str, values: np.ndarray,
+                    rows=slice(None)) -> None:
+        """Preload one named model input (already fixed-point integers)
+        into ``rows``: one vector for all of them, or a matrix with one
+        row each."""
         if name not in self.program.input_layout:
             raise KeyError(f"program has no input named {name!r}")
         tile_id, addr, length = self.program.input_layout[name]
         arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
-        ok = (arr.size == length if arr.ndim == 1
-              else arr.shape == (self.batch, length))
-        if not ok:
+        if arr.ndim > 2 or arr.shape[-1] != length:
             raise ValueError(
-                f"input {name!r} expects {length} words per lane — shape "
-                f"({length},) or ({self.batch}, {length}) — got {arr.shape}")
-        self._preload(self.node.tiles[tile_id].memory._data, addr, arr)
+                f"input {name!r} expects {length} words per lane, "
+                f"got shape {arr.shape}")
+        # A matrix whose row count is not the selection's fails here.
+        self.node.tiles[tile_id].memory._data[rows, addr:addr + length] = arr
 
-    def read_output(self, name: str) -> np.ndarray:
-        """Read one named model output after a replay run."""
+    def read_output(self, name: str, rows=slice(None)) -> np.ndarray:
+        """One named model output of ``rows``, ``(len(rows), length)``."""
         tile_id, addr, length = self.program.output_layout[name]
-        data = self.node.tiles[tile_id].memory._data[:, addr:addr + length]
-        return data[0].copy() if self.batch == 1 else data.copy()
+        return self.node.tiles[tile_id].memory._data[
+            rows, addr:addr + length].copy()
 
     # -- execution ---------------------------------------------------------
 
     def run(self, inputs: dict[str, np.ndarray] | None = None
             ) -> dict[str, np.ndarray]:
-        """Replay the tape; returns the model outputs by name.
+        """Replay the tape on every lane; returns the model outputs by
+        name (1-D when the node's batch is 1).
 
         Bitwise identical to
         :meth:`repro.sim.simulator.Simulator.run` on the same node
         configuration, inputs, and batch.
         """
-        for flow in self._flows.values():
-            flow.clear()
-        self._reset_registers()
-        for tile_id, entries in self.program.const_memory.items():
-            mem = self.node.tiles[tile_id].memory._data
-            for addr, values in entries:
-                self._preload(mem, addr,
-                              np.asarray(values, dtype=np.int64))
+        rows, flows = slice(None), self._flows
+        flows.clear()
+        self.begin(rows)
         for name, values in (inputs or {}).items():
-            self.write_input(name, values)
-        for step in self._ops:
-            step()
+            self.write_input(name, values, rows)
+        for step in self.ops:
+            step(rows, flows)
         self.tape.replay_count += 1
-        return {name: self.read_output(name)
-                for name in self.program.output_layout}
+        outputs = {name: self.read_output(name, rows)
+                   for name in self.program.output_layout}
+        if self.batch == 1:
+            outputs = {name: words[0] for name, words in outputs.items()}
+        return outputs

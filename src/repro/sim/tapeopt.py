@@ -44,15 +44,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.dataflow import core_effects
 from repro.arch.mvmu import MVMU
 from repro.isa.opcodes import AluOp, Opcode
-from repro.sim.tape import (ExecutionTape, TapeReplayer, TapeStep,
+from repro.sim.tape import (ExecutionTape, TapeOp, TapeReplayer, TapeStep,
                             TapeValidationError, _bind_mvm)
 from repro.tile.attribute_buffer import PERSISTENT_COUNT
 
@@ -699,9 +699,10 @@ class OptimizedReplayer(TapeReplayer):
 
     Functionally a :class:`~repro.sim.tape.TapeReplayer` whose closure
     list comes from the optimized plan instead of the raw step list.
-    Register-file zeroing still tracks every core of the *source* tape —
-    an eliminated store's core must start each run zeroed even if the
-    plan no longer touches it.
+    Register zeroing is computed from the *source* tape — an eliminated
+    store's core must start each run zeroed even if the plan no longer
+    touches it — and narrowed to the registers a step may read before
+    their first definite write.
     """
 
     def __init__(self, tape: ExecutionTape, optimized: OptimizedTape,
@@ -709,14 +710,14 @@ class OptimizedReplayer(TapeReplayer):
         self.optimized = optimized
         super().__init__(tape, node, program)
 
-    def _bind(self) -> list[Callable[[], None]]:
-        for step in self.tape.steps:
-            if step.core_id is not None:
-                self._track_registers(
-                    self.node.tiles[step.tile_id].cores[step.core_id])
+    @property
+    def plan(self) -> tuple:
+        return self.optimized.plan
+
+    def _bind(self) -> list[TapeOp]:
         self._zero_runs = self._read_before_write_runs()
         ops = []
-        for op in self.optimized.plan:
+        for op in self.plan:
             if isinstance(op, TapeStep):
                 ops.append(self._bind_one(op))
             elif isinstance(op, RegMove):
@@ -769,90 +770,47 @@ class OptimizedReplayer(TapeReplayer):
                 runs.append((regs, int(start), int(stop)))
         return runs
 
-    def _reset_registers(self) -> None:
+    def _reset_registers(self, rows) -> None:
         for regs, start, stop in self._zero_runs:
-            regs[:, start:stop].fill(0)
+            regs[rows, start:stop] = 0
 
-    def _bind_regmove(self, mv: RegMove) -> Callable[[], None]:
+    def _bind_regmove(self, mv: RegMove) -> TapeOp:
         tile = self.node.tiles[mv.tile_id]
         dst = tile.cores[mv.dst_core].registers._data
         src = tile.cores[mv.src_core].registers._data
         d, s, w = mv.dst_reg, mv.src_reg, mv.width
         if dst is src and s < d + w and d < s + w:  # overlapping same-file
-            def step() -> None:
-                dst[:, d:d + w] = src[:, s:s + w].copy()
+            def step(rows, _flows) -> None:
+                dst[rows, d:d + w] = src[rows, s:s + w].copy()
         else:
-            def step() -> None:
-                dst[:, d:d + w] = src[:, s:s + w]
+            def step(rows, _flows) -> None:
+                dst[rows, d:d + w] = src[rows, s:s + w]
         return step
 
-    def _bind_fused(self, block: FusedBlock) -> Callable[[], None]:
-        tile = self.node.tiles[block.tile_id]
-        core = tile.cores[block.core_id]
-        reg = core.registers._data
+    def _bind_fused(self, block: FusedBlock) -> TapeOp:
+        """A fused block is one wide instruction: its members' ranges are
+        contiguous, so the first member widened to the block's total
+        width goes through the ordinary step binder."""
         steps = block.steps
-        first = steps[0].instruction
         total = sum(s.instruction.vec_width for s in steps)
-        kind = block.kind
-        if kind == "copy":
-            d, s = first.dest, first.src1
-            if s < d + total and d < s + total:
-                def step() -> None:
-                    reg[:, d:d + total] = reg[:, s:s + total].copy()
-            else:
-                def step() -> None:
-                    reg[:, d:d + total] = reg[:, s:s + total]
-            return step
-        if kind == "set":
+        first = steps[0].instruction
+        if block.kind == "set":  # members may carry different immediates
+            core = self.node.tiles[block.tile_id].cores[block.core_id]
+            reg = core.registers._data
             d = first.dest
             imm_vec = np.concatenate([
                 np.full(s.instruction.vec_width, s.instruction.imm,
                         dtype=np.int64) for s in steps])
             imm_vec.setflags(write=False)
 
-            def step() -> None:
-                reg[:, d:d + total] = imm_vec
+            def step(rows, _flows) -> None:
+                reg[rows, d:d + total] = imm_vec
             return step
-        if kind == "alui":
-            apply_op = core.vfu._apply
-            op, d, s1 = first.alu_op, first.dest, first.src1
-            imm_vec = core._imm_vector(first.imm, total)
+        return self._bind_one(TapeStep(
+            block.tile_id, block.core_id, replace(first, vec_width=total),
+            steps[0].eff_addr))
 
-            def step() -> None:
-                reg[:, d:d + total] = apply_op(
-                    op, reg[:, s1:s1 + total], imm_vec)
-            return step
-        if kind == "alu":
-            apply_op = core.vfu._apply
-            op, d, s1 = first.alu_op, first.dest, first.src1
-            if op.num_sources == 2:
-                s2 = first.src2
-
-                def step() -> None:
-                    reg[:, d:d + total] = apply_op(
-                        op, reg[:, s1:s1 + total], reg[:, s2:s2 + total])
-            else:
-                def step() -> None:
-                    reg[:, d:d + total] = apply_op(
-                        op, reg[:, s1:s1 + total], None)
-            return step
-        mem = tile.memory._data
-        a = steps[0].eff_addr
-        if kind == "load":
-            d = first.dest
-
-            def step() -> None:
-                reg[:, d:d + total] = mem[:, a:a + total]
-            return step
-        if kind == "store":
-            s1 = first.src1
-
-            def step() -> None:
-                mem[:, a:a + total] = reg[:, s1:s1 + total]
-            return step
-        raise TapeValidationError(f"unknown fused kind {kind!r}")
-
-    def _bind_group(self, group: MvmGroup) -> Callable[[], None]:
+    def _bind_group(self, group: MvmGroup) -> TapeOp:
         """One closure for k independent MVMs.
 
         When every active unit takes the bit-exact ideal float64 path
@@ -887,9 +845,9 @@ class OptimizedReplayer(TapeReplayer):
         if any(job[3].fmt != fmt for job in jobs):
             stackable = False
         if not stackable or len(dims) != 1:
-            def step() -> None:
+            def step(rows, flows) -> None:
                 for fn in per_step:
-                    fn()
+                    fn(rows, flows)
             return step
         dim = dims.pop()
         matrices = np.stack(
@@ -902,16 +860,21 @@ class OptimizedReplayer(TapeReplayer):
         inv_scale = 1.0 / float(fmt.scale)
         lo, hi = float(fmt.int_min), float(fmt.int_max)
         k = len(jobs)
-        batch = self.batch
-        xs = np.empty((k, batch, dim), dtype=np.float64)
-        ys = np.empty((k, batch, dim), dtype=np.float64)
+        # Scratch sized once for the node's batch; a narrower selection
+        # uses the leading rows of each unit's block.
+        xs_all = np.empty((k, self.batch, dim), dtype=np.float64)
+        ys_all = np.empty((k, self.batch, dim), dtype=np.float64)
 
-        def step() -> None:
-            for idx, (regs, in_base, _out, _m, filt, stride) in \
-                    enumerate(jobs):
-                x = regs[:, in_base:in_base + dim]
+        def step(rows, _flows) -> None:
+            operands = []
+            for regs, in_base, _out, _m, filt, stride in jobs:
+                x = regs[rows, in_base:in_base + dim]
                 if filt:
                     x = MVMU.shuffle_inputs(x, filt, stride)
+                operands.append(x)
+            n = len(operands[0])
+            xs, ys = xs_all[:, :n], ys_all[:, :n]
+            for idx, x in enumerate(operands):
                 xs[idx] = x
             np.matmul(xs, matrices, out=ys)
             np.multiply(ys, inv_scale, out=ys)
@@ -921,5 +884,5 @@ class OptimizedReplayer(TapeReplayer):
             # values are exact integers after the clip, so the cast equals
             # astype(np.int64) without materializing the full array.
             for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
-                regs[:, out_base:out_base + dim] = ys[idx]
+                regs[rows, out_base:out_base + dim] = ys[idx]
         return step

@@ -339,20 +339,26 @@ class TestWorkerWire:
                 assert status == 400 and "error" in reply
                 assert server.counters.batches_formed == 1
 
-                # Micro-batch body: one batch, per-item statuses.
+                # Micro-batch body: one batch, per-item statuses.  json
+                # writes (and json.loads accepts) a bare NaN; it has no
+                # fixed-point word, so it is that rider's 400.
+                not_a_number = item(9)
+                not_a_number["inputs"]["x"][0] = float("nan")
                 status, reply = await post({"route_key": key, "requests": [
                     item(2), {"inputs": {"x": [0.0] * 3}},
                     item(3, deadline_ms=-5), item(4, priority=2),
-                    item(5, priority=None), item(6, deadline_ms="soon")]})
+                    item(5, priority=None), item(6, deadline_ms="soon"),
+                    not_a_number]})
                 assert status == 200
                 assert (reply["model"], reply["worker"]) == (SPEC.name,
                                                              "w0")
                 statuses = [r["status"] for r in reply["replies"]]
-                assert statuses == [200, 400, 504, 200, 400, 400]
+                assert statuses == [200, 400, 504, 200, 400, 400, 400]
                 assert reply["replies"][0]["words"] == reference(2)
                 assert reply["replies"][3]["words"] == reference(4)
                 assert reply["replies"][2]["reason"] == "deadline_exceeded"
                 assert "priority" in reply["replies"][4]["error"]
+                assert "NaN" in reply["replies"][6]["error"]
                 assert server.counters.batches_formed == 2
                 assert server.counters.lanes_simulated == 3
 

@@ -29,9 +29,14 @@ import math
 import numpy as np
 import pytest
 
+from repro import default_config
+from repro.compiler.cnn import compile_cnn
 from repro.engine import InferenceEngine
+from repro.isa.opcodes import Opcode
 from repro.serve import ServiceTimeTracker, make_scheduler
 from repro.serve.continuous import ContinuousBatcher
+from repro.sim.tapeopt import OptimizedReplayer
+from repro.workloads.cnn import small_cnn_spec
 from repro.workloads.lstm import build_lstm_model
 from repro.workloads.mlp import build_mlp_model
 
@@ -231,17 +236,28 @@ def test_service_time_tracker_nearest_estimate(seed):
 # Engine-backed: continuous lanes stay bitwise vs the sequential reference
 
 
+def _continuous_engine(workload, seed):
+    if workload == "mlp":
+        return InferenceEngine(build_mlp_model([24, 16, 8], seed=0),
+                               seed=seed)
+    if workload == "mlp_two_tile":  # layers on two tiles: NoC flows
+        return InferenceEngine(build_mlp_model([512, 512, 10], seed=0),
+                               seed=seed)
+    if workload == "cnn_small":  # ALU_INT counters, SUBSAMPLE, COPY overlap
+        config = default_config()
+        return InferenceEngine.from_compiled(
+            compile_cnn(small_cnn_spec(seed=0), config), config, seed=seed)
+    return InferenceEngine(build_lstm_model(8, 6, 4, seq_len=2, seed=0),
+                           seed=seed)
+
+
 @pytest.mark.parametrize("workload,seed", [
     ("mlp", 3), ("mlp", 7), ("lstm", 3), ("lstm", 11),
+    ("cnn_small", 3), ("mlp_two_tile", 3),
 ])
 def test_continuous_lanes_bitwise(workload, seed):
     """Cohorts joining/leaving at step boundaries == sequential, bitwise."""
-    if workload == "mlp":
-        engine = InferenceEngine(build_mlp_model([24, 16, 8], seed=0),
-                                 seed=seed)
-    else:
-        engine = InferenceEngine(
-            build_lstm_model(8, 6, 4, seq_len=2, seed=0), seed=seed)
+    engine = _continuous_engine(workload, seed)
     engine.warm()
     rng = np.random.default_rng(seed)
     layout = engine.program.input_layout
@@ -255,6 +271,14 @@ def test_continuous_lanes_bitwise(workload, seed):
     references = [engine.predict(row).words for row in rows]
 
     batcher = ContinuousBatcher(engine, max_lanes=4)
+    # Cohorts run the engine's probed optimized plan, not a private
+    # re-binding of the plain tape.
+    assert isinstance(batcher.replayer, OptimizedReplayer)
+    opcodes = {step.instruction.opcode for step in batcher.tape.steps}
+    if workload == "cnn_small":
+        assert Opcode.ALU_INT in opcodes
+    if workload == "mlp_two_tile":
+        assert {Opcode.SEND, Opcode.RECEIVE} <= opcodes
     served: dict[int, dict] = {}
     tags = {}
     # Staggered joins: requests 0-1 launch alone; each loop iteration
@@ -284,3 +308,50 @@ def test_continuous_lanes_bitwise(workload, seed):
                 err_msg=f"{workload} lane {rid} output {name!r} diverged")
     assert not batcher.busy()
     assert batcher.free_lanes == 4
+
+
+def test_rejected_cohort_leaks_no_lanes():
+    """A cohort whose rows fail validation claims nothing: the lanes stay
+    free and the next valid cohort is served bitwise."""
+    engine = _continuous_engine("mlp", 3)
+    batcher = ContinuousBatcher(engine, max_lanes=4)
+    good = {"x": np.linspace(-1.0, 1.0, 24)}
+    for bad in ({"x": np.zeros(23)},
+                {"x": np.full(24, np.nan)}):
+        with pytest.raises(ValueError):
+            batcher.start_cohort([good, bad])
+        assert batcher.free_lanes == 4
+        assert not batcher.busy()
+    batcher.start_cohort([good, good])
+    finished = []
+    while batcher.busy():
+        finished += batcher.tick()
+    ((cohort, result),) = finished
+    reference = engine.predict(good).words
+    for lane in range(len(cohort)):
+        np.testing.assert_array_equal(result["out"][lane], reference["out"])
+    assert batcher.free_lanes == 4
+
+
+@pytest.mark.parametrize("how", ["poisoned", "mode"])
+def test_cohorts_never_run_an_unprobed_plan(how):
+    """A poisoned plan, or an engine that never optimizes, leaves the
+    cohorts on the plain tape — reported as such, and still bitwise."""
+    model = build_mlp_model([24, 16, 8], seed=0)
+    engine = InferenceEngine(
+        model, seed=3, execution_mode="replay" if how == "mode" else "auto")
+    row = {"x": np.linspace(-1.0, 1.0, 24)}
+    reference = engine.predict(row).words   # records the tape
+    if how == "poisoned":
+        (tape,) = engine.compiled.execution_tapes.values()
+        tape.optimized = "failed-verification"
+    batcher = ContinuousBatcher(engine, max_lanes=2)
+    assert not isinstance(batcher.replayer, OptimizedReplayer)
+    assert batcher.replayer not in engine._replayers.values()
+    batcher.start_cohort([row])
+    finished = []
+    while batcher.busy():
+        finished += batcher.tick()
+    ((_cohort, result),) = finished
+    assert result.execution == "replay"
+    np.testing.assert_array_equal(result["out"][0], reference["out"])

@@ -13,7 +13,7 @@ Covers the serving-layer contracts:
   than N simulator passes, and every per-request output is bitwise
   identical to the sequential single-input reference;
 * the compile cache is keyed by dataclass *fields* (with hit/miss
-  counters), and the mutable ``last_stats`` attribute is deprecated.
+  counters).
 
 Note: ``tests/`` may construct :class:`Simulator` directly (the simulator
 has its own unit tests); the grep-enforced API boundary below covers the
@@ -193,22 +193,6 @@ class TestInputValidation:
 
 
 # ---------------------------------------------------------------------------
-# last_stats deprecation
-
-
-class TestLastStatsDeprecation:
-    def test_read_warns_but_works(self, engine):
-        result = engine.predict({"x": float_inputs(2)})
-        with pytest.warns(DeprecationWarning, match="last_stats"):
-            stats = engine.last_stats
-        assert stats is result.stats
-
-    def test_write_warns(self, engine):
-        with pytest.warns(DeprecationWarning, match="last_stats"):
-            engine.last_stats = None
-
-
-# ---------------------------------------------------------------------------
 # Compile cache: field-based fingerprint + info counters
 
 
@@ -330,6 +314,39 @@ class TestPumaServer:
                 return await server.submit({"x": float_inputs(1)[0]})
 
         assert serve(scenario())["out"].shape == (DIMS[-1],)
+
+    @pytest.mark.parametrize("warmed", [False, True])
+    def test_nan_rider_fails_alone(self, engine, warmed):
+        """NaN has no fixed-point word.  Unrejected, it failed the whole
+        batch on a cold engine (the interpreter's range check) and was
+        served as finite garbage on a warm one (replay has no check);
+        rejected at submit, it never meets the two good riders."""
+        xs = float_inputs(3, seed=8)
+        references = [engine.predict({"x": x}).words for x in xs[::2]]
+        if not warmed:
+            engine = InferenceEngine(build_mlp_model(DIMS, seed=0), CFG,
+                                     seed=3, execution_mode="interpret")
+        xs[1, 4] = np.nan
+
+        async def scenario():
+            async with PumaServer(engine, max_batch_size=4) as server:
+                outcomes = await asyncio.gather(
+                    *(server.submit({"x": x}) for x in xs),
+                    return_exceptions=True)
+                return outcomes, server.counters
+
+        (good, bad, also_good), counters = serve(scenario())
+        assert isinstance(bad, ValueError)
+        assert "'x' contains NaN" in str(bad)
+        for result, reference in zip((good, also_good), references):
+            np.testing.assert_array_equal(result["out"], reference["out"])
+        assert counters.batches_formed == 1
+        assert counters.requests_failed == 0
+        with pytest.raises(ValueError, match="'x' contains NaN"):
+            engine.predict({"x": xs})
+        # +/-inf saturates, which is defined: still served.
+        xs[1, 4] = np.inf
+        assert np.isfinite(engine.predict({"x": xs}).outputs["out"]).all()
 
     def test_submit_requires_running_server(self, engine):
         server = PumaServer(engine)
@@ -478,7 +495,7 @@ class TestGracefulShutdown:
             server = await PumaServer(engine, max_batch_size=2,
                                       batch_window_s=0.0).start()
 
-            async def explode(batch):
+            async def explode():
                 raise Boom("induced loop crash")
 
             server._serve_batch = explode
@@ -586,9 +603,9 @@ class TestDeadlinesAndAdmission:
             gate = asyncio.Event()
             original = server._serve_batch
 
-            async def gated(batch):
+            async def gated():
                 await gate.wait()
-                return await original(batch)
+                return await original()
 
             server._serve_batch = gated
             xs = float_inputs(3, seed=4)
@@ -625,9 +642,9 @@ class TestDeadlinesAndAdmission:
             gate = asyncio.Event()
             original = server._serve_batch
 
-            async def gated(batch):
+            async def gated():
                 await gate.wait()
-                return await original(batch)
+                return await original()
 
             server._serve_batch = gated
             xs = float_inputs(3, seed=6)

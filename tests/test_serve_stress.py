@@ -224,7 +224,7 @@ def test_stress_continuous_server_bitwise(engine, workload):
     for result, reference in zip(results, references):
         for name in reference:
             assert np.array_equal(result[name], reference[name])
-        assert result.execution == "continuous"
+        assert result.execution == "optimized"
     sched = stats["scheduler"]
     assert sched["admitted"] == NUM_CLIENTS
     assert sched["admitted"] == (sched["dispatched"] + sched["shed"]
