@@ -30,7 +30,8 @@ class RegisterFile:
     """The register state of one core.
 
     With ``batch > 1`` every register holds one word *per batch lane*: the
-    state is a ``(batch, num_registers)`` array, reads return
+    state is a ``(batch, num_registers)`` array (stored register-major, so
+    one register's lanes are adjacent in memory), reads return
     ``(batch, width)`` matrices, and writes accept either a per-lane matrix
     or a single vector broadcast to every lane.  PUMA programs are
     control-uniform across inputs, so one instruction stream drives all
@@ -58,7 +59,9 @@ class RegisterFile:
         self._num_registers = config.num_registers
         self._int_min = config.fixed_point.int_min
         self._int_max = config.fixed_point.int_max
-        self._data = np.zeros((batch, self._num_registers), dtype=np.int64)
+        # Lanes are the minor axis in memory (indexing stays lanes-first): a
+        # register range across every lane is one contiguous block.
+        self._data = np.zeros((self._num_registers, batch), dtype=np.int64).T
         self.rom = RomEmbeddedRam(config.rom_lut_entries, config.fixed_point)
         self.reads = {cls: 0 for cls in RegisterClass}
         self.writes = {cls: 0 for cls in RegisterClass}
@@ -156,9 +159,10 @@ class RegisterFile:
         self.reads[cls] += 1
         return int(self._data[0, reg])
 
-    def lut_evaluate(self, op: AluOp, values: np.ndarray) -> np.ndarray:
+    def lut_evaluate(self, op: AluOp, values: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate a transcendental through the embedded ROM."""
-        return self.rom.lookup(op, values)
+        return self.rom.lookup(op, values, out)
 
     def xbar_in_vector(self, mvmu: int) -> np.ndarray:
         """The XbarIn register vector of one MVMU (MVM-unit access)."""

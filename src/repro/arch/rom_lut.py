@@ -97,18 +97,32 @@ class RomLutTable:
         interp = y0 + ((x_clamped - x0) * (y1 - y0)) // span
         return self.fmt.saturate(interp)
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate fixed-point inputs through the table.
+    def evaluate(self, values: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Interpolate fixed-point inputs through the table, into ``out``
+        (which may be ``values`` itself) when given.
 
         Inputs outside the table domain clamp to the end segments, which
         models hardware saturation.
         """
         x = np.asarray(values, dtype=np.int64)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.int64)
         dense = self._dense_table()
-        if dense is not None:
-            clamped = np.clip(x, self.fmt.int_min, self.fmt.int_max)
-            return dense[clamped - self.fmt.int_min]
-        return self._interpolate(x)
+        if dense is None:
+            out[...] = self._interpolate(x)
+            return out
+        # Offset, then gather in place: ``take``'s clip mode clamps the
+        # index (the clamp of the word) and reads each index before it
+        # writes that position, which is all that indices living in
+        # ``out`` need.  It copies operands that are not C-ordered; a
+        # lane-minor register view (see RegisterFile) is, transposed.
+        np.subtract(x, self.fmt.int_min, out=out)
+        flat = out.T
+        if not flat.flags.c_contiguous:
+            flat = out
+        np.take(dense, flat, out=flat, mode="clip")
+        return out
 
     def max_interpolation_error(self, probe_points: int = 4096) -> float:
         """Worst observed |LUT - reference| over a uniform probe (real units)."""
@@ -190,12 +204,14 @@ class RomEmbeddedRam:
             self._tables[op] = build_lut(op, self.lut_entries, self.fmt)
         return self._tables[op]
 
-    def lookup(self, op: AluOp, values: np.ndarray) -> np.ndarray:
+    def lookup(self, op: AluOp, values: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Evaluate a transcendental on a vector, counting ROM accesses.
 
         Accepts ``(w,)`` or ``(batch, w)`` operands; batched lanes share the
         same probe sequence, so accesses count the per-lane width only.
+        The result lands in ``out`` when one is given.
         """
         arr = np.asarray(values, dtype=np.int64)
         self.rom_accesses += int(arr.shape[-1]) if arr.ndim else 1
-        return self.table(op).evaluate(arr)
+        return self.table(op).evaluate(arr, out)

@@ -15,6 +15,7 @@ ROM-Embedded RAM LUTs owned by the register file.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +23,17 @@ import numpy as np
 from repro.fixedpoint import FixedPointFormat
 from repro.isa.opcodes import AluOp
 
-LutEvaluator = Callable[[AluOp, np.ndarray], np.ndarray]
+# ``lut(op, values, out)`` writes the transcendental of ``values`` into
+# ``out`` (:meth:`repro.arch.rom_lut.RomEmbeddedRam.lookup`).
+LutEvaluator = Callable[[AluOp, np.ndarray, np.ndarray], np.ndarray]
+
+# ``kernel(a, b, out)`` writes ``op(a, b)`` into ``out`` (``b`` is ``None``
+# for a one-source op).  Operands are read before anything is written, or
+# in the same elementwise pass, so ``out`` may *be* either operand or lie
+# apart from both; a destination overlapping a source only in part needs a
+# scratch.  The interpreter and the tape binders (:mod:`repro.sim.tape`)
+# call these same functions, which is why they produce the same words.
+Kernel = Callable[[np.ndarray, "np.ndarray | None", np.ndarray], None]
 
 
 class VectorFunctionalUnit:
@@ -86,56 +97,95 @@ class VectorFunctionalUnit:
         return self._apply(op, a, b)
 
     def _apply(self, op: AluOp, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-        fmt = self.fmt
-        if op == AluOp.ADD:
-            return fmt.saturate(a + b)
-        if op == AluOp.SUB:
-            return fmt.saturate(a - b)
-        if op == AluOp.MUL:
-            return fmt.multiply(a, b)
-        if op == AluOp.DIV:
-            return fmt.divide(a, b)
-        if op == AluOp.SHL:
-            shift = np.clip(b, 0, fmt.total_bits - 1)
-            return fmt.wrap(fmt.to_unsigned(a) << shift)
-        if op == AluOp.SHR:
-            shift = np.clip(b, 0, fmt.total_bits - 1)
-            return a >> shift  # arithmetic shift on signed values
-        if op == AluOp.AND:
-            return fmt.from_unsigned(fmt.to_unsigned(a) & fmt.to_unsigned(b))
-        if op == AluOp.OR:
-            return fmt.from_unsigned(fmt.to_unsigned(a) | fmt.to_unsigned(b))
-        if op == AluOp.NOT:
-            return fmt.from_unsigned(~fmt.to_unsigned(a) & ((1 << fmt.total_bits) - 1))
-        if op == AluOp.RELU:
-            return np.maximum(a, 0)
-        if op == AluOp.MIN:
-            return np.minimum(a, b)
-        if op == AluOp.MAX:
-            return np.maximum(a, b)
-        if op == AluOp.RANDOM:
-            # Uniform fixed-point samples in [0, 1): the comparison source
-            # for stochastic Boltzmann-machine units.
-            return self._rng.integers(0, fmt.scale, size=a.shape, dtype=np.int64)
         if op == AluOp.SUBSAMPLE:
+            # Operand steering, not arithmetic: a strided view, no kernel.
             factor = max(1, int(b.flat[0]) if b is not None and b.size else 2)
             return a[..., ::factor]
-        if op.is_transcendental:
-            return self._transcendental(op, a)
-        raise ValueError(f"VFU cannot execute {op.name}")
+        kernel = self.kernels.get(op)
+        if kernel is None:
+            raise ValueError(f"VFU cannot execute {op.name}")
+        shape = a.shape if b is None else np.broadcast(a, b).shape
+        out = np.empty(shape, dtype=np.int64)
+        kernel(a, b, out)
+        return out
 
-    def _transcendental(self, op: AluOp, a: np.ndarray) -> np.ndarray:
-        if self._lut is None:
-            raise RuntimeError(
-                f"{op.name} requires a ROM LUT evaluator but none is attached")
-        if op == AluOp.LOG_SOFTMAX:
+    @cached_property
+    def kernels(self) -> dict[AluOp, Kernel]:
+        """The one definition of every op's arithmetic (see :data:`Kernel`),
+        built on first use: most cores of a node never run an ALU op."""
+        fmt, lut, rng = self.fmt, self._lut, self._rng
+        # 0-d arrays: a ufunc takes them as they are, where a Python int
+        # is converted on every call.
+        lo, hi, zero = (np.array(v, dtype=np.int64)
+                        for v in (fmt.int_min, fmt.int_max, 0))
+        frac, top = fmt.frac_bits, fmt.total_bits - 1
+        word_mask = (1 << fmt.total_bits) - 1
+
+        def saturate(out) -> None:
+            np.maximum(out, lo, out=out)
+            np.minimum(out, hi, out=out)
+
+        def rescale(out) -> None:  # arithmetic shift: floors the product
+            np.right_shift(out, frac, out=out)
+
+        def passes(ufunc, *then) -> Kernel:
+            """One elementwise pass into ``out``, then steps on ``out``."""
+            def kernel(a, b, out) -> None:
+                ufunc(a, b, out=out)
+                for step in then:
+                    step(out)
+            return kernel
+
+        def via(fn) -> Kernel:
+            """An op without an in-place form: compute, then copy in."""
+            def kernel(a, b, out) -> None:
+                out[...] = fn(a, b)
+            return kernel
+
+        def rom(op: AluOp) -> Kernel:
+            def kernel(a, _b, out) -> None:
+                if lut is None:
+                    raise RuntimeError(f"{op.name} requires a ROM LUT "
+                                       f"evaluator but none is attached")
+                lut(op, a, out)
+            return kernel
+
+        roms = {op: rom(op) for op in (AluOp.SIGMOID, AluOp.TANH,
+                                       AluOp.LOG, AluOp.EXP)}
+
+        def log_softmax(a, _b, out) -> None:
             # dest = x - log(sum(exp(x))): exp and log through the LUTs,
             # accumulation at full precision in the VFU adder tree.  The
             # reduction is over the vector (last) axis so batched operands
             # normalize each lane independently.
-            exps = self._lut(AluOp.EXP, a)
-            totals = np.minimum(exps.sum(axis=-1, keepdims=True),
-                                self.fmt.int_max).astype(np.int64)
-            log_totals = self._lut(AluOp.LOG, totals)
-            return self.fmt.saturate(a - log_totals)
-        return self._lut(op, a)
+            exps = np.empty(a.shape, dtype=np.int64)
+            roms[AluOp.EXP](a, None, exps)
+            totals = np.minimum(exps.sum(axis=-1, keepdims=True), hi)
+            roms[AluOp.LOG](totals, None, totals)
+            np.subtract(a, totals, out=out)
+            saturate(out)
+
+        unsigned = fmt.to_unsigned
+        return {
+            AluOp.ADD: passes(np.add, saturate),
+            AluOp.SUB: passes(np.subtract, saturate),
+            AluOp.MUL: passes(np.multiply, rescale, saturate),
+            AluOp.DIV: via(fmt.divide),
+            AluOp.SHL: via(lambda a, b: fmt.wrap(
+                unsigned(a) << np.clip(b, 0, top))),
+            # Arithmetic shift on signed values.
+            AluOp.SHR: via(lambda a, b: a >> np.clip(b, 0, top)),
+            AluOp.AND: via(lambda a, b: fmt.from_unsigned(
+                unsigned(a) & unsigned(b))),
+            AluOp.OR: via(lambda a, b: fmt.from_unsigned(
+                unsigned(a) | unsigned(b))),
+            AluOp.NOT: via(lambda a, _b: fmt.from_unsigned(
+                ~unsigned(a) & word_mask)),
+            AluOp.RELU: lambda a, _b, out: np.maximum(a, zero, out=out),
+            AluOp.MIN: passes(np.minimum), AluOp.MAX: passes(np.maximum),
+            # Uniform fixed-point samples in [0, 1): the comparison source
+            # for stochastic Boltzmann-machine units.
+            AluOp.RANDOM: via(lambda a, _b: rng.integers(
+                0, fmt.scale, size=a.shape, dtype=np.int64)),
+            AluOp.LOG_SOFTMAX: log_softmax, **roms,
+        }

@@ -883,7 +883,15 @@ class CodeGenerator:
         def stage_sub(piece: Piece, offset: int, length: int,
                       pinned: set[int]) -> tuple[int, list]:
             sub = Piece(piece.task_id, piece.offset + offset, length)
-            return self._stage_operand(core, sub, pinned)
+            state = self._values.get(piece.task_id)
+            live = state is not None and state.reg_core == core
+            staged = self._stage_operand(core, sub, pinned)
+            if live and offset:
+                # The plan counts one register read per piece, however
+                # many chunks it is read in; counting each chunk frees the
+                # producer's registers under its remaining consumers.
+                state.reg_reads_left += 1
+            return staged
 
         if task.kind == TaskKind.GATHER:
             pos = 0

@@ -21,6 +21,7 @@ while unhalted agents remain parked, the simulator raises
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -133,7 +134,11 @@ class Simulator:
         self._events: list[tuple[int, int, Callable[[], None]]] = []
         self._event_seq = 0
         self.now = 0
-        self.node = Node.for_program(config, program, self._schedule_delay,
+        # Weak: a strong reference closes a simulator <-> node cycle, and
+        # every finished run's megabytes wait for the cycle collector.
+        schedule = weakref.WeakMethod(self._schedule_delay)
+        self.node = Node.for_program(config, program,
+                                     lambda delay, cb: schedule()(delay, cb),
                                      crossbar_model=crossbar_model, seed=seed,
                                      batch=batch,
                                      programmed_state=programmed_state)

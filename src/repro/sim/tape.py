@@ -257,41 +257,42 @@ def _bind_mvm(core, instr: Instruction) -> TapeOp:
     return step
 
 
-def _bind_alu(core, instr: Instruction) -> TapeOp:
-    apply_op = core.vfu._apply
+def _bind_alu(core, instr: Instruction,
+              imm_vec: np.ndarray | None = None) -> TapeOp:
+    """One VFU instruction (``imm_vec`` is an ALUI's second operand).
+
+    The kernel is resolved here, once, and writes straight into the
+    destination view when every source range is the destination range or
+    disjoint from it and ``rows`` is a slice; a source overlapping it in
+    part, or an index-array selection, goes through a scratch.
+    """
     reg = core.registers._data
-    op = instr.alu_op
-    w = instr.vec_width
-    dest, src1, src2 = instr.dest, instr.src1, instr.src2
+    op, w, dest, src1 = instr.alu_op, instr.vec_width, instr.dest, instr.src1
     if op == AluOp.SUBSAMPLE:
-        # _apply may return a strided *view* of its operand; materialize the
+        apply_op = core.vfu._apply
+        factor = instr.src2
+
+        # _apply returns a strided *view* of its operand; materialize the
         # operand so the destination write cannot alias the source.
         def step(rows, _flows) -> None:
             a = reg[rows, src1:src1 + w].copy()
-            result = apply_op(op, a, reg[rows, src2:src2 + 1])
+            result = apply_op(op, a, reg[rows, factor:factor + 1])
             reg[rows, dest:dest + result.shape[-1]] = result
-    elif op.num_sources == 2:
-        def step(rows, _flows) -> None:
-            result = apply_op(op, reg[rows, src1:src1 + w],
-                              reg[rows, src2:src2 + w])
-            reg[rows, dest:dest + w] = result
-    else:
-        def step(rows, _flows) -> None:
-            result = apply_op(op, reg[rows, src1:src1 + w], None)
-            reg[rows, dest:dest + w] = result
-    return step
-
-
-def _bind_alui(core, instr: Instruction) -> TapeOp:
-    apply_op = core.vfu._apply
-    reg = core.registers._data
-    op, w, dest, src1 = instr.alu_op, instr.vec_width, instr.dest, instr.src1
-    imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
+        return step
+    kernel = core.vfu.kernels[op]
+    src2 = instr.src2 if imm_vec is None and op.num_sources == 2 else None
+    in_place = all(src == dest or src + w <= dest or dest + w <= src
+                   for src in (src1, src2) if src is not None)
 
     def step(rows, _flows) -> None:
-        reg[rows, dest:dest + w] = apply_op(op, reg[rows, src1:src1 + w],
-                                            imm_vec)
-
+        a = reg[rows, src1:src1 + w]
+        b = imm_vec if src2 is None else reg[rows, src2:src2 + w]
+        if in_place and type(rows) is slice:
+            kernel(a, b, reg[rows, dest:dest + w])
+        else:
+            out = np.empty_like(a)
+            kernel(a, b, out)
+            reg[rows, dest:dest + w] = out
     return step
 
 
@@ -434,6 +435,12 @@ class TapeReplayer:
         # replay (not a previous run's leftovers).
         self._register_files: list[np.ndarray] = []
         try:
+            # (memory, address, words) of every constant begin() preloads.
+            self._constants = [
+                (node.tiles[tile_id].memory._data, addr,
+                 np.atleast_1d(np.asarray(values, dtype=np.int64)))
+                for tile_id, entries in program.const_memory.items()
+                for addr, values in entries]
             self.ops = self._bind()
         except (KeyError, IndexError, AttributeError) as error:
             raise TapeValidationError(
@@ -479,8 +486,9 @@ class TapeReplayer:
             return _bind_mvm(core, instr)
         if op == Opcode.ALU:
             return _bind_alu(core, instr)
-        if op == Opcode.ALUI:
-            return _bind_alui(core, instr)
+        if op == Opcode.ALUI:  # the immediate expansion is cached, read-only
+            return _bind_alu(core, instr,
+                             core._imm_vector(instr.imm, instr.vec_width))
         if op == Opcode.ALU_INT:
             return _bind_alu_int(core, instr)
         if op == Opcode.SET:
@@ -500,11 +508,8 @@ class TapeReplayer:
         """Per-run initialisation of ``rows``: zeroed registers and
         re-preloaded constant memory (what a fresh node would hold)."""
         self._reset_registers(rows)
-        for tile_id, entries in self.program.const_memory.items():
-            mem = self.node.tiles[tile_id].memory._data
-            for addr, values in entries:
-                arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
-                mem[rows, addr:addr + arr.shape[-1]] = arr
+        for mem, addr, words in self._constants:
+            mem[rows, addr:addr + words.shape[-1]] = words
 
     def write_input(self, name: str, values: np.ndarray,
                     rows=slice(None)) -> None:

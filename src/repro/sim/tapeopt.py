@@ -716,9 +716,14 @@ class OptimizedReplayer(TapeReplayer):
 
     def _bind(self) -> list[TapeOp]:
         self._zero_runs = self._read_before_write_runs()
+        # Stacked MVM operands by member units: a recurrent plan runs the
+        # same units once per time step, and one stack serves them all.
+        self._stacks: dict[tuple, np.ndarray] = {}
         ops = []
         for op in self.plan:
-            if isinstance(op, TapeStep):
+            if _is_mvm(op):  # a lone MVM is a group of one
+                ops.append(self._bind_group(MvmGroup(steps=(op,))))
+            elif isinstance(op, TapeStep):
                 ops.append(self._bind_one(op))
             elif isinstance(op, RegMove):
                 ops.append(self._bind_regmove(op))
@@ -815,12 +820,13 @@ class OptimizedReplayer(TapeReplayer):
 
         When every active unit takes the bit-exact ideal float64 path
         with one shared dimension and format, the k products run as one
-        stacked ``(k, batch, dim) @ (k, dim, dim)`` matmul — the rescale
-        and saturate are elementwise, so the stacked result is bitwise
-        identical to per-unit :meth:`~repro.arch.mvmu.MVMU.execute`
-        calls.  Otherwise the members simply execute sequentially at the
-        anchor slot (hoisting is legal either way; only the BLAS stacking
-        needs exactness).
+        stacked ``(k, dim, dim) @ (k, dim, batch)`` matmul, lanes minor
+        like the registers they come from — the rescale and saturate
+        are elementwise, so the stacked result is bitwise identical to
+        per-unit :meth:`~repro.arch.mvmu.MVMU.execute` calls.  Otherwise
+        the members simply execute sequentially at the anchor slot
+        (hoisting is legal either way; only the BLAS stacking needs
+        exactness).
         """
         per_step = []
         jobs = []
@@ -850,39 +856,42 @@ class OptimizedReplayer(TapeReplayer):
                     fn(rows, flows)
             return step
         dim = dims.pop()
-        matrices = np.stack(
-            [job[3].matrix.astype(np.float64) for job in jobs])
+        # y = x @ M per lane is M^T @ x^T over all lanes at once.
+        units = tuple(id(job[3]) for job in jobs)
+        matrices = self._stacks.get(units)
+        if matrices is None:
+            matrices = self._stacks[units] = np.stack(
+                [job[3].matrix.T.astype(np.float64) for job in jobs])
         # scale is a power of two (1 << frac_bits), so multiplying by the
         # reciprocal is exact; every intermediate is an exact integer in
-        # float64 (the _f64_product_is_exact precondition), so the whole
-        # rescale/saturate chain runs in f64 bitwise-identically to
-        # MVMU.execute's int64 path, with preallocated buffers.
-        inv_scale = 1.0 / float(fmt.scale)
-        lo, hi = float(fmt.int_min), float(fmt.int_max)
+        # float64 (the _f64_product_is_exact precondition, which holds in
+        # any summation order), so the whole rescale/saturate chain runs
+        # in f64 bitwise-identically to MVMU.execute's int64 path, with
+        # preallocated buffers.
+        inv_scale = np.array(1.0 / fmt.scale)
+        lo, hi = np.array(float(fmt.int_min)), np.array(float(fmt.int_max))
         k = len(jobs)
         # Scratch sized once for the node's batch; a narrower selection
-        # uses the leading rows of each unit's block.
-        xs_all = np.empty((k, self.batch, dim), dtype=np.float64)
-        ys_all = np.empty((k, self.batch, dim), dtype=np.float64)
+        # uses the leading lanes of each unit's block.
+        xs_all = np.empty((k, dim, self.batch), dtype=np.float64)
+        ys_all = np.empty((k, dim, self.batch), dtype=np.float64)
 
         def step(rows, _flows) -> None:
-            operands = []
-            for regs, in_base, _out, _m, filt, stride in jobs:
+            for idx, (regs, in_base, _out, _m, filt, stride) in enumerate(jobs):
                 x = regs[rows, in_base:in_base + dim]
                 if filt:
                     x = MVMU.shuffle_inputs(x, filt, stride)
-                operands.append(x)
-            n = len(operands[0])
-            xs, ys = xs_all[:, :n], ys_all[:, :n]
-            for idx, x in enumerate(operands):
-                xs[idx] = x
-            np.matmul(xs, matrices, out=ys)
+                n = len(x)
+                xs_all[idx, :, :n] = x.T
+            xs, ys = xs_all[:, :, :n], ys_all[:, :, :n]
+            np.matmul(matrices, xs, out=ys)
             np.multiply(ys, inv_scale, out=ys)
             np.floor(ys, out=ys)
-            np.clip(ys, lo, hi, out=ys)
+            np.maximum(ys, lo, out=ys)
+            np.minimum(ys, hi, out=ys)
             # Slice assignment casts f64 -> int64 per destination; the
-            # values are exact integers after the clip, so the cast equals
+            # values are exact integers after the clamp, so the cast equals
             # astype(np.int64) without materializing the full array.
             for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
-                regs[rows, out_base:out_base + dim] = ys[idx]
+                regs[rows, out_base:out_base + dim] = ys[idx].T
         return step

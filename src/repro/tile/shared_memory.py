@@ -43,7 +43,9 @@ class SharedMemory:
             raise ValueError(f"batch must be >= 1, got {batch}")
         self.words = words
         self.batch = batch
-        self._data = np.zeros((batch, words), dtype=np.int64)
+        # Word-major in memory, like the register files it feeds: a word
+        # range across every lane is one contiguous block.
+        self._data = np.zeros((words, batch), dtype=np.int64).T
         self.attributes = AttributeBuffer(
             attribute_entries if attribute_entries is not None else words)
         self._read_waiters: list[WakeCallback] = []

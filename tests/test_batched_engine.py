@@ -165,3 +165,71 @@ def test_compile_cache_reuses_and_discriminates():
     assert engine.compiled is first
     other_model = build_mlp_model([32, 16], seed=0)
     assert compile_cached(other_model, CFG) is not first
+
+
+# -- storage layout -----------------------------------------------------------
+
+
+def _assert_lanes_minor(node, batch):
+    """Every register file and tile memory of ``node`` stores a word's
+    lanes adjacently (and still reads as ``(batch, words)``)."""
+    for tile in node.tiles.values():
+        arrays = [tile.memory._data]
+        arrays += [core.registers._data for core in tile.cores]
+        for data in arrays:
+            assert data.shape[0] == batch and data.dtype == np.int64
+            assert data.T.flags.c_contiguous
+
+
+def _fresh_node(engine, batch):
+    return engine._fresh_node(batch)
+
+
+def _restored_node(engine, batch):
+    from repro.node.node import Node
+    donor = engine._fresh_node(batch)
+    state = donor.export_programmed_state(engine.program)
+    node = Node(engine.config, engine.program.tiles.keys(),
+                lambda _delay, _callback: None, seed=0, batch=batch)
+    node.load_weights(engine.program, programmed_state=state)
+    return node
+
+
+def _artifact_node(engine, batch, tmp_path):
+    loaded = InferenceEngine.from_artifacts(
+        engine.save_artifacts(tmp_path / "artifact"))
+    inputs = {name: np.zeros((batch, length), dtype=np.int64)
+              for name, (_t, _a, length) in loaded.program.input_layout.items()}
+    for _ in range(2):   # record (or adopt the stored tape), then replay
+        result = loaded.run_batch(inputs)
+    assert result.execution == "optimized"
+    return loaded._replayers[batch].node
+
+
+def _replica_node(engine, batch):
+    from repro.serve.sharding import ShardedEngine
+    inputs = {name: np.zeros((2 * batch, length), dtype=np.int64)
+              for name, (_t, _a, length) in engine.program.input_layout.items()}
+    with ShardedEngine(engine, num_shards=2, executor="thread") as sharded:
+        for _ in range(2):
+            sharded.run_batch(inputs)
+        return sharded._replicas[0]._replayers[batch].node
+
+
+def _private_replayer_node(engine, batch):
+    return engine.private_replayer(batch).node
+
+
+@pytest.mark.parametrize("batch", [1, 16, 64])
+@pytest.mark.parametrize("path", [
+    _fresh_node, _restored_node, _artifact_node, _replica_node,
+    _private_replayer_node], ids=lambda fn: fn.__name__.strip("_"))
+def test_lanes_are_the_minor_axis_on_every_construction_path(path, batch,
+                                                              tmp_path):
+    """A path that rebuilt a C-ordered ``(batch, words)`` array would stay
+    bitwise right and silently lose the contiguous-operand layout."""
+    engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
+                             seed=0)
+    args = (engine, batch, tmp_path) if path is _artifact_node \
+        else (engine, batch)
+    _assert_lanes_minor(path(*args), batch)

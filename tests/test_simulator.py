@@ -167,6 +167,24 @@ class TestInterTile:
         sim.run()
         assert sim.stats.energy.network > 0
 
+    def test_finished_run_is_freed_without_the_cycle_collector(self):
+        """The node schedules NoC deliveries through the simulator; held
+        strongly that is a cycle, and every interpreted run — a cold
+        sweep, a stats derivation, an equivalence probe — would keep its
+        tile memories and crossbar state until the collector next ran."""
+        import gc
+        import weakref
+
+        sim = Simulator(CFG, self._two_tile_program())
+        sim.run()                       # sends a packet through the node
+        node = weakref.ref(sim.node)
+        gc.disable()
+        try:
+            del sim
+            assert node() is None
+        finally:
+            gc.enable()
+
 
 class TestTimingAndEnergy:
     def test_mvm_latency_dominates(self):

@@ -172,6 +172,26 @@ def test_probe_runs_once_per_batch():
     assert tape.optimized.verified_batches == {2, 4}
 
 
+def test_evicted_replayer_is_freed_without_the_cycle_collector():
+    """The engine keeps a few bound replayers and drops the rest; each
+    holds a node (megabytes of tile memory and stacked matrices).  A bound
+    step that closed over its replayer would make that a reference cycle,
+    and dropped nodes would pile up until the collector next ran."""
+    import gc
+    import weakref
+
+    engine, _tape, _inputs = optimized_engine(batch=2)
+    replayer = engine._replayers.pop(2)
+    assert any(isinstance(op, MvmGroup) for op in replayer.plan)
+    node = weakref.ref(replayer.node)
+    gc.disable()
+    try:
+        del replayer
+        assert node() is None
+    finally:
+        gc.enable()
+
+
 def _mutate_forwarded_copy(ops):
     """Shift one forwarded register copy's source window by one."""
     for i, op in enumerate(ops):
