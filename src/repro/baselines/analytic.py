@@ -12,9 +12,9 @@ The model reproduces the *structure* of measured batch-1 inference:
   cannot be batched away within one inference (Section 2.2.2);
 * energy = DRAM traffic + FLOP energy + (idle power) x (time).
 
-Calibration constants below are shared across platforms and documented in
-EXPERIMENTS.md; absolute numbers are estimates, ratios against the PUMA
-model are the reproduced results.
+Calibration constants below are shared across platforms; absolute numbers
+are estimates, ratios against the PUMA model are the reproduced results
+(pinned exactly by ``tests/golden/figures/fig11.json``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each module exposes the data behind one exhibit (as plain rows/series
 dictionaries) plus a text renderer; :mod:`repro.figures.runner` regenerates
-everything and produces the report recorded in EXPERIMENTS.md.
+everything in one report.  Every ``*rows()`` / ``*ratios()`` result is
+pinned exactly by ``tests/golden/figures/`` (``tests/test_figures.py``).
 """
 
 from repro.figures import (  # noqa: F401

@@ -178,8 +178,7 @@ def sharded_batch_rows(batch: int = 64,
             result = single
         else:
             # Thread workers keep the figure pipeline deterministic and
-            # process-free; the wall-clock scaling study lives in
-            # benchmarks/bench_sharded_serving.py.
+            # process-free.
             with ShardedEngine(engine, num_shards=shards,
                                executor="thread") as sharded:
                 result = sharded.run_batch({"x": x})

@@ -1,8 +1,8 @@
 """Regenerate every table and figure in one pass.
 
-``python -m repro.figures.runner`` prints the full report; the benchmark
-harness under ``benchmarks/`` drives the same modules one exhibit at a
-time with timing.
+``python -m repro.figures.runner`` prints the full report;
+``tests/test_figures.py`` pins the same modules' rows against
+``tests/golden/figures/`` one exhibit at a time.
 """
 
 from __future__ import annotations

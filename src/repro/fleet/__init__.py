@@ -38,7 +38,6 @@ from repro.fleet.loadgen import (
     LoadReport,
     bursty_trace,
     default_inputs_builder,
-    mixed_priority_trace,
     run_trace,
 )
 from repro.fleet.manager import (
@@ -94,7 +93,6 @@ __all__ = [
     "build_engine",
     "bursty_trace",
     "default_inputs_builder",
-    "mixed_priority_trace",
     "route_key",
     "run_trace",
 ]

@@ -208,10 +208,6 @@ class PumaFleet:
             :func:`repro.fleet.resilience.backoff_delay`).
         blob_store_max_bytes: size cap for the artifact plane's LRU
             (``None`` = unbounded, the pre-resilience behavior).
-        scheduler_policy: batch-formation policy each worker's
-            ``PumaServer`` runs (``"edf"`` default, ``"fifo"``
-            baseline); priorities and deadlines ride end-to-end either
-            way, but only EDF orders by them.
         clock: time source for gateway deadline math and retry backoff
             (default wall clock; tests inject
             :class:`~repro.serve.clock.VirtualClock`).
@@ -251,7 +247,6 @@ class PumaFleet:
                  blob_store_max_bytes: int | None = None,
                  fault_plan: FaultPlan | None = None,
                  drain_timeout_s: float = PREDICT_TIMEOUT_S,
-                 scheduler_policy: str = "edf",
                  clock: Clock | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         if num_workers < 1:
@@ -293,7 +288,6 @@ class PumaFleet:
         self.blob_store_max_bytes = blob_store_max_bytes
         self.fault_plan = fault_plan
         self.drain_timeout_s = drain_timeout_s
-        self.scheduler_policy = scheduler_policy
         # Every deadline/backoff decision reads this clock, so tests can
         # inject a VirtualClock and drive gateway time deterministically.
         self.clock: Clock = clock if clock is not None else MonotonicClock()
@@ -337,7 +331,6 @@ class PumaFleet:
             store_address=(self.host, self.http.port),
             max_batch_size=self.max_batch_size, host=self.host,
             max_queue_depth=self.max_queue_depth,
-            scheduler_policy=self.scheduler_policy,
             fault_plan=self.fault_plan)
         await self.manager.spawn_many(self.num_workers)
         for worker_id in self.manager.workers:

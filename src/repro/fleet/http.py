@@ -66,7 +66,7 @@ class FleetTimeoutError(FleetConnectionError):
 
     A subclass of :class:`FleetConnectionError` (the connection is torn
     down either way), distinguished so the load generator can tell a
-    *hang* (this) from a *drop* (the base class) — the chaos benchmark
+    *hang* (this) from a *drop* (the base class) — the chaos soak
     asserts zero of the former.
     """
 

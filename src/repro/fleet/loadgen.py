@@ -9,15 +9,15 @@ provides both halves of the load test:
   arrivals at a base rate, periodically multiplied through burst
   windows, with models drawn from a weighted mix.  Seeded
   ``numpy.random.default_rng`` end to end, so two runs (or two fleet
-  sizes under comparison, as in ``benchmarks/bench_fleet.py``) replay
-  the *identical* request sequence;
+  sizes under comparison) replay the *identical* request sequence;
 * :func:`run_trace` — an open-loop asyncio replay: each request fires at
   its scheduled offset (late if the fleet is saturated — queueing shows
   up as latency, exactly like real overload) against the gateway's
   ``POST /v1/predict``, over pooled keep-alive connections;
 * :class:`LoadReport` — per-model and overall p50/p99 latency, achieved
-  throughput, and the failure count (which the CI smoke job requires to
-  be zero).
+  throughput, and the failure count split into typed buckets (what
+  ``cli fleet`` and the chaos soak in ``tests/test_fleet_e2e.py``
+  assert on).
 """
 
 from __future__ import annotations
@@ -38,18 +38,11 @@ from repro.fleet.http import (
 
 @dataclass(frozen=True)
 class Arrival:
-    """One scheduled request: when, which model, which input seed.
-
-    ``priority`` and ``deadline_ms`` ride to the gateway verbatim
-    (defaults mean "no priority, no per-request deadline" — the
-    pre-scheduler wire shape, so old traces replay unchanged).
-    """
+    """One scheduled request: when, which model, which input seed."""
 
     at_s: float
     model: str
     request_seed: int
-    priority: int = 0
-    deadline_ms: float | None = None
 
 
 def bursty_trace(models: list[str], num_requests: int, *,
@@ -96,41 +89,6 @@ def bursty_trace(models: list[str], num_requests: int, *,
     return arrivals
 
 
-def mixed_priority_trace(models: list[str], num_requests: int, *,
-                         high_fraction: float = 0.25,
-                         high_priority: int = 1,
-                         tight_deadline_ms: float | None = 250.0,
-                         loose_deadline_ms: float | None = None,
-                         seed: int = 0,
-                         **bursty_kwargs) -> list[Arrival]:
-    """A bursty trace with a high-priority, tight-deadline cohort mixed in.
-
-    Starts from :func:`bursty_trace` (same arrival times, models, and
-    request seeds for the same arguments) and marks a seeded
-    ``high_fraction`` of arrivals as the urgent cohort: ``priority =
-    high_priority`` with ``deadline_ms = tight_deadline_ms``.  The rest
-    stay priority 0 with ``loose_deadline_ms`` (``None`` = no deadline).
-    This is the workload shape the EDF scheduler exists for — and the
-    one ``benchmarks/bench_scheduler.py`` measures p99 on.
-
-    Deterministic: same arguments, same schedule, bit for bit.
-    """
-    if not 0.0 <= high_fraction <= 1.0:
-        raise ValueError(f"high_fraction must be in [0, 1], "
-                         f"got {high_fraction}")
-    base = bursty_trace(models, num_requests, seed=seed, **bursty_kwargs)
-    # A separate stream: adding the priority draw must not perturb the
-    # arrival-time/model sequence shared with the plain bursty trace.
-    rng = np.random.default_rng(seed ^ 0x5EED_CAFE)
-    urgent = rng.random(len(base)) < high_fraction
-    return [
-        Arrival(at_s=a.at_s, model=a.model, request_seed=a.request_seed,
-                priority=high_priority if urgent[i] else 0,
-                deadline_ms=(tight_deadline_ms if urgent[i]
-                             else loose_deadline_ms))
-        for i, a in enumerate(base)]
-
-
 @dataclass
 class LoadReport:
     """What a replay measured: latencies, throughput, failures.
@@ -158,22 +116,12 @@ class LoadReport:
     transport_errors: int = 0
     statuses: dict[int, int] = field(default_factory=dict)
     latencies_s: dict[str, list[float]] = field(default_factory=dict)
-    latencies_by_priority: dict[int, list[float]] = field(
-        default_factory=dict)
-    failed_by_priority: dict[int, int] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
     @property
     def throughput_rps(self) -> float:
         return self.completed / self.elapsed_s if self.elapsed_s > 0 \
             else 0.0
-
-    def priority_percentile(self, q: float, priority: int) -> float:
-        """Latency percentile for one priority class (``nan`` if empty)."""
-        values = self.latencies_by_priority.get(priority, [])
-        if not values:
-            return float("nan")
-        return float(np.percentile(np.asarray(values), q))
 
     def percentile(self, q: float, model: str | None = None) -> float:
         """Latency percentile in seconds (pooled, or one model's).
@@ -203,9 +151,7 @@ class LoadReport:
         return seconds * 1e3 if np.isfinite(seconds) else None
 
     def to_dict(self) -> dict:
-        """The JSON shape the ``BENCH_PR*.json`` records embed.
-
-        Strictly JSON-serializable for every report, including one with
+        """Strictly JSON-serializable for every report, including one with
         zero completed requests (percentiles become ``null``).
         """
         per_model = {
@@ -214,23 +160,6 @@ class LoadReport:
                 "p50_ms": self._percentile_ms(50, model),
                 "p99_ms": self._percentile_ms(99, model),
             } for model, values in sorted(self.latencies_s.items())}
-
-        def _priority_ms(q: float, values: list[float]) -> float | None:
-            ms = float(np.percentile(np.asarray(values), q)) * 1e3
-            return ms if np.isfinite(ms) else None
-
-        per_priority = {
-            str(priority): {
-                "completed": len(values),
-                "failed": self.failed_by_priority.get(priority, 0),
-                "p50_ms": _priority_ms(50, values) if values else None,
-                "p99_ms": _priority_ms(99, values) if values else None,
-            } for priority, values
-            in sorted(self.latencies_by_priority.items())}
-        for priority, failures in sorted(self.failed_by_priority.items()):
-            per_priority.setdefault(str(priority), {
-                "completed": 0, "failed": failures,
-                "p50_ms": None, "p99_ms": None})
         return {
             "num_requests": self.num_requests,
             "completed": self.completed,
@@ -245,7 +174,6 @@ class LoadReport:
             "p50_ms": self._percentile_ms(50),
             "p99_ms": self._percentile_ms(99),
             "per_model": per_model,
-            "per_priority": per_priority,
         }
 
     def summary(self) -> str:
@@ -278,12 +206,10 @@ async def run_trace(host: str, port: int, trace: list[Arrival],
             ``timeouts`` (the hang bucket).
         deadline_ms: when given, every request carries this end-to-end
             deadline; expired requests come back 504 (a *rejection*,
-            not a timeout — the fleet answered).  An arrival's own
-            ``deadline_ms`` takes precedence; its ``priority`` always
-            rides along (see :func:`mixed_priority_trace`).
+            not a timeout — the fleet answered).
         on_reply: optional ``on_reply(arrival, response)`` called for
             every 200 reply before it is counted — the hook the chaos
-            benchmark uses to compare each completed response bitwise
+            soak uses to compare each completed response bitwise
             against the single-engine reference.
 
     Every request is its own task firing at its scheduled offset —
@@ -302,20 +228,9 @@ async def run_trace(host: str, port: int, trace: list[Arrival],
             await asyncio.sleep(delay)
         payload: dict = {"model": arrival.model,
                          "inputs": inputs_for(arrival)}
-        effective_deadline = (arrival.deadline_ms
-                              if arrival.deadline_ms is not None
-                              else deadline_ms)
-        if effective_deadline is not None:
-            payload["deadline_ms"] = effective_deadline
-        if arrival.priority:
-            payload["priority"] = arrival.priority
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
         body = json.dumps(payload).encode()
-
-        def _count_failure() -> None:
-            report.failed += 1
-            report.failed_by_priority[arrival.priority] = \
-                report.failed_by_priority.get(arrival.priority, 0) + 1
-
         sent = time.monotonic()
         try:
             response = await pool.request(
@@ -325,13 +240,13 @@ async def run_trace(host: str, port: int, trace: list[Arrival],
         except FleetTimeoutError as error:
             # No reply at all within the client timeout: the one
             # failure mode a resilient fleet must never produce.
-            _count_failure()
+            report.failed += 1
             report.timeouts += 1
             if len(report.errors) < max_errors_kept:
                 report.errors.append(f"{arrival.model}: {error}")
             return
         except FleetConnectionError as error:
-            _count_failure()
+            report.failed += 1
             report.transport_errors += 1
             if len(report.errors) < max_errors_kept:
                 report.errors.append(f"{arrival.model}: {error}")
@@ -342,10 +257,8 @@ async def run_trace(host: str, port: int, trace: list[Arrival],
                 on_reply(arrival, response)
             report.completed += 1
             report.latencies_s.setdefault(arrival.model, []).append(latency)
-            report.latencies_by_priority.setdefault(
-                arrival.priority, []).append(latency)
         else:
-            _count_failure()
+            report.failed += 1
             report.rejections += 1
             report.statuses[response.status] = \
                 report.statuses.get(response.status, 0) + 1

@@ -98,14 +98,12 @@ class WorkerManager:
                  max_batch_size: int = 16,
                  host: str = "127.0.0.1",
                  max_queue_depth: int | None = None,
-                 scheduler_policy: str = "edf",
                  fault_plan: FaultPlan | None = None) -> None:
         self.work_dir = work_dir
         self.store_address = store_address
         self.max_batch_size = max_batch_size
         self.host = host
         self.max_queue_depth = max_queue_depth
-        self.scheduler_policy = scheduler_policy
         self.fault_plan = fault_plan
         self.workers: dict[str, WorkerHandle] = {}
         self._ids = itertools.count()
@@ -126,7 +124,6 @@ class WorkerManager:
             max_batch_size=self.max_batch_size,
             host=self.host,
             max_queue_depth=self.max_queue_depth,
-            scheduler_policy=self.scheduler_policy,
             fault_events=fault_events, chaos_seed=chaos_seed)
         parent_conn, child_conn = self._context.Pipe(duplex=False)
         process = self._context.Process(

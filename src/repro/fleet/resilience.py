@@ -10,8 +10,7 @@ analogue of designing for that steady state, in two halves:
   drops, response delays, 5xx/garbage bodies, worker hang, worker
   crash, slow replica, blob corruption-on-read).  Workers and the
   gateway honor an armed plan through a :class:`FaultInjector`, so a
-  test or the chaos benchmark can *prove* behavior under failure
-  instead of hoping;
+  test can *prove* behavior under failure instead of hoping;
 * the **resilience policies** the harness validates —
   :class:`CircuitBreaker` (consecutive-failure threshold opens, a
   half-open probe closes) and :func:`backoff_delay` (capped
@@ -20,8 +19,8 @@ analogue of designing for that steady state, in two halves:
 
 Everything here is seeded and clock-injectable: two runs of the same
 plan fire the same faults, and a unit test can drive windows with a
-fake clock.  The invariant the chaos benchmark
-(``benchmarks/bench_chaos.py``) asserts on top: under *any* injected
+fake clock.  The invariant the chaos soak
+(``tests/test_fleet_e2e.py``) asserts on top: under *any* injected
 fault, every completed response stays bitwise identical to the
 single-engine reference, and every non-completed request fails loudly
 with a typed status — zero wrong answers, zero hangs.

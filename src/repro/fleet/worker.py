@@ -93,8 +93,6 @@ class FleetWorker:
         max_batch_size: per-model ``PumaServer`` batching limit.
         max_queue_depth: per-model admission bound handed to each hosted
             :class:`~repro.serve.PumaServer` (``None`` = unbounded).
-        scheduler_policy: batch-formation policy for each hosted
-            ``PumaServer`` (``"edf"`` default, ``"fifo"`` baseline).
         fault_events: chaos events to arm once serving starts (the
             worker-side slice of a :class:`~repro.fleet.resilience
             .FaultPlan`); more can be armed at runtime via
@@ -107,7 +105,6 @@ class FleetWorker:
                  work_dir: str, *, max_batch_size: int = 16,
                  host: str = "127.0.0.1",
                  max_queue_depth: int | None = None,
-                 scheduler_policy: str = "edf",
                  fault_events: tuple[FaultEvent, ...] = (),
                  chaos_seed: int = 0) -> None:
         self.worker_id = worker_id
@@ -115,7 +112,6 @@ class FleetWorker:
         self.work_dir = work_dir
         self.max_batch_size = max_batch_size
         self.max_queue_depth = max_queue_depth
-        self.scheduler_policy = scheduler_policy
         self.hosted: dict[str, _HostedModel] = {}
         self.shutdown = asyncio.Event()
         self.drain_on_shutdown = True
@@ -293,8 +289,7 @@ class FleetWorker:
 
             server = PumaServer(engine,
                                 max_batch_size=self.max_batch_size,
-                                max_queue_depth=self.max_queue_depth,
-                                scheduler=self.scheduler_policy)
+                                max_queue_depth=self.max_queue_depth)
             await server.start()
             self.hosted[key] = _HostedModel(
                 spec, server, warm_start=(source == "network"),
@@ -499,7 +494,6 @@ async def _worker_main(bootstrap: dict, conn) -> None:
         max_batch_size=bootstrap.get("max_batch_size", 16),
         host=bootstrap.get("host", "127.0.0.1"),
         max_queue_depth=bootstrap.get("max_queue_depth"),
-        scheduler_policy=bootstrap.get("scheduler_policy", "edf"),
         fault_events=tuple(
             FaultEvent.from_dict(item)
             for item in bootstrap.get("fault_events", [])),
@@ -523,7 +517,6 @@ def worker_bootstrap(worker_id: str, work_dir: str, *,
                      max_batch_size: int = 16,
                      host: str = "127.0.0.1",
                      max_queue_depth: int | None = None,
-                     scheduler_policy: str = "edf",
                      fault_events: tuple[FaultEvent, ...] = (),
                      chaos_seed: int = 0) -> dict:
     """The picklable config dict :func:`run_worker` consumes."""
@@ -532,6 +525,5 @@ def worker_bootstrap(worker_id: str, work_dir: str, *,
             "max_batch_size": max_batch_size,
             "host": host,
             "max_queue_depth": max_queue_depth,
-            "scheduler_policy": scheduler_policy,
             "fault_events": [event.to_dict() for event in fault_events],
             "chaos_seed": chaos_seed}

@@ -5,9 +5,8 @@
 * :class:`PumaServer` — asyncio request queue + scheduled micro-batching
   over an :class:`~repro.engine.InferenceEngine`
   (:mod:`repro.serve.server`);
-* :class:`~repro.serve.scheduler.BatchScheduler` and friends — the
-  pluggable batch-formation policies: EDF with deadline-pressure early
-  close, and the fixed-window FIFO baseline
+* :class:`~repro.serve.scheduler.BatchScheduler` — batch formation:
+  the EDF queue with deadline-pressure early close
   (:mod:`repro.serve.scheduler`);
 * :class:`~repro.serve.continuous.ContinuousBatcher` — continuous
   batching for sequence workloads: cohorts of lanes join/leave the
@@ -24,13 +23,9 @@ from repro.serve.types import InferenceRequest, RunResult
 from repro.serve.clock import Clock, MonotonicClock, VirtualClock
 from repro.serve.continuous import ContinuousBatcher, ContinuousUnsupported
 from repro.serve.scheduler import (
-    SCHEDULER_POLICIES,
     BatchScheduler,
-    EdfScheduler,
-    FifoScheduler,
     SchedulerCounters,
     ServiceTimeTracker,
-    make_scheduler,
 )
 from repro.serve.sharding import (
     SHARD_POLICIES,
@@ -53,13 +48,10 @@ __all__ = [
     "ContinuousBatcher",
     "ContinuousUnsupported",
     "DeadlineExceeded",
-    "EdfScheduler",
-    "FifoScheduler",
     "InferenceRequest",
     "MonotonicClock",
     "RunResult",
     "PumaServer",
-    "SCHEDULER_POLICIES",
     "SchedulerCounters",
     "ServerCounters",
     "ServiceTimeTracker",
@@ -68,6 +60,5 @@ __all__ = [
     "ShardExecutionError",
     "VirtualClock",
     "apportion_lanes",
-    "make_scheduler",
     "shard_lanes",
 ]

@@ -1,18 +1,14 @@
 """SLO-aware batch formation: priorities, deadlines, EDF, early close.
 
-This is the pluggable policy layer between request intake and engine
-dispatch.  :class:`~repro.serve.server.PumaServer` owns the asyncio
-plumbing (futures, the arrival event, the executor); the scheduler owns
-*which requests form the next batch and how long to keep the window
-open*:
+This is the policy layer between request intake and engine dispatch.
+:class:`~repro.serve.server.PumaServer` owns the asyncio plumbing
+(futures, the arrival event, the executor); the scheduler owns *which
+requests form the next batch and how long to keep the window open*.
 
-* **FIFO** (``"fifo"``) — arrival order, fixed ``batch_window_s`` hold.
-  The pre-scheduler behavior, kept as the benchmark baseline.
-* **EDF** (``"edf"``, the default) — the queue is ordered by
-  ``(-priority, deadline, arrival)``: higher ``priority`` strictly
-  first, earliest deadline next, arrival order last.  With no
-  priorities or deadlines this degenerates to exact FIFO order, which
-  is why it is safe as the default.
+**Order.**  The queue is earliest-deadline-first (EDF) within priority:
+ordered by ``(-priority, deadline, arrival)`` — higher ``priority``
+strictly first, earliest deadline next, arrival order last.  With no
+priorities or deadlines this degenerates to exact FIFO order.
 
 **The hold is opt-in.**  ``batch_window_s`` defaults to ``0``: an idle
 engine takes whatever is queued immediately and requests that arrive
@@ -21,7 +17,7 @@ that is actually visible and never from waiting on a clock (PUMA's
 weights are stationary — it needs no batch to be efficient).  Pass an
 explicit window to trade latency for fill.
 
-**Early close.**  An EDF window additionally closes *early* when the
+**Early close.**  A window additionally closes *early* when the
 most urgent queued deadline no longer affords waiting: with ``d`` the
 earliest absolute deadline in the queue and ``s`` the EWMA-observed
 service time of the batch we would dispatch (tracked per batch size by
@@ -44,8 +40,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any
-
-SCHEDULER_POLICIES = ("fifo", "edf")
 
 
 @dataclass
@@ -143,15 +137,11 @@ class _Entry:
 
 
 class BatchScheduler:
-    """Base: a priority/deadline-aware queue plus the window-hold policy.
+    """The EDF queue plus the window-hold rule with deadline-pressure close.
 
-    Subclasses choose the ordering (``_sort_key``) and the hold rule
-    (:meth:`hold_for`).  Items are opaque to the scheduler — the server
-    queues its ``_Pending`` records and gets them back in dispatch
-    order.
+    Items are opaque to the scheduler — the server queues its
+    ``_Pending`` records and gets them back in dispatch order.
     """
-
-    policy = "base"
 
     def __init__(self, *, max_batch_size: int = 16,
                  batch_window_s: float = 0.0,
@@ -171,20 +161,14 @@ class BatchScheduler:
         self._deadlines = 0
         self._seq = itertools.count()
 
-    # -- ordering ----------------------------------------------------------
-
-    def _sort_key(self, priority: int, deadline_at: float | None,
-                  seq: int) -> tuple:
-        raise NotImplementedError
-
     # -- queue operations --------------------------------------------------
 
     def push(self, item: Any, *, priority: int = 0,
              deadline_at: float | None = None) -> None:
         """Admit one request into the queue."""
-        seq = next(self._seq)
+        deadline_key = math.inf if deadline_at is None else deadline_at
         heapq.heappush(self._heap, _Entry(
-            self._sort_key(priority, deadline_at, seq), item,
+            (-priority, deadline_key, next(self._seq)), item,
             priority=priority, deadline_at=deadline_at))
         self._deadlines += deadline_at is not None
         self.counters.admitted += 1
@@ -236,47 +220,6 @@ class BatchScheduler:
 
     def hold_for(self, now: float, window_started_at: float) -> float:
         """Seconds to keep the forming batch open; ``<= 0`` = dispatch."""
-        raise NotImplementedError
-
-    def observe_service(self, batch_size: int, seconds: float) -> None:
-        self.service_times.observe(batch_size, seconds)
-
-    def stats(self) -> dict:
-        return {
-            "policy": self.policy,
-            "queue_depth": len(self._heap),
-            "service_time_ewma_s": {
-                str(size): seconds
-                for size, seconds in
-                sorted(self.service_times.snapshot().items())},
-            **self.counters.as_dict(),
-        }
-
-
-class FifoScheduler(BatchScheduler):
-    """Arrival order, fixed window — the baseline policy."""
-
-    policy = "fifo"
-
-    def _sort_key(self, priority: int, deadline_at: float | None,
-                  seq: int) -> tuple:
-        return (seq,)
-
-    def hold_for(self, now: float, window_started_at: float) -> float:
-        return (window_started_at + self.batch_window_s) - now
-
-
-class EdfScheduler(BatchScheduler):
-    """Priority-then-earliest-deadline order with deadline-pressure close."""
-
-    policy = "edf"
-
-    def _sort_key(self, priority: int, deadline_at: float | None,
-                  seq: int) -> tuple:
-        deadline_key = math.inf if deadline_at is None else deadline_at
-        return (-priority, deadline_key, seq)
-
-    def hold_for(self, now: float, window_started_at: float) -> float:
         window_left = (window_started_at + self.batch_window_s) - now
         if window_left <= 0:
             return window_left
@@ -297,16 +240,16 @@ class EdfScheduler(BatchScheduler):
             return slack
         return window_left
 
+    def observe_service(self, batch_size: int, seconds: float) -> None:
+        self.service_times.observe(batch_size, seconds)
 
-def make_scheduler(policy: str, *, max_batch_size: int = 16,
-                   batch_window_s: float = 0.0,
-                   service_times: ServiceTimeTracker | None = None,
-                   ) -> BatchScheduler:
-    """Build the named scheduling policy (see :data:`SCHEDULER_POLICIES`)."""
-    classes = {"fifo": FifoScheduler, "edf": EdfScheduler}
-    if policy not in classes:
-        raise ValueError(f"unknown scheduler policy {policy!r}; "
-                         f"choose from {SCHEDULER_POLICIES}")
-    return classes[policy](max_batch_size=max_batch_size,
-                           batch_window_s=batch_window_s,
-                           service_times=service_times)
+    def stats(self) -> dict:
+        return {
+            "policy": "edf",
+            "queue_depth": len(self._heap),
+            "service_time_ewma_s": {
+                str(size): seconds
+                for size, seconds in
+                sorted(self.service_times.snapshot().items())},
+            **self.counters.as_dict(),
+        }

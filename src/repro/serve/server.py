@@ -4,7 +4,7 @@ The programmed crossbars are a fixed endpoint (Section 3.2.5: weights are
 written once at configuration time); serving is software's job.
 :class:`PumaServer` is that layer: concurrent clients submit single
 inferences (optionally carrying a ``priority`` and a ``deadline_s``
-budget), a pluggable scheduler (:mod:`repro.serve.scheduler`) orders the
+budget), the scheduler (:mod:`repro.serve.scheduler`) orders the
 queue and decides when the forming batch dispatches, and each client gets
 back its own :class:`~repro.serve.types.RunResult`.  Because batched
 execution is bitwise identical to sequential single-input runs (the
@@ -18,22 +18,19 @@ stationary, so a batch buys throughput but is never needed for
 efficiency — nothing waits on a clock unless the caller asks for it
 with an explicit ``batch_window_s``.
 
-Three scheduling modes:
+Two serving modes:
 
-* **FIFO** (``scheduler="fifo"``) — the original behavior: arrival
-  order, and a fixed ``batch_window_s`` hold when one is passed.  Kept
-  as the benchmark baseline.
-* **EDF** (``scheduler="edf"``, the default) — priority-then-earliest-
-  deadline order with an early-close rule: an explicit window also
-  closes when the most urgent queued deadline can no longer afford
+* **Whole-batch** (the default) — the queue is priority-then-earliest-
+  deadline (EDF) order with an early-close rule: an explicit window
+  also closes when the most urgent queued deadline can no longer afford
   waiting, given the EWMA-observed per-batch service time.  Degenerates
   to exact FIFO when no request carries a priority or deadline.
 * **Continuous** (``continuous=True``) — sequence workloads join and
   leave the active batch at recorded step boundaries
   (:mod:`repro.serve.continuous`): a lane freed at sequence end refills
-  from the queue instead of idling until the longest rider drains.
+  from the same queue instead of idling until the longest rider drains.
 
-One loop serves all three: it claims riders for an *executor* with two
+One loop serves both: it claims riders for an *executor* with two
 methods, ``start_cohort`` and ``tick``.  Whole-batch serving
 (:class:`WholeBatchExecutor`) is the one-cohort, one-segment executor;
 :class:`~repro.serve.continuous.ContinuousBatcher` is the general one.
@@ -62,7 +59,7 @@ import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.continuous import Cohort, ContinuousBatcher
-from repro.serve.scheduler import BatchScheduler, make_scheduler
+from repro.serve.scheduler import BatchScheduler
 from repro.serve.sharding import ShardedEngine
 from repro.serve.types import InferenceRequest, RunResult
 
@@ -224,10 +221,11 @@ class PumaServer:
             already waiting, :meth:`submit` raises
             :class:`AdmissionError` instead of enqueueing (``None`` =
             unbounded, the pre-resilience behavior).
-        scheduler: batch-formation policy — ``"edf"`` (default),
-            ``"fifo"``, or a pre-built
-            :class:`~repro.serve.scheduler.BatchScheduler` instance
-            (tests seed its service-time tracker directly).
+        scheduler: a pre-built
+            :class:`~repro.serve.scheduler.BatchScheduler` to queue on
+            (tests seed its service-time tracker directly); by default
+            the server builds its own from ``max_batch_size`` and
+            ``batch_window_s``.
         continuous: serve via continuous batching
             (:mod:`repro.serve.continuous`): requests join/leave the
             active batch at recorded step boundaries.  Requires a
@@ -252,7 +250,7 @@ class PumaServer:
                  shard_executor: str = "auto",
                  artifact_dir=None,
                  max_queue_depth: int | None = None,
-                 scheduler: str | BatchScheduler = "edf",
+                 scheduler: BatchScheduler | None = None,
                  continuous: bool = False,
                  clock: Clock | None = None) -> None:
         if max_batch_size < 1:
@@ -279,12 +277,9 @@ class PumaServer:
         self.max_queue_depth = max_queue_depth
         self.continuous = continuous
         self._clock: Clock = clock if clock is not None else MonotonicClock()
-        if isinstance(scheduler, BatchScheduler):
-            self._scheduler = scheduler
-        else:
-            self._scheduler = make_scheduler(
-                scheduler, max_batch_size=max_batch_size,
-                batch_window_s=batch_window_s)
+        self._scheduler = scheduler if scheduler is not None else \
+            BatchScheduler(max_batch_size=max_batch_size,
+                           batch_window_s=batch_window_s)
         self.counters = ServerCounters(max_batch_size=max_batch_size)
         self._arrival: asyncio.Event | None = None
         self._batcher_task: asyncio.Task | None = None
@@ -297,7 +292,7 @@ class PumaServer:
 
     @property
     def scheduler(self) -> BatchScheduler:
-        """The live scheduling policy (counters, service-time EWMA)."""
+        """The live scheduler (counters, service-time EWMA)."""
         return self._scheduler
 
     # -- lifecycle ---------------------------------------------------------
@@ -390,9 +385,8 @@ class PumaServer:
             deadline_s: remaining time budget in seconds; the request is
                 shed (:class:`DeadlineExceeded`) if it has not reached an
                 engine pass when the budget runs out.  Must be finite.
-            priority: larger = served strictly sooner under the EDF
-                scheduler (ties broken by deadline, then arrival).
-                Ignored by the FIFO baseline.
+            priority: larger = served strictly sooner (ties broken by
+                deadline, then arrival).
 
         Returns this request's :class:`RunResult` once the batch it was
         coalesced into completes.  Raises :class:`ValueError` immediately
@@ -522,11 +516,11 @@ class PumaServer:
                     # Idle engine, under-full queue: with no window (the
                     # default) the first hold_for is <= 0 and the batch
                     # is whatever is queued.  An explicit window is held
-                    # per the scheduler's policy (fixed for FIFO;
-                    # deadline-pressure early close for EDF),
-                    # re-evaluated on every arrival.  Once cohorts are
-                    # in flight, ticks happen anyway and arrivals join
-                    # at the next step boundary with no extra hold.
+                    # per the scheduler (deadline pressure closes it
+                    # early), re-evaluated on every arrival.  Once
+                    # cohorts are in flight, ticks happen anyway and
+                    # arrivals join at the next step boundary with no
+                    # extra hold.
                     if window_started_at is None:
                         window_started_at = self._clock.now()
                     hold = self._scheduler.hold_for(

@@ -1,7 +1,7 @@
 """Documentation health: internal links resolve, doctests run, and the
 pages keep naming real tests.
 
-Three failure modes this guards against:
+Four failure modes this guards against:
 
 * a docs page linking to a file or heading that was renamed away
   (``[text](path#anchor)`` targets are resolved against the repo and
@@ -12,11 +12,15 @@ Three failure modes this guards against:
   check inside the tier-1 suite);
 * guarantees/serving pages citing enforcement tests that no longer
   exist (every ``tests/...py`` / ``benchmarks/...py`` path mentioned in
-  a docs page must be a real file).
+  a docs page must be a real file);
+* the measurement estate ``benchmarks/puma_bench/`` replaced growing
+  back: a second harness beside it, a per-PR record file at the root,
+  or prose that still points at either.
 """
 
 import doctest
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,6 +82,37 @@ def test_cited_tests_exist(doc):
         if not (ROOT / cited).is_file()
     ]
     assert not missing, f"{doc.name} cites missing files: {missing}"
+
+
+# -- one measurement estate ---------------------------------------------------
+
+# Spelled in halves so this file is not its own offender.
+_RETIRED = re.compile("BENCH" "_PR|benchmarks/" "bench_")
+# History and the driver's task statement may name what was retired; the
+# harness's own comments explain what it replaced.
+_MAY_NAME_RETIRED = ("CHANGES.md", "ROADMAP.md", "ISSUE.md",
+                     "benchmarks/puma_bench/")
+
+
+def test_retired_benches_stay_retired():
+    """``benchmarks/`` holds exactly ``puma_bench/``, no per-PR record
+    sits at the root, and no tracked source, doc or workflow names one."""
+    assert sorted(p.name for p in (ROOT / "benchmarks").iterdir()
+                  if p.name != "__pycache__") == ["puma_bench"]
+    assert not list(ROOT.glob("BENCH" "_PR*"))
+    if not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout: no tracked-file list")
+    tracked = subprocess.run(
+        ["git", "ls-files", "*.md", "*.py", "*.yml"], cwd=ROOT,
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    offenders = [
+        f"{name}:{number}: {line.strip()}"
+        for name in tracked
+        if not name.startswith(_MAY_NAME_RETIRED) and (ROOT / name).is_file()
+        for number, line in enumerate(
+            (ROOT / name).read_text().splitlines(), start=1)
+        if _RETIRED.search(line)]
+    assert not offenders, "\n".join(offenders)
 
 
 # -- doctests on the facade modules -----------------------------------------

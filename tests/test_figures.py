@@ -1,9 +1,28 @@
-"""Smoke and shape tests for the experiment drivers (figures package)."""
+"""The experiment drivers (figures package): shapes, then exact goldens.
+
+The paper's exhibits are deterministic modelled numbers, so beyond the
+shape and ordering checks below every public ``*rows()`` / ``*ratios()``
+result is pinned *exactly* against ``tests/golden/figures/<exhibit>.json``
+(rows carry their own rounding).  Where the paper publishes the value,
+the golden records it beside ours with the ratio, so drift toward or
+away from the paper is a visible diff.  A legitimate model change
+refreshes the goldens with::
+
+    pytest tests/test_figures.py --update-golden
+
+and the resulting diff is reviewed like any other code change.
+"""
+
+import copy
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.baselines.digital_mvmu import digital_mvmu_comparison
 from repro.figures import (
     fig4,
+    fig9,
     fig11,
     fig12,
     fig13,
@@ -129,3 +148,145 @@ class TestFig13:
         rows = fig13.rows(trials=2)
         assert len(rows) == 4  # four noise levels
         assert "2-bit" in rows[0]
+
+
+# -- exact goldens -----------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "figures"
+EXHIBIT_MODULES = {
+    module.__name__.rpartition(".")[2]: module
+    for module in (fig4, fig9, fig11, fig12, fig13, table1, table3, table5,
+                   table6, table7, table8)}
+# The one rows function that takes an argument, and every value it takes.
+SWEPT = {fig12.sweep_rows: fig12.SWEEP_PARAMETERS}
+
+
+def _vs_paper(quantity, source, paper, ours):
+    return {"quantity": quantity, "source": source, "paper": paper,
+            "ours": round(ours, 4), "ours/paper": round(ours / paper, 3)}
+
+
+def _published_table3():
+    node = next(r for r in table3.rows() if r["component"] == "Node")
+    return [
+        _vs_paper("Node power (mW)", "Table 3", node["power_mw"],
+                  node["model_power_mw"]),
+        _vs_paper("Node area (mm2)", "Table 3", node["area_mm2"],
+                  node["model_area_mm2"]),
+    ]
+
+
+def _published_table5():
+    ours = {r["DNN Name"]: r["# Parameters (M)"] for r in table5.rows()}
+    return [_vs_paper(f"{name} parameters (M)", "Table 5", paper, ours[name])
+            for name, paper in (("MLPL4", 5), ("NMTL3", 91),
+                                ("BigLSTM", 856), ("Vgg16", 136))]
+
+
+def _published_table6():
+    puma = table6.rows()[0]
+    factors = table6.comparison_factors()
+    return [
+        _vs_paper("Peak AE (GOPS/s/mm2)", "abstract", 577,
+                  puma["Peak AE (TOPS/s/mm2)"] * 1e3),
+        _vs_paper("Peak PE (GOPS/s/W)", "abstract", 837,
+                  puma["Peak PE (TOPS/s/W)"] * 1e3),
+        _vs_paper("PUMA / TPU peak AE", "Table 6", 8.3,
+                  factors["puma_vs_tpu_peak_ae"]),
+        _vs_paper("PUMA / TPU peak PE", "Table 6", 1.65,
+                  factors["puma_vs_tpu_peak_pe"]),
+        _vs_paper("PUMA / ISAAC AE", "Table 6", 0.708,
+                  factors["puma_vs_isaac_ae"]),
+        _vs_paper("PUMA / ISAAC PE", "Table 6", 0.793,
+                  factors["puma_vs_isaac_pe"]),
+    ]
+
+
+def _published_digital_mvmu():
+    cmp = digital_mvmu_comparison()
+    return [
+        _vs_paper("digital / memristive MVMU energy", "Section 7.4.3",
+                  4.17, cmp.energy_factor),
+        _vs_paper("digital / memristive MVMU area", "Section 7.4.3",
+                  8.97, cmp.area_factor),
+        _vs_paper("digital / memristive chip energy", "Section 7.4.3",
+                  6.76, cmp.chip_energy_factor),
+        _vs_paper("digital / memristive chip area", "Section 7.4.3",
+                  4.93, cmp.chip_area_factor),
+    ]
+
+
+PUBLISHED = {"table3": _published_table3, "table5": _published_table5,
+             "table6": _published_table6,
+             "digital_mvmu": _published_digital_mvmu}
+EXHIBITS = sorted(EXHIBIT_MODULES.keys() | PUBLISHED.keys())
+
+
+def regenerate(exhibit):
+    """Everything one exhibit's golden pins, as JSON values: each public
+    ``*rows`` / ``*ratios`` function of its module by name, then the
+    published values beside ours."""
+    pinned = {}
+    module = EXHIBIT_MODULES.get(exhibit)
+    for name, fn in sorted(vars(module).items()) if module else ():
+        if name.startswith("_") or not name.endswith(("rows", "ratios")) \
+                or getattr(fn, "__module__", None) != module.__name__:
+            continue
+        pinned[name] = ({arg: fn(arg) for arg in SWEPT[fn]}
+                        if fn in SWEPT else fn())
+    if exhibit in PUBLISHED:
+        pinned["published"] = PUBLISHED[exhibit]()
+    return json.loads(json.dumps(pinned))
+
+
+def golden_drift(where, golden, current):
+    """Every place ``current`` departs from ``golden``, each named by its
+    path: ``exhibit['function'][row]['column']``."""
+    if isinstance(golden, dict) and isinstance(current, dict):
+        drift = []
+        for key in [*golden, *(k for k in current if k not in golden)]:
+            if key in golden and key in current:
+                drift += golden_drift(f"{where}[{key!r}]", golden[key],
+                                      current[key])
+            else:
+                drift.append(f"{where}[{key!r}]: only in "
+                             f"{'golden' if key in golden else 'current'}")
+        return drift
+    if isinstance(golden, list) and isinstance(current, list) \
+            and len(golden) == len(current):
+        return [line for index, pair in enumerate(zip(golden, current))
+                for line in golden_drift(f"{where}[{index}]", *pair)]
+    if golden != current or type(golden) is not type(current):
+        return [f"{where}: golden {golden!r}, current {current!r}"]
+    return []
+
+
+@pytest.mark.parametrize("exhibit", EXHIBITS)
+def test_exhibit_matches_golden(exhibit, request):
+    """Every modelled number of the exhibit equals the reviewed golden."""
+    current = regenerate(exhibit)
+    golden_path = GOLDEN_DIR / f"{exhibit}.json"
+    if request.config.getoption("--update-golden"):
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        golden_path.write_text(json.dumps(current, indent=1) + "\n")
+        pytest.skip(f"regenerated {golden_path}")
+    drift = golden_drift(exhibit, json.loads(golden_path.read_text()),
+                         current)
+    assert not drift, (
+        f"{exhibit} drifted from tests/golden/figures/{exhibit}.json:\n  "
+        + "\n  ".join(drift[:20])
+        + "\nIf the change is intentional, refresh with --update-golden "
+          "and review the diff.")
+
+
+def test_golden_comparison_catches_a_one_unit_change():
+    """Guard the guard: one perturbed value is reported by exhibit, row
+    and column — and nothing else is."""
+    golden = json.loads((GOLDEN_DIR / "table3.json").read_text())
+    perturbed = copy.deepcopy(golden)
+    row = next(i for i, r in enumerate(golden["rows"])
+               if r["component"] == "Node")
+    perturbed["rows"][row]["model_power_mw"] += 1
+    assert golden_drift("table3", golden, golden) == []
+    (report,) = golden_drift("table3", perturbed, golden)
+    assert report.startswith(f"table3['rows'][{row}]['model_power_mw']: ")

@@ -331,8 +331,8 @@ class TestFleetResilience:
     Every failure mode the fleet produces must be *typed*: a 4xx/5xx
     status plus a machine-readable ``reason`` — never a hang, never a
     silently dropped connection.  These tests drive each mode through
-    the real front door (the chaos soak in ``benchmarks/bench_chaos.py``
-    drives all of them at once under load).
+    the real front door, then all of them at once under load (the chaos
+    soak, ``test_all_seven_fault_kinds_at_once_under_load``).
     """
 
     TINY = FleetModelSpec("tiny", "mlp", {"dims": [16, 12, 8]}, seed=1)
@@ -469,6 +469,101 @@ class TestFleetResilience:
                 assert retried >= 1
 
         run(main())
+
+    def test_all_seven_fault_kinds_at_once_under_load(self, tmp_path):
+        """The chaos soak (``docs/guarantees.md``, degraded == correct):
+        every fault kind armed at once against deadline-carrying
+        traffic.  Every 200 stays bitwise, every failure is a typed
+        429/503/504, the fleet never goes silent, and the injector
+        ledgers prove every kind fired."""
+        from repro.fleet import (
+            FAULT_KINDS,
+            FaultEvent,
+            FaultPlan,
+            FleetError,
+            bursty_trace,
+            default_inputs_builder,
+            run_trace,
+        )
+
+        spec = self.TINY
+        predict = "/v1/predict"
+        # Request-level faults hit worker 0's predict path only (health
+        # probes stay clean, so its ledger survives to prove coverage);
+        # the crash kills worker 1, whose replacement warm-starts
+        # through a corrupted first blob read.
+        plan = FaultPlan(seed=11, events=(
+            FaultEvent("slow", at_s=0.0, duration_s=2.5, worker=0,
+                       path=predict, delay_s=0.02),
+            FaultEvent("drop", at_s=0.2, duration_s=0.6, worker=0,
+                       path=predict, count=2),
+            FaultEvent("delay", at_s=0.4, duration_s=0.8, worker=0,
+                       path=predict, delay_s=0.1, count=3),
+            FaultEvent("error", at_s=0.6, duration_s=0.8, worker=0,
+                       path=predict, count=2),
+            FaultEvent("error", at_s=0.8, duration_s=0.8, worker=0,
+                       path=predict, garbage=True, count=2),
+            FaultEvent("hang", at_s=1.2, duration_s=0.6, worker=0,
+                       path=predict),
+            FaultEvent("crash", at_s=0.5, worker=1),
+            FaultEvent("corrupt_blob", at_s=0.0, duration_s=60.0, count=1),
+        ))
+        trace = bursty_trace([spec.name], 300, base_rate_rps=60.0,
+                             burst_every_s=1.0, burst_len_s=0.3,
+                             burst_multiplier=3.0, seed=22)
+        inputs_for = default_inputs_builder({spec.name: {"x": 16}})
+        engine = build_engine(spec)
+        wrong = []
+
+        def check(arrival, response):
+            reference = engine.predict(
+                {name: np.asarray(values)
+                 for name, values in inputs_for(arrival).items()})
+            if response.json()["words"] != {
+                    name: reference[name].tolist() for name in reference}:
+                wrong.append(arrival.request_seed)
+
+        async def main():
+            async with PumaFleet([spec], num_workers=2,
+                                 replicas_per_model=2,
+                                 work_dir=str(tmp_path),
+                                 max_batch_size=8,
+                                 max_queue_depth=256) as fleet:
+                await fleet.arm_chaos(plan)
+                report = await run_trace(
+                    fleet.host, fleet.http.port, trace, inputs_for,
+                    deadline_ms=2000.0, on_reply=check)
+                # The crash is proven by the respawn (the dead worker's
+                # ledger died with it), the corrupted read by the
+                # replacement loading the model: predict until it has.
+                deadline = time.monotonic() + 60
+                while True:
+                    metrics = await fleet.metrics()
+                    fired = set(metrics["fleet"]["chaos"]["fired"])
+                    for entry in metrics["workers"].values():
+                        if entry.get("metrics"):
+                            fired |= set(entry["metrics"]["chaos"]["fired"])
+                    respawns = metrics["fleet"]["respawns"]
+                    if (respawns and fired >= set(FAULT_KINDS) - {"crash"}) \
+                            or time.monotonic() > deadline:
+                        return report, fired, respawns
+                    try:
+                        await fleet.predict(spec.name, inputs_for(trace[0]),
+                                            timeout=30.0)
+                    except FleetError:
+                        pass        # still recovering; that's why we poll
+                    await asyncio.sleep(0.1)
+
+        report, fired, respawns = run(main())
+        assert wrong == [], f"faults corrupted an answer: seeds {wrong}"
+        assert report.timeouts == 0 and report.transport_errors == 0, (
+            f"the fleet went silent: {report.errors}")
+        assert set(report.statuses) <= {429, 503, 504}, (
+            f"untyped failure under chaos: {report.errors}")
+        assert report.completed + report.rejections == len(trace)
+        assert respawns >= 1, "the crashed worker was never replaced"
+        assert fired >= set(FAULT_KINDS) - {"crash"}, (
+            f"never fired: {sorted(set(FAULT_KINDS) - fired)}")
 
     def test_stop_drain_bound_lapses_on_a_hung_worker(self, tmp_path):
         """stop(drain=True) with a hung worker: the bounded drain gives

@@ -5,8 +5,8 @@ clock-injectable, so these tests drive fault windows, breaker cooldowns,
 and backoff schedules deterministically — no sleeps, no real time.  The
 worker-facing half (the chaos middleware intercepting live HTTP
 traffic) runs an in-process :class:`FleetWorker` over real sockets,
-mirroring ``tests/test_fleet.py``'s idiom; the cross-process story is
-``tests/test_fleet_e2e.py`` and ``benchmarks/bench_chaos.py``.
+mirroring ``tests/test_fleet.py``'s idiom; the cross-process story,
+chaos soak included, is ``tests/test_fleet_e2e.py``.
 """
 
 import asyncio

@@ -12,8 +12,9 @@ workloads:
   drained + queued`` holds at every step, not just at the end;
 * **priority ordering** — EDF dispatches in ``(-priority, deadline,
   arrival)`` order: strictly higher priority first; earlier deadline
-  within a priority class; arrival order as the final tie-break (and
-  FIFO ignores all of it, dispatching in pure arrival order);
+  within a priority class; arrival order as the final tie-break (so
+  priority-free, deadline-free traffic dispatches in pure arrival
+  order: EDF degenerates to FIFO);
 * **hold-rule sanity** — ``hold_for`` never exceeds the remaining
   window, and an EDF early close (slack exhausted while window remains)
   is counted;
@@ -33,7 +34,7 @@ from repro import default_config
 from repro.compiler.cnn import compile_cnn
 from repro.engine import InferenceEngine
 from repro.isa.opcodes import Opcode
-from repro.serve import ServiceTimeTracker, make_scheduler
+from repro.serve import BatchScheduler, ServiceTimeTracker
 from repro.serve.continuous import ContinuousBatcher
 from repro.sim.tapeopt import OptimizedReplayer
 from repro.workloads.cnn import small_cnn_spec
@@ -57,7 +58,7 @@ def _random_workload(rng: np.random.Generator):
     return sorted(requests)
 
 
-def _simulate(policy: str, requests, *, max_batch_size: int,
+def _simulate(requests, *, max_batch_size: int,
               batch_window_s: float, service_s: float):
     """Replay the workload through the scheduler under virtual time.
 
@@ -65,7 +66,7 @@ def _simulate(policy: str, requests, *, max_batch_size: int,
     ``("dispatched", t)`` or ``("shed", t)``.  Conservation is asserted
     *during* the run at every dispatch point.
     """
-    scheduler = make_scheduler(policy, max_batch_size=max_batch_size,
+    scheduler = BatchScheduler(max_batch_size=max_batch_size,
                                batch_window_s=batch_window_s)
     scheduler.service_times.seed(max_batch_size, service_s)
     outcomes: dict[int, tuple[str, float]] = {}
@@ -119,13 +120,20 @@ def _simulate(policy: str, requests, *, max_batch_size: int,
 
 
 @pytest.mark.parametrize("seed", range(60))
-@pytest.mark.parametrize("policy", ["fifo", "edf"])
-def test_conservation_and_no_starvation(policy, seed):
-    """Every admitted request ends dispatched or shed, exactly once."""
+@pytest.mark.parametrize("traffic", ["fifo", "edf"])
+def test_conservation_and_no_starvation(traffic, seed):
+    """Every admitted request ends dispatched or shed, exactly once.
+
+    ``"edf"`` traffic mixes priorities and deadlines; ``"fifo"`` traffic
+    is the same arrivals carrying neither, where the one EDF queue must
+    dispatch everything, in arrival order.
+    """
     rng = np.random.default_rng(seed)
     requests = _random_workload(rng)
+    if traffic == "fifo":
+        requests = [(arrival, 0, None) for arrival, _p, _d in requests]
     scheduler, outcomes = _simulate(
-        policy, requests, max_batch_size=int(rng.integers(1, 9)),
+        requests, max_batch_size=int(rng.integers(1, 9)),
         batch_window_s=float(rng.uniform(0.0, 0.05)),
         service_s=float(rng.uniform(0.001, 0.02)))
     # No starvation: every request has exactly one typed outcome.
@@ -138,6 +146,10 @@ def test_conservation_and_no_starvation(policy, seed):
     assert counters.dispatched == dispatched
     assert counters.shed == shed
     assert counters.in_balance(0)
+    if traffic == "fifo":
+        assert shed == 0
+        times = [outcomes[rid][1] for rid in range(len(requests))]
+        assert times == sorted(times), "FIFO traffic left arrival order"
     # A shed request's deadline had really passed; a dispatched
     # deadline-carrying request left the queue before its deadline.
     for rid, (kind, at) in outcomes.items():
@@ -152,32 +164,33 @@ def test_conservation_and_no_starvation(policy, seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_edf_dispatch_order(seed):
-    """EDF pops by (-priority, deadline, arrival); FIFO by arrival."""
+    """Pops by (-priority, deadline, arrival); by arrival alone when no
+    request carries a priority or deadline (EDF degenerates to FIFO)."""
     rng = np.random.default_rng(1000 + seed)
     count = int(rng.integers(2, 30))
     entries = []
-    edf = make_scheduler("edf", max_batch_size=count)
-    fifo = make_scheduler("fifo", max_batch_size=count)
+    edf = BatchScheduler(max_batch_size=count)
+    plain = BatchScheduler(max_batch_size=count)
     for seq in range(count):
         priority = int(rng.integers(-2, 3))
         deadline_at = (float(rng.uniform(0, 10))
                        if rng.random() < 0.6 else None)
         entries.append((priority, deadline_at, seq))
         edf.push(seq, priority=priority, deadline_at=deadline_at)
-        fifo.push(seq, priority=priority, deadline_at=deadline_at)
+        plain.push(seq)
     order = edf.pop_batch(count)
     keys = [(-entries[rid][0],
              math.inf if entries[rid][1] is None else entries[rid][1],
              rid) for rid in order]
     assert keys == sorted(keys), f"EDF out of order: {order}"
-    assert fifo.pop_batch(count) == list(range(count))
+    assert plain.pop_batch(count) == list(range(count))
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_edf_priority_beats_deadline_and_arrival(seed):
     """Within a deadline class, higher priority always dispatches first."""
     rng = np.random.default_rng(2000 + seed)
-    scheduler = make_scheduler("edf", max_batch_size=64)
+    scheduler = BatchScheduler(max_batch_size=64)
     deadline_at = float(rng.uniform(1.0, 2.0))
     low = [f"low{i}" for i in range(int(rng.integers(1, 8)))]
     high = [f"high{i}" for i in range(int(rng.integers(1, 8)))]
@@ -198,8 +211,7 @@ def test_edf_early_close_is_counted(seed):
     rng = np.random.default_rng(3000 + seed)
     window = float(rng.uniform(0.05, 0.5))
     service = float(rng.uniform(0.01, 0.04))
-    scheduler = make_scheduler("edf", max_batch_size=4,
-                               batch_window_s=window)
+    scheduler = BatchScheduler(max_batch_size=4, batch_window_s=window)
     scheduler.service_times.seed(1, service)
     # A deadline tighter than the window: slack runs out mid-window.
     scheduler.push("urgent", deadline_at=service / 2)
@@ -207,8 +219,7 @@ def test_edf_early_close_is_counted(seed):
     assert hold <= 0, "tight deadline must close the window immediately"
     assert scheduler.counters.early_closes == 1
     # Without deadline pressure the full window stays open.
-    relaxed = make_scheduler("edf", max_batch_size=4,
-                             batch_window_s=window)
+    relaxed = BatchScheduler(max_batch_size=4, batch_window_s=window)
     relaxed.push("calm", deadline_at=None)
     assert relaxed.hold_for(0.0, 0.0) == pytest.approx(window)
     assert relaxed.counters.early_closes == 0

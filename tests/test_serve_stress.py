@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import InferenceEngine, PumaServer
+from repro.serve import BatchScheduler
 from repro.workloads.mlp import build_mlp_model
 
 DIMS = [24, 16, 10]
@@ -136,7 +137,8 @@ def test_stress_mixed_priority_deadline_clients(engine, workload):
 
     async def run():
         server = PumaServer(engine, max_batch_size=8,
-                            batch_window_s=0.004, scheduler="edf")
+                            scheduler=BatchScheduler(
+                                max_batch_size=8, batch_window_s=0.004))
         async with server:
             async def client(i):
                 await asyncio.sleep(float(rng.uniform(0, 0.02)))
