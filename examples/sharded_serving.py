@@ -1,22 +1,24 @@
-"""Sharded serving: fan a batch out across engine replicas.
+"""Sharded serving: model a batch spread over replica nodes.
 
 PUMA reaches production throughput by spatial replication — many nodes,
 each holding a copy of the programmed weights, each serving a slice of
-the traffic (Section 7.3).  :class:`repro.serve.ShardedEngine` is that
-data-parallel layer: it splits a ``(batch, length)`` request across N
-:class:`~repro.engine.InferenceEngine` replicas, runs the shards
-concurrently, and merges the results **bitwise identically** to a
-single-engine pass.  Merged stats model the replicas running side by
-side: cycles are the max over shards (the modelled throughput win),
-energy and instruction counters the sum.
+the traffic (Section 7.3).  :class:`repro.serve.ShardedEngine` is the
+*model* of that node group: it splits a ``(batch, length)`` request into
+N shards, runs each shard as its own pass of the one
+:class:`~repro.engine.InferenceEngine` (replicas would share its
+compilation, programmed crossbars and tape, so a shard pass on it is a
+replica's pass), and merges the results **bitwise identically** to a
+single pass.  Merged stats model the replicas running side by side:
+cycles are the max over shards (the modelled throughput win), energy and
+instruction counters the sum.
 
-Replication is nearly free: replicas share the process-wide compile
-cache and the compiled model's programmed-crossbar state, so the weights
-are compiled and programmed once no matter how many replicas serve them.
+``num_shards`` sets how many replicas the modelled node group has; it
+spends no host CPUs.  To use N cores, run N fleet workers
+(``PumaFleet(num_workers=N)``, see ``examples/fleet_serving.py``).
 
-The example finishes with the same fan-out driving the async front-end:
+The example finishes with the same model behind the async front-end:
 ``PumaServer(engine, num_shards=...)`` splits every dynamically-formed
-micro-batch across the replicas.
+micro-batch into shard passes.
 
 Run:  python examples/sharded_serving.py
 """
@@ -47,11 +49,7 @@ def main() -> None:
           f"{single.cycles} simulated cycles "
           f"({single.cycles_per_inference:.0f}/inference)")
 
-    # Thread workers keep the example portable; use executor="process"
-    # (the default where fork exists) for real multi-core wall-clock wins.
-    with ShardedEngine(engine, num_shards=SHARDS,
-                       executor="thread") as sharded:
-        merged = sharded.predict({"x": x})
+    merged = ShardedEngine(engine, num_shards=SHARDS).predict({"x": x})
     assert all(np.array_equal(single[name], merged[name]) for name in single)
     per_shard = [s.cycles for s in merged.shard_stats]
     print(f"{SHARDS} shards:     lanes split {per_shard} cycles/shard, "
@@ -61,12 +59,12 @@ def main() -> None:
           f"{merged.energy_j * 1e6:.1f} uJ total "
           f"(sum over replicas, was {single.energy_j * 1e6:.1f})")
 
-    # The same fan-out behind the async server: micro-batches formed from
-    # concurrent clients are split across the replicas transparently.
+    # The same model behind the async server: micro-batches formed from
+    # concurrent clients are split into shard passes transparently.
     async def serve() -> None:
         requests = [x[i] for i in range(16)]
-        async with PumaServer(engine, max_batch_size=8, num_shards=SHARDS,
-                              shard_executor="thread") as server:
+        async with PumaServer(engine, max_batch_size=8,
+                              num_shards=SHARDS) as server:
             results = await asyncio.gather(
                 *(server.submit({"x": r}) for r in requests))
         for i, result in enumerate(results):

@@ -79,7 +79,6 @@ from repro.serve import (
     PumaServer,
     RunResult,
     ShardedEngine,
-    ShardExecutionError,
 )
 from repro.sim import SimulationDeadlock, SimulationStats, Simulator
 from repro.store import ArtifactError, store_info
@@ -146,7 +145,6 @@ __all__ = [
     "RunResult",
     "PumaServer",
     "ShardedEngine",
-    "ShardExecutionError",
     "ArtifactError",
     "store_info",
     "quick_run",

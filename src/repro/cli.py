@@ -8,12 +8,12 @@ Commands:
   :class:`~repro.engine.InferenceEngine`, simulate, and print the
   :class:`~repro.serve.RunResult` summary (float outputs + cycle/energy
   stats).  ``--batch-file FILE.json`` runs a whole request list as one
-  SIMD-over-batch pass; ``--shards K`` fans it out across K engine
-  replicas (bitwise-identical outputs, merged stats);
+  SIMD-over-batch pass; ``--shards K`` models it spread over K replica
+  nodes (bitwise-identical outputs; cycles = max, energy = sum);
 * ``serve GRAPH.json`` — demo of the async serving front-end: N
   concurrent clients stream through :class:`~repro.serve.PumaServer`
-  and the batching counters are printed; ``--shards K`` splits each
-  coalesced micro-batch across K replicas;
+  and the batching counters are printed; ``--shards K`` models each
+  coalesced micro-batch spread over K replica nodes;
 * ``warm GRAPH.json --artifact-dir DIR`` — pre-build the persistent
   artifact (compilation + programmed crossbars + execution tapes, see
   :mod:`repro.store`) so later ``run``/``serve`` invocations — separate
@@ -173,9 +173,9 @@ def _run_batch_file(engine, path: str, shards: int = 1) -> int:
 
     The file holds ``[{"x": [..], ...}, ...]`` — one object per request,
     float values, every request naming every model input.  With
-    ``shards > 1`` the batch is fanned out across engine replicas
-    (bitwise identical outputs; merged stats count cycles as the max over
-    the concurrent shards).
+    ``shards > 1`` the batch is modelled as spread over that many
+    replica nodes (bitwise identical outputs; merged stats count cycles
+    as the max over the concurrent shards).
     """
     try:
         with open(path) as handle:
@@ -203,8 +203,8 @@ def _run_batch_file(engine, path: str, shards: int = 1) -> int:
         if shards > 1:
             from repro.serve import ShardedEngine
 
-            with ShardedEngine(engine, num_shards=shards) as sharded:
-                result = sharded.predict(stacked)
+            result = ShardedEngine(engine,
+                                   num_shards=shards).predict(stacked)
         else:
             result = engine.predict(stacked)
     except ValueError as error:
@@ -513,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON list of {input: [values]} requests, run "
                           "as one SIMD-over-batch pass")
     run.add_argument("--shards", type=int, default=1,
-                     help="fan a --batch-file run out across N engine "
-                          "replicas (default 1: single engine)")
+                     help="model a --batch-file run spread over N replica "
+                          "nodes: cycles = max over shards, energy = sum "
+                          "(default 1: one node)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--execution-mode", default="auto",
                      choices=("auto", "replay", "interpret"),
@@ -550,8 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "batch open for more arrivals (default 0: "
                             "work-conserving, dispatch whatever is queued)")
     serve.add_argument("--shards", type=int, default=1,
-                       help="fan each coalesced micro-batch out across N "
-                            "engine replicas (default 1)")
+                       help="model each coalesced micro-batch spread over "
+                            "N replica nodes: cycles = max over shards, "
+                            "energy = sum (default 1)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--execution-mode", default="auto",
                        choices=("auto", "replay", "interpret"),

@@ -216,8 +216,8 @@ class TapeCacheInfo(NamedTuple):
 
     Attributes:
         entries: live tapes across all live compilations.  Tape dicts
-            shared by replica engines (``ShardedEngine``, fleet workers on
-            one ``CompiledModel``) are counted once, not per replica.
+            shared by replica engines (several engines on one
+            ``CompiledModel``) are counted once, not per replica.
         recordings: interpreter passes that recorded a tape (cache misses).
         replays: runs served from a tape — plain *and* optimized (every
             optimized run is also a replay; ``optimized`` counts the

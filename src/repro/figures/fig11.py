@@ -13,7 +13,7 @@ with *real* batched executions: the compilable Figure-4 MLP runs through
 on the detailed simulator, and the table reports measured per-inference
 cycle/energy amortization alongside a bitwise check against sequential
 single-input runs.  :func:`sharded_batch_rows` extends the story past one
-engine: the same batch fanned out across replicas
+node: the same batch modelled across replica nodes
 (:class:`repro.serve.ShardedEngine`), with merged cycles (max over the
 concurrent shards) and the bitwise check against the unsharded pass.
 """
@@ -152,7 +152,7 @@ def sharded_batch_rows(batch: int = 64,
                        shard_counts: tuple[int, ...] = (1, 2, 4),
                        dims: list[int] | None = None,
                        seed: int = 0) -> list[dict]:
-    """Fig 11 (sharded): one batch fanned out across engine replicas.
+    """Fig 11 (sharded): one batch modelled across replica nodes.
 
     The PUMA throughput story scales past one node by replication: each
     replica holds a copy of the programmed weights and serves a slice of
@@ -177,11 +177,8 @@ def sharded_batch_rows(batch: int = 64,
             # rather than re-simulating the whole batch.
             result = single
         else:
-            # Thread workers keep the figure pipeline deterministic and
-            # process-free.
-            with ShardedEngine(engine, num_shards=shards,
-                               executor="thread") as sharded:
-                result = sharded.run_batch({"x": x})
+            result = ShardedEngine(
+                engine, num_shards=shards).run_batch({"x": x})
         exact = all(np.array_equal(single[name], result[name])
                     for name in single)
         rows.append({

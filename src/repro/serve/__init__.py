@@ -15,8 +15,10 @@
 * :class:`~repro.serve.clock.VirtualClock` — the deterministic-time
   test harness every wall-clock decision runs on
   (:mod:`repro.serve.clock`);
-* :class:`ShardedEngine` — data-parallel batch fan-out across engine
-  replicas, merged bitwise-identically (:mod:`repro.serve.sharding`).
+* :class:`ShardedEngine` — the model of a batch spread over
+  ``num_shards`` replica nodes (cycles = max over shards, energy = sum),
+  run as sequential shard passes of the one engine and merged
+  bitwise-identically (:mod:`repro.serve.sharding`).
 """
 
 from repro.serve.types import InferenceRequest, RunResult
@@ -27,13 +29,7 @@ from repro.serve.scheduler import (
     SchedulerCounters,
     ServiceTimeTracker,
 )
-from repro.serve.sharding import (
-    SHARD_POLICIES,
-    ShardedEngine,
-    ShardExecutionError,
-    apportion_lanes,
-    shard_lanes,
-)
+from repro.serve.sharding import ShardedEngine, shard_lanes
 from repro.serve.server import (
     AdmissionError,
     DeadlineExceeded,
@@ -55,10 +51,7 @@ __all__ = [
     "SchedulerCounters",
     "ServerCounters",
     "ServiceTimeTracker",
-    "SHARD_POLICIES",
     "ShardedEngine",
-    "ShardExecutionError",
     "VirtualClock",
-    "apportion_lanes",
     "shard_lanes",
 ]

@@ -203,15 +203,13 @@ class PumaServer:
             queued — those that arrived together or during the previous
             pass.  A positive window trades that latency for fill (the
             EDF early-close rule can only shorten it, never extend it).
-        num_shards: engine replicas each coalesced micro-batch is fanned
-            out across (:class:`~repro.serve.sharding.ShardedEngine`);
-            1 (the default) serves every batch on the single engine.
-            Per-request results are bitwise identical either way.
-        shard_policy: lane assignment for the fan-out (``"contiguous"``,
-            ``"interleaved"``, or ``"proportional"`` — observed-throughput
-            weighted); only meaningful with ``num_shards > 1``.
-        shard_executor: worker pool kind for the fan-out (``"auto"``,
-            ``"thread"``, or ``"process"``).
+        num_shards: replica nodes the *modelled* node group has: each
+            coalesced micro-batch runs as that many sequential shard
+            passes (:class:`~repro.serve.sharding.ShardedEngine`) whose
+            merged stats are cycles = max, energy = sum.  1 (the
+            default) serves every batch as one pass.  Per-request
+            results are bitwise identical either way; host CPUs are
+            spent by fleet workers, not here.
         artifact_dir: persistent artifact store directory
             (:mod:`repro.store`).  On :meth:`start` the engine
             warm-starts from (or populates) the store — a freshly-spawned
@@ -246,8 +244,6 @@ class PumaServer:
                  max_batch_size: int = 16,
                  batch_window_s: float = 0.0,
                  num_shards: int = 1,
-                 shard_policy: str = "contiguous",
-                 shard_executor: str = "auto",
                  artifact_dir=None,
                  max_queue_depth: int | None = None,
                  scheduler: BatchScheduler | None = None,
@@ -271,8 +267,6 @@ class PumaServer:
         self.max_batch_size = max_batch_size
         self.batch_window_s = batch_window_s
         self.num_shards = num_shards
-        self.shard_policy = shard_policy
-        self.shard_executor = shard_executor
         self.artifact_dir = artifact_dir
         self.max_queue_depth = max_queue_depth
         self.continuous = continuous
@@ -283,7 +277,6 @@ class PumaServer:
         self.counters = ServerCounters(max_batch_size=max_batch_size)
         self._arrival: asyncio.Event | None = None
         self._batcher_task: asyncio.Task | None = None
-        self._sharded: ShardedEngine | None = None
         # What runs claimed riders: a ContinuousBatcher or the one-cohort
         # WholeBatchExecutor, chosen once in start().
         self._executor: ContinuousBatcher | WholeBatchExecutor | None = None
@@ -298,7 +291,7 @@ class PumaServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "PumaServer":
-        """Spawn the batching loop (and the shard pool); idempotent."""
+        """Spawn the batching loop; idempotent."""
         if self._batcher_task is None:
             loop = asyncio.get_running_loop()
             if self.artifact_dir is not None or \
@@ -308,14 +301,6 @@ class PumaServer:
                 # full coalesced batches.
                 self.engine.ensure_artifacts(self.artifact_dir,
                                              batch=self.max_batch_size)
-            if self.num_shards > 1 and self._sharded is None:
-                # Eager: fork/spawn shard workers now, from the caller's
-                # thread, not lazily inside the serving executor thread.
-                self._sharded = ShardedEngine(
-                    self.engine, num_shards=self.num_shards,
-                    shard_policy=self.shard_policy,
-                    executor=self.shard_executor,
-                    artifact_dir=self.artifact_dir).start()
             if self.continuous:
                 # Warm-up (tape recording) is a blocking interpreter
                 # pass; keep it off the event loop.
@@ -324,8 +309,9 @@ class PumaServer:
                     self.max_batch_size)
             else:
                 self._executor = WholeBatchExecutor(
-                    self._sharded if self._sharded is not None
-                    else self.engine, self.max_batch_size)
+                    ShardedEngine(self.engine, num_shards=self.num_shards)
+                    if self.num_shards > 1 else self.engine,
+                    self.max_batch_size)
             self._arrival = asyncio.Event()
             self._closed = False
             self._batcher_task = asyncio.create_task(self._serve_loop())
@@ -363,9 +349,6 @@ class PumaServer:
             self._batcher_task = None
             self._arrival = None
             self._executor = None
-            if self._sharded is not None:
-                self._sharded.close()
-                self._sharded = None
 
     async def __aenter__(self) -> "PumaServer":
         return await self.start()

@@ -62,11 +62,13 @@ class RunResult(Mapping):
         lane_stats: per-lane stats when the run used the sequential
             reference path (one single-input simulation per row);
             ``None`` for SIMD-over-batch passes.
-        shard_stats: per-shard stats when the run was fanned out across
-            engine replicas (:class:`repro.serve.sharding.ShardedEngine`),
-            in shard order; ``stats`` is then the *merged* view (cycles =
+        shard_stats: per-shard stats when the run was modelled across
+            replica nodes (:class:`repro.serve.sharding.ShardedEngine`),
+            in shard order — each the single-engine stats of that
+            shard's pass; ``stats`` is then the *merged* view (cycles =
             max over the concurrent shards, energy and instruction/stall
-            counters summed).  ``None`` for unsharded passes.
+            counters summed, ``busy_cycles`` the busiest replica's).
+            ``None`` for unsharded passes.
         execution: which execution path produced the result —
             ``"optimized"`` (fused-plan replay, :mod:`repro.sim.tapeopt`),
             ``"replay"`` (plain trace replay, :mod:`repro.sim.tape`) or

@@ -207,13 +207,15 @@ def _artifact_node(engine, batch, tmp_path):
 
 
 def _replica_node(engine, batch):
-    from repro.serve.sharding import ShardedEngine
-    inputs = {name: np.zeros((2 * batch, length), dtype=np.int64)
+    """What a replica is: a second engine on the same compilation,
+    replaying the tape the primary recorded."""
+    inputs = {name: np.zeros((batch, length), dtype=np.int64)
               for name, (_t, _a, length) in engine.program.input_layout.items()}
-    with ShardedEngine(engine, num_shards=2, executor="thread") as sharded:
-        for _ in range(2):
-            sharded.run_batch(inputs)
-        return sharded._replicas[0]._replayers[batch].node
+    engine.run_batch(inputs)
+    replica = InferenceEngine(engine.model, engine.config, seed=engine.seed)
+    assert replica.compiled is engine.compiled
+    assert replica.run_batch(inputs).execution == "optimized"
+    return replica._replayers[batch].node
 
 
 def _private_replayer_node(engine, batch):

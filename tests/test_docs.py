@@ -86,8 +86,15 @@ def test_cited_tests_exist(doc):
 
 # -- one measurement estate ---------------------------------------------------
 
-# Spelled in halves so this file is not its own offender.
-_RETIRED = re.compile("BENCH" "_PR|benchmarks/" "bench_")
+# Spelled in halves so this file is not its own offender: the retired
+# per-PR benches, and the host-parallelism surface ShardedEngine lost
+# when it became a model of replication rather than a worker pool.
+_RETIRED = re.compile(
+    "BENCH" "_PR|benchmarks/" "bench_"
+    "|shard" "_policy|shard" "_executor|apportion" "_lanes"
+    "|shard" "_throughput|ShardExecution" "Error|SHARD" "_POLICIES")
+_POOL_IMPORT = re.compile(
+    r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent)\b", re.M)
 # History and the driver's task statement may name what was retired; the
 # harness's own comments explain what it replaced.
 _MAY_NAME_RETIRED = ("CHANGES.md", "ROADMAP.md", "ISSUE.md",
@@ -96,10 +103,13 @@ _MAY_NAME_RETIRED = ("CHANGES.md", "ROADMAP.md", "ISSUE.md",
 
 def test_retired_benches_stay_retired():
     """``benchmarks/`` holds exactly ``puma_bench/``, no per-PR record
-    sits at the root, and no tracked source, doc or workflow names one."""
+    sits at the root, the sharding model imports no worker pool, and no
+    tracked source, doc or workflow names anything retired."""
     assert sorted(p.name for p in (ROOT / "benchmarks").iterdir()
                   if p.name != "__pycache__") == ["puma_bench"]
     assert not list(ROOT.glob("BENCH" "_PR*"))
+    assert not _POOL_IMPORT.search(
+        (ROOT / "src/repro/serve/sharding.py").read_text())
     if not (ROOT / ".git").exists():
         pytest.skip("not a git checkout: no tracked-file list")
     tracked = subprocess.run(

@@ -1,16 +1,18 @@
-"""The sharding layer: batch fan-out across engine replicas.
+"""The sharding layer: one batch modelled across replica nodes.
 
 Covers the `repro.serve.sharding` contracts:
 
 * ``ShardedEngine.run_batch`` is **bitwise identical** to the unsharded
-  ``InferenceEngine.run_batch`` for 1/2/4 shards, both lane policies,
-  both executors, on ideal and noisy crossbar models;
+  ``InferenceEngine.run_batch`` for 1/2/4/>batch shards, on ideal and
+  noisy crossbar models, for tape-served and interpreter-only engines,
+  and every shard's stats are the single-engine stats of that shard;
 * merged stats follow the concurrent-replica rules — cycles are the max
-  over shards, energy and instruction/stall counters the sum — with the
-  per-shard stats preserved on ``shard_stats``;
+  over shards, energy and instruction/stall counters the sum, occupancy
+  the busiest replica's — with the per-shard stats preserved on
+  ``shard_stats``;
 * error paths: shard counts beyond the batch clamp (no empty shards), a
-  worker failure propagates with the shard index and leaves the pool
-  shut-downable and reusable, ``num_shards=1`` never builds a pool;
+  failing shard pass raises the engine's own exception, ``num_shards=1``
+  is the plain engine;
 * the programmed-crossbar state cache that makes replicas cheap is
   itself bitwise: cached constructions equal fresh ones, including the
   post-programming RNG position (write noise and the RANDOM op).
@@ -25,16 +27,11 @@ from repro import (
     Model,
     OutVector,
     ShardedEngine,
-    ShardExecutionError,
     default_config,
 )
 from repro.arch.crossbar import CrossbarModel
-from repro.serve.sharding import (
-    SHARD_POLICIES,
-    merge_stats,
-    shard_lanes,
-    split_batch,
-)
+from repro.serve.sharding import merge_stats, shard_lanes, split_batch
+from repro.sim.stats import SimulationStats
 from repro.workloads.mlp import build_mlp_model
 
 DIMS = [32, 24, 10]
@@ -67,30 +64,22 @@ class TestShardLanes:
     def test_partition(self):
         for batch in (1, 5, 8, 13):
             for shards in (1, 2, 4, 7):
-                for policy in SHARD_POLICIES:
-                    lanes = shard_lanes(batch, shards, policy)
-                    assert all(len(part) > 0 for part in lanes)
-                    assert len(lanes) == min(shards, batch)
-                    merged = np.sort(np.concatenate(lanes))
-                    assert np.array_equal(merged, np.arange(batch))
+                lanes = shard_lanes(batch, shards)
+                assert all(len(part) > 0 for part in lanes)
+                assert len(lanes) == min(shards, batch)
+                assert np.array_equal(np.concatenate(lanes),
+                                      np.arange(batch))
 
     def test_contiguous_is_ordered_runs(self):
-        lanes = shard_lanes(10, 3, "contiguous")
+        lanes = shard_lanes(10, 3)
         assert [part.tolist() for part in lanes] == [
             [0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
-
-    def test_interleaved_round_robin(self):
-        lanes = shard_lanes(7, 3, "interleaved")
-        assert [part.tolist() for part in lanes] == [
-            [0, 3, 6], [1, 4], [2, 5]]
 
     def test_invalid(self):
         with pytest.raises(ValueError, match="batch"):
             shard_lanes(0, 2)
         with pytest.raises(ValueError, match="num_shards"):
             shard_lanes(4, 0)
-        with pytest.raises(ValueError, match="policy"):
-            shard_lanes(4, 2, "zigzag")
 
     def test_split_batch_broadcasts_1d(self):
         lanes = shard_lanes(4, 2)
@@ -103,39 +92,51 @@ class TestShardLanes:
 
 # -- bitwise identity (the acceptance criterion) --------------------------
 
+BATCH = 13
+# num_shards {1, 2, 4, > batch} x crossbars x engines; the default
+# engine's cases carry no mode suffix.
+MATRIX = [
+    pytest.param(num_shards, crossbar, mode,
+                 id=f"{num_shards}-{name}"
+                    + ("" if mode == "auto" else f"-{mode}"))
+    for mode in ("auto", "interpret")
+    for name, crossbar in (("ideal", None), ("noisy", NOISY))
+    for num_shards in (1, 2, 4, BATCH + 7)
+]
+
 
 class TestBitwiseIdentity:
-    @pytest.mark.parametrize("crossbar", [None, NOISY],
-                             ids=["ideal", "noisy"])
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_matches_single_engine(self, model, crossbar, num_shards):
-        engine = InferenceEngine(model, crossbar_model=crossbar, seed=0)
-        inputs = batch_inputs(engine, 13)
+    @pytest.mark.parametrize("num_shards,crossbar,mode", MATRIX)
+    def test_matches_single_engine(self, model, num_shards, crossbar, mode):
+        engine = InferenceEngine(model, crossbar_model=crossbar, seed=0,
+                                 execution_mode=mode)
+        inputs = batch_inputs(engine, BATCH)
         single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=num_shards,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
+        sharded = ShardedEngine(engine, num_shards=num_shards)
+        result = sharded.run_batch(inputs)
         assert set(result) == set(single)
         for name in single:
             assert np.array_equal(single[name], result[name])
-
-    @pytest.mark.parametrize("policy", SHARD_POLICIES)
-    def test_policies_agree(self, engine, policy):
-        inputs = batch_inputs(engine, 9)
-        single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=3, shard_policy=policy,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
-        for name in single:
-            assert np.array_equal(single[name], result[name])
+        if num_shards == 1:
+            assert result.shard_stats is None
+            assert result.stats == single.stats
+        else:
+            lane_sets = shard_lanes(BATCH, num_shards)
+            assert len(result.shard_stats) == len(lane_sets)
+            # Dataclass equality: field for field.
+            for stats, shard in zip(result.shard_stats,
+                                    split_batch(inputs, lane_sets)):
+                assert stats == engine.run_batch(shard).stats
+        # Every shard width has a verified plan by now (tape-served
+        # engines), so all shards of a second call take the same path.
+        assert sharded.run_batch(inputs).execution == (
+            "optimized" if mode == "auto" else "interpreter")
 
     def test_predict_path(self, engine):
         rng = np.random.default_rng(7)
         x = rng.normal(0.0, 0.5, size=(6, DIMS[0]))
         single = engine.predict({"x": x})
-        with ShardedEngine(engine, num_shards=2,
-                           executor="thread") as sharded:
-            result = sharded.predict({"x": x})
+        result = ShardedEngine(engine, num_shards=2).predict({"x": x})
         for name in single:
             assert np.array_equal(single[name], result[name])
             assert np.array_equal(single.outputs[name],
@@ -144,29 +145,11 @@ class TestBitwiseIdentity:
     def test_lane_slicing_on_merged_result(self, engine):
         inputs = batch_inputs(engine, 8)
         single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=4,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
+        result = ShardedEngine(engine, num_shards=4).run_batch(inputs)
         for lane in range(8):
             for name in single:
                 assert np.array_equal(result.lane(lane)[name],
                                       single.lane(lane)[name])
-
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="fork start method unavailable")
-    def test_process_executor(self, engine):
-        inputs = batch_inputs(engine, 8)
-        single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=2,
-                           executor="process") as sharded:
-            result = sharded.run_batch(inputs)
-            again = sharded.run_batch(inputs)
-        for name in single:
-            assert np.array_equal(single[name], result[name])
-            assert np.array_equal(single[name], again[name])
-        assert result.shard_stats is not None
-        assert len(result.shard_stats) == 2
 
 
 # -- merged statistics ----------------------------------------------------
@@ -175,9 +158,7 @@ class TestBitwiseIdentity:
 class TestMergedStats:
     def test_merge_rules(self, engine):
         inputs = batch_inputs(engine, 12)
-        with ShardedEngine(engine, num_shards=3,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
+        result = ShardedEngine(engine, num_shards=3).run_batch(inputs)
         shards = result.shard_stats
         assert len(shards) == 3
         assert result.stats.cycles == max(s.cycles for s in shards)
@@ -190,20 +171,32 @@ class TestMergedStats:
         for opcode, count in result.stats.dynamic_instructions.items():
             assert count == sum(
                 s.dynamic_instructions.get(opcode, 0) for s in shards)
+        for agent, count in result.stats.stall_events.items():
+            assert count == sum(s.stall_events.get(agent, 0) for s in shards)
+
+    def test_merged_occupancy_is_the_busiest_replica(self, engine):
+        """Same-named cores on K replicas are K cores, not one: the
+        merged occupancy must not add them up past 100%."""
+        inputs = batch_inputs(engine, 16)
+        single = engine.run_batch(inputs)
+        result = ShardedEngine(engine, num_shards=4).run_batch(inputs)
+        merged = result.stats
+        assert set(merged.busy_cycles) == set(single.stats.busy_cycles)
+        assert any(merged.busy_cycles.values())
+        for agent, busy in merged.busy_cycles.items():
+            assert busy == max(s.busy_cycles.get(agent, 0)
+                               for s in result.shard_stats)
+            assert 0.0 <= merged.utilization(agent) <= 1.0
 
     def test_sharded_cycles_amortize(self, engine):
         """The modelled throughput win: max-over-shards < single pass."""
         inputs = batch_inputs(engine, 16)
         single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=4,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
+        result = ShardedEngine(engine, num_shards=4).run_batch(inputs)
         assert result.cycles < single.cycles
         assert single.cycles / result.cycles >= 1.5
 
     def test_merge_stats_rejects_mixed_clocks(self):
-        from repro.sim.stats import SimulationStats
-
         with pytest.raises(ValueError, match="cycle"):
             merge_stats([SimulationStats(cycle_ns=1.0),
                          SimulationStats(cycle_ns=2.0)])
@@ -218,70 +211,49 @@ class TestErrorPaths:
     def test_shards_beyond_batch_clamp(self, engine):
         inputs = batch_inputs(engine, 3)
         single = engine.run_batch(inputs)
-        with ShardedEngine(engine, num_shards=8,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
+        result = ShardedEngine(engine, num_shards=8).run_batch(inputs)
         assert len(result.shard_stats) == 3  # one lane per shard, no empties
         for name in single:
             assert np.array_equal(single[name], result[name])
 
     def test_single_shard_degenerates_to_plain_engine(self, engine):
         inputs = batch_inputs(engine, 6)
-        sharded = ShardedEngine(engine, num_shards=1)
-        result = sharded.run_batch(inputs)
-        assert sharded._pool is None  # no pool was ever built
+        result = ShardedEngine(engine, num_shards=1).run_batch(inputs)
         assert result.shard_stats is None
         single = engine.run_batch(inputs)
         for name in single:
             assert np.array_equal(single[name], result[name])
-        sharded.close()
 
     def test_single_lane_batch_bypasses_pool(self, engine):
+        """One lane is one shard: a plain pass, nothing to merge."""
         inputs = batch_inputs(engine, 1)
-        with ShardedEngine(engine, num_shards=4,
-                           executor="thread") as sharded:
-            result = sharded.run_batch(inputs)
-            assert sharded._pool is None
+        result = ShardedEngine(engine, num_shards=4).run_batch(inputs)
         assert result.shard_stats is None
 
-    def test_worker_failure_names_shard_and_pool_survives(self, engine):
+    def test_failing_shard_pass_raises_the_engines_own_error(
+            self, engine, monkeypatch):
         inputs = batch_inputs(engine, 8)
-        sharded = ShardedEngine(engine, num_shards=2, executor="thread")
-        try:
-            sharded.start()
-            original = sharded._replicas[1].run_batch
+        single = engine.run_batch(inputs)
+        sharded = ShardedEngine(engine, num_shards=2)
+        real_pass, passes = engine.run_batch, []
 
-            def boom(_inputs):
+        def second_pass_fails(shard):
+            passes.append(shard)
+            if len(passes) == 2:
                 raise RuntimeError("crossbar caught fire")
+            return real_pass(shard)
 
-            sharded._replicas[1].run_batch = boom
-            with pytest.raises(ShardExecutionError,
-                               match=r"shard 1/2 .*crossbar caught fire"):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_batch", second_pass_fails)
+            with pytest.raises(RuntimeError, match="^crossbar caught fire$"):
                 sharded.run_batch(inputs)
-            # The failure settled every shard; the pool stays usable.
-            sharded._replicas[1].run_batch = original
-            result = sharded.run_batch(inputs)
-            single = engine.run_batch(inputs)
-            for name in single:
-                assert np.array_equal(single[name], result[name])
-        finally:
-            sharded.close()
-        assert sharded._pool is None  # clean shutdown
-        sharded.close()  # idempotent
-
-    def test_shard_exception_carries_index(self):
-        error = ShardExecutionError(3, 4, ValueError("bad lane"))
-        assert error.shard_index == 3
-        assert "shard 3/4" in str(error)
-        assert "bad lane" in str(error)
+        result = sharded.run_batch(inputs)  # nothing to repair afterwards
+        for name in single:
+            assert np.array_equal(single[name], result[name])
 
     def test_invalid_construction(self, engine):
         with pytest.raises(ValueError, match="num_shards"):
             ShardedEngine(engine, num_shards=0)
-        with pytest.raises(ValueError, match="policy"):
-            ShardedEngine(engine, num_shards=2, shard_policy="zigzag")
-        with pytest.raises(ValueError, match="executor"):
-            ShardedEngine(engine, num_shards=2, executor="rocket")
 
     def test_rejects_unseeded_engine(self, model):
         """seed=None replicas would program different noisy crossbars —
@@ -291,12 +263,10 @@ class TestErrorPaths:
             ShardedEngine(unseeded, num_shards=2)
 
     def test_input_validation_happens_before_the_pool(self, engine):
-        with ShardedEngine(engine, num_shards=2,
-                           executor="thread") as sharded:
-            with pytest.raises(ValueError, match="unknown input"):
-                sharded.run_batch({"nope": np.zeros((4, DIMS[0]),
-                                                    dtype=np.int64)})
-            assert sharded._pool is None
+        """Bad input names fail up front, before any shard pass runs."""
+        with pytest.raises(ValueError, match="unknown input"):
+            ShardedEngine(engine, num_shards=2).run_batch(
+                {"nope": np.zeros((4, DIMS[0]), dtype=np.int64)})
 
 
 # -- the programmed-state cache behind cheap replicas ---------------------

@@ -144,15 +144,14 @@ def test_loaded_interpreter_path_bitwise(tmp_path, device):
 
 @pytest.mark.parametrize("device", ["ideal", "noisy"])
 def test_loaded_sharded_equals_unsharded_cold(tmp_path, device):
-    """A sharded fan-out over a loaded engine == unsharded cold-built."""
+    """Sharded passes over a loaded engine == unsharded cold-built."""
     cold = make_engine("mlp", device)
     inputs = random_inputs(cold, batch=16, seed=5)
     reference = cold.run_batch(inputs)
     path = cold.save_artifacts(tmp_path / "artifact")
 
     warm = InferenceEngine.from_artifacts(path)
-    with ShardedEngine(warm, num_shards=4, executor="thread") as sharded:
-        result = sharded.run_batch(inputs)
+    result = ShardedEngine(warm, num_shards=4).run_batch(inputs)
     for name in reference:
         np.testing.assert_array_equal(result[name], reference[name])
     assert result.shard_stats is not None and len(result.shard_stats) == 4
@@ -271,11 +270,11 @@ def test_ensure_artifacts_extends_missing_batch_stats(tmp_path):
 
 
 def test_adopted_artifact_not_reloaded_per_layer(tmp_path):
-    """Engine init, server start, and shard pool wiring share one load.
+    """Engine init and server start share one load.
 
-    A `serve --artifact-dir --shards K` bring-up calls ensure_artifacts
-    from several layers; only the first contact with the artifact may
-    pay the hash + deserialize cost.
+    A `serve --artifact-dir` bring-up calls ensure_artifacts from more
+    than one layer; only the first contact with the artifact may pay the
+    hash + deserialize cost.
     """
     model = build_mlp_model([32, 24, 16, 10], seed=0)
     InferenceEngine(model, CFG, seed=7,
@@ -284,26 +283,11 @@ def test_adopted_artifact_not_reloaded_per_layer(tmp_path):
     engine = InferenceEngine(build_mlp_model([32, 24, 16, 10], seed=0),
                              CFG, seed=7, artifact_dir=tmp_path)
     loads = store_info().loads
-    assert engine.ensure_artifacts() is not None          # server layer
-    assert engine.ensure_artifacts(batch=4) is not None   # shard layer
+    assert engine.ensure_artifacts() is not None
+    assert engine.ensure_artifacts(batch=4) is not None   # server start
     assert store_info().loads == loads, \
         "an already-adopted artifact must not be re-deserialized"
     assert store_info().saves >= 1
-
-
-def test_sharded_engine_artifact_dir_warms_store(tmp_path):
-    """ShardedEngine(artifact_dir=...) persists before building the pool."""
-    engine = make_engine("mlp", "ideal")
-    inputs = random_inputs(engine, batch=8, seed=4)
-    with ShardedEngine(engine, num_shards=2, executor="thread",
-                       artifact_dir=tmp_path) as sharded:
-        reference = sharded.run_batch(inputs)
-    manifests = list(Path(tmp_path).glob(f"*/{MANIFEST_NAME}"))
-    assert len(manifests) == 1
-    warm = InferenceEngine.from_artifacts(manifests[0].parent)
-    result = warm.run_batch(inputs)
-    for name in reference:
-        np.testing.assert_array_equal(result[name], reference[name])
 
 
 # -- CnnCompiled artifacts (PR-4 bug-class regression) ----------------------
