@@ -11,8 +11,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.analysis.commgraph import PERSISTENT_COUNT
-from repro.analysis.dataflow import loop_use_before_def, scan_straight_line
+from repro.analysis.dataflow import (
+    _bits,
+    loop_use_before_def,
+    scan_straight_line,
+)
 from repro.analysis.depgraph import StaticDependenceGraph, StreamInfo
 from repro.analysis.diagnostics import Diagnostic, Location, Severity
 from repro.isa.opcodes import AluOp, Opcode
@@ -182,56 +188,63 @@ def check_shared_memory(graph: StaticDependenceGraph) -> list[Diagnostic]:
     Exact only for non-dynamic tiles.  Words written with the persistent
     count (127 — also where codegen clamps large consumer counts) are
     exempt from count conservation: they are never invalidated.
+    Accounting: per-tile word arrays, one slice update per store/load.
     """
     out: list[Diagnostic] = []
     comm = graph.comm
     for tile_id in sorted(comm.mem_reads):
         if tile_id in comm.dynamic_tiles:
             continue
+        writes, loads = comm.mem_writes[tile_id], comm.mem_reads[tile_id]
         preloaded = comm.preloaded.get(tile_id, set())
-        counts: dict[int, int] = {}
-        persistent: set[int] = set(preloaded)
-        last_writer: dict[int, object] = {}
-        for write in comm.mem_writes[tile_id]:
-            for word in range(write.addr, write.addr + write.width):
-                if write.count == PERSISTENT_COUNT:
-                    persistent.add(word)
-                else:
-                    counts[word] = counts.get(word, 0) + write.count
-                last_writer[word] = write
-        written = set(last_writer) | preloaded
-        reads: dict[int, int] = {}
-        for read in comm.mem_reads[tile_id]:
-            missing = [w for w in range(read.addr, read.addr + read.width)
-                       if w not in written]
-            if missing:
+        words = max([a.addr + a.width for a in writes + loads]
+                    + [max(preloaded, default=-1) + 1])
+        counts = np.zeros(words, dtype=np.int64)
+        counted = np.zeros(words, dtype=bool)
+        persistent = np.zeros(words, dtype=bool)
+        persistent[list(preloaded)] = True
+        last_writer = np.zeros(words, dtype=np.intp)
+        for index, write in enumerate(writes):
+            window = slice(write.addr, write.addr + write.width)
+            if write.count == PERSISTENT_COUNT:
+                persistent[window] = True
+            else:
+                counts[window] += write.count
+                counted[window] = True
+            last_writer[window] = index
+        # Unwritten words before each address: a load's window holds one
+        # exactly when the running total moves across it.
+        holes = [0] + np.cumsum(~(persistent | counted)).tolist()
+        reads = np.zeros(words, dtype=np.int64)
+        for read in loads:
+            lo, hi = read.addr, read.addr + read.width
+            if holes[hi] != holes[lo]:
+                missing = [w for w in range(lo, hi)
+                           if holes[w + 1] != holes[w]]
                 out.append(Diagnostic(
                     "mem-load-undefined", Severity.ERROR,
                     Location(tile=read.tile, core=read.core, pc=read.pc),
                     f"reads shared-memory {_word_range(missing)} which "
                     f"nothing stores, receives, or preloads"))
-            for word in range(read.addr, read.addr + read.width):
-                reads[word] = reads.get(word, 0) + 1
-        flagged: set[int] = set()
-        for word in sorted(counts):
-            if word in persistent or word in flagged:
+            reads[lo:hi] += 1
+        accountable = counted & ~persistent
+        flagged = np.zeros(words, dtype=bool)
+        for word in np.flatnonzero(accountable & (counts != reads)):
+            if flagged[word]:
                 continue
-            n_reads = reads.get(word, 0)
-            if counts[word] == n_reads:
-                continue
-            writer = last_writer[word]
-            span = [w for w in range(writer.addr,
-                                     writer.addr + writer.width)
-                    if counts.get(w) == counts[word]
-                    and reads.get(w, 0) == n_reads
-                    and w not in persistent]
-            flagged.update(span)
+            count, n_reads = int(counts[word]), int(reads[word])
+            writer = writes[last_writer[word]]
+            window = slice(writer.addr, writer.addr + writer.width)
+            alike = (accountable[window] & (counts[window] == count)
+                     & (reads[window] == n_reads))
+            span = writer.addr + np.flatnonzero(alike)
+            flagged[span] = True
             location = Location(tile=writer.tile, core=writer.core,
                                 pc=writer.pc)
             detail = (f"{_word_range(span)} carries total consume count "
-                      f"{counts[word]} but has {n_reads} static read"
+                      f"{count} but has {n_reads} static read"
                       f"{'s' if n_reads != 1 else ''}")
-            if counts[word] < n_reads:
+            if count < n_reads:
                 out.append(Diagnostic(
                     "mem-count-imbalance", Severity.ERROR, location,
                     f"{detail}; a reader will block forever"))
@@ -242,8 +255,8 @@ def check_shared_memory(graph: StaticDependenceGraph) -> list[Diagnostic]:
     return out
 
 
-def _word_range(words: list[int]) -> str:
-    lo, hi = min(words), max(words)
+def _word_range(words) -> str:
+    lo, hi = int(min(words)), int(max(words))
     if lo == hi:
         return f"word {lo}"
     return f"words [{lo}, {hi + 1})"
@@ -262,32 +275,42 @@ def check_lut_domain(graph: StaticDependenceGraph) -> list[Diagnostic]:
         if info.core is None or not info.is_straight_line:
             continue
         const: dict[int, int] = {}
+        known = 0       # bitmask of the words ``const`` has an entry for
         for pc, instr in enumerate(info.instructions):
-            if instr.opcode == Opcode.ALU and instr.alu_op == AluOp.LOG:
-                checked = range(instr.src1, instr.src1 + instr.vec_width)
-                bad = next((w for w in checked
-                            if const.get(w) is not None
-                            and const[w] <= 0), None)
+            w = instr.vec_width
+            if (known and instr.opcode == Opcode.ALU
+                    and instr.alu_op == AluOp.LOG):
+                checked = range(instr.src1, instr.src1 + w)
+                bad = next((r for r in checked
+                            if const.get(r) is not None
+                            and const[r] <= 0), None)
                 if bad is not None:
                     out.append(Diagnostic(
                         "lut-domain", Severity.ERROR, _loc(info, pc),
                         f"log of non-positive constant {const[bad]} in "
                         f"r{bad} (outside the LUT domain)"))
             if instr.opcode == Opcode.SET:
-                for w in range(instr.dest,
-                               instr.dest + instr.vec_width):
-                    const[w] = instr.imm
+                const.update(dict.fromkeys(
+                    range(instr.dest, instr.dest + w), instr.imm))
+                known |= ((1 << w) - 1) << instr.dest
             elif instr.opcode == Opcode.COPY:
-                for k in range(instr.vec_width):
+                span = (1 << w) - 1
+                if not known & (span << instr.src1 | span << instr.dest):
+                    continue        # nothing to forward, nothing to kill
+                for k in range(w):
                     value = const.get(instr.src1 + k)
                     if value is None:
                         const.pop(instr.dest + k, None)
+                        known &= ~(1 << instr.dest + k)
                     else:
                         const[instr.dest + k] = value
-            else:
+                        known |= 1 << instr.dest + k
+            elif known:
                 for start, width in info.effects[pc].all_writes():
-                    for w in range(start, start + width):
-                        const.pop(w, None)
+                    killed = known & ((1 << width) - 1) << start
+                    known ^= killed
+                    for word in _bits(killed):
+                        del const[word]
     return out
 
 

@@ -142,25 +142,24 @@ class CommGraph:
                         tile=tile_id, core=None, pc=pc,
                         addr=instr.mem_addr, width=instr.vec_width,
                         count=instr.count))
+            writes, reads = graph.mem_writes[tile_id], graph.mem_reads[tile_id]
             for core_id, core in sorted(tile.cores.items()):
                 for pc, instr in enumerate(core.instructions):
-                    if instr.opcode in (Opcode.JMP, Opcode.BRN):
+                    op = instr.opcode
+                    if op == Opcode.STORE or op == Opcode.LOAD:
+                        if instr.reg_indirect:
+                            graph.dynamic_tiles.add(tile_id)
+                        elif op == Opcode.STORE:
+                            writes.append(MemWrite(
+                                tile=tile_id, core=core_id, pc=pc,
+                                addr=instr.mem_addr, width=instr.vec_width,
+                                count=instr.count))
+                        else:
+                            reads.append(MemRead(
+                                tile=tile_id, core=core_id, pc=pc,
+                                addr=instr.mem_addr, width=instr.vec_width))
+                    elif op == Opcode.JMP or op == Opcode.BRN:
                         graph.dynamic_tiles.add(tile_id)
-                    elif instr.opcode == Opcode.STORE:
-                        if instr.reg_indirect:
-                            graph.dynamic_tiles.add(tile_id)
-                            continue
-                        graph.mem_writes[tile_id].append(MemWrite(
-                            tile=tile_id, core=core_id, pc=pc,
-                            addr=instr.mem_addr, width=instr.vec_width,
-                            count=instr.count))
-                    elif instr.opcode == Opcode.LOAD:
-                        if instr.reg_indirect:
-                            graph.dynamic_tiles.add(tile_id)
-                            continue
-                        graph.mem_reads[tile_id].append(MemRead(
-                            tile=tile_id, core=core_id, pc=pc,
-                            addr=instr.mem_addr, width=instr.vec_width))
         for tile_id, regions in program.const_memory.items():
             words = graph.preloaded.setdefault(tile_id, set())
             for addr, data in regions:

@@ -26,6 +26,7 @@ certain bug, which keeps the loop analysis free of false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.cfg import ControlFlowGraph
 from repro.arch.config import CoreConfig
@@ -37,8 +38,7 @@ TILE_SCALAR_REGISTERS = 64
 Interval = tuple[int, int]  # (start register, width in words)
 
 
-@dataclass(frozen=True)
-class Effects:
+class Effects(NamedTuple):
     """Register intervals one instruction reads and writes."""
 
     reads: tuple[Interval, ...] = ()
@@ -129,19 +129,24 @@ def tile_effects(instr: Instruction) -> Effects:
     return Effects()
 
 
-@dataclass
+@dataclass(eq=False)
 class Definition:
-    """One definite register write and what became of its words."""
+    """One definite register write and what became of its words.
+
+    ``live_mask`` has bit *w* set while register word *w* still holds this
+    definition's value (no later definite write has replaced it).
+    Definitions compare by identity: the scan keeps them in sets.
+    """
 
     pc: int
     start: int
     width: int
+    live_mask: int
     reads: int = 0
-    live_words: set[int] = field(default_factory=set)
 
-    def __post_init__(self) -> None:
-        if not self.live_words:
-            self.live_words = set(range(self.start, self.start + self.width))
+    @property
+    def live_words(self) -> set[int]:
+        return set(_bits(self.live_mask))
 
 
 @dataclass
@@ -159,99 +164,122 @@ class StraightLineFacts:
     definitions: list[Definition] = field(default_factory=list)
 
 
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _clip(interval: Interval, num_registers: int) -> tuple[int, int, int]:
+    """``(lo, hi, bitmask)`` of an interval clipped to the register space."""
+    lo, width = interval
+    hi = lo + width
+    if hi > num_registers:
+        lo, hi = min(lo, num_registers), num_registers
+    return lo, hi, ((1 << (hi - lo)) - 1) << lo
+
+
+def _writes_mask(effects: Effects, num_registers: int) -> int:
+    mask = 0
+    for interval in effects.all_writes():
+        mask |= _clip(interval, num_registers)[2]
+    return mask
+
+
 def scan_straight_line(instructions: list[Instruction],
                        effects: list[Effects],
                        num_registers: int,
                        predefined: bool = False) -> StraightLineFacts:
-    """Exact word-level scan of a branch-free stream.
+    """Exact word-precise scan of a branch-free stream.
+
+    Word sets are Python-int bitmasks and ``def_of`` a per-word owner
+    list updated by slice: a handful of operations per instruction
+    whatever its width, the facts of a word-at-a-time scan
+    (``tests/analysis_oracle.py``) in the same order.
 
     ``predefined`` marks every register as defined at entry (the tile
     control unit zero-initializes its scalar file, so reading an
     unwritten tile scalar is well-defined and never reported).
     """
     facts = StraightLineFacts()
-    defined = [predefined] * num_registers
-    maybe = [False] * num_registers
-    def_of: list[Definition | None] = [None] * num_registers
+    n = num_registers
+    defined = (1 << n) - 1 if predefined else 0
+    maybe = 0
+    def_of: list[Definition | None] = [None] * n
 
-    def clip(interval: Interval) -> range:
-        start, width = interval
-        return range(min(start, num_registers),
-                     min(start + width, num_registers))
-
-    for pc, (instr, eff) in enumerate(zip(instructions, effects)):
-        for interval in eff.reads:
-            for word in clip(interval):
-                if not defined[word] and not maybe[word]:
-                    facts.use_before_def.append((pc, word))
-                if def_of[word] is not None:
-                    def_of[word].reads += 1
-        for interval in eff.may_reads:
-            for word in clip(interval):
-                if def_of[word] is not None:
-                    def_of[word].reads += 1
-        for interval in eff.writes:
-            start = interval[0]
-            width = len(clip(interval))
-            if width <= 0:
+    for pc, (reads, may_reads, writes, may_writes) in enumerate(
+            effects[:len(instructions)]):
+        for definite, intervals in ((True, reads), (False, may_reads)):
+            for interval in intervals:
+                lo, hi, mask = _clip(interval, n)
+                missing = mask & ~(defined | maybe)
+                if definite and missing:
+                    facts.use_before_def.extend(
+                        (pc, word) for word in _bits(missing))
+                for owner in set(def_of[lo:hi]):
+                    if owner is not None:
+                        owner.reads += (owner.live_mask & mask).bit_count()
+        for interval in writes:
+            lo, hi, mask = _clip(interval, n)
+            if not mask:
                 continue
-            definition = Definition(pc=pc, start=start, width=width)
+            definition = Definition(pc, lo, hi - lo, mask)
             facts.definitions.append(definition)
-            for word in clip(interval):
-                old = def_of[word]
-                if old is not None:
-                    old.live_words.discard(word)
-                    if not old.live_words and old.reads == 0:
-                        facts.clobbers.append((pc, old))
-                defined[word] = True
-                def_of[word] = definition
-        for interval in eff.may_writes:
-            for word in clip(interval):
-                maybe[word] = True
-                # A may-write leaves the old definition conservatively
-                # live: its value might survive.
+            # An owner losing its last live word unread is clobbered; a
+            # word-level scan meets those owners in ascending order of
+            # that last word.
+            overwritten = set(def_of[lo:hi])
+            overwritten.discard(None)
+            if len(overwritten) > 1:
+                overwritten = sorted(
+                    overwritten, key=lambda o: o.live_mask.bit_length())
+            for owner in overwritten:
+                owner.live_mask &= ~mask
+                if not owner.live_mask and owner.reads == 0:
+                    facts.clobbers.append((pc, owner))
+            defined |= mask
+            def_of[lo:hi] = [definition] * (hi - lo)
+        for interval in may_writes:
+            # A may-write leaves the old definition conservatively live:
+            # its value might survive.
+            maybe |= _clip(interval, n)[2]
     for definition in facts.definitions:
-        if definition.reads == 0 and definition.live_words:
+        if definition.reads == 0 and definition.live_mask:
             facts.dead_stores.append(definition)
     return facts
 
 
 def may_defined_in(cfg: ControlFlowGraph, effects: list[Effects],
                    num_registers: int,
-                   predefined: bool = False) -> list[set[int]]:
-    """Per-block "maybe defined at entry" word sets (union fixpoint).
+                   predefined: bool = False) -> list[int]:
+    """Per-block "maybe defined at entry" word bitmasks (union fixpoint).
 
-    Used for loopy streams: a definite read of a word absent from the set
+    Used for loopy streams: a definite read of a word absent from the mask
     (and not written earlier in the block) is defined on *no* path — a
     certain use-before-def, reportable without loop false positives.
     """
-    everything = set(range(num_registers))
-    gen: list[set[int]] = []
+    gen = [0] * len(cfg.blocks)
     for block in cfg.blocks:
-        words: set[int] = set()
         for pc in range(block.start, block.end):
-            for interval in effects[pc].all_writes():
-                start, width = interval
-                words.update(range(min(start, num_registers),
-                                   min(start + width, num_registers)))
-        gen.append(words)
+            gen[block.index] |= _writes_mask(effects[pc], num_registers)
     preds: list[list[int]] = [[] for _ in cfg.blocks]
     for block in cfg.blocks:
         for succ in block.successors:
             if succ >= 0:
                 preds[succ].append(block.index)
-    entry = everything if predefined else set()
-    live_in = [set(entry) for _ in cfg.blocks]
+    entry = (1 << num_registers) - 1 if predefined else 0
+    live_in = [entry] * len(cfg.blocks)
     changed = True
     while changed:
         changed = False
         for block in cfg.blocks:
-            new_in = set(entry) if block.index == 0 else set()
+            new_in = entry if block.index == 0 else 0
             for pred in preds[block.index]:
                 new_in |= live_in[pred] | gen[pred]
-            if block.index == 0:
-                for pred in preds[0]:
-                    new_in |= live_in[pred] | gen[pred]
             if new_in != live_in[block.index]:
                 live_in[block.index] = new_in
                 changed = True
@@ -268,17 +296,12 @@ def loop_use_before_def(cfg: ControlFlowGraph, effects: list[Effects],
     for block in cfg.blocks:
         if block.index not in reachable:
             continue
-        defined = set(live_in[block.index])
+        defined = live_in[block.index]
         for pc in range(block.start, block.end):
             eff = effects[pc]
             for interval in eff.reads:
-                start, width = interval
-                for word in range(min(start, num_registers),
-                                  min(start + width, num_registers)):
-                    if word not in defined:
-                        findings.append((pc, word))
-            for interval in eff.all_writes():
-                start, width = interval
-                defined.update(range(min(start, num_registers),
-                                     min(start + width, num_registers)))
+                missing = _clip(interval, num_registers)[2] & ~defined
+                if missing:
+                    findings.extend((pc, word) for word in _bits(missing))
+            defined |= _writes_mask(eff, num_registers)
     return findings

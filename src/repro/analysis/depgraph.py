@@ -92,10 +92,8 @@ class StreamInfo:
     def effects(self) -> list[Effects]:
         if self.core is None:
             return [tile_effects(i) for i in self.instructions]
-        return [self._core_effects(i) for i in self.instructions]
-
-    def _core_effects(self, instr: Instruction) -> Effects:
-        return core_effects(instr, self._core_config)
+        config = self._core_config
+        return [core_effects(i, config) for i in self.instructions]
 
     @cached_property
     def data_sequence(self) -> list[Instruction]:

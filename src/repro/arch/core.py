@@ -16,8 +16,7 @@ the instruction did.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class ExecStatus(enum.Enum):
     HALTED = "halted"
 
 
-@dataclass(frozen=True)
-class ExecOutcome:
+class ExecOutcome(NamedTuple):
     """Result of one execution attempt, consumed by the timing model.
 
     Attributes:
@@ -130,13 +128,14 @@ class Core:
         """
         if self.halted:
             return ExecOutcome(ExecStatus.HALTED)
-        handler = self._HANDLERS.get(instr.opcode)
-        if handler is None:
+        try:
+            handler = self._HANDLERS[instr.opcode]
+        except KeyError:
             raise ValueError(
                 f"{instr.opcode.name} cannot execute on a core "
-                f"(tile-level instruction)")
+                f"(tile-level instruction)") from None
         outcome = handler(self, instr)
-        if outcome.status == ExecStatus.DONE:
+        if outcome.status is ExecStatus.DONE:
             self.instructions_executed += 1
         return outcome
 

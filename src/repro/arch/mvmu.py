@@ -129,7 +129,7 @@ class MVMU:
         no RNG draws, one validation per stack; callers who need bitwise
         parity with a freshly-programmed unit must restore the RNG state
         alongside (see
-        :meth:`repro.node.node.Node.export_programmed_state`).
+        :meth:`repro.node.node.NodeProgrammedState.for_program`).
         """
         matrix, levels, conductance = state
         if levels.shape[:1] != (self.num_slices,):

@@ -22,6 +22,13 @@ from repro.arch.rom_lut import RomEmbeddedRam
 from repro.isa.opcodes import AluOp, RegisterClass
 
 
+# min()/max() without their Python wrappers (run on every register write).
+_lowest, _highest = np.minimum.reduce, np.maximum.reduce
+# The classes in flat-index order, and the single-class ranges of it.
+_LAYOUT = tuple(RegisterClass)
+_XBAR_IN, _XBAR_OUT, _GENERAL = ((cls,) for cls in _LAYOUT)
+
+
 class RegisterAccessError(RuntimeError):
     """An instruction accessed a register class it is not allowed to."""
 
@@ -75,20 +82,18 @@ class RegisterFile:
                 f"register space [0, {self._num_registers})"
             )
 
-    def _class_of(self, index: int) -> RegisterClass:
-        """The class of an index :meth:`_check_range` has accepted."""
-        if index < self._xbar_in_end:
-            return RegisterClass.XBAR_IN
-        if index < self._xbar_out_end:
-            return RegisterClass.XBAR_OUT
-        return RegisterClass.GENERAL
-
-    def _classes_in_range(self, start: int, width: int) -> set[RegisterClass]:
-        classes = {self._class_of(start), self._class_of(start + width - 1)}
-        # A range can straddle at most adjacent classes given the layout.
-        if start < self._xbar_in_end < start + width:
-            classes.add(RegisterClass.XBAR_OUT)
-        return classes
+    def _classes_in_range(self, start: int,
+                          width: int) -> tuple[RegisterClass, ...]:
+        """The classes a range :meth:`_check_range` has accepted touches,
+        in layout order (nearly always exactly one)."""
+        end = start + width
+        if start >= self._xbar_out_end:
+            return _GENERAL
+        if end <= self._xbar_in_end:
+            return _XBAR_IN
+        first = 0 if start < self._xbar_in_end else 1
+        last = 2 if end > self._xbar_out_end else 1
+        return _LAYOUT[first:last + 1]
 
     def read(self, start: int, width: int = 1, from_mvm: bool = False) -> np.ndarray:
         """Read ``width`` consecutive registers.
@@ -105,7 +110,7 @@ class RegisterFile:
             if not from_mvm and RegisterClass.XBAR_IN in classes:
                 raise RegisterAccessError(
                     f"non-MVM read of XbarIn registers at {start}")
-            if from_mvm and classes != {RegisterClass.XBAR_IN}:
+            if from_mvm and classes != _XBAR_IN:
                 raise RegisterAccessError(
                     f"MVM read outside XbarIn registers at {start}")
         for cls in classes:
@@ -119,7 +124,9 @@ class RegisterFile:
         Accepts a ``(width,)`` vector — written to every batch lane — or a
         ``(batch, width)`` matrix carrying distinct per-lane values.
         """
-        arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
         if arr.ndim == 2 and arr.shape[0] != self.batch:
             raise ValueError(
                 f"batched write carries {arr.shape[0]} lanes, register file "
@@ -133,10 +140,11 @@ class RegisterFile:
             if not from_mvm and RegisterClass.XBAR_OUT in classes:
                 raise RegisterAccessError(
                     f"non-MVM write of XbarOut registers at {start}")
-            if from_mvm and classes != {RegisterClass.XBAR_OUT}:
+            if from_mvm and classes != _XBAR_OUT:
                 raise RegisterAccessError(
                     f"MVM write outside XbarOut registers at {start}")
-        if arr.min() < self._int_min or arr.max() > self._int_max:
+        if (_lowest(arr, axis=None) < self._int_min
+                or _highest(arr, axis=None) > self._int_max):
             raise ValueError("register write exceeds the fixed-point range")
         for cls in classes:
             self.writes[cls] += width
@@ -152,7 +160,7 @@ class RegisterFile:
         access counters behave exactly like :meth:`read`.
         """
         self._check_range(reg, 1)
-        cls = self._class_of(reg)
+        cls, = self._classes_in_range(reg, 1)
         if self.enforce_classes and cls == RegisterClass.XBAR_IN:
             raise RegisterAccessError(
                 f"non-MVM read of XbarIn registers at {reg}")

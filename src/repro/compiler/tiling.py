@@ -135,6 +135,7 @@ def tile_model(model: Model, config: PumaConfig) -> TiledGraph:
     dim = config.core.mvmu_dim
     fmt = config.core.fixed_point
     graph = TiledGraph()
+    quantized: dict[str, np.ndarray] = {}
 
     for node in model.nodes:
         offsets = _segment_offsets(node.length, dim)
@@ -160,7 +161,11 @@ def tile_model(model: Model, config: PumaConfig) -> TiledGraph:
                 seg_ids.append(t.task_id)
 
         elif node.kind == NodeKind.MATVEC:
-            weights = fmt.quantize(model.matrices[node.matrix_name])
+            # One matrix serves every time step of a recurrent model.
+            weights = quantized.get(node.matrix_name)
+            if weights is None:
+                weights = quantized[node.matrix_name] = fmt.quantize(
+                    model.matrices[node.matrix_name])
             src = node.inputs[0]
             src_offsets = graph.node_offsets[src]
             src_segs = graph.node_segments[src]

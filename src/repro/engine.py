@@ -74,7 +74,7 @@ from repro.arch.crossbar import CrossbarModel
 from repro.compiler.compile import CompiledModel, compile_model
 from repro.compiler.frontend import Model
 from repro.compiler.options import CompilerOptions
-from repro.node.node import Node
+from repro.node.node import Node, NodeProgrammedState
 from repro.serve.types import RunResult
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimulationStats
@@ -764,46 +764,46 @@ class InferenceEngine:
             return None
         return self._fingerprint
 
-    def _harvest_programmed_state(self, key: tuple, node: Node) -> None:
-        state = node.export_programmed_state(self.program)
+    def _programmed_state(self) -> NodeProgrammedState | None:
+        """The crossbar programming for this engine's (config, crossbar
+        model, seed), performed on first use and cached on the compiled
+        model; every simulator and replay node — any batch size, any
+        replica engine sharing the compilation — installs it instead of
+        re-programming, bitwise identically (Section 3.2.5: weights are
+        written once at configuration time).  ``None`` for ``seed=None``,
+        whose fresh entropy per run must not be frozen.
+        """
+        key = self._state_key()
+        if key is None:
+            return None
         states = self.compiled.programmed_states
-        # The insert-then-evict below mutates a dict shared by every
-        # replica engine serving this compilation; serialize it (thread
-        # replicas would otherwise race next(iter())/pop on eviction).
-        with _tape_lock:
-            states[key] = state
-            # A seed/noise sweep over one kept-alive model would
-            # otherwise pin one multi-MB crossbar snapshot per
-            # (config, crossbar model, seed) forever; evicting the
-            # oldest entries costs only a re-programming pass.
-            while len(states) > _PROGRAMMED_STATE_CAP:
-                states.pop(next(iter(states)), None)
+        state = states.get(key)
+        if state is None:
+            state = NodeProgrammedState.for_program(
+                self.config, self.program, self.crossbar_model,
+                np.random.default_rng(self.seed))
+            # The insert-then-evict below mutates a dict shared by every
+            # replica engine serving this compilation; serialize it (thread
+            # replicas would otherwise race next(iter())/pop on eviction).
+            with _tape_lock:
+                states[key] = state
+                # A seed/noise sweep over one kept-alive model would
+                # otherwise pin one multi-MB crossbar snapshot per
+                # (config, crossbar model, seed) forever; evicting the
+                # oldest entries costs only a re-programming pass.
+                while len(states) > _PROGRAMMED_STATE_CAP:
+                    states.pop(next(iter(states)), None)
+        return state
 
     def _simulator(self, batch: int,
                    tape_recorder: TapeRecorder | None = None,
                    stats_batch: int | None = None) -> Simulator:
-        """A fresh simulator, reusing cached crossbar programming.
-
-        The first construction for a given (config, crossbar model, seed)
-        programs the crossbars and harvests the configuration-time state
-        (device levels + post-programming RNG position) onto the compiled
-        model; every later construction — any batch size, any replica
-        engine sharing the compilation — installs that state instead of
-        re-programming, bitwise identically (Section 3.2.5: weights are
-        written once at configuration time).  ``seed=None`` requests fresh
-        entropy per run, which must not be frozen, so it bypasses the
-        cache.
-        """
-        key = self._state_key()
-        state = self.compiled.programmed_states.get(key) if key else None
-        sim = Simulator(self.config, self.program,
-                        crossbar_model=self.crossbar_model,
-                        seed=self.seed, batch=batch,
-                        programmed_state=state,
-                        tape_recorder=tape_recorder, stats_batch=stats_batch)
-        if key is not None and state is None:
-            self._harvest_programmed_state(key, sim.node)
-        return sim
+        """A fresh simulator over the cached crossbar programming."""
+        return Simulator(self.config, self.program,
+                         crossbar_model=self.crossbar_model,
+                         seed=self.seed, batch=batch,
+                         programmed_state=self._programmed_state(),
+                         tape_recorder=tape_recorder, stats_batch=stats_batch)
 
     def warm(self, batch: int | None = None) -> "InferenceEngine":
         """Program the crossbars (and optionally record a tape) up front.
@@ -824,13 +824,7 @@ class InferenceEngine:
         replay (``execution_mode="interpret"``, RANDOM-op program, or
         seed=None).
         """
-        if self.seed is not None:
-            if self._state_key() not in self.compiled.programmed_states:
-                # Side effect of building any simulator: the programming
-                # pass runs and its state is harvested.  Skip the build
-                # when the state is already cached (warm() is called once
-                # per batch rung by serving bring-up).
-                self._simulator(1)
+        if self._programmed_state() is not None:
             if batch is not None and self._replay_blocker() is None:
                 tape = self.compiled.execution_tapes.get(self._fingerprint)
                 if tape is None:
@@ -900,15 +894,10 @@ class InferenceEngine:
 
     def _fresh_node(self, batch: int) -> Node:
         """An event-loop-free node for replay, reusing cached programming."""
-        key = self._state_key()
-        state = self.compiled.programmed_states.get(key) if key else None
-        node = Node.for_program(
+        return Node.for_program(
             self.config, self.program, lambda _delay, _callback: None,
             crossbar_model=self.crossbar_model, seed=self.seed,
-            batch=batch, programmed_state=state)
-        if key is not None and state is None:
-            self._harvest_programmed_state(key, node)
-        return node
+            batch=batch, programmed_state=self._programmed_state())
 
     def _replayer(self, batch: int) -> TapeReplayer | None:
         """The bound replayer for ``batch``, or ``None`` with no tape yet.

@@ -75,8 +75,12 @@ class FixedPointFormat:
 
     def quantize(self, values: np.ndarray | float) -> np.ndarray:
         """Convert real values to fixed-point integers with saturation."""
-        scaled = np.round(np.asarray(values, dtype=np.float64) * self.scale)
-        return np.clip(scaled, self.int_min, self.int_max).astype(np.int64)
+        # One float buffer, rounded and clipped in place (weight matrices
+        # are megabytes); ``[()]`` hands a scalar input a scalar back.
+        scaled = np.asarray(np.multiply(values, self.scale, dtype=np.float64))
+        np.round(scaled, out=scaled)
+        np.clip(scaled, self.int_min, self.int_max, out=scaled)
+        return scaled.astype(np.int64)[()]
 
     def dequantize(self, ints: np.ndarray | int) -> np.ndarray:
         """Convert fixed-point integers back to real values."""

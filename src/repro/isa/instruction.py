@@ -17,7 +17,7 @@ only carries the flat indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.opcodes import AluOp, BrnOp, Opcode
@@ -72,7 +72,11 @@ class Instruction:
 
     def with_comment(self, comment: str) -> "Instruction":
         """Return a copy annotated with a human-readable comment."""
-        return replace(self, comment=comment)
+        # A field-for-field copy; ``dataclasses.replace`` would push all
+        # twenty validated operands through ``__init__`` again.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, comment=comment)
+        return clone
 
     @property
     def is_vector(self) -> bool:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.arch.config import PumaConfig
 from repro.arch.crossbar import CrossbarModel
+from repro.arch.mvmu import MVMU
 from repro.isa.program import NodeProgram
 from repro.node.noc import NetworkOnChip, ScheduleFunction
 from repro.tile.tile import Tile
@@ -29,10 +30,10 @@ from repro.tile.tile import Tile
 class NodeProgrammedState:
     """The configuration-time state of a programmed node.
 
-    Harvested right after :meth:`Node.load_weights` and installed into
-    later nodes built for the *same* (program, config, crossbar model,
-    seed) so they skip crossbar programming while staying bitwise
-    identical to a freshly-programmed node:
+    Produced by :meth:`for_program` and installed into every node built
+    for the *same* (program, config, crossbar model, seed), so they skip
+    crossbar programming while staying bitwise identical to a node that
+    programs itself:
 
     Attributes:
         mvmus: per-``(tile, core, mvmu)`` programmed-state tuples
@@ -48,6 +49,27 @@ class NodeProgrammedState:
 
     mvmus: dict[tuple[int, int, int], tuple]
     rng_state: dict
+
+    @classmethod
+    def for_program(cls, config: PumaConfig, program: NodeProgram,
+                    crossbar_model: CrossbarModel | None,
+                    rng: np.random.Generator) -> "NodeProgrammedState":
+        """The programming pass — the only one: device writes drawing from
+        ``rng`` in ``program.weights`` order, then the RNG's position.
+        Builds no tiles, so an engine can program before any node exists."""
+        core = config.core
+        model = crossbar_model if crossbar_model is not None \
+            else CrossbarModel.for_core(core)
+        if model.dim != core.mvmu_dim:         # what building a Core says
+            raise ValueError(
+                f"crossbar dim {model.dim} != core mvmu_dim {core.mvmu_dim}")
+        mvmus = {}
+        for key, matrix in program.weights.items():
+            mvmu = MVMU(model, core.fixed_point, rng=rng)
+            mvmu.program(matrix)
+            mvmus[key] = mvmu.export_programmed_state()
+        return cls(mvmus=mvmus,
+                   rng_state=copy.deepcopy(rng.bit_generator.state))
 
     def to_flat_arrays(self) -> dict[str, np.ndarray]:
         """Name the state's arrays for on-disk persistence.
@@ -170,8 +192,8 @@ class Node:
                     ) -> "Node":
         """Build a node sized for ``program`` and load its weights.
 
-        ``programmed_state`` (harvested from an identically-configured
-        node via :meth:`export_programmed_state`) installs the crossbar
+        ``programmed_state`` (:meth:`NodeProgrammedState.for_program` for
+        the same config, model and seed) installs the crossbar
         conductances directly instead of re-running the programming pass.
         """
         node = cls(config, program.tiles.keys(), schedule,
@@ -184,43 +206,24 @@ class Node:
                      ) -> None:
         """Program every crossbar listed in the compiled weight map.
 
-        With ``programmed_state`` the (possibly noisy, RNG-consuming)
-        device writes are skipped: each MVMU adopts the already-programmed
-        arrays and the node RNG is advanced to the exact post-programming
-        state, so subsequent runtime draws match a fresh programming pass
-        bit for bit.
+        Without ``programmed_state`` the pass runs here, on the node's
+        own RNG.  Either way each MVMU adopts the programmed arrays and
+        the node RNG sits at the exact post-programming state, so runtime
+        draws match across fresh and restored nodes bit for bit.
         """
-        if programmed_state is not None:
-            programmed_state.check_covers(program)
-        for key, matrix in program.weights.items():
+        if programmed_state is None:
+            programmed_state = NodeProgrammedState.for_program(
+                self.config, program, self.crossbar_model, self.rng)
+        programmed_state.check_covers(program)
+        for key in program.weights:
             tile_id, core_id, mvmu_id = key
             tile = self.tiles.get(tile_id)
             if tile is None:
                 raise KeyError(f"program references missing tile {tile_id}")
-            mvmu = tile.cores[core_id].mvmus[mvmu_id]
-            if programmed_state is None:
-                mvmu.program(matrix)
-            else:
-                mvmu.restore_programmed_state(programmed_state.mvmus[key])
-        if programmed_state is not None:
-            self.rng.bit_generator.state = copy.deepcopy(
-                programmed_state.rng_state)
-
-    def export_programmed_state(self, program: NodeProgram
-                                ) -> NodeProgrammedState:
-        """Harvest the configuration-time state for replica construction.
-
-        Must be called before the node runs (the RNG snapshot is the
-        *post-programming* position; runtime RANDOM draws would move it).
-        """
-        mvmus = {
-            key: self.tiles[key[0]].cores[key[1]].mvmus[key[2]]
-            .export_programmed_state()
-            for key in program.weights
-        }
-        return NodeProgrammedState(
-            mvmus=mvmus,
-            rng_state=copy.deepcopy(self.rng.bit_generator.state))
+            tile.cores[core_id].mvmus[mvmu_id].restore_programmed_state(
+                programmed_state.mvmus[key])
+        self.rng.bit_generator.state = copy.deepcopy(
+            programmed_state.rng_state)
 
     def tile(self, tile_id: int) -> Tile:
         return self.tiles[tile_id]

@@ -20,6 +20,7 @@ while unhalted agents remain parked, the simulator raises
 
 from __future__ import annotations
 
+import functools
 import heapq
 import weakref
 from typing import Callable
@@ -29,7 +30,7 @@ import numpy as np
 from repro.arch.config import PumaConfig
 from repro.arch.core import Core, ExecOutcome, ExecStatus
 from repro.arch.crossbar import CrossbarModel
-from repro.energy.model import EnergyModel
+from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import NodeProgram
@@ -53,23 +54,24 @@ class _Agent:
         self.name = name
         self.tile = tile
         self.core = core
+        self.core_id = core.core_id if core is not None else None
         self.instructions = instructions
         self.done = not instructions
         self.parked = False
+        # Resolved once: which unit holds the pc and executes the stream.
+        self._unit = core if core is not None else tile
+        self.execute = (core.execute if core is not None
+                        else tile.execute_tile_instruction)
 
     @property
     def pc(self) -> int:
-        return self.core.pc if self.core is not None else self.tile.pc
+        return self._unit.pc
 
     def current_instruction(self) -> Instruction | None:
-        if self.done or self.pc >= len(self.instructions):
+        pc = self._unit.pc
+        if self.done or pc >= len(self.instructions):
             return None
-        return self.instructions[self.pc]
-
-    def execute(self, instr: Instruction) -> ExecOutcome:
-        if self.core is not None:
-            return self.core.execute(instr)
-        return self.tile.execute_tile_instruction(instr)
+        return self.instructions[pc]
 
 
 class Simulator:
@@ -91,9 +93,9 @@ class Simulator:
         trace: optional trace recorder.
         max_cycles: safety bound on simulated time.
         batch: number of inputs processed SIMD-style in one run.
-        programmed_state: configuration-time state harvested from an
-            identically-configured simulator's node
-            (:meth:`~repro.node.node.Node.export_programmed_state`);
+        programmed_state: configuration-time state for the same program,
+            config, crossbar model and seed
+            (:meth:`~repro.node.node.NodeProgrammedState.for_program`);
             skips the crossbar programming pass bitwise-identically.
         tape_recorder: optional :class:`~repro.sim.tape.TapeRecorder` that
             captures the resolved dynamic schedule (completed instructions
@@ -131,8 +133,11 @@ class Simulator:
         self.max_cycles = max_cycles
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.tape_recorder = tape_recorder
-        self._events: list[tuple[int, int, Callable[[], None]]] = []
+        # (time, sequence, what): an agent to step, or a callback to call.
+        self._events: list[tuple] = []
         self._event_seq = 0
+        # (latency, energy, words) by cost class, resolved on first completion.
+        self._costs: dict[tuple, tuple[int, EnergyBreakdown, int]] = {}
         self.now = 0
         # Weak: a strong reference closes a simulator <-> node cycle, and
         # every finished run's megabytes wait for the cycle collector.
@@ -165,9 +170,9 @@ class Simulator:
 
     # -- event queue -----------------------------------------------------
 
-    def _schedule_at(self, time: int, callback: Callable[[], None]) -> None:
+    def _schedule_at(self, time: int, what) -> None:
         self._event_seq += 1
-        heapq.heappush(self._events, (time, self._event_seq, callback))
+        heapq.heappush(self._events, (time, self._event_seq, what))
 
     def _schedule_delay(self, delay: int, callback: Callable[[], None]) -> None:
         self._schedule_at(self.now + max(0, int(delay)), callback)
@@ -223,15 +228,19 @@ class Simulator:
             self.write_input(name, values)
         for agent in self._agents:
             if not agent.done:
-                self._schedule_at(0, self._stepper(agent))
+                self._schedule_at(0, agent)
 
-        while self._events:
-            time, _seq, callback = heapq.heappop(self._events)
+        events, step = self._events, self._step
+        while events:
+            time, _seq, what = heapq.heappop(events)
             if time > self.max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {self.max_cycles} cycles")
             self.now = time
-            callback()
+            if type(what) is _Agent:
+                step(what)
+            else:
+                what()
 
         self._check_for_deadlock()
         self.stats.cycles = self._finish_time
@@ -256,14 +265,28 @@ class Simulator:
             "deadlock: blocked agents with no pending events\n"
             + "\n".join(details))
 
-    def _stepper(self, agent: _Agent) -> Callable[[], None]:
-        return lambda: self._step(agent)
-
     def _wake(self, agent: _Agent) -> None:
         """Resume a parked agent one cycle after the waking event."""
         if agent.parked:
             agent.parked = False
-            self._schedule_delay(1, self._stepper(agent))
+            self._schedule_at(self.now + 1, agent)
+
+    def _cost(self, instr: Instruction,
+              outcome: ExecOutcome) -> tuple[int, EnergyBreakdown, int]:
+        """Latency, energy and words moved of a completed instruction:
+        functions of its cost class — opcode, effective width, MVMUs
+        activated, ROM access — at this run's ``stats_batch``, resolved
+        once per class and shared (merged, never mutated) thereafter."""
+        key = (instr.opcode, outcome.vec_width, outcome.mvm_count,
+               outcome.rom_access)
+        cost = self._costs.get(key)
+        if cost is None:
+            model, lanes = self.energy_model, self.stats_batch
+            cost = self._costs[key] = (
+                model.latency.cycles(instr, outcome, lanes),
+                model.energy(instr, outcome, lanes),
+                outcome.vec_width * lanes if instr.is_vector else 0)
+        return cost
 
     def _step(self, agent: _Agent) -> None:
         if agent.done:
@@ -278,46 +301,42 @@ class Simulator:
         outcome = agent.execute(instr)
         status = outcome.status
 
-        if status == ExecStatus.DONE:
-            latency = self.energy_model.latency.cycles(instr, outcome,
-                                                       self.stats_batch)
-            self.stats.count(instr.opcode,
-                             words=outcome.vec_width * self.stats_batch
-                             if instr.is_vector else 0)
-            self.stats.record_busy(agent.name, latency)
-            self.stats.energy.merge(
-                self.energy_model.energy(instr, outcome, self.stats_batch))
-            self.trace.record(self.now, agent.name, instr, latency)
+        if status is ExecStatus.DONE:
+            latency, energy, words = self._cost(instr, outcome)
+            stats = self.stats
+            stats.count(instr.opcode, words)
+            stats.record_busy(agent.name, latency)
+            stats.energy.merge(energy)
+            if self.trace.enabled:
+                self.trace.record(self.now, agent.name, instr, latency)
             if self.tape_recorder is not None:
-                self.tape_recorder.record(
-                    agent.tile.tile_id,
-                    agent.core.core_id if agent.core is not None else None,
-                    instr, outcome.eff_addr)
-            self._schedule_delay(latency, self._stepper(agent))
+                self.tape_recorder.record(agent.tile.tile_id, agent.core_id,
+                                          instr, outcome.eff_addr)
+            self._schedule_at(self.now + latency, agent)
             return
 
-        if status == ExecStatus.HALTED:
+        if status is ExecStatus.HALTED:
             agent.done = True
             self.stats.count(Opcode.HLT)
-            self.trace.record(self.now, agent.name, instr, 1)
+            if self.trace.enabled:
+                self.trace.record(self.now, agent.name, instr, 1)
             if self.tape_recorder is not None:
-                self.tape_recorder.record(
-                    agent.tile.tile_id,
-                    agent.core.core_id if agent.core is not None else None,
-                    instr, 0)
+                self.tape_recorder.record(agent.tile.tile_id, agent.core_id,
+                                          instr, 0)
             self._finish_time = max(self._finish_time, self.now + 1)
             return
 
         # Blocked: park on the resource that must change first.
         self.stats.record_stall(agent.name)
-        self.trace.record(self.now, agent.name, instr, 0, blocked=True)
+        if self.trace.enabled:
+            self.trace.record(self.now, agent.name, instr, 0, blocked=True)
         agent.parked = True
-        wake = lambda agent=agent: self._wake(agent)  # noqa: E731
-        if status == ExecStatus.BLOCKED_READ:
+        wake = functools.partial(self._wake, agent)
+        if status is ExecStatus.BLOCKED_READ:
             agent.tile.memory.wait_for_read(wake)
-        elif status == ExecStatus.BLOCKED_WRITE:
+        elif status is ExecStatus.BLOCKED_WRITE:
             agent.tile.memory.wait_for_write(wake)
-        elif status == ExecStatus.BLOCKED_FIFO:
+        elif status is ExecStatus.BLOCKED_FIFO:
             agent.tile.receive_buffer.wait_for_packet(wake)
         else:
             raise AssertionError(f"unhandled status {status}")

@@ -43,20 +43,24 @@ class AttributeBuffer:
     def can_read(self, addr: int, width: int = 1) -> bool:
         """True when every word in the range is valid."""
         self._check(addr, width)
-        return bool(self._valid[addr:addr + width].all())
+        return bool(np.logical_and.reduce(self._valid[addr:addr + width]))
 
     def can_write(self, addr: int, width: int = 1) -> bool:
         """True when every word in the range is invalid (consumed)."""
         self._check(addr, width)
-        return not bool(self._valid[addr:addr + width].any())
+        return not np.logical_or.reduce(self._valid[addr:addr + width])
 
     def on_write(self, addr: int, width: int, count: int) -> None:
         """Mark a produced range valid with ``count`` expected readers."""
-        self._check(addr, width)
         if not self.can_write(addr, width):
             raise RuntimeError(
                 f"write to valid (unconsumed) words at [{addr}, {addr + width})"
             )
+        self._produce(addr, width, count)
+
+    def _produce(self, addr: int, width: int, count: int) -> None:
+        """:meth:`on_write` for a caller that has just seen
+        :meth:`can_write` hold (the shared memory's own write path)."""
         if not 1 <= count <= PERSISTENT_COUNT:
             raise ValueError(f"count {count} out of range [1, {PERSISTENT_COUNT}]")
         self._valid[addr:addr + width] = True
@@ -64,15 +68,18 @@ class AttributeBuffer:
 
     def on_read(self, addr: int, width: int) -> None:
         """Atomically decrement counts; zero-count words become invalid."""
-        self._check(addr, width)
         if not self.can_read(addr, width):
             raise RuntimeError(
                 f"read of invalid words at [{addr}, {addr + width})")
-        window = slice(addr, addr + width)
-        persistent = self._count[window] == PERSISTENT_COUNT
-        self._count[window] -= np.where(persistent, 0, 1)
-        consumed = (self._count[window] == 0) & ~persistent
-        self._valid[window] &= ~consumed
+        self._consume(addr, width)
+
+    def _consume(self, addr: int, width: int) -> None:
+        """:meth:`on_read` for a caller that has just seen :meth:`can_read`
+        hold (the shared memory's own read path): every word is valid, so
+        it stays valid exactly when its count stays non-zero."""
+        count = self._count[addr:addr + width]
+        np.subtract(count, 1, out=count, where=count != PERSISTENT_COUNT)
+        np.not_equal(count, 0, out=self._valid[addr:addr + width])
 
     def valid_fraction(self) -> float:
         """Fraction of valid entries (occupancy diagnostic)."""

@@ -62,9 +62,9 @@ class SharedMemory:
 
     def _coerce(self, values: np.ndarray) -> np.ndarray:
         """Normalize written values to a lanes-compatible 2-D array."""
-        arr = np.atleast_1d(np.asarray(values, dtype=np.int64))
-        if arr.ndim == 1:
-            return arr[np.newaxis, :]  # broadcast one vector to every lane
+        arr = np.asarray(values, dtype=np.int64)
+        if arr.ndim <= 1:
+            return arr.reshape(1, -1)  # broadcast one vector to every lane
         if arr.ndim == 2:
             if arr.shape[0] != self.batch:
                 raise ValueError(
@@ -78,7 +78,7 @@ class SharedMemory:
         self._check(addr, width)
         if not self.attributes.can_read(addr, width):
             return None
-        self.attributes.on_read(addr, width)
+        self.attributes._consume(addr, width)
         self.reads += width
         data = self._data[:, addr:addr + width].copy()
         self._wake_writers()
@@ -92,7 +92,7 @@ class SharedMemory:
         if not self.attributes.can_write(addr, width):
             return False
         self._data[:, addr:addr + width] = arr
-        self.attributes.on_write(addr, width, count)
+        self.attributes._produce(addr, width, count)
         self.writes += width
         self._wake_readers()
         return True
@@ -129,7 +129,7 @@ class SharedMemory:
         self._check(addr, width)
         self.attributes.force_invalidate(addr, width)
         self._data[:, addr:addr + width] = arr
-        self.attributes.on_write(addr, width, count)
+        self.attributes._produce(addr, width, count)
 
     def peek(self, addr: int, width: int = 1) -> np.ndarray:
         """Read raw data without touching attributes (result extraction)."""

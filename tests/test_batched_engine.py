@@ -187,8 +187,7 @@ def _fresh_node(engine, batch):
 
 def _restored_node(engine, batch):
     from repro.node.node import Node
-    donor = engine._fresh_node(batch)
-    state = donor.export_programmed_state(engine.program)
+    state = engine._programmed_state()
     node = Node(engine.config, engine.program.tiles.keys(),
                 lambda _delay, _callback: None, seed=0, batch=batch)
     node.load_weights(engine.program, programmed_state=state)

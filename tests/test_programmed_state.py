@@ -18,6 +18,7 @@ from repro import CrossbarModel, InferenceEngine, Simulator, default_config
 from repro.arch.crossbar import Crossbar, CrossbarStack
 from repro.arch.mvmu import MVMU
 from repro.fixedpoint import FixedPointFormat
+from repro.node.node import NodeProgrammedState
 from repro.workloads.mlp import build_mlp_model
 
 FMT = FixedPointFormat()
@@ -270,6 +271,14 @@ def programmed_stacks(node, program):
             for t, c, u in program.weights]
 
 
+def programmed_state_of(node, program):
+    """Read a not-yet-run node's programming back, unit by unit."""
+    return NodeProgrammedState(
+        mvmus={(t, c, u): node.tiles[t].cores[c].mvmus[u]
+               .export_programmed_state() for t, c, u in program.weights},
+        rng_state=node.rng.bit_generator.state)
+
+
 def test_noiseless_run_leaves_every_conductance_underived():
     engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
                              seed=0, execution_mode="interpret")
@@ -299,7 +308,7 @@ def test_analog_run_derives_exactly_what_it_reads():
                              execution_mode="interpret")
     inputs = {"x": engine.quantize(np.linspace(-1, 1, 32))}
     fresh = Simulator(CFG, engine.program, crossbar_model=lossy, seed=0)
-    state = fresh.node.export_programmed_state(engine.program)
+    state = programmed_state_of(fresh.node, engine.program)
     assert all(s._conductance is None
                for s in programmed_stacks(fresh.node, engine.program))
     expected = fresh.run(inputs)
@@ -311,3 +320,81 @@ def test_analog_run_derives_exactly_what_it_reads():
                for name in expected)
     assert all(s._conductance is not None
                for s in programmed_stacks(restored.node, engine.program))
+
+
+# -- warm() programs without building a node ---------------------------------
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_warm_programs_exactly_what_a_fresh_node_would(sigma):
+    """``warm()`` runs the programming pass on its own
+    (``NodeProgrammedState.for_program``): matrix, levels, conductances
+    and the post-programming RNG position equal, bitwise, what a node
+    built for the same (program, model, seed) without a state holds —
+    and, stack by stack, the per-slice reference pass over one RNG in
+    ``program.weights`` order (what the in-node loop this replaced drew)."""
+    core = CFG.core
+    model = CrossbarModel(dim=core.mvmu_dim,
+                          bits_per_cell=core.bits_per_cell,
+                          bits_per_input=core.bits_per_input,
+                          write_noise_sigma=sigma)
+    engine = InferenceEngine(build_mlp_model([150, 140, 10], seed=0), CFG,
+                             crossbar_model=model, seed=3,
+                             execution_mode="interpret")
+    assert len(engine.program.weights) > 2     # RNG order matters
+    engine.warm()
+    warmed = engine.compiled.programmed_states[engine._state_key()]
+
+    fresh = Simulator(CFG, engine.program, crossbar_model=model, seed=3)
+    expected = programmed_state_of(fresh.node, engine.program)
+
+    assert list(warmed.mvmus) == list(expected.mvmus)
+    for key, (matrix, levels, conductance) in expected.mvmus.items():
+        found = warmed.mvmus[key]
+        assert bitwise_equal(found[0], matrix)
+        assert bitwise_equal(found[1], levels)
+        if sigma == 0.0:
+            assert found[2] is None and conductance is None
+        else:
+            assert bitwise_equal(found[2], conductance)
+    assert warmed.rng_state == expected.rng_state
+    rng = np.random.default_rng(3)
+    for key, matrix in engine.program.weights.items():
+        levels, conductances, _sums = reference_program(model, matrix, rng)
+        assert np.array_equal(warmed.mvmus[key][1], levels)
+        if sigma > 0.0:
+            assert np.array_equal(warmed.mvmus[key][2], conductances)
+    assert warmed.rng_state == rng.bit_generator.state
+    # ...and a run over the warmed state equals the freshly programmed run.
+    inputs = {"x": engine.quantize(np.linspace(-1, 1, 150))}
+    found = engine.run(inputs)
+    expected_words = fresh.run(inputs)
+    assert all(np.array_equal(found.words[name], expected_words[name])
+               for name in expected_words)
+
+
+def test_warm_builds_no_tiles(monkeypatch):
+    from repro.tile.tile import Tile
+
+    built = []
+    real = Tile.__init__
+    monkeypatch.setattr(
+        Tile, "__init__",
+        lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
+                             seed=0, execution_mode="interpret")
+    engine.warm()
+    assert engine._state_key() in engine.compiled.programmed_states
+    assert built == []
+    engine.predict({"x": engine.quantize(np.linspace(-1, 1, 32))})
+    assert built                                # the run does build them
+
+
+def test_programming_rejects_a_mismatched_crossbar_model():
+    wrong = CrossbarModel(dim=64, bits_per_cell=2, bits_per_input=1)
+    engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
+                             crossbar_model=wrong, seed=0,
+                             execution_mode="interpret")
+    with pytest.raises(ValueError, match="crossbar dim 64 != core "
+                                         "mvmu_dim 128"):
+        engine.warm()
