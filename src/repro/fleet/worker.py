@@ -13,7 +13,7 @@ that serves a small HTTP API on an OS-assigned port:
   verify, unpack, :meth:`InferenceEngine.from_artifacts`), falling back
   to a **cold build** (compile + program + record, then PUT the packed
   artifact back so the *next* cold worker warm-starts);
-* ``POST /v1/predict`` — submit a micro-batch (``{"route_key",
+* ``POST /v1/predict`` — admit a micro-batch (``{"route_key",
   "requests": [...]}``, one gateway dispatch) to the hosted model's
   :class:`~repro.serve.PumaServer` in one loop turn, so the riders
   reach the engine as one batch; each gets its own status in the reply.
@@ -320,10 +320,10 @@ class FleetWorker:
             return error_response(
                 409, f"model {key!r} is not hosted on {self.worker_id}")
         items, wrapped = predict_items(payload)
-        # Every rider is pushed in this loop turn, before the server's
+        # Every rider is admitted in this loop turn, before the server's
         # batcher wakes: one exchange lands as one batch.
-        replies = await asyncio.gather(
-            *(self._predict_item(hosted, item) for item in items))
+        admitted = [self._admit_item(hosted, item) for item in items]
+        replies = [await self._reply(future) for future in admitted]
         envelope = {"model": hosted.spec.name, "worker": self.worker_id}
         if wrapped:
             return json_response({**envelope, "replies": replies})
@@ -335,29 +335,34 @@ class FleetWorker:
             status, reply["error"], reason=reply.get("reason"),
             headers={"Retry-After": "1"} if status == 429 else None)
 
-    async def _predict_item(self, hosted: _HostedModel, item: dict) -> dict:
-        """Serve one rider; its outcome as a reply item (never raises)."""
+    def _admit_item(self, hosted: _HostedModel,
+                    item: dict) -> asyncio.Future:
+        """Admit one rider: the future of its result, already failed when
+        the rider could not be admitted."""
         try:
             inputs, deadline_ms, priority = predict_fields(item)
-        except ProtocolError as error:
-            return _failed(400, str(error))
+            try:
+                arrays = {name: np.asarray(values, dtype=np.float64)
+                          for name, values in inputs.items()}
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"bad input vectors: {error}") from None
+            if deadline_ms is not None and deadline_ms <= 0:
+                # The budget was spent in flight (gateway queue + wire);
+                # don't even enqueue.
+                raise DeadlineExceeded("deadline expired before the request "
+                                       "reached the model server")
+            return hosted.server.admit(
+                arrays, priority=priority,
+                deadline_s=None if deadline_ms is None else deadline_ms / 1e3)
+        except Exception as error:  # noqa: BLE001 - fail this rider only
+            future = asyncio.get_running_loop().create_future()
+            future.set_exception(error)
+            return future
+
+    async def _reply(self, future: asyncio.Future) -> dict:
+        """One rider's outcome as a reply item (never raises)."""
         try:
-            arrays = {name: np.asarray(values, dtype=np.float64)
-                      for name, values in inputs.items()}
-        except (TypeError, ValueError) as error:
-            return _failed(400, f"bad input vectors: {error}")
-        deadline_s = None if deadline_ms is None else deadline_ms / 1000.0
-        if deadline_s is not None and deadline_s <= 0:
-            # The budget was spent in flight (gateway queue + wire);
-            # don't even enqueue.
-            self.deadline_rejections += 1
-            return _failed(504, "deadline expired before the request "
-                                "reached the model server",
-                           "deadline_exceeded")
-        try:
-            result = await hosted.server.submit(arrays,
-                                                deadline_s=deadline_s,
-                                                priority=priority)
+            result = await future
         except ValueError as error:
             return _failed(400, str(error))
         except DeadlineExceeded as error:

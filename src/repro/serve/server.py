@@ -34,6 +34,8 @@ One loop serves both: it claims riders for an *executor* with two
 methods, ``start_cohort`` and ``tick``.  Whole-batch serving
 (:class:`WholeBatchExecutor`) is the one-cohort, one-segment executor;
 :class:`~repro.serve.continuous.ContinuousBatcher` is the general one.
+Every ``tick`` runs on the event loop, which yields once after each
+pass (``PumaServer._serve_batch`` says why).
 
 All wall-clock decisions go through an injectable :class:`Clock`
 (:mod:`repro.serve.clock`), so the deterministic test harness drives
@@ -235,7 +237,7 @@ class PumaServer:
 
     Requests are float-first: clients submit 1-D float vectors per model
     input and receive dequantized floats (plus the fixed-point words) in
-    their :class:`RunResult`.  Validation happens at ``submit`` time —
+    their :class:`RunResult`.  Validation happens at ``admit`` time —
     *before* any counter or queue-slot side effect — so a malformed
     request fails fast in the caller instead of poisoning a batch.
     """
@@ -361,7 +363,17 @@ class PumaServer:
     async def submit(self, inputs: dict[str, np.ndarray], *,
                      deadline_s: float | None = None,
                      priority: int = 0) -> RunResult:
-        """Submit one inference (float 1-D vectors by input name).
+        """Submit one inference: :meth:`admit`, then await its result."""
+        return await self.admit(inputs, deadline_s=deadline_s,
+                                priority=priority)
+
+    def admit(self, inputs: dict[str, np.ndarray], *,
+              deadline_s: float | None = None,
+              priority: int = 0) -> "asyncio.Future[RunResult]":
+        """The synchronous half of :meth:`submit`: validate, shed on
+        arrival, apply the admission bound and enqueue one inference
+        (float 1-D vectors by input name); returns the future its result
+        lands on.  Riders admitted in one loop turn form one batch.
 
         Args:
             inputs: 1-D float vector per model input name.
@@ -371,8 +383,8 @@ class PumaServer:
             priority: larger = served strictly sooner (ties broken by
                 deadline, then arrival).
 
-        Returns this request's :class:`RunResult` once the batch it was
-        coalesced into completes.  Raises :class:`ValueError` immediately
+        The future resolves to this request's :class:`RunResult` once the
+        batch it was coalesced into completes.  Raises :class:`ValueError`
         for unknown/missing input names, wrong vector lengths, or a
         non-finite ``deadline_s``; :class:`RuntimeError` if the server is
         not running; :class:`DeadlineExceeded` if the deadline already
@@ -420,7 +432,7 @@ class PumaServer:
             _Pending(request, future, deadline_at, priority),
             priority=priority, deadline_at=deadline_at)
         self._arrival.set()
-        return await future
+        return future
 
     # -- shared loop helpers -----------------------------------------------
 
@@ -556,17 +568,15 @@ class PumaServer:
                 pending.future.set_exception(error)
 
     async def _serve_batch(self) -> None:
-        """One executor tick off-loop; resolve every finished cohort.
+        """One executor tick on the loop; resolve every finished cohort.
 
-        The pass is pure CPU; running it off-loop lets new requests keep
-        queueing (and coalescing) while it executes.  A finished
-        cohort's outcome — a result to slice per lane, or the exception
-        its pass raised — goes to its riders' futures; nothing a pass
-        raises escapes to kill the serve loop.
+        The pass is GIL-bound, so a thread hop bought it no concurrency.
+        A finished cohort's outcome — a result to slice per lane, or the
+        exception its pass raised — goes to its riders' futures; nothing
+        a pass raises escapes to kill the serve loop.  The one yield after
+        it lets sibling servers and new arrivals in between passes.
         """
-        loop = asyncio.get_running_loop()
-        finished = await loop.run_in_executor(None, self._executor.tick)
-        for cohort, outcome in finished:
+        for cohort, outcome in self._executor.tick():
             riders, started_at = cohort.tag
             if isinstance(outcome, Exception):
                 self._fail_riders(riders, outcome)
@@ -577,6 +587,7 @@ class PumaServer:
                 self.counters.requests_served += 1
                 if not pending.future.done():
                     pending.future.set_result(outcome.lane(index))
+        await asyncio.sleep(0)
 
     # -- observability -----------------------------------------------------
 

@@ -56,8 +56,10 @@ class RunResult(Mapping):
             bitwise what the simulator produced.
         fmt: the datapath fixed-point format (for the float views).
         stats: simulation statistics of the pass that produced this
-            result.  For a request served out of a coalesced batch, these
-            are the stats of the *whole* batch pass.
+            result — a private copy per pass, so mutating it never reaches
+            the tape's cached stats or another pass's result.  For a
+            request served out of a coalesced batch, these are the stats
+            of the *whole* batch pass (shared by its lanes).
         batch: number of inferences in the pass.
         lane_stats: per-lane stats when the run used the sequential
             reference path (one single-input simulation per row);

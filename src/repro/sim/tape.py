@@ -55,7 +55,6 @@ them (see :func:`find_unsupported_op` and ``repro.engine``).
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -163,7 +162,7 @@ class ExecutionTape:
 
     def add_stats(self, batch: int, stats: SimulationStats) -> None:
         """Cache one batch size's derived statistics (a private copy)."""
-        self.stats_by_batch[int(batch)] = copy.deepcopy(stats)
+        self.stats_by_batch[int(batch)] = stats.copy()
 
     def stats_copy(self, batch: int | None = None) -> SimulationStats:
         """A private, mutation-safe copy of the stats for ``batch``
@@ -174,7 +173,7 @@ class ExecutionTape:
         if stats is None:
             raise KeyError(f"no stats derived for batch {batch} "
                            f"(have {self.batches()})")
-        return copy.deepcopy(stats)
+        return stats.copy()
 
 
 class TapeRecorder:
@@ -207,7 +206,7 @@ class TapeRecorder:
         """Package the recording; ``stats`` is the finished run's result."""
         return ExecutionTape(
             steps=tuple(self._steps),
-            stats_by_batch={self.batch: copy.deepcopy(stats)},
+            stats_by_batch={self.batch: stats.copy()},
             recorded_batch=self.batch,
             instruction_count=self._instruction_count)
 
