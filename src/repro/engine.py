@@ -31,12 +31,13 @@ that pattern:
   compiled by the **tape optimizer** (:mod:`repro.sim.tapeopt`): dead
   stores eliminated, store→load pairs forwarded to register moves,
   adjacent same-shape ops fused into wide kernels, independent MVMs
-  batched into one stacked matmul — still bitwise-identical (a first-run
-  equivalence probe per batch enforces this, falling back to plain
-  replay on any mismatch).  Programs using the stochastic ``RANDOM`` op
+  batched into one stacked matmul — still bitwise-identical (the plan
+  is checked once, when the tape is recorded, against the recording
+  run's own words; a refuted plan leaves the tape on plain replay).
+  Programs using the stochastic ``RANDOM`` op
   (and unseeded engines) transparently fall back to the interpreter;
   :func:`tape_cache_info` reports recordings/replays/optimized runs/
-  fallbacks, ``execution_mode="replay"`` disables the optimizer, and
+  fallbacks, ``execution_mode="replay"`` serves the plain tape, and
   ``execution_mode="interpret"`` disables the fast path outright;
 * all of the above persists **across processes** through the artifact
   store (:mod:`repro.store`): ``artifact_dir=`` makes the engine
@@ -126,16 +127,10 @@ _cache_hits = 0
 _cache_misses = 0
 
 
-# Canonical implementation lives in repro.store (the artifact store keys
-# disk artifacts off the same value fingerprints the compile cache uses);
-# the old private name stays importable for existing callers.
-_fingerprint_value = fingerprint_value
-
-
 def _cache_fingerprint(config: PumaConfig,
                        options: CompilerOptions | None) -> tuple:
     """A stable value key for the compile-relevant arguments."""
-    return (_fingerprint_value(config), _fingerprint_value(options))
+    return (fingerprint_value(config), fingerprint_value(options))
 
 
 class CompileCacheInfo(NamedTuple):
@@ -226,10 +221,10 @@ class TapeCacheInfo(NamedTuple):
             (stochastic RANDOM-op program, unseeded engine, or a tape that
             failed validation at replay time).
         optimized: replays served by a fused/optimized execution plan.
-        optimizer_fallbacks: times the optimizer declined a tape, its plan
-            failed the structural self-check, or a first-replay
-            equivalence probe mismatched — the run fell back to the plain
-            replay path (still tape-served, never wrong).
+        optimizer_fallbacks: plans refuted when their tape was recorded
+            (structural self-check failed, or words differed from the
+            interpreter's) — the tape is served by plain replay instead
+            (still tape-served, never wrong).
         derived_stats: batch sizes whose stats were derived by a shadow
             timing simulation instead of a full recording pass.
     """
@@ -327,17 +322,17 @@ class InferenceEngine:
             executions comparable bit for bit.
         execution_mode: ``"auto"`` (default) records a batch-generic
             execution tape on the first run, optimizes it
-            (:mod:`repro.sim.tapeopt`), and replays it afterwards at any
-            batch size, falling back to the event-driven interpreter when
-            the program cannot be taped (stochastic RANDOM op, unseeded
-            engine) and to plain replay when the tape cannot be optimized
-            or fails its equivalence probe; ``"replay"`` never invokes
-            the optimizer — every replay runs the plain step-for-step
-            tape — and is strict: it raises ``ValueError`` for engines
-            that can *never* replay (recording passes — the first run,
-            or the one after a tape is invalidated — are part of it,
-            exactly as in ``"auto"``); ``"interpret"`` always runs the
-            event-driven interpreter.  All three produce
+            (:mod:`repro.sim.tapeopt`), checks the plan against that run,
+            and replays it afterwards at any batch size, falling back to
+            the event-driven interpreter when the program cannot be taped
+            (stochastic RANDOM op, unseeded engine) and to plain replay
+            when the plan was refuted; ``"replay"`` serves the plain
+            tape (the baseline the benchmark measures; its recordings
+            still check a plan) and is strict: it raises ``ValueError``
+            for engines that can *never* replay (recording passes — the
+            first run, or the one after a tape is invalidated — are part
+            of it, exactly as in ``"auto"``); ``"interpret"`` always runs
+            the event-driven interpreter.  All three produce
             bitwise-identical outputs and field-identical stats.
         artifact_dir: persistent artifact store directory
             (:mod:`repro.store`).  At construction the engine loads a
@@ -379,8 +374,8 @@ class InferenceEngine:
         # fingerprinting them walks every dataclass field recursively, so
         # do it once, not per run.  (Computed before compilation: the
         # artifact store keys off it.)
-        self._fingerprint = (_fingerprint_value(self.config),
-                             _fingerprint_value(self.crossbar_model),
+        self._fingerprint = (fingerprint_value(self.config),
+                             fingerprint_value(self.crossbar_model),
                              self.seed)
         # The artifact path this engine already loaded or saved, so
         # repeated ensure_artifacts() calls (server + shard pool wiring)
@@ -817,8 +812,9 @@ class InferenceEngine:
 
         With ``batch`` the warm-up additionally guarantees tape coverage
         for that batch size: the first call records the batch-generic
-        tape (one interpreter pass over zero-filled inputs — the schedule
-        is input-independent); later calls only derive that batch's
+        tape (one interpreter pass over a seeded non-zero batch, so the
+        plan's recording check sees real data; the schedule is
+        input-independent); later calls only derive that batch's
         timing stats via a shadow simulation, which is how one tape comes
         to serve the whole batch ladder.  Ignored when the engine cannot
         replay (``execution_mode="interpret"``, RANDOM-op program, or
@@ -828,13 +824,12 @@ class InferenceEngine:
             if batch is not None and self._replay_blocker() is None:
                 tape = self.compiled.execution_tapes.get(self._fingerprint)
                 if tape is None:
-                    zeros = {
-                        name: np.zeros((batch, length) if batch > 1
-                                       else (length,), dtype=np.int64)
+                    rng = np.random.default_rng(0)
+                    self.run_batch({
+                        name: self.quantize(
+                            rng.uniform(-1.0, 1.0, size=(batch, length)))
                         for name, (_tile, _addr, length)
-                        in self.program.input_layout.items()
-                    }
-                    self.run_batch(zeros)
+                        in self.program.input_layout.items()})
                 elif tape.stats_for(batch) is None:
                     self._stats_for_batch(tape, batch)
         return self
@@ -866,32 +861,6 @@ class InferenceEngine:
                 self.program, self.config)
         return self._depgraph
 
-    def _optimizer_enabled(self) -> bool:
-        """Whether this engine should fuse tapes into optimized plans."""
-        return self.execution_mode == "auto"
-
-    def _optimized_plan(self, tape: ExecutionTape) -> OptimizedTape | None:
-        """The tape's fused plan, building (and caching) it on first use.
-
-        Returns ``None`` when the tape previously failed optimization or
-        runtime verification (the sentinel strings on ``tape.optimized``)
-        — plain replay keeps serving it, and the miss was already counted
-        when the sentinel was set.
-        """
-        opt = tape.optimized
-        if isinstance(opt, OptimizedTape):
-            return opt
-        if opt is not None:  # "unoptimizable" / "failed-verification"
-            return None
-        try:
-            plan = optimize_tape(tape, self._dependence_graph())
-        except TapeOptimizationError:
-            tape.optimized = "unoptimizable"
-            _count_tape_event("optimizer_fallback")
-            return None
-        tape.optimized = plan
-        return plan
-
     def _fresh_node(self, batch: int) -> Node:
         """An event-loop-free node for replay, reusing cached programming."""
         return Node.for_program(
@@ -902,33 +871,30 @@ class InferenceEngine:
     def _replayer(self, batch: int) -> TapeReplayer | None:
         """The bound replayer for ``batch``, or ``None`` with no tape yet.
 
-        Binds the tape's optimized plan (building it on first use) when
-        the optimizer is enabled, a plain :class:`TapeReplayer` otherwise.
-        Raises :class:`TapeValidationError` when a cached tape cannot be
-        bound to a fresh node (callers treat that as "re-record").
+        Binds the tape's checked plan in ``"auto"`` mode, else the plain
+        tape.  Raises :class:`TapeValidationError` when a cached tape
+        cannot be bound to a fresh node (callers treat that as
+        "re-record").
         """
         tape = self.compiled.execution_tapes.get(self._fingerprint)
         if tape is None:
             self._replayers.pop(batch, None)
             return None
-        plan = (self._optimized_plan(tape)
-                if self._optimizer_enabled() else None)
         replayer = self._replayers.get(batch)
-        if replayer is not None:
-            if (replayer.tape is tape
-                    and (replayer.optimized is plan
-                         if isinstance(replayer, OptimizedReplayer)
-                         else plan is None)):
-                return replayer
-            # The cached tape or its plan was cleared or replaced
-            # (invalidation, clear_tape_caches, a failed equivalence
-            # probe): drop the stale binding and rebind below.
-            self._replayers.pop(batch, None)
-        replayer = self._bind_replayer(tape, plan, batch)
+        # A plan never changes after recording: only a cleared or
+        # replaced tape (invalidation, clear_tape_caches) needs a rebind.
+        if replayer is None or replayer.tape is not tape:
+            plan = tape.optimized if self.execution_mode == "auto" else None
+            replayer = self._bind_replayer(tape, plan, batch)
+            self._keep_replayer(batch, replayer)
+        return replayer
+
+    def _keep_replayer(self, batch: int, replayer: TapeReplayer) -> None:
+        """Cache ``replayer`` for ``batch``, evicting the oldest widths."""
+        self._replayers.pop(batch, None)
         self._replayers[batch] = replayer
         while len(self._replayers) > _REPLAYER_CAP:
             self._replayers.pop(next(iter(self._replayers)))
-        return replayer
 
     def _bind_replayer(self, tape: ExecutionTape,
                        plan: OptimizedTape | None, batch: int
@@ -945,27 +911,18 @@ class InferenceEngine:
 
         Continuous batching drives this one's ops itself, cohort by
         cohort; the replayers behind :meth:`run_batch` are overwritten
-        by every run and cannot be shared.  The optimized plan is bound
-        only once :meth:`_verify_optimized` has passed at this width:
-        one seeded non-zero batch goes through :meth:`run_batch` (after
-        :meth:`warm` has recorded the tape), which runs that probe.  A
-        declined or poisoned plan leaves the caller on plain replay.
+        by every run and cannot be shared.  :meth:`warm` records the tape
+        (and checks its plan) if there is none yet; the replayer binds
+        the plan, or the plain tape in ``"replay"`` mode or when the plan
+        was refuted at recording.
         """
         if self._replay_blocker() is not None:
             return None
         self.warm(batch=batch)
-        rng = np.random.default_rng(0)
-        self.run_batch({
-            name: self.quantize(rng.uniform(-1.0, 1.0, size=(batch, length)))
-            for name, (_tile, _addr, length)
-            in self.program.input_layout.items()})
         tape = self.compiled.execution_tapes.get(self._fingerprint)
         if tape is None:  # the recording failed its dependence cross-check
             return None
-        plan = (self._optimized_plan(tape)
-                if self._optimizer_enabled() else None)
-        if plan is not None and batch not in plan.verified_batches:
-            plan = None
+        plan = tape.optimized if self.execution_mode == "auto" else None
         return self._bind_replayer(tape, plan, batch)
 
     def _invalidate_tape(self) -> None:
@@ -1007,35 +964,30 @@ class InferenceEngine:
             _count_tape_event("derived")
         return tape.stats_copy(batch)
 
-    def _verify_optimized(self, replayer: "OptimizedReplayer",
-                          inputs: dict[str, np.ndarray], batch: int,
-                          words: dict[str, np.ndarray]
-                          ) -> tuple[dict[str, np.ndarray], bool]:
-        """First-run equivalence probe for an optimized plan at ``batch``.
+    def _checked_plan(self, tape: ExecutionTape,
+                      inputs: dict[str, np.ndarray], batch: int,
+                      words: dict[str, np.ndarray]
+                      ) -> OptimizedReplayer | None:
+        """Optimize a freshly recorded tape and check the plan, once.
 
-        Replays the same inputs through a transient plain
-        :class:`TapeReplayer` on a fresh node and compares bitwise.  On a
-        match the (plan, batch) pair is marked verified and never probed
-        again; on a mismatch the plan is poisoned
-        (``tape.optimized = "failed-verification"``), the fallback is
-        counted, and the plain replayer's words are served — the caller
-        never returns unverified optimized output.
+        Bound on a fresh node, the plan replays the recording run's
+        ``inputs`` and must reproduce the interpreter's ``words``
+        bitwise; it then becomes ``tape.optimized`` and its replayer is
+        returned.  A refuted plan is counted and never reaches the tape.
         """
-        reference = TapeReplayer(replayer.tape, self._fresh_node(batch),
-                                 self.program)
-        ref_words = reference.run(inputs)
-        # The probe is bookkeeping, not a served run.
-        replayer.tape.replay_count -= 1
-        same = (set(ref_words) == set(words)
-                and all(np.array_equal(words[name], ref_words[name])
-                        for name in ref_words))
-        if same:
-            replayer.optimized.verified_batches.add(batch)
-            return words, True
-        replayer.tape.optimized = "failed-verification"
-        self._replayers.clear()
-        _count_tape_event("optimizer_fallback")
-        return ref_words, False
+        try:
+            plan = optimize_tape(tape, self._dependence_graph())
+        except TapeOptimizationError:
+            _count_tape_event("optimizer_fallback")
+            return None
+        replayer = self._bind_replayer(tape, plan, batch)
+        replayed = replayer.run(inputs)
+        if replayed.keys() != words.keys() or not all(
+                np.array_equal(replayed[name], words[name]) for name in words):
+            _count_tape_event("optimizer_fallback")
+            return None
+        tape.optimized = plan
+        return replayer
 
     def _execute(self, inputs: dict[str, np.ndarray], batch: int
                  ) -> tuple[dict[str, np.ndarray], SimulationStats, str]:
@@ -1060,18 +1012,11 @@ class InferenceEngine:
                 replayer = self._replayer(batch)
                 if replayer is not None:
                     words = replayer.run(inputs)
-                    execution = "replay"
-                    if isinstance(replayer, OptimizedReplayer):
-                        if batch in replayer.optimized.verified_batches:
-                            execution = "optimized"
-                        else:
-                            words, verified = self._verify_optimized(
-                                replayer, inputs, batch, words)
-                            execution = ("optimized" if verified
-                                         else "replay")
+                    execution = ("optimized"
+                                 if isinstance(replayer, OptimizedReplayer)
+                                 else "replay")
                     stats = self._stats_for_batch(replayer.tape, batch)
-                    _count_tape_event(execution if execution == "optimized"
-                                      else "replay")
+                    _count_tape_event(execution)
                     return words, stats, execution
             except TapeValidationError:
                 # A stale/incompatible tape is an internal cache problem,
@@ -1092,6 +1037,7 @@ class InferenceEngine:
             # counted like every other fast-path fallback.
             _count_tape_event("fallback")
             return words, sim.stats, "interpreter"
+        checked = self._checked_plan(tape, inputs, batch, words)
         tapes = self.compiled.execution_tapes
         # Shared with every replica engine on this compilation: serialize
         # the insert-then-evict (concurrent recorders would otherwise race
@@ -1101,6 +1047,10 @@ class InferenceEngine:
             while len(tapes) > _EXECUTION_TAPE_CAP:
                 tapes.pop(next(iter(tapes)), None)
             _TAPE_MODELS[id(self.compiled)] = self.compiled
+        if checked is not None and self.execution_mode == "auto":
+            # The check bound this width already: serve it from here on.
+            with self._replay_lock:
+                self._keep_replayer(batch, checked)
         _count_tape_event("recording")
         return words, sim.stats, "interpreter"
 

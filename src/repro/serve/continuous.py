@@ -11,9 +11,9 @@ whole-batch run (``rows = slice(None)``) serves groups of lanes
 and its own NoC flow dict, and cohorts sit at *different positions* of
 the same op list on one shared node without observing each other
 (:class:`~repro.sim.tape.TapeReplayer` says why that isolation is
-exact).  The op list is whatever the engine bound: the optimized plan
-(:mod:`repro.sim.tapeopt`) once its equivalence probe has passed at the
-node's width, the plain tape otherwise.  Each lane's value trajectory
+exact).  The op list is whatever the engine bound: the tape's optimized
+plan (:mod:`repro.sim.tapeopt`, checked when the tape was recorded), or
+the plain tape when that plan was refuted.  Each lane's value trajectory
 is identical to a sequential single-request replay — bitwise,
 regardless of which cohorts share the node or where segment boundaries
 fall (``tests/test_scheduler_properties.py``, ``tests/test_replay.py``,
@@ -210,7 +210,6 @@ class ContinuousBatcher:
                 self._cohorts.remove(cohort)
                 self._free.extend(int(lane) for lane in cohort.lanes)
                 self._free.sort()
-                self.tape.replay_count += 1
                 finished.append((cohort, self._result(cohort)))
         return finished
 

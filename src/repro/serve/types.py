@@ -72,8 +72,10 @@ class RunResult(Mapping):
             counters summed, ``busy_cycles`` the busiest replica's).
             ``None`` for unsharded passes.
         execution: which execution path produced the result —
-            ``"optimized"`` (fused-plan replay, :mod:`repro.sim.tapeopt`),
-            ``"replay"`` (plain trace replay, :mod:`repro.sim.tape`) or
+            ``"optimized"`` (an ``OptimizedReplayer`` ran the tape's
+            fused plan, :mod:`repro.sim.tapeopt`), ``"replay"`` (plain
+            trace replay, :mod:`repro.sim.tape`: ``execution_mode=
+            "replay"``, or a plan refuted at recording) or
             ``"interpreter"`` (event-driven simulation); ``None`` when
             unknown (e.g. merged across shards that took different paths).
             Continuous-batching cohorts report the path their replayer
@@ -91,7 +93,7 @@ class RunResult(Mapping):
         result["out"]                             # raw fixed-point words
         result.cycles_per_inference               # batch-amortized latency
         result.lane(3).output()                   # request 3's own view
-        result.execution                          # "replay"/"interpreter"
+        result.execution                          # "optimized"/"interpreter"
     """
 
     words: dict[str, np.ndarray]

@@ -131,26 +131,20 @@ class ExecutionTape:
         instruction_count: dynamic instructions of the recording run,
             including the control instructions the step list omits (used
             for cheap cross-checks and introspection).
-        optimized: cache slot for the tape's optimized execution plan
-            (:class:`repro.sim.tapeopt.OptimizedTape`), shared by every
-            engine replica holding this tape; ``"unoptimizable"`` marks a
-            tape the optimizer declined so it is not retried per replica.
+        optimized: the tape's optimized execution plan
+            (:class:`repro.sim.tapeopt.OptimizedTape`), set only once it
+            reproduced the recording run's words bitwise, and shared by
+            every engine replica holding this tape; ``None`` when the
+            plan was refuted at recording (plain replay serves the tape).
     """
 
     steps: tuple[TapeStep, ...]
     stats_by_batch: dict[int, SimulationStats]
     recorded_batch: int
     instruction_count: int = 0
-    # Bookkeeping for introspection (tape_cache_info), not semantics.
-    replay_count: int = field(default=0, compare=False)
-    # OptimizedTape | "unoptimizable" | None; compare=False keeps tape
-    # equality about the schedule, not the derived plan.
+    # OptimizedTape | None; compare=False keeps tape equality about the
+    # schedule, not the derived plan.
     optimized: object | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def batch(self) -> int:
-        """Alias for :attr:`recorded_batch` (pre-batch-generic name)."""
-        return self.recorded_batch
 
     def batches(self) -> list[int]:
         """Batch sizes with derived (or recorded) stats, sorted."""
@@ -164,11 +158,8 @@ class ExecutionTape:
         """Cache one batch size's derived statistics (a private copy)."""
         self.stats_by_batch[int(batch)] = stats.copy()
 
-    def stats_copy(self, batch: int | None = None) -> SimulationStats:
-        """A private, mutation-safe copy of the stats for ``batch``
-        (default: the recording batch)."""
-        if batch is None:
-            batch = self.recorded_batch
+    def stats_copy(self, batch: int) -> SimulationStats:
+        """A private, mutation-safe copy of the stats for ``batch``."""
         stats = self.stats_by_batch.get(batch)
         if stats is None:
             raise KeyError(f"no stats derived for batch {batch} "
@@ -550,7 +541,6 @@ class TapeReplayer:
             self.write_input(name, values, rows)
         for step in self.ops:
             step(rows, flows)
-        self.tape.replay_count += 1
         outputs = {name: self.read_output(name, rows)
                    for name in self.program.output_layout}
         if self.batch == 1:

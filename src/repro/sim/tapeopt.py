@@ -30,21 +30,21 @@ The pipeline (:func:`optimize_tape`) runs three passes:
    dim)`` BLAS call instead of k separate products.
 
 Soundness is layered, mirroring the trust-but-verify pattern of the
-PR 6 analysis substrate: the *source* tape must pass
-:meth:`~repro.analysis.depgraph.StaticDependenceGraph.validate_tape`
-before optimization starts; every transformation checks its own legality
-against exact per-instance effects (:func:`repro.analysis.dataflow
-.core_effects`); a structural self-check proves the plan covers exactly
-the source steps; and the engine runs a first-replay equivalence probe
-per batch size (bitwise outputs vs. plain replay) before trusting the
-plan, falling back — counted — on any mismatch.
+PR 6 analysis substrate: the engine only optimizes a tape that passed
+:meth:`~repro.analysis.depgraph.StaticDependenceGraph.validate_tape`;
+every transformation checks its own legality against exact
+per-instance effects (:func:`repro.analysis.dataflow.core_effects`); a
+structural self-check proves the plan covers exactly the source steps;
+and the engine checks the plan once, when the tape is recorded (bitwise
+outputs vs. the recording interpreter run), keeping the plain tape —
+counted — on any mismatch.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,10 +72,11 @@ _MVM_WINDOW = 64
 
 
 class TapeOptimizationError(RuntimeError):
-    """The optimizer declined or failed; the engine replays the plain tape.
+    """The plan failed its structural self-check.
 
-    Never user-facing: the engine counts the fallback and serves the
-    unoptimized (still fast) replay path instead.
+    Never user-facing: raised while the engine records a tape, which
+    then counts the refusal and serves the tape by plain (still fast)
+    replay.
     """
 
 
@@ -161,23 +162,19 @@ class OptimizationReport:
 class OptimizedTape:
     """An optimized execution plan derived from (and cached on) a tape.
 
-    Lives in ``ExecutionTape.optimized`` so every engine replica holding
-    the tape — including fleet replicas sharing one ``CompiledModel`` —
-    reuses both the plan and its per-batch verification status.
+    Lives in ``ExecutionTape.optimized`` once it has passed its recording
+    check, so every engine replica holding the tape — including fleet
+    replicas sharing one ``CompiledModel``, and processes loading it from
+    an artifact — binds the same checked plan at any batch size.
 
     Attributes:
         plan: sequence of :class:`~repro.sim.tape.TapeStep` (passthrough),
             :class:`RegMove`, :class:`FusedBlock`, and :class:`MvmGroup`.
         report: what the passes did.
-        verified_batches: batch sizes whose first optimized replay was
-            probed bitwise against a plain replay and matched (the
-            engine's runtime equivalence gate; see
-            ``Engine._verify_optimized``).
     """
 
     plan: tuple[object, ...]
     report: OptimizationReport
-    verified_batches: set = field(default_factory=set, compare=False)
 
     def digest(self) -> str:
         """Deterministic digest of the plan (persisted in manifests)."""
@@ -655,22 +652,16 @@ def optimize_tape(tape: ExecutionTape,
     """Run the full pass pipeline over a recorded tape.
 
     Args:
-        tape: the recorded schedule (batch-generic).
+        tape: the recorded schedule (batch-generic), already accepted by
+            ``graph.validate_tape`` — the engine validates every tape it
+            records before optimizing it.
         graph: the program's PR 6 dependence graph — supplies the config
-            for exact per-instance effects and the ``validate_tape``
-            front door.
+            for exact per-instance effects.
 
     Raises:
-        TapeOptimizationError: the source tape failed validation or the
-            structural self-check rejected the plan (the engine counts
-            this and replays the plain tape).
+        TapeOptimizationError: the structural self-check rejected the
+            plan (the engine counts this and replays the plain tape).
     """
-    problems = graph.validate_tape(tape)
-    if problems:
-        raise TapeOptimizationError(
-            "source tape failed dependence validation: "
-            + "; ".join(problems[:3]))
-
     core_cfg = graph.config.tile.core
     (plan, eliminated_ids, forwarded_ids,
      n_eliminated, n_forwarded) = _forward_and_eliminate(tape.steps, graph)

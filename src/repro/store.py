@@ -87,13 +87,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import NodeProgrammedState
     from repro.sim.tape import ExecutionTape
 
-# Version 3: the programmed state is the in-memory record (no column
-# offset sums — they are derived from the conductances on first analog
-# read — and no manifest ``conductances`` mode: a conductance stack is
-# present exactly when the model is noisy).  Version 2 introduced the
-# single batch-generic tape.  Older artifacts are rejected like any other
+# Version 4: a persisted plan passed its recording check and loaders
+# trust it (a version-3 plan was never checked at recording).  Version 3
+# made the programmed state the in-memory record (no column offset sums,
+# no manifest ``conductances`` mode); version 2 introduced the single
+# batch-generic tape.  Older artifacts are rejected like any other
 # unsupported format — a cache miss and rebuild, never a wrong answer.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl.gz"
 STATE_NAME = "programmed_state.npz"
@@ -374,12 +374,9 @@ def save_artifact(path: str | Path, *, compiled: Any,
         compiled: the ``CompiledModel`` / ``CnnCompiled`` to persist; its
             engine caches are stripped from the pickle (the selected
             state travels in dedicated payloads instead).
-        tape: the batch-generic execution tape, or ``None``.  Persisted
-            in canonical form: ``replay_count`` reset, optimization
-            sentinels (``"unoptimizable"`` / ``"failed-verification"``)
-            dropped so a fresh process re-decides for itself, and any
-            optimized plan saved with an **empty** verified set — the
-            loading process must re-run its own equivalence probes.
+        tape: the batch-generic execution tape, or ``None``.  Its
+            optimized plan, checked when the tape was recorded, is
+            persisted with it (a refuted plan is ``None`` and stays so).
         programmed_state: the harvested post-programming crossbar state;
             required — an artifact exists to skip the programming pass.
         config / options / crossbar_model / seed: the engine parameters,
@@ -396,7 +393,6 @@ def save_artifact(path: str | Path, *, compiled: Any,
             that can never be replayed (stochastic RANDOM op).
     """
     from repro.sim.tape import ExecutionTape, find_unsupported_op
-    from repro.sim.tapeopt import OptimizedTape
 
     if seed is None:
         raise ArtifactError(
@@ -417,7 +413,6 @@ def save_artifact(path: str | Path, *, compiled: Any,
         raise ArtifactError(
             f"unknown compilation kind {kind!r}; expected one of "
             f"{_KNOWN_KINDS}")
-    opt = None
     if tape is not None:
         if not isinstance(tape, ExecutionTape):
             raise ArtifactError(
@@ -430,11 +425,7 @@ def save_artifact(path: str | Path, *, compiled: Any,
                 f"that can never be replayed ({blocker}); a frozen "
                 f"schedule for it would be a wrong answer waiting to be "
                 f"served")
-        if isinstance(tape.optimized, OptimizedTape):
-            # Fresh verified set: equivalence probes are per-process.
-            opt = OptimizedTape(plan=tape.optimized.plan,
-                                report=tape.optimized.report)
-        tape = dataclasses.replace(tape, optimized=opt, replay_count=0)
+    opt = None if tape is None else tape.optimized
     stripped = dataclasses.replace(compiled, programmed_states={},
                                    execution_tapes={})
     payload = {
@@ -671,9 +662,6 @@ def load_artifact(path: str | Path,
                     or opt.digest() != opt_meta.get("digest"):
                 raise _fail(f"{root}: optimizer plan does not match the "
                             f"manifest's optimizer digest")
-            # Probes are per-process: never inherit another process's
-            # verification verdicts.
-            opt.verified_batches.clear()
     elif tape_meta is not None or opt_meta is not None:
         raise _fail(f"{root}: manifest advertises a tape the payload "
                     f"does not carry")

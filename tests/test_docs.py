@@ -87,12 +87,15 @@ def test_cited_tests_exist(doc):
 # -- one measurement estate ---------------------------------------------------
 
 # Spelled in halves so this file is not its own offender: the retired
-# per-PR benches, and the host-parallelism surface ShardedEngine lost
-# when it became a model of replication rather than a worker pool.
+# per-PR benches, the host-parallelism surface ShardedEngine lost when it
+# became a model of replication rather than a worker pool, and the
+# per-width runtime probe that the recording check replaced.
 _RETIRED = re.compile(
     "BENCH" "_PR|benchmarks/" "bench_"
     "|shard" "_policy|shard" "_executor|apportion" "_lanes"
-    "|shard" "_throughput|ShardExecution" "Error|SHARD" "_POLICIES")
+    "|shard" "_throughput|ShardExecution" "Error|SHARD" "_POLICIES"
+    "|_verify" "_optimized|verified" "_batches|failed" "-verification"
+    "|unoptimiz" "able")
 _POOL_IMPORT = re.compile(
     r"^\s*(?:import|from)\s+(?:multiprocessing|concurrent)\b", re.M)
 # History and the driver's task statement may name what was retired; the

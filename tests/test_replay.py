@@ -30,6 +30,7 @@ from repro.workloads.boltzmann import build_rbm_model
 from repro.workloads.cnn import small_cnn_spec
 from repro.workloads.lstm import build_lstm_model
 from repro.workloads.mlp import build_mlp_model
+from repro.workloads.rnn import build_rnn_model
 
 CFG = default_config()
 
@@ -51,6 +52,9 @@ def make_engine(workload, device, execution_mode="auto", seed=7):
     builders = {
         "mlp": lambda: build_mlp_model([32, 24, 16, 10], seed=0),
         "lstm": lambda: build_lstm_model(8, 6, 4, seq_len=2, seed=0),
+        "rnn": lambda: build_rnn_model(8, 12, 6, seq_len=2, seed=0),
+        # Layers on two tiles: NoC sends and receives on the tape.
+        "mlp_two_tile": lambda: build_mlp_model([512, 512, 10], seed=0),
     }
     return InferenceEngine(builders[workload](), CFG, crossbar_model=xbar,
                            seed=seed, execution_mode=execution_mode)
@@ -96,6 +100,28 @@ def test_replay_bitwise_equals_interpreter(workload, device, batch):
     replayed2 = engine.run_batch(inputs2)
     assert replayed2.execution == "optimized"
     assert_same_result(replayed2, reference.run_batch(inputs2))
+
+
+@pytest.mark.parametrize("workload,device", [
+    ("mlp", "ideal"), ("mlp", "noisy"), ("lstm", "ideal"), ("cnn", "ideal"),
+    ("rnn", "ideal"), ("mlp_two_tile", "ideal"),
+])
+def test_one_recording_serves_every_width(workload, device):
+    """The plan is checked once, at the width the tape was recorded at;
+    this holds every other width.  Recorded at 2, then served at 1, 3, 16
+    and 64 without re-recording: the optimized plan each time, words
+    bitwise and stats field-identical to the interpreter."""
+    engine = make_engine(workload, device)
+    reference = make_engine(workload, device, execution_mode="interpret")
+    assert engine.run_batch(random_inputs(engine, 2)).execution \
+        == "interpreter"
+    recordings = tape_cache_info().recordings
+    for width in (1, 3, 16, 64):
+        inputs = random_inputs(engine, width, seed=width)
+        served = engine.run_batch(inputs)
+        assert served.execution == "optimized"
+        assert_same_result(served, reference.run_batch(inputs))
+    assert tape_cache_info().recordings == recordings
 
 
 @pytest.mark.parametrize("device", ["ideal", "noisy"])

@@ -346,8 +346,9 @@ def test_rejected_cohort_leaks_no_lanes():
 
 @pytest.mark.parametrize("how", ["poisoned", "mode"])
 def test_cohorts_never_run_an_unprobed_plan(how):
-    """A poisoned plan, or an engine that never optimizes, leaves the
-    cohorts on the plain tape — reported as such, and still bitwise."""
+    """A plan refuted at recording (``tape.optimized`` is ``None``), or a
+    ``"replay"`` engine, leaves the cohorts on the plain tape — reported
+    as such, and still bitwise."""
     model = build_mlp_model([24, 16, 8], seed=0)
     engine = InferenceEngine(
         model, seed=3, execution_mode="replay" if how == "mode" else "auto")
@@ -355,7 +356,7 @@ def test_cohorts_never_run_an_unprobed_plan(how):
     reference = engine.predict(row).words   # records the tape
     if how == "poisoned":
         (tape,) = engine.compiled.execution_tapes.values()
-        tape.optimized = "failed-verification"
+        tape.optimized = None
     batcher = ContinuousBatcher(engine, max_lanes=2)
     assert not isinstance(batcher.replayer, OptimizedReplayer)
     assert batcher.replayer not in engine._replayers.values()

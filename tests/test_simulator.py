@@ -170,7 +170,7 @@ class TestInterTile:
     def test_finished_run_is_freed_without_the_cycle_collector(self):
         """The node schedules NoC deliveries through the simulator; held
         strongly that is a cycle, and every interpreted run — a cold
-        sweep, a stats derivation, an equivalence probe — would keep its
+        sweep, a stats derivation, a tape recording — would keep its
         tile memories and crossbar state until the collector next ran."""
         import gc
         import weakref

@@ -114,9 +114,9 @@ def test_loaded_engine_bitwise_equals_cold_built(tmp_path, workload,
 
     warm = InferenceEngine.from_artifacts(path)
     result = warm.run_batch(inputs)
-    # The tape recorded by the cold engine was persisted (with its
-    # optimized plan), so the loaded engine's very first run replays it —
-    # and the equivalence probe verifies the plan on the spot.
+    # The tape recorded by the cold engine was persisted with the
+    # optimized plan it checked at recording, so the loaded engine's very
+    # first run replays that plan.
     assert result.execution == "optimized"
     assert_same_result(result, reference)
     # Fresh data through the loaded tape: still exact.
@@ -498,10 +498,11 @@ def test_node_rejects_ill_fitting_state_up_front(edit, message):
         Simulator(CFG, engine.program, seed=7, programmed_state=broken)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_superseded_format_versions_rebuild(tmp_path, version):
-    """Version-2 artifacts (column sums on disk, a manifest conductance
-    mode) are refused like version 1: a rejection and a cold rebuild."""
+    """Version-3 artifacts (a plan never checked at recording) and
+    version-2 ones (column sums on disk, a manifest conductance mode) are
+    refused like version 1: a rejection and a cold rebuild."""
     model = build_mlp_model([32, 24, 16, 10], seed=0)
     InferenceEngine(model, CFG, seed=7,
                     artifact_dir=tmp_path).ensure_artifacts()

@@ -1,13 +1,13 @@
-"""Tape optimizer: pass reports, seeded plan mutations, probe protocol,
-and the cache-bypass audit.
+"""Tape optimizer: pass reports, seeded plan mutations, the recording
+check, and the cache-bypass audit.
 
 The optimizer (:mod:`repro.sim.tapeopt`) compiles a recorded execution
-tape into a shorter plan; the engine only ever serves an optimized result
-after a first-replay equivalence probe matched a plain replay bitwise.
-These tests pin that protocol the same way
+tape into a shorter plan; the engine keeps the plan only if, in the pass
+that records the tape, it reproduces the interpreter's words bitwise.
+These tests pin that check the same way
 ``tests/test_analysis_mutations.py`` pins the static verifier: inject one
-seeded defect into the plan and assert the probe catches it, the fallback
-is counted, and the served answer is still bitwise correct.
+seeded defect into the plan and assert the recording check refuses it,
+the refusal is counted once, and every answer is still bitwise correct.
 
 The second half audits the cache-bypass rules at all four layers —
 compile cache, programmed-state cache, tape cache, artifact store — for
@@ -28,7 +28,8 @@ import pytest
 
 from repro import InferenceEngine, default_config
 from repro.engine import clear_tape_caches, tape_cache_info
-from repro.sim.tape import ExecutionTape, TapeStep
+from repro.node.node import Node
+from repro.sim import tapeopt
 from repro.sim.tapeopt import (
     FusedBlock,
     MvmGroup,
@@ -70,7 +71,7 @@ def random_inputs(engine, batch, seed=0):
 
 
 def optimized_engine(dims=RICH_DIMS, batch=2):
-    """A fresh engine whose tape carries a probe-verified optimized plan."""
+    """A fresh engine whose tape carries a checked optimized plan."""
     clear_tape_caches()
     engine = make_engine(dims)
     inputs = random_inputs(engine, batch=batch, seed=11)
@@ -80,12 +81,23 @@ def optimized_engine(dims=RICH_DIMS, batch=2):
     return engine, tape, inputs
 
 
-def bogus_tape(tape):
-    """A structurally invalid tape (wrong tile) built from a real one."""
-    step = TapeStep(tile_id=999, core_id=0,
-                    instruction=tape.steps[0].instruction, eff_addr=0)
-    return ExecutionTape(steps=(step,), stats_by_batch=tape.stats_by_batch,
-                         recorded_batch=tape.recorded_batch)
+def assert_words_equal(served, reference):
+    assert set(served.words) == set(reference.words)
+    for name in reference.words:
+        np.testing.assert_array_equal(served[name], reference[name])
+
+
+def count_node_binds(monkeypatch):
+    """Record the batch width of every ``Node.for_program`` call."""
+    real = Node.for_program.__func__
+    widths = []
+
+    def counting(cls, *args, **kwargs):
+        widths.append(kwargs.get("batch"))
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Node, "for_program", classmethod(counting))
+    return widths
 
 
 # -- pass-level units -------------------------------------------------------
@@ -119,57 +131,23 @@ def test_optimize_is_deterministic():
     assert len(again.digest()) == 64  # sha256 hex
 
 
-def test_optimizer_rejects_invalid_source_tape():
-    engine, tape, _inputs = optimized_engine(dims=SMALL_DIMS)
-    with pytest.raises(TapeOptimizationError, match="validation"):
-        optimize_tape(bogus_tape(tape), engine._dependence_graph())
+# -- the recording check ----------------------------------------------------
 
 
-def test_optimizer_decline_is_counted_once():
-    """A declined tape is poisoned with the sentinel, not retried."""
-    engine, tape, _inputs = optimized_engine(dims=SMALL_DIMS)
-    corrupt = bogus_tape(tape)
-    before = tape_cache_info()
-    assert engine._optimized_plan(corrupt) is None
-    assert corrupt.optimized == "unoptimizable"
-    after = tape_cache_info()
-    assert after.optimizer_fallbacks == before.optimizer_fallbacks + 1
-    # The sentinel short-circuits: no second optimization attempt.
-    assert engine._optimized_plan(corrupt) is None
-    assert tape_cache_info().optimizer_fallbacks == after.optimizer_fallbacks
-
-
-def test_unoptimizable_sentinel_serves_plain_replay():
+def test_first_run_at_a_new_width_binds_one_node(monkeypatch):
+    """The plan was checked when the tape was recorded, so a new width
+    binds its optimized replayer and nothing else: one node, not a
+    second one for a per-width probe."""
     clear_tape_caches()
     engine = make_engine(SMALL_DIMS)
-    inputs = random_inputs(engine, batch=2)
-    reference = engine.run_batch(inputs)         # records
-    tape = next(iter(engine.compiled.execution_tapes.values()))
-    tape.optimized = "unoptimizable"
-    before = tape_cache_info()
-    served = engine.run_batch(inputs)
-    assert served.execution == "replay"
-    assert tape.optimized == "unoptimizable"     # untouched, not retried
-    after = tape_cache_info()
-    assert after.replays == before.replays + 1
-    assert after.optimized == before.optimized
-    for name in reference:
-        np.testing.assert_array_equal(served[name], reference[name])
-
-
-# -- the equivalence-probe protocol -----------------------------------------
-
-
-def test_probe_runs_once_per_batch():
-    engine, tape, inputs = optimized_engine(dims=SMALL_DIMS, batch=2)
-    assert tape.optimized.verified_batches == {2}
-    # The probe's reference replay is bookkeeping, not a served run.
-    assert tape.replay_count == 1
-    engine.run_batch(inputs)                     # verified: no second probe
-    assert tape.replay_count == 2
-    four = engine.run_batch(random_inputs(engine, batch=4, seed=5))
-    assert four.execution == "optimized"
-    assert tape.optimized.verified_batches == {2, 4}
+    engine.warm(batch=2)                         # records and checks
+    engine.warm(batch=5)      # width 5's stats: a shadow run builds a node
+    widths = count_node_binds(monkeypatch)
+    result = engine.run_batch(random_inputs(engine, batch=5))
+    assert result.execution == "optimized"
+    assert widths == [5]
+    engine.run_batch(random_inputs(engine, batch=5, seed=1))
+    assert widths == [5]                         # bound once, then reused
 
 
 def test_evicted_replayer_is_freed_without_the_cycle_collector():
@@ -219,36 +197,81 @@ def _mutate_mvm_group(ops):
     raise AssertionError("no MvmGroup in plan")
 
 
+def optimize_with(monkeypatch, mutate):
+    """Make the engine's optimizer hand out ``mutate``-d plans."""
+
+    def mutated(tape, graph):
+        plan = optimize_tape(tape, graph)
+        return OptimizedTape(plan=mutate(plan.plan), report=plan.report)
+
+    monkeypatch.setattr("repro.engine.optimize_tape", mutated)
+
+
+def assert_refused_at_recording(dims, inputs_seed=23):
+    """Record under a broken optimizer: the interpreter's words come back,
+    the plan never reaches the tape, the refusal is counted once, and
+    every later run is plain replay, bitwise."""
+    clear_tape_caches()
+    engine = make_engine(dims)
+    reference = make_engine(dims, execution_mode="interpret")
+    inputs = random_inputs(engine, batch=2, seed=inputs_seed)
+    before = tape_cache_info()
+    recorded = engine.run_batch(inputs)
+    assert recorded.execution == "interpreter"
+    assert_words_equal(recorded, reference.run_batch(inputs))
+    tape = engine.compiled.execution_tapes[engine._fingerprint]
+    assert tape.optimized is None
+    after = tape_cache_info()
+    assert after.optimizer_fallbacks == before.optimizer_fallbacks + 1
+    for batch, seed in ((2, 29), (4, 31)):
+        more = random_inputs(engine, batch=batch, seed=seed)
+        served = engine.run_batch(more)
+        assert served.execution == "replay"
+        assert_words_equal(served, reference.run_batch(more))
+    final = tape_cache_info()
+    assert final.optimizer_fallbacks == after.optimizer_fallbacks
+    assert final.optimized == after.optimized
+    return tape
+
+
 @pytest.mark.parametrize("mutate", [
     _mutate_forwarded_copy, _mutate_fused_block, _mutate_mvm_group,
 ], ids=["forwarded-copy", "fused-block", "mvm-group"])
-def test_mutated_plan_is_caught_by_the_probe(mutate):
-    """One seeded defect in the plan: the probe must catch it, count it,
-    poison the plan, and still serve the bitwise-correct plain replay."""
-    engine, tape, _inputs = optimized_engine()
-    plan = tape.optimized
-    # Install the tampered plan with a fresh (empty) verified set, as if
-    # this process had just built it.
-    tape.optimized = OptimizedTape(plan=mutate(plan.plan),
-                                   report=plan.report)
-    inputs = random_inputs(engine, batch=2, seed=23)
-    reference = make_engine(RICH_DIMS,
-                            execution_mode="interpret").run_batch(inputs)
+def test_mutated_plan_is_caught_at_recording(monkeypatch, mutate):
+    """One seeded defect in the plan: the recording check refuses it."""
+    optimize_with(monkeypatch, mutate)
+    assert_refused_at_recording(RICH_DIMS)
+
+
+def test_plan_failing_its_self_check_is_refused_at_recording(monkeypatch):
+    """A plan that loses a step fails ``_check_plan``; the
+    ``TapeOptimizationError`` takes the same route as a mismatch."""
+    real = tapeopt._batch_mvms
+
+    def lossy(plan):
+        plan, groups, batched = real(plan)
+        return plan[:-1], groups, batched
+
+    monkeypatch.setattr(tapeopt, "_batch_mvms", lossy)
+    tape = assert_refused_at_recording(SMALL_DIMS)
+    graph = make_engine(SMALL_DIMS)._dependence_graph()
+    with pytest.raises(TapeOptimizationError, match="does not cover"):
+        optimize_tape(tape, graph)
+
+
+def test_warm_alone_catches_a_dropped_mvm(monkeypatch):
+    """``warm`` records over seeded non-zero inputs.  Over all-zero ones a
+    crossbar that never fires reads the zeros it would have produced, and
+    the dropped MVM would pass its check."""
+    optimize_with(monkeypatch, _mutate_mvm_group)
+    clear_tape_caches()
+    engine = make_engine(RICH_DIMS)
     before = tape_cache_info()
-    served = engine.run_batch(inputs)
-    assert served.execution == "replay"          # probe mismatch -> plain
-    assert tape.optimized == "failed-verification"
-    after = tape_cache_info()
-    assert after.optimizer_fallbacks == before.optimizer_fallbacks + 1
-    assert after.optimized == before.optimized
-    for name in reference:
-        np.testing.assert_array_equal(served[name], reference[name])
-    # The poisoned tape never tries the optimizer again.
-    again = engine.run_batch(inputs)
-    assert again.execution == "replay"
-    assert tape_cache_info().optimizer_fallbacks == after.optimizer_fallbacks
-    for name in reference:
-        np.testing.assert_array_equal(again[name], reference[name])
+    engine.warm(batch=4)
+    tape = engine.compiled.execution_tapes[engine._fingerprint]
+    assert tape.optimized is None
+    assert tape_cache_info().optimizer_fallbacks \
+        == before.optimizer_fallbacks + 1
 
 
 # -- cache-bypass audit: seed=None and RANDOM-op programs -------------------
@@ -402,15 +425,18 @@ def test_repickled_mutated_plan_fails_digest(tmp_path):
         load_artifact(path)
 
 
-def test_loaded_plan_requires_fresh_probes(tmp_path):
-    """Verification verdicts are per-process: a loaded plan starts with
-    an empty verified set and is probed again before serving."""
+def test_loaded_plan_serves_a_new_width_with_one_bind(tmp_path, monkeypatch):
+    """A persisted plan passed its recording check in the process that
+    saved it: the loading process trusts it, and a width it never saw
+    binds one node and serves the optimized plan."""
     path = saved_artifact(tmp_path)
-    loaded = load_artifact(path)
-    assert isinstance(loaded.tape.optimized, OptimizedTape)
-    assert loaded.tape.optimized.verified_batches == set()
+    assert isinstance(load_artifact(path).tape.optimized, OptimizedTape)
     warm = InferenceEngine.from_artifacts(path)
-    result = warm.run_batch(random_inputs(warm, batch=2, seed=9))
-    assert result.execution == "optimized"       # probe ran and passed
-    tape = next(iter(warm.compiled.execution_tapes.values()))
-    assert tape.optimized.verified_batches == {2}
+    warm.warm(batch=3)        # width 3's stats: a shadow run builds a node
+    widths = count_node_binds(monkeypatch)
+    inputs = random_inputs(warm, batch=3, seed=9)
+    result = warm.run_batch(inputs)
+    assert result.execution == "optimized"
+    assert widths == [3]
+    reference = make_engine(SMALL_DIMS, execution_mode="interpret")
+    assert_words_equal(result, reference.run_batch(inputs))
