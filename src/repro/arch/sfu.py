@@ -17,14 +17,16 @@ class ScalarFunctionalUnit:
     def __init__(self, fmt: FixedPointFormat) -> None:
         self.fmt = fmt
         self.ops_executed = 0
+        self._lo, self._hi = fmt.int_min, fmt.int_max
 
     def execute(self, op: AluOp, a: int, b: int) -> int:
         """Scalar integer operation; compares return 1 or 0."""
         self.ops_executed += 1
+        # Saturate in Python ints: fmt.saturate's words, without an array.
         if op == AluOp.ADD:
-            return int(self.fmt.saturate(a + b))
+            return min(max(a + b, self._lo), self._hi)
         if op == AluOp.SUB:
-            return int(self.fmt.saturate(a - b))
+            return min(max(a - b, self._lo), self._hi)
         if op == AluOp.EQ:
             return int(a == b)
         if op == AluOp.GT:

@@ -8,9 +8,10 @@ Three execution paths share the functional semantics:
   schedule of one interpreter run, replay it as a flat tape of pre-bound
   numpy operations (see :class:`TapeRecorder` / :class:`TapeReplayer`);
 * :mod:`repro.sim.tapeopt` — the tape optimizer: compile a recorded tape
-  into a shorter plan (dead stores eliminated, store→load forwarding,
-  adjacent ops fused, independent MVMs batched) replayed by
-  :class:`OptimizedReplayer`, bitwise identical to the tape it came from.
+  into a shorter plan (dead stores and register writes eliminated,
+  store→load forwarding, adjacent ops fused, independent MVMs batched over
+  their programmed boxes) replayed by :class:`OptimizedReplayer`, bitwise
+  identical to the tape it came from.
 """
 
 from repro.sim.simulator import SimulationDeadlock, Simulator

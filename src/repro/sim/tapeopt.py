@@ -7,7 +7,7 @@ JIT target — the classical redundancy-removal passes apply with *dynamic*
 precision because every "instruction" is one concrete executed instance,
 not a static site that might run under many conditions.
 
-The pipeline (:func:`optimize_tape`) runs three passes:
+The pipeline (:func:`optimize_tape`) runs four passes:
 
 1. **Store-to-load forwarding + dead-store elimination.**  Shared memory
    on the replay fast path is just a staging buffer between register
@@ -18,16 +18,20 @@ The pipeline (:func:`optimize_tape`) runs three passes:
    :class:`RegMove`; a store whose words are never observed (no
    surviving load, no ``send``, not an output region, not persistent)
    is dropped.
-2. **Fusion of adjacent same-shape ops.**  Runs of ``copy``/``set``/
+2. **Dead register writes.**  Pure steps whose writes no later replayed
+   step reads are dropped — chiefly scalar loop and address code, read
+   only by branches and indirect addresses the tape has resolved.
+3. **Fusion of adjacent same-shape ops.**  Runs of ``copy``/``set``/
    ``alu``/``alui``/``load``/``store`` steps on one core with contiguous
    register (and memory) ranges collapse into a single wide numpy
    operation (:class:`FusedBlock`) — one closure call and one BLAS-level
    slice assignment instead of N.
-3. **MVM batching.**  Independent MVM steps from *different* cores whose
+4. **MVM batching.**  Independent MVM steps from *different* cores whose
    operands are untouched between them are grouped
    (:class:`MvmGroup`) and — when every unit takes the bit-exact ideal
-   float64 path — executed as one stacked ``(k, batch, dim) @ (k, dim,
-   dim)`` BLAS call instead of k separate products.
+   float64 path — executed as one stacked BLAS call instead of k
+   separate products, over only the rows and columns the members'
+   crossbars have programmed.
 
 Soundness is layered, mirroring the trust-but-verify pattern of the
 PR 6 analysis substrate: the engine only optimizes a tape that passed
@@ -43,7 +47,7 @@ counted — on any mismatch.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -134,6 +138,7 @@ class OptimizationReport:
     plan_ops: int
     stores_eliminated: int
     loads_forwarded: int
+    writes_eliminated: int
     fused_blocks: int
     fused_steps: int
     mvm_groups: int
@@ -143,7 +148,8 @@ class OptimizationReport:
     def changed(self) -> bool:
         """Whether any pass transformed anything at all."""
         return (self.stores_eliminated + self.loads_forwarded
-                + self.fused_blocks + self.mvm_groups) > 0
+                + self.writes_eliminated + self.fused_blocks
+                + self.mvm_groups) > 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -151,6 +157,7 @@ class OptimizationReport:
             "plan_ops": self.plan_ops,
             "stores_eliminated": self.stores_eliminated,
             "loads_forwarded": self.loads_forwarded,
+            "writes_eliminated": self.writes_eliminated,
             "fused_blocks": self.fused_blocks,
             "fused_steps": self.fused_steps,
             "mvm_groups": self.mvm_groups,
@@ -411,7 +418,63 @@ def _forward_and_eliminate(steps, graph: "StaticDependenceGraph"):
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: fusion of adjacent same-kind ops on one core
+# Pass 2: dead register writes
+# ---------------------------------------------------------------------------
+
+# Steps whose only effect is a register write.
+_PURE_OPCODES = frozenset({Opcode.ALU, Opcode.ALUI, Opcode.ALU_INT,
+                           Opcode.SET, Opcode.COPY, Opcode.LOAD})
+
+
+def _bits(start: int, width: int) -> int:
+    return ((1 << width) - 1) << start
+
+
+def _drop_dead_writes(plan, core_cfg):
+    """Drop pure ops whose register writes no later replayed op reads.
+
+    Returns ``(plan, dead)``.  One backward liveness walk over *replay*
+    reads: a load's or store's address register is not one (the tape
+    folded its effective address in), an MVM's XbarIn ``may_reads`` are,
+    and a ``may_write`` never ends a live range.  Registers are not
+    observed after a run, so nothing is live at the end of the plan.
+    """
+    live: dict[tuple[int, int], int] = defaultdict(int)
+    kept: list[object] = []
+    dead: list[object] = []
+    for op in reversed(plan):
+        if isinstance(op, RegMove):
+            pure, reads = True, _reg_reads(op, core_cfg)
+            writes = kills = _reg_writes(op, core_cfg)
+        elif op.core_id is None:  # tile send / receive: memory only
+            kept.append(op)
+            continue
+        else:
+            instr = op.instruction
+            key = (op.tile_id, op.core_id)
+            eff = core_effects(instr, core_cfg)
+            pure = instr.opcode in _PURE_OPCODES
+            reads = eff.all_reads()
+            if instr.opcode in (Opcode.LOAD, Opcode.STORE) \
+                    and instr.reg_indirect:
+                reads = reads[:-1]  # the address register comes last
+            reads = [(key, s, w) for s, w in reads]
+            writes = [(key, s, w) for s, w in eff.all_writes()]
+            kills = [(key, s, w) for s, w in eff.writes]
+        if pure and not any(live[k] & _bits(s, w) for k, s, w in writes):
+            dead.append(op)
+            continue
+        kept.append(op)
+        for k, s, w in kills:
+            live[k] &= ~_bits(s, w)
+        for k, s, w in reads:
+            live[k] |= _bits(s, w)
+    kept.reverse()
+    return kept, dead
+
+
+# ---------------------------------------------------------------------------
+# Pass 3: fusion of adjacent same-kind ops on one core
 # ---------------------------------------------------------------------------
 
 # ALU ops excluded from fusion: SUBSAMPLE changes shape, RANDOM draws
@@ -556,7 +619,7 @@ def _joinable(nxt: TapeStep, kind: str, key, written,
 
 
 # ---------------------------------------------------------------------------
-# Pass 3: batching independent MVMs
+# Pass 4: batching independent MVMs
 # ---------------------------------------------------------------------------
 
 
@@ -617,13 +680,14 @@ def _batch_mvms(plan):
 # ---------------------------------------------------------------------------
 
 
-def _check_plan(steps, plan, eliminated_ids, forwarded_ids) -> None:
+def _check_plan(steps, plan, eliminated_ids, forwarded_ids, dead) -> None:
     """Structural self-check: the plan covers exactly the source steps.
 
     Every source step must appear exactly once — as a passthrough step,
     inside a fused block or MVM group, or accounted for as an eliminated
-    store / forwarded load.  Counting is by object identity: TapeStep
-    instances are unique per recorded slot.
+    store, a forwarded load or a dead write; every forwarded load's
+    ``RegMove`` is in the plan or among the dead writes.  Counting is by
+    object identity: TapeStep instances are unique per recorded slot.
     """
     covered: Counter = Counter()
     regmoves = 0
@@ -637,14 +701,16 @@ def _check_plan(steps, plan, eliminated_ids, forwarded_ids) -> None:
             regmoves += 1
         else:
             raise TapeOptimizationError(f"unknown plan op {op!r}")
-    expected = Counter(id(step) for step in steps
-                       if id(step) not in eliminated_ids
-                       and id(step) not in forwarded_ids)
-    if covered != expected or regmoves != len(forwarded_ids):
+    dead_ids = {id(op) for op in dead if isinstance(op, TapeStep)}
+    dead_moves = len(dead) - len(dead_ids)
+    removed = eliminated_ids | forwarded_ids | dead_ids
+    expected = Counter(id(step) for step in steps if id(step) not in removed)
+    if covered != expected or regmoves + dead_moves != len(forwarded_ids):
         raise TapeOptimizationError(
             "optimized plan does not cover the source tape "
             f"({sum(covered.values())} covered + {len(eliminated_ids)} "
-            f"eliminated + {regmoves} forwarded vs {len(steps)} steps)")
+            f"eliminated + {regmoves} forwarded + {len(dead)} dead "
+            f"vs {len(steps)} steps)")
 
 
 def optimize_tape(tape: ExecutionTape,
@@ -665,14 +731,16 @@ def optimize_tape(tape: ExecutionTape,
     core_cfg = graph.config.tile.core
     (plan, eliminated_ids, forwarded_ids,
      n_eliminated, n_forwarded) = _forward_and_eliminate(tape.steps, graph)
+    plan, dead = _drop_dead_writes(plan, core_cfg)
     plan, fused_blocks, fused_steps = _fuse_adjacent(plan, core_cfg)
     plan, mvm_groups, mvms_batched = _batch_mvms(plan)
-    _check_plan(tape.steps, plan, eliminated_ids, forwarded_ids)
+    _check_plan(tape.steps, plan, eliminated_ids, forwarded_ids, dead)
     report = OptimizationReport(
         source_steps=len(tape.steps),
         plan_ops=len(plan),
         stores_eliminated=n_eliminated,
         loads_forwarded=n_forwarded,
+        writes_eliminated=len(dead),
         fused_blocks=fused_blocks,
         fused_steps=fused_steps,
         mvm_groups=mvm_groups,
@@ -811,13 +879,18 @@ class OptimizedReplayer(TapeReplayer):
 
         When every active unit takes the bit-exact ideal float64 path
         with one shared dimension and format, the k products run as one
-        stacked ``(k, dim, dim) @ (k, dim, batch)`` matmul, lanes minor
+        stacked ``(k, cols, rows) @ (k, rows, batch)`` matmul, lanes minor
         like the registers they come from — the rescale and saturate
         are elementwise, so the stacked result is bitwise identical to
         per-unit :meth:`~repro.arch.mvmu.MVMU.execute` calls.  Otherwise
         the members simply execute sequentially at the anchor slot
         (hoisting is legal either way; only the BLAS stacking needs
         exactness).
+
+        The stack spans only the union box of the members' nonzero rows
+        and columns (zero rows add exact zeros to the integer sums, zero
+        columns yield exact zeros), and each member's DAC rows of it are
+        one gather with its ``filter``/``stride`` shuffle folded in.
         """
         per_step = []
         jobs = []
@@ -849,10 +922,18 @@ class OptimizedReplayer(TapeReplayer):
         dim = dims.pop()
         # y = x @ M per lane is M^T @ x^T over all lanes at once.
         units = tuple(id(job[3]) for job in jobs)
-        matrices = self._stacks.get(units)
-        if matrices is None:
-            matrices = self._stacks[units] = np.stack(
-                [job[3].matrix.T.astype(np.float64) for job in jobs])
+        stacked = self._stacks.get(units)
+        if stacked is None:
+            stacked = self._stacks[units] = _box_stack(
+                [job[3].matrix for job in jobs])
+        matrices, (r0, r1), (c0, c1) = stacked
+        gathers = []
+        for regs, in_base, _out, _m, filt, stride in jobs:
+            dac = MVMU.shuffle_inputs(np.arange(dim), filt, stride)[r0:r1]
+            if np.array_equal(dac, np.arange(r0, r1)):
+                gathers.append((regs, slice(in_base + r0, in_base + r1)))
+            else:
+                gathers.append((regs, dac + in_base))
         # scale is a power of two (1 << frac_bits), so multiplying by the
         # reciprocal is exact; every intermediate is an exact integer in
         # float64 (the _f64_product_is_exact precondition, which holds in
@@ -863,18 +944,20 @@ class OptimizedReplayer(TapeReplayer):
         lo, hi = np.array(float(fmt.int_min)), np.array(float(fmt.int_max))
         k = len(jobs)
         # Scratch sized once for the node's batch; a narrower selection
-        # uses the leading lanes of each unit's block.
-        xs_all = np.empty((k, dim, self.batch), dtype=np.float64)
-        ys_all = np.empty((k, dim, self.batch), dtype=np.float64)
+        # uses the leading lanes of each unit's block.  Products are only
+        # written inside the box: the columns outside it stay 0.
+        xs_all = np.empty((k, r1 - r0, self.batch), dtype=np.float64)
+        ys_all = np.zeros((k, dim, self.batch), dtype=np.float64)
 
         def step(rows, _flows) -> None:
-            for idx, (regs, in_base, _out, _m, filt, stride) in enumerate(jobs):
-                x = regs[rows, in_base:in_base + dim]
-                if filt:
-                    x = MVMU.shuffle_inputs(x, filt, stride)
+            # Lane indices x a gathered index array: pair every lane with
+            # every column (two index arrays side by side would zip).
+            lanes = rows if type(rows) is slice else rows[:, None]
+            for idx, (regs, src) in enumerate(gathers):
+                x = regs[rows if type(src) is slice else lanes, src]
                 n = len(x)
                 xs_all[idx, :, :n] = x.T
-            xs, ys = xs_all[:, :, :n], ys_all[:, :, :n]
+            xs, ys = xs_all[:, :, :n], ys_all[:, c0:c1, :n]
             np.matmul(matrices, xs, out=ys)
             np.multiply(ys, inv_scale, out=ys)
             np.floor(ys, out=ys)
@@ -884,5 +967,16 @@ class OptimizedReplayer(TapeReplayer):
             # values are exact integers after the clamp, so the cast equals
             # astype(np.int64) without materializing the full array.
             for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
-                regs[rows, out_base:out_base + dim] = ys[idx].T
+                regs[rows, out_base:out_base + dim] = ys_all[idx, :, :n].T
         return step
+
+
+def _box_stack(matrices) -> tuple:
+    """``(stack, rows, cols)``: each matrix's part in the half-open
+    ``rows`` x ``cols`` union box of their nonzeros, transposed, stacked."""
+    nonzero = np.logical_or.reduce([m != 0 for m in matrices])
+    (r0, r1), (c0, c1) = [
+        (int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0)
+        for hits in (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))]
+    return (np.stack([m[r0:r1, c0:c1].T.astype(np.float64)
+                      for m in matrices]), (r0, r1), (c0, c1))

@@ -87,13 +87,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import NodeProgrammedState
     from repro.sim.tape import ExecutionTape
 
-# Version 4: a persisted plan passed its recording check and loaders
-# trust it (a version-3 plan was never checked at recording).  Version 3
+# Version 5: plans drop dead register writes; the digested report counts
+# them.  Version 4: a persisted plan
+# passed its recording check and loaders trust it (a version-3 plan was
+# never checked at recording).  Version 3
 # made the programmed state the in-memory record (no column offset sums,
 # no manifest ``conductances`` mode); version 2 introduced the single
 # batch-generic tape.  Older artifacts are rejected like any other
 # unsupported format — a cache miss and rebuild, never a wrong answer.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl.gz"
 STATE_NAME = "programmed_state.npz"

@@ -498,9 +498,11 @@ def test_node_rejects_ill_fitting_state_up_front(edit, message):
         Simulator(CFG, engine.program, seed=7, programmed_state=broken)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_superseded_format_versions_rebuild(tmp_path, version):
-    """Version-3 artifacts (a plan never checked at recording) and
+    """Version-4 artifacts (a plan that keeps dead register writes, under
+    a report without their count), version-3 ones (a plan never checked
+    at recording) and
     version-2 ones (column sums on disk, a manifest conductance mode) are
     refused like version 1: a rejection and a cold rebuild."""
     model = build_mlp_model([32, 24, 16, 10], seed=0)

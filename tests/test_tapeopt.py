@@ -28,8 +28,11 @@ import pytest
 
 from repro import InferenceEngine, default_config
 from repro.engine import clear_tape_caches, tape_cache_info
+from repro.fleet.models import FleetModelSpec, build_engine
+from repro.isa.opcodes import Opcode
 from repro.node.node import Node
 from repro.sim import tapeopt
+from repro.sim.tape import TapeStep
 from repro.sim.tapeopt import (
     FusedBlock,
     MvmGroup,
@@ -118,9 +121,50 @@ def test_report_counts_real_transformations():
     assert report.mvms_batched > report.mvm_groups  # groups have >1 member
     assert set(report.as_dict()) == {
         "source_steps", "plan_ops", "stores_eliminated", "loads_forwarded",
-        "fused_blocks", "fused_steps", "mvm_groups", "mvms_batched"}
+        "writes_eliminated", "fused_blocks", "fused_steps", "mvm_groups",
+        "mvms_batched"}
     kinds = {type(op) for op in plan.plan}
     assert {RegMove, FusedBlock, MvmGroup} <= kinds
+
+
+def _members(op):
+    return op.steps if isinstance(op, (FusedBlock, MvmGroup)) else (op,)
+
+
+def _is_loop_code(step):
+    """Scalar loop and address bookkeeping: ``ALU_INT`` and scalar ``SET``."""
+    instr = step.instruction
+    return instr.opcode == Opcode.ALU_INT or (
+        instr.opcode == Opcode.SET and instr.vec_width == 1)
+
+
+def fleet_plan(spec):
+    """The checked plan of a fleet model's batch-1 recording."""
+    clear_tape_caches()
+    engine = build_engine(spec)
+    engine.warm(batch=1)
+    tape = engine.compiled.execution_tapes[engine._fingerprint]
+    assert isinstance(tape.optimized, OptimizedTape)
+    return engine, tape
+
+
+FLEET_CNN = FleetModelSpec("cnn", "cnn_small", {}, seed=0)
+FLEET_LSTM = FleetModelSpec("lstm", "lstm", {
+    "input_size": 16, "hidden_size": 24, "output_size": 8}, seed=0)
+
+
+def test_loop_and_address_code_dies_in_the_cnn_plan():
+    """The CNN's loop counters and address registers feed only branches
+    and register-indirect addresses, and the tape has folded both into
+    its steps: none of that code survives, and the report counts it."""
+    _engine, tape = fleet_plan(FLEET_CNN)
+    report = tape.optimized.report
+    loop_code = [step for step in tape.steps if _is_loop_code(step)]
+    assert len(loop_code) > 50
+    survivors = [step for op in tape.optimized.plan for step in _members(op)
+                 if isinstance(step, TapeStep)]
+    assert not any(_is_loop_code(step) for step in survivors)
+    assert report.writes_eliminated == len(loop_code)
 
 
 def test_optimize_is_deterministic():
@@ -197,6 +241,14 @@ def _mutate_mvm_group(ops):
     raise AssertionError("no MvmGroup in plan")
 
 
+def _mutate_live_write(ops):
+    """Drop one register write the dead-write pass kept as live."""
+    for i, op in enumerate(ops):
+        if isinstance(op, TapeStep) and op.instruction.opcode == Opcode.ALU:
+            return ops[:i] + ops[i + 1:]
+    raise AssertionError("no ALU step in plan")
+
+
 def optimize_with(monkeypatch, mutate):
     """Make the engine's optimizer hand out ``mutate``-d plans."""
 
@@ -236,7 +288,8 @@ def assert_refused_at_recording(dims, inputs_seed=23):
 
 @pytest.mark.parametrize("mutate", [
     _mutate_forwarded_copy, _mutate_fused_block, _mutate_mvm_group,
-], ids=["forwarded-copy", "fused-block", "mvm-group"])
+    _mutate_live_write,
+], ids=["forwarded-copy", "fused-block", "mvm-group", "live-write"])
 def test_mutated_plan_is_caught_at_recording(monkeypatch, mutate):
     """One seeded defect in the plan: the recording check refuses it."""
     optimize_with(monkeypatch, mutate)
@@ -272,6 +325,27 @@ def test_warm_alone_catches_a_dropped_mvm(monkeypatch):
     assert tape.optimized is None
     assert tape_cache_info().optimizer_fallbacks \
         == before.optimizer_fallbacks + 1
+
+
+# -- host-cost ratchets ------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, max_ops, max_cells", [
+    (FLEET_CNN, 284, 436),
+    (FLEET_LSTM, 43, 4032),
+], ids=["cnn_small", "lstm"])
+def test_replay_pays_only_for_live_programmed_work(spec, max_ops, max_cells):
+    """Exact host-cost counts of two fleet plans: ops replayed per run,
+    and float64 cells of the bound stacked MVM operands.  A plan that
+    kept its dead loop code, or a stack of whole 128x128 crossbars
+    around a few programmed cells, reads 349 ops / 49,152 cells
+    (cnn_small) and 32,768 cells (LSTM 16/24/8)."""
+    engine, tape = fleet_plan(spec)
+    assert len(tape.optimized.plan) <= max_ops
+    replayer = engine._bind_replayer(tape, tape.optimized, 1)
+    cells = sum(stack.size for stack, _rows, _cols
+                in replayer._stacks.values())
+    assert 0 < cells <= max_cells
 
 
 # -- cache-bypass audit: seed=None and RANDOM-op programs -------------------

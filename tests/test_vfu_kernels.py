@@ -7,7 +7,7 @@ These tests pin the kernels to an independent reference — the arithmetic
 ``_apply`` carried as an ``if`` chain before the table existed — under
 every aliasing the binders produce, pin the LUT gather to the
 interpolation it tabulates over the whole word domain, and pin the
-lane-minor MVM group to ``MVMU.execute``.
+lane-minor, box-bound MVM group to ``MVMU.execute``.
 """
 
 import numpy as np
@@ -27,8 +27,8 @@ from repro.isa.opcodes import AluOp
 from repro.isa.program import NodeProgram
 from repro.node.node import Node
 from repro.sim.tape import ExecutionTape, TapeStep, _bind_alu
-from repro.sim.tapeopt import (OptimizationReport, OptimizedReplayer,
-                               OptimizedTape)
+from repro.sim.tapeopt import (MvmGroup, OptimizationReport,
+                               OptimizedReplayer, OptimizedTape)
 from repro.tile.shared_memory import SharedMemory
 
 FMT = FixedPointFormat()
@@ -257,7 +257,7 @@ def _mvm_replayer(matrix, batch, filter_=0, stride=0, config=None, steps=1):
     tape = ExecutionTape(steps=plan_steps, stats_by_batch={},
                          recorded_batch=1)
     plan = OptimizedTape(plan=plan_steps, report=OptimizationReport(
-        steps, steps, 0, 0, 0, 0, 0, 0))
+        steps, steps, 0, 0, 0, 0, 0, 0, 0))
     return OptimizedReplayer(tape, plan, node, program), node
 
 
@@ -321,3 +321,96 @@ def test_steps_over_the_same_units_share_one_stacked_operand():
     replayer, _node = _mvm_replayer(np.eye(dim, dtype=np.int64), 2, steps=3)
     first = _stacked_operand(replayer.ops[0], dim)
     assert all(_stacked_operand(op, dim) is first for op in replayer.ops)
+
+
+def _box(rng, dim, rows, cols):
+    """A matrix that is zero outside ``rows`` x ``cols``."""
+    matrix = np.zeros((dim, dim), dtype=np.int64)
+    matrix[rows, cols] = rng.integers(-3000, 3000,
+                                      size=matrix[rows, cols].shape)
+    return matrix
+
+
+def _group_replayer(members, batch):
+    """An OptimizedReplayer whose plan is one MvmGroup with one MVM step
+    per core: ``members[c]`` is core c's ``(matrices, filter, stride)``,
+    one matrix per active MVMU."""
+    program = NodeProgram(name="group")
+    steps = []
+    for core_id, (matrices, filter_, stride) in enumerate(members):
+        mvm = isa.mvm((1 << len(matrices)) - 1, filter=filter_,
+                      stride=stride)
+        program.tile(0).core(core_id).extend([mvm, isa.hlt()])
+        for m, matrix in enumerate(matrices):
+            program.weights[(0, core_id, m)] = matrix
+        steps.append(TapeStep(0, core_id, mvm, 0))
+    node = Node.for_program(default_config(), program,
+                            lambda _delay, _cb: None, seed=0, batch=batch)
+    tape = ExecutionTape(steps=tuple(steps), stats_by_batch={},
+                         recorded_batch=1)
+    plan = OptimizedTape(plan=(MvmGroup(steps=tuple(steps)),),
+                         report=OptimizationReport(
+                             len(steps), 1, 0, 0, 0, 0, 0, 1, len(steps)))
+    return OptimizedReplayer(tape, plan, node, program), node
+
+
+def _group_cases(dim):
+    rng = np.random.default_rng(8)
+    inner = _box(rng, dim, slice(5, 40), slice(7, 30))    # zero on all sides
+    low = _box(rng, dim, slice(60, 100), slice(0, 10))    # a different box
+    full = rng.integers(-3000, 3000, size=(dim, dim))
+    zero = np.zeros((dim, dim), dtype=np.int64)
+    return {
+        "two-boxes-and-zero": [([inner, low], 5, 2), ([zero], 0, 0)],
+        "full-and-box": [([full], 0, 0), ([inner], 3, 1)],
+        "box-shuffled": [([inner], 4, 3)],
+        "all-zero": [([zero], 0, 0)],
+    }
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("case", ["two-boxes-and-zero", "full-and-box",
+                                  "box-shuffled", "all-zero"])
+def test_box_bound_group_equals_per_unit_execute(case, batch):
+    """A stacked group bound to its members' union nonzero box, DAC rows
+    gathered through each member's shuffle, is bitwise
+    ``MVMU.execute(shuffle_inputs(x))`` per unit: for slice and
+    lane-index-array rows, and with garbage in every XbarOut register
+    beforehand, columns outside the box included."""
+    cfg = default_config().core
+    dim = cfg.mvmu_dim
+    members = _group_cases(dim)[case]
+    replayer, node = _group_replayer(members, batch)
+    (stack, (r0, r1), (c0, c1)), = replayer._stacks.values()
+    nonzero = np.zeros((dim, dim), dtype=bool)
+    for matrices, _f, _s in members:
+        for matrix in matrices:
+            nonzero |= matrix != 0
+    assert nonzero[r0:r1, c0:c1].sum() == nonzero.sum()   # the box holds all
+    assert stack.shape == (sum(len(m) for m, _f, _s in members),
+                           c1 - c0, r1 - r0)
+    if case != "full-and-box":
+        assert stack[0].size < dim * dim                  # narrower than dim
+    rng = np.random.default_rng(batch)
+    cores = node.tiles[0].cores
+    for rows in (slice(None), np.arange(batch)[::-1][:max(1, batch - 2)]):
+        others = np.setdiff1d(np.arange(batch), np.arange(batch)[rows])
+        for core_id in range(len(members)):
+            cores[core_id].registers._data[...] = rng.integers(
+                FMT.int_min, FMT.int_max + 1,
+                size=cores[core_id].registers._data.shape)
+        before = [core.registers._data.copy() for core in cores]
+        replayer.ops[0](rows, {})
+        for core_id, (matrices, filter_, stride) in enumerate(members):
+            regs = cores[core_id].registers._data
+            for m in range(len(matrices)):
+                x = before[core_id][rows, cfg.xbar_in_base(m):
+                                    cfg.xbar_in_base(m) + dim]
+                expected = cores[core_id].mvmus[m].execute(
+                    MVMU.shuffle_inputs(x, filter_, stride))
+                out = cfg.xbar_out_base(m)
+                got = regs[rows, out:out + dim]
+                np.testing.assert_array_equal(got, expected)
+                assert not got[:, :c0].any() and not got[:, c1:].any()
+            np.testing.assert_array_equal(regs[others],
+                                          before[core_id][others])
