@@ -314,8 +314,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.fleet import (
-        FaultPlan,
-        FaultPlanError,
         FleetModelError,
         FleetModelSpec,
         PumaFleet,
@@ -331,12 +329,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         raise CliError("--requests must be >= 1", EXIT_USAGE)
     if args.rate <= 0:
         raise CliError("--rate must be positive", EXIT_USAGE)
-    fault_plan = None
-    if args.chaos:
-        try:
-            fault_plan = FaultPlan.load(args.chaos)
-        except (OSError, json.JSONDecodeError, FaultPlanError) as error:
-            raise CliError(f"{args.chaos}: {error}") from error
     try:
         with open(args.deployment, encoding="utf-8") as handle:
             described = json.load(handle)
@@ -364,8 +356,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     async def drive(work_dir: str):
         async with PumaFleet(specs, num_workers=args.workers,
                              work_dir=work_dir,
-                             max_batch_size=args.max_batch,
-                             fault_plan=fault_plan) as fleet:
+                             max_batch_size=args.max_batch) as fleet:
             print(f"fleet up: {args.workers} worker(s) behind "
                   f"{fleet.url}")
             report = await run_trace(fleet.host, fleet.http.port, trace,
@@ -407,23 +398,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"  {model}: {status}")
     if not all(checks.values()):
         raise CliError("fleet replies diverged from the local engine")
-    if fault_plan is not None:
-        # Under chaos, typed rejections are expected — what must never
-        # happen is a silent failure (hang or dropped connection at the
-        # front door) or an untyped status.
-        if report.timeouts or report.transport_errors:
-            raise CliError(
-                f"fleet went silent under chaos: {report.timeouts} "
-                f"timeout(s), {report.transport_errors} transport "
-                f"error(s): {report.errors[:3]}")
-        untyped = set(report.statuses) - {429, 503, 504}
-        if untyped:
-            raise CliError(f"untyped failure status(es) under chaos: "
-                           f"{sorted(untyped)}: {report.errors[:3]}")
-        if report.failed:
-            print(f"  chaos: {report.failed} typed rejection(s) "
-                  f"({report.to_dict()['statuses']}) — allowed")
-    elif report.failed:
+    if report.failed:
         raise CliError(f"{report.failed} request(s) failed: "
                        f"{report.errors[:3]}")
     return EXIT_OK
@@ -585,10 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--work-dir", metavar="DIR",
                        help="fleet scratch + artifact blob store "
                             "(default: a temporary directory)")
-    fleet.add_argument("--chaos", metavar="PLAN.json", default=None,
-                       help="arm a deterministic fault plan "
-                            "(FaultPlan JSON); typed rejections are "
-                            "then allowed, silent failures still fatal")
     fleet.add_argument("--seed", type=int, default=0)
     fleet.set_defaults(fn=_cmd_fleet)
 

@@ -17,13 +17,13 @@ The scale-out layer over :mod:`repro.serve` (ROADMAP open item 1):
   blobs with size-capped LRU eviction (:mod:`repro.fleet.netstore`);
 * :func:`bursty_trace` / :func:`run_trace` — deterministic load
   generation and SLO measurement (:mod:`repro.fleet.loadgen`);
-* :class:`FaultPlan` / :class:`FaultInjector` /
-  :class:`CircuitBreaker` / :func:`backoff_delay` — the deterministic
-  chaos harness and the resilience policies it validates
-  (:mod:`repro.fleet.resilience`).
+* :class:`CircuitBreaker` / :func:`backoff_delay` — the resilience
+  policies behind dispatch retry (:mod:`repro.fleet.resilience`).
 
-See ``docs/fleet.md`` for topology, guarantees, and the resilience
-layer's fault taxonomy.
+The package carries no fault injector: the fleet's fault tests fault
+the gateway's connection pool from ``tests/fleet_faults.py``.  See
+``docs/fleet.md`` for topology, guarantees, and the fault taxonomy
+those tests cover.
 """
 
 from repro.fleet.gateway import (
@@ -53,26 +53,13 @@ from repro.fleet.models import (
     route_key,
 )
 from repro.fleet.netstore import NetworkArtifactError
-from repro.fleet.resilience import (
-    FAULT_KINDS,
-    CircuitBreaker,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-    backoff_delay,
-)
+from repro.fleet.resilience import CircuitBreaker, backoff_delay
 from repro.fleet.ring import HashRing
 from repro.fleet.worker import FleetWorker
 
 __all__ = [
     "Arrival",
     "CircuitBreaker",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
     "FleetAdmissionError",
     "FleetConnectionError",
     "FleetDeadlineError",

@@ -69,13 +69,7 @@ from repro.fleet.manager import (
 )
 from repro.fleet.models import FleetModelSpec, route_key
 from repro.fleet.netstore import SHA_HEADER, BlobStore, NetworkArtifactError
-from repro.fleet.resilience import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-    backoff_delay,
-)
+from repro.fleet.resilience import CircuitBreaker, backoff_delay
 from repro.fleet.ring import HashRing
 from repro.fleet.worker import predict_fields
 
@@ -208,14 +202,9 @@ class PumaFleet:
             :func:`repro.fleet.resilience.backoff_delay`).
         blob_store_max_bytes: size cap for the artifact plane's LRU
             (``None`` = unbounded, the pre-resilience behavior).
-        clock: time source for gateway deadline math and retry backoff
-            (default wall clock; tests inject
+        clock: time source for gateway deadline math, retry backoff
+            and breaker cooldowns (default wall clock; tests inject
             :class:`~repro.serve.clock.VirtualClock`).
-        fault_plan: a chaos schedule armed at startup — worker events
-            ride each worker's spawn bootstrap, gateway events
-            (``corrupt_blob``) arm on the gateway injector.  More can
-            be armed on a live fleet via :meth:`arm_chaos` or
-            ``POST /v1/chaos``.
         drain_timeout_s: how long :meth:`stop`'s drain waits for queued
             + in-flight work before giving up and failing the rest.
     """
@@ -245,7 +234,6 @@ class PumaFleet:
                  backoff_cap_s: float = 0.5,
                  backoff_seed: int = 0,
                  blob_store_max_bytes: int | None = None,
-                 fault_plan: FaultPlan | None = None,
                  drain_timeout_s: float = PREDICT_TIMEOUT_S,
                  clock: Clock | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
@@ -286,10 +274,10 @@ class PumaFleet:
         self.backoff_cap_s = backoff_cap_s
         self.backoff_seed = backoff_seed
         self.blob_store_max_bytes = blob_store_max_bytes
-        self.fault_plan = fault_plan
         self.drain_timeout_s = drain_timeout_s
-        # Every deadline/backoff decision reads this clock, so tests can
-        # inject a VirtualClock and drive gateway time deterministically.
+        # Every deadline, backoff and breaker decision reads this clock,
+        # so tests can inject a VirtualClock and drive gateway time
+        # deterministically.
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self.host = host
         self._requested_port = port
@@ -306,8 +294,6 @@ class PumaFleet:
         self.blobs: BlobStore | None = None
         self.manager: WorkerManager | None = None
         self.breakers: dict[str, CircuitBreaker] = {}
-        self.chaos = FaultInjector(
-            seed=fault_plan.seed if fault_plan is not None else 0)
         self._load_locks: dict[tuple[str, str], asyncio.Lock] = {}
         self._background: list[asyncio.Task] = []
         self._tokens = itertools.count()
@@ -330,14 +316,11 @@ class PumaFleet:
             str(self.work_dir / "workers"),
             store_address=(self.host, self.http.port),
             max_batch_size=self.max_batch_size, host=self.host,
-            max_queue_depth=self.max_queue_depth,
-            fault_plan=self.fault_plan)
+            max_queue_depth=self.max_queue_depth)
         await self.manager.spawn_many(self.num_workers)
         for worker_id in self.manager.workers:
             self.ring.add(worker_id)
             self.breakers[worker_id] = self._new_breaker()
-        if self.fault_plan is not None:
-            self.chaos.arm(self.fault_plan.gateway_events())
         for state in self.models.values():
             state.dispatchers = [
                 asyncio.create_task(self._dispatch_loop(state))
@@ -699,7 +682,8 @@ class PumaFleet:
 
     def _new_breaker(self) -> CircuitBreaker:
         return CircuitBreaker(failure_threshold=self.breaker_threshold,
-                              cooldown_s=self.breaker_cooldown_s)
+                              cooldown_s=self.breaker_cooldown_s,
+                              clock=self.clock.now)
 
     def _pick_replica(self, state: _ModelState,
                       tried: set[str]) -> WorkerHandle | None:
@@ -766,39 +750,6 @@ class PumaFleet:
                     state.replicas += delta
                     self.autoscale_events += 1
 
-    # -- chaos control plane -------------------------------------------------
-
-    async def arm_chaos(self, plan: FaultPlan) -> dict[str, int]:
-        """Arm a fault plan across the live fleet.
-
-        Worker-side events go to each worker's ``POST /v1/chaos``
-        (filtered to its spawn index); gateway-side events
-        (``corrupt_blob``) arm on the gateway's own injector.  Returns
-        how many events each party armed.  A worker that cannot be
-        reached arms nothing — it is presumably already the fault.
-        """
-        self.chaos.seed = plan.seed
-        armed = {"gateway": self.chaos.arm(plan.gateway_events())}
-        for handle in list(self.manager.workers.values()):
-            events = plan.for_worker(handle.index)
-            if not events:
-                armed[handle.worker_id] = 0
-                continue
-            body = json.dumps({
-                "seed": plan.seed,
-                "events": [event.to_dict() for event in events]}).encode()
-            try:
-                response = await self.pool.request(
-                    handle.host, handle.port, "POST", "/v1/chaos",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                    timeout=5.0)
-                armed[handle.worker_id] = (len(events)
-                                           if response.status == 200 else 0)
-            except FleetConnectionError:
-                armed[handle.worker_id] = 0
-        return armed
-
     # -- HTTP front door ----------------------------------------------------
 
     async def _handle(self, request: HttpRequest) -> HttpResponse:
@@ -824,14 +775,6 @@ class PumaFleet:
                 for state in self.models.values()]})
         if route == ("POST", "/v1/predict"):
             return await self._handle_predict(request)
-        if route == ("POST", "/v1/chaos"):
-            try:
-                plan = FaultPlan.from_dict(request.json())
-            except FaultPlanError as error:
-                return error_response(400, str(error),
-                                      reason="bad_fault_plan")
-            return json_response({"ok": True,
-                                  "armed": await self.arm_chaos(plan)})
         if route == ("GET", "/metrics"):
             return json_response(await self.metrics())
         if request.path.startswith(_ARTIFACT_PREFIX):
@@ -880,12 +823,6 @@ class PumaFleet:
                 return error_response(404, f"no artifact blob for "
                                            f"route key {key[:16]}…")
             data, digest = found
-            if self.chaos.take("corrupt_blob") is not None:
-                # Seeded bit rot: flip one byte but keep the *declared*
-                # digest — exactly what disk/wire corruption looks like.
-                # The puller's verify-then-verify-again chain must
-                # reject it and fall back to a cold build.
-                data = self.chaos.corrupt(data)
             return HttpResponse(
                 status=200,
                 headers={"Content-Type": "application/x-tar",
@@ -939,7 +876,6 @@ class PumaFleet:
                                          "opens": breaker.opens}
                              for worker_id, breaker
                              in sorted(self.breakers.items())},
-                "chaos": self.chaos.ledger(),
                 "models": {
                     state.spec.name: {
                         "route_key": state.key,
@@ -986,7 +922,7 @@ def _item_replies(response: HttpResponse,
     per rider, in order; the envelope (``model``, ``worker``) is what
     every 200 rider's reply shares.  Anything else under a 200 is a
     garbage body (:class:`ProtocolError`).  A non-200 response (409 not
-    hosted, an injected 500) is every rider's outcome.
+    hosted, a whole-exchange 500) is every rider's outcome.
     """
     if response.status != 200:
         outcome = {"status": response.status,

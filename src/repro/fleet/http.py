@@ -66,18 +66,8 @@ class FleetTimeoutError(FleetConnectionError):
 
     A subclass of :class:`FleetConnectionError` (the connection is torn
     down either way), distinguished so the load generator can tell a
-    *hang* (this) from a *drop* (the base class) — the chaos soak
-    asserts zero of the former.
-    """
-
-
-class DropConnection(Exception):
-    """A handler's way to kill the connection without responding.
-
-    Raised by the chaos middleware to simulate a connection drop: the
-    server closes the socket mid-request, and the client sees a
-    :class:`FleetConnectionError`.  Never raised outside fault
-    injection.
+    *hang* (this) from a *drop* (the base class) — the fleet's fault
+    tests assert zero of either at the front door.
     """
 
 
@@ -323,8 +313,6 @@ class HttpServer:
                     response = await self._handler(request)
                 except asyncio.CancelledError:
                     raise
-                except DropConnection:
-                    return           # chaos: die without a response
                 except Exception as error:  # noqa: BLE001 - 500, keep going
                     response = error_response(
                         500, f"{type(error).__name__}: {error}")

@@ -16,7 +16,7 @@ provides both halves of the load test:
   ``POST /v1/predict``, over pooled keep-alive connections;
 * :class:`LoadReport` — per-model and overall p50/p99 latency, achieved
   throughput, and the failure count split into typed buckets (what
-  ``cli fleet`` and the chaos soak in ``tests/test_fleet_e2e.py``
+  ``cli fleet`` and the fault soak in ``tests/test_fleet_e2e.py``
   assert on).
 """
 
@@ -94,7 +94,7 @@ class LoadReport:
     """What a replay measured: latencies, throughput, failures.
 
     ``failed`` is the total; it splits exactly into three typed
-    buckets, because "failed" hides the distinction the chaos soak
+    buckets, because "failed" hides the distinction the fault soak
     must assert on:
 
     * ``timeouts`` — the client-side request timeout lapsed with *no*
@@ -208,7 +208,7 @@ async def run_trace(host: str, port: int, trace: list[Arrival],
             deadline; expired requests come back 504 (a *rejection*,
             not a timeout — the fleet answered).
         on_reply: optional ``on_reply(arrival, response)`` called for
-            every 200 reply before it is counted — the hook the chaos
+            every 200 reply before it is counted — the hook the fault
             soak uses to compare each completed response bitwise
             against the single-engine reference.
 

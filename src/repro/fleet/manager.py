@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.fleet.http import FleetConnectionError, HttpConnection
-from repro.fleet.resilience import FaultPlan
 from repro.fleet.worker import run_worker, worker_bootstrap
 
 READY_TIMEOUT_S = 60.0
@@ -49,7 +48,6 @@ class WorkerHandle:
     process: mp.process.BaseProcess
     host: str
     port: int
-    index: int = 0                    # spawn order; fault plans target it
     healthy: bool = True
     consecutive_failures: int = 0
     hosted: set[str] = field(default_factory=set)   # route keys loaded
@@ -88,23 +86,18 @@ class WorkerManager:
             across the fleet.
         max_queue_depth: per-model admission bound, uniform across the
             fleet (``None`` = unbounded).
-        fault_plan: chaos schedule; each spawned worker receives the
-            plan's events targeting its spawn index
-            (:meth:`FaultPlan.for_worker`) and arms them at startup.
     """
 
     def __init__(self, work_dir: str, *,
                  store_address: tuple[str, int] | None = None,
                  max_batch_size: int = 16,
                  host: str = "127.0.0.1",
-                 max_queue_depth: int | None = None,
-                 fault_plan: FaultPlan | None = None) -> None:
+                 max_queue_depth: int | None = None) -> None:
         self.work_dir = work_dir
         self.store_address = store_address
         self.max_batch_size = max_batch_size
         self.host = host
         self.max_queue_depth = max_queue_depth
-        self.fault_plan = fault_plan
         self.workers: dict[str, WorkerHandle] = {}
         self._ids = itertools.count()
         self._context = mp.get_context("spawn")
@@ -112,19 +105,13 @@ class WorkerManager:
     async def spawn(self, ready_timeout: float = READY_TIMEOUT_S
                     ) -> WorkerHandle:
         """Start one worker and wait until it serves ``/healthz``."""
-        index = next(self._ids)
-        worker_id = f"w{index}"
-        fault_events = (self.fault_plan.for_worker(index)
-                        if self.fault_plan is not None else ())
-        chaos_seed = (self.fault_plan.seed
-                      if self.fault_plan is not None else 0)
+        worker_id = f"w{next(self._ids)}"
         bootstrap = worker_bootstrap(
             worker_id, f"{self.work_dir}/{worker_id}",
             store_address=self.store_address,
             max_batch_size=self.max_batch_size,
             host=self.host,
-            max_queue_depth=self.max_queue_depth,
-            fault_events=fault_events, chaos_seed=chaos_seed)
+            max_queue_depth=self.max_queue_depth)
         parent_conn, child_conn = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=run_worker, args=(bootstrap, child_conn),
@@ -141,8 +128,7 @@ class WorkerManager:
         finally:
             parent_conn.close()
         handle = WorkerHandle(worker_id=worker_id, process=process,
-                              host=self.host, port=int(hello["port"]),
-                              index=index)
+                              host=self.host, port=int(hello["port"]))
         while not await probe_health(handle):
             if time.monotonic() > deadline or not process.is_alive():
                 _terminate(process)

@@ -44,7 +44,6 @@ import os
 import numpy as np
 
 from repro.fleet.http import (
-    DropConnection,
     FleetConnectionError,
     HttpConnection,
     HttpRequest,
@@ -62,7 +61,6 @@ from repro.fleet.netstore import (
     pack_artifact_dir,
     unpack_artifact_blob,
 )
-from repro.fleet.resilience import FaultEvent, FaultInjector, FaultPlanError
 from repro.serve.server import AdmissionError, DeadlineExceeded
 from repro.store import ArtifactError
 
@@ -93,20 +91,13 @@ class FleetWorker:
         max_batch_size: per-model ``PumaServer`` batching limit.
         max_queue_depth: per-model admission bound handed to each hosted
             :class:`~repro.serve.PumaServer` (``None`` = unbounded).
-        fault_events: chaos events to arm once serving starts (the
-            worker-side slice of a :class:`~repro.fleet.resilience
-            .FaultPlan`); more can be armed at runtime via
-            ``POST /v1/chaos``.
-        chaos_seed: seed for the worker's :class:`FaultInjector`.
     """
 
     def __init__(self, worker_id: str,
                  store_address: tuple[str, int] | None,
                  work_dir: str, *, max_batch_size: int = 16,
                  host: str = "127.0.0.1",
-                 max_queue_depth: int | None = None,
-                 fault_events: tuple[FaultEvent, ...] = (),
-                 chaos_seed: int = 0) -> None:
+                 max_queue_depth: int | None = None) -> None:
         self.worker_id = worker_id
         self.store_address = store_address
         self.work_dir = work_dir
@@ -121,32 +112,10 @@ class FleetWorker:
         self.store_pushes = 0
         self.store_rejections = 0
         self.deadline_rejections = 0
-        self.injector = FaultInjector(seed=chaos_seed)
-        # Armed in start(): crash timers need the running event loop,
-        # and at_s offsets should count from "serving", not "built".
-        self._initial_fault_events = tuple(fault_events)
 
     # -- request routing ----------------------------------------------------
 
     async def handle(self, request: HttpRequest) -> HttpResponse:
-        # Chaos middleware: an armed fault plan intercepts traffic here,
-        # ahead of routing, exactly where a real failure would strike.
-        # decide() never faults the chaos/shutdown control endpoints.
-        decision = self.injector.decide(request.path)
-        if decision.sleep_s > 0:
-            await asyncio.sleep(decision.sleep_s)     # delay / slow / hang
-        if decision.drop:
-            raise DropConnection()
-        if decision.error:
-            if decision.garbage:
-                # Framing-valid HTTP, garbage payload: what a corrupted
-                # proxy or a half-dead process actually emits.
-                return HttpResponse(
-                    status=200,
-                    headers={"Content-Type": "application/json"},
-                    body=b"\x00chaos{{this is not json")
-            return error_response(500, "injected fault (chaos plan)",
-                                  reason="chaos_error")
         try:
             return await self._route(request)
         except ProtocolError as error:
@@ -165,38 +134,15 @@ class FleetWorker:
             return await self.handle_load(request)
         if route == ("POST", "/v1/predict"):
             return await self.handle_predict(request)
-        if route == ("POST", "/v1/chaos"):
-            return self.handle_chaos(request)
         if route == ("POST", "/v1/shutdown"):
             return self.handle_shutdown(request)
         return error_response(404, f"no route {request.method} "
                                    f"{request.path} on this worker")
 
-    def handle_chaos(self, request: HttpRequest) -> HttpResponse:
-        """Arm (or disarm) fault events on a live worker.
-
-        Body: ``{"events": [...], "seed": int}`` to arm, or
-        ``{"disarm": true}`` to clear everything armed so far.
-        """
-        payload = request.json_object()
-        if payload.get("disarm"):
-            self.injector.disarm()
-            return json_response({"ok": True, "chaos": self.injector.ledger()})
-        try:
-            events = tuple(FaultEvent.from_dict(item)
-                           for item in payload.get("events", []))
-        except FaultPlanError as error:
-            return error_response(400, str(error), reason="bad_fault_plan")
-        if "seed" in payload:
-            self.injector.seed = int(payload["seed"])
-        self.injector.arm(events)
-        return json_response({"ok": True, "chaos": self.injector.ledger()})
-
     def metrics(self) -> dict:
         return {
             "worker": self.worker_id,
             "pid": os.getpid(),
-            "chaos": self.injector.ledger(),
             "deadline_rejections": self.deadline_rejections,
             "network_store": {"pulls": self.store_pulls,
                               "pushes": self.store_pushes,
@@ -401,8 +347,6 @@ class FleetWorker:
     async def start(self) -> "FleetWorker":
         os.makedirs(self.work_dir, exist_ok=True)
         await self.http.start()
-        if self._initial_fault_events:
-            self.injector.arm(self._initial_fault_events)
         return self
 
     async def run_until_shutdown(self) -> None:
@@ -498,11 +442,7 @@ async def _worker_main(bootstrap: dict, conn) -> None:
         work_dir=bootstrap["work_dir"],
         max_batch_size=bootstrap.get("max_batch_size", 16),
         host=bootstrap.get("host", "127.0.0.1"),
-        max_queue_depth=bootstrap.get("max_queue_depth"),
-        fault_events=tuple(
-            FaultEvent.from_dict(item)
-            for item in bootstrap.get("fault_events", [])),
-        chaos_seed=bootstrap.get("chaos_seed", 0))
+        max_queue_depth=bootstrap.get("max_queue_depth"))
     await worker.start()
     conn.send({"ok": True, "port": worker.http.port, "pid": os.getpid()})
     conn.close()
@@ -521,14 +461,10 @@ def worker_bootstrap(worker_id: str, work_dir: str, *,
                      store_address: tuple[str, int] | None = None,
                      max_batch_size: int = 16,
                      host: str = "127.0.0.1",
-                     max_queue_depth: int | None = None,
-                     fault_events: tuple[FaultEvent, ...] = (),
-                     chaos_seed: int = 0) -> dict:
+                     max_queue_depth: int | None = None) -> dict:
     """The picklable config dict :func:`run_worker` consumes."""
     return {"worker_id": worker_id, "work_dir": work_dir,
             "store_address": list(store_address) if store_address else None,
             "max_batch_size": max_batch_size,
             "host": host,
-            "max_queue_depth": max_queue_depth,
-            "fault_events": [event.to_dict() for event in fault_events],
-            "chaos_seed": chaos_seed}
+            "max_queue_depth": max_queue_depth}

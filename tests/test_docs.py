@@ -1,7 +1,7 @@
 """Documentation health: internal links resolve, doctests run, and the
 pages keep naming real tests.
 
-Four failure modes this guards against:
+Five failure modes this guards against:
 
 * a docs page linking to a file or heading that was renamed away
   (``[text](path#anchor)`` targets are resolved against the repo and
@@ -15,7 +15,9 @@ Four failure modes this guards against:
   a docs page must be a real file);
 * the measurement estate ``benchmarks/puma_bench/`` replaced growing
   back: a second harness beside it, a per-PR record file at the root,
-  or prose that still points at either.
+  or prose that still points at either;
+* fault injection growing back into the product (``src/``) instead of
+  living in the tests.
 """
 
 import doctest
@@ -128,9 +130,30 @@ def test_retired_benches_stay_retired():
     assert not offenders, "\n".join(offenders)
 
 
+# Fault injection lives in tests/fleet_faults.py; the product carries no
+# injector and no route that arms one.  Spelled in halves so this file
+# is not its own offender.
+_FAULT_SURFACE = re.compile(
+    "/v1/" "chaos|--" "chaos|Fault" "Plan|Fault" "Injector|Fault" "Event"
+    "|Drop" "Connection|arm" "_chaos|fault" "_plan")
+
+
+def test_no_fault_injection_in_the_product():
+    """Nothing under ``src/`` can inject a fault into the fleet."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src").rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        for number, line in enumerate(
+            path.read_text(errors="replace").splitlines(), start=1)
+        if _FAULT_SURFACE.search(line)]
+    assert not offenders, "\n".join(offenders)
+
+
 # -- doctests on the facade modules -----------------------------------------
 
-FACADE_MODULES = ["repro.store", "repro.serve.sharding"]
+FACADE_MODULES = ["repro.store", "repro.serve.sharding",
+                  "repro.fleet.resilience"]
 
 
 @pytest.mark.parametrize("module_name", FACADE_MODULES)

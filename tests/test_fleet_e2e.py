@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from fleet_faults import FAULT_KINDS, Fault, FaultyPool
 from repro.fleet import FleetModelSpec, PumaFleet, build_engine
 from repro.fleet.http import ConnectionPool
 
@@ -331,8 +332,10 @@ class TestFleetResilience:
     Every failure mode the fleet produces must be *typed*: a 4xx/5xx
     status plus a machine-readable ``reason`` — never a hang, never a
     silently dropped connection.  These tests drive each mode through
-    the real front door, then all of them at once under load (the chaos
-    soak, ``test_all_seven_fault_kinds_at_once_under_load``).
+    the real front door, then all of them at once under load (the fault
+    soak, ``test_all_seven_fault_kinds_at_once_under_load``).  Faults
+    enter through :class:`fleet_faults.FaultyPool`, installed as the
+    gateway's connection pool.
     """
 
     TINY = FleetModelSpec("tiny", "mlp", {"dims": [16, 12, 8]}, seed=1)
@@ -380,29 +383,28 @@ class TestFleetResilience:
         """A hung replica backs up the gateway queue; the bounded queue
         turns the overflow into an immediate typed 429 + Retry-After,
         and the queued work still completes bitwise once the hang ends."""
-        from repro.fleet import FaultEvent, FaultPlan
-
         spec = self.TINY
+        pool = FaultyPool([Fault("hang", duration_s=1.5,
+                                 path="/v1/predict")])
 
         async def main():
-            async with PumaFleet([spec], num_workers=1,
-                                 work_dir=str(tmp_path),
-                                 max_batch_size=4,
-                                 dispatch_concurrency=1,
-                                 max_queue_depth=1) as fleet:
-                armed = await fleet.arm_chaos(FaultPlan(events=(
-                    FaultEvent("hang", duration_s=1.5,
-                               path="/v1/predict"),)))
-                assert armed["w0"] == 1
+            fleet = PumaFleet([spec], num_workers=1,
+                              work_dir=str(tmp_path),
+                              max_batch_size=4,
+                              dispatch_concurrency=1,
+                              max_queue_depth=1)
+            fleet.pool = pool
+            async with fleet:
+                pool.arm(fleet)
                 inflight = asyncio.create_task(
                     fleet.predict(spec.name, request_inputs(spec, 11)))
                 await asyncio.sleep(0.2)      # dispatched into the hang
                 queued = asyncio.create_task(
                     fleet.predict(spec.name, request_inputs(spec, 12)))
                 await asyncio.sleep(0.2)      # fills the 1-deep queue
-                pool = ConnectionPool()
+                client = ConnectionPool()
                 try:
-                    response = await pool.request(
+                    response = await client.request(
                         fleet.host, fleet.http.port, "POST",
                         "/v1/predict", body=json.dumps({
                             "model": spec.name,
@@ -413,7 +415,7 @@ class TestFleetResilience:
                     assert response.json()["reason"] == "queue_full"
                     assert float(response.headers["retry-after"]) > 0
                 finally:
-                    await pool.close()
+                    await client.close()
                 # The hang ends; everything accepted completes bitwise.
                 replies = await asyncio.gather(inflight, queued)
                 assert replies[0]["words"] == self._reference(11)
@@ -421,33 +423,35 @@ class TestFleetResilience:
                 rejections = sum(s.rejections
                                  for s in fleet.models.values())
                 assert rejections == 1
+                # Only the first exchange met the hang.
+                assert pool.fired == {"hang": 1}
 
         run(main())
 
     def test_constructor_fault_plan_faults_are_retried_bitwise(
             self, tmp_path):
-        """A fault plan armed at spawn (drops + 5xx + garbage on worker
-        0) never surfaces to clients: the gateway retries on the other
-        replica and every reply stays bitwise-correct."""
-        from repro.fleet import FaultEvent, FaultPlan
-
+        """Faults live from the first predict (drops + 5xx + garbage on
+        worker 0) never surface to clients: the gateway retries on the
+        other replica and every reply stays bitwise-correct."""
         spec = self.TINY
-        plan = FaultPlan(seed=3, events=(
-            FaultEvent("drop", duration_s=30.0, worker=0,
-                       path="/v1/predict", count=2),
-            FaultEvent("error", duration_s=30.0, worker=0,
-                       path="/v1/predict", count=2),
-            FaultEvent("error", duration_s=30.0, worker=0,
-                       path="/v1/predict", garbage=True, count=2),
-        ))
+        pool = FaultyPool([
+            Fault("drop", duration_s=30.0, worker="w0",
+                  path="/v1/predict", count=2),
+            Fault("error", duration_s=30.0, worker="w0",
+                  path="/v1/predict", count=2),
+            Fault("error", duration_s=30.0, worker="w0",
+                  path="/v1/predict", garbage=True, count=2),
+        ], seed=3)
 
         async def main():
-            async with PumaFleet([spec], num_workers=2,
-                                 replicas_per_model=2,
-                                 work_dir=str(tmp_path),
-                                 max_batch_size=4,
-                                 max_attempts=4,
-                                 fault_plan=plan) as fleet:
+            fleet = PumaFleet([spec], num_workers=2,
+                              replicas_per_model=2,
+                              work_dir=str(tmp_path),
+                              max_batch_size=4,
+                              max_attempts=4)
+            fleet.pool = pool
+            async with fleet:
+                pool.arm(fleet)
                 seeds = list(range(500, 516))
                 replies = await asyncio.gather(
                     *(fleet.predict(spec.name, request_inputs(spec, seed))
@@ -455,13 +459,7 @@ class TestFleetResilience:
                 for seed, reply in zip(seeds, replies):
                     assert reply["words"] == self._reference(seed), \
                         f"faulted-and-retried request {seed} diverged"
-                metrics = await fleet.metrics()
-                fired: dict = {}
-                for entry in metrics["workers"].values():
-                    if entry.get("metrics"):
-                        for kind, count in \
-                                entry["metrics"]["chaos"]["fired"].items():
-                            fired[kind] = fired.get(kind, 0) + count
+                fired = pool.fired
                 assert fired.get("drop", 0) >= 1 \
                     or fired.get("error", 0) >= 1, (
                         f"no fault ever fired: {fired}")
@@ -471,15 +469,13 @@ class TestFleetResilience:
         run(main())
 
     def test_all_seven_fault_kinds_at_once_under_load(self, tmp_path):
-        """The chaos soak (``docs/guarantees.md``, degraded == correct):
+        """The fault soak (``docs/guarantees.md``, degraded == correct):
         every fault kind armed at once against deadline-carrying
         traffic.  Every 200 stays bitwise, every failure is a typed
-        429/503/504, the fleet never goes silent, and the injector
-        ledgers prove every kind fired."""
+        429/503/504, the fleet never goes silent, the pool's ledger
+        proves every kind fired, and a worker rejected the corrupted
+        blob."""
         from repro.fleet import (
-            FAULT_KINDS,
-            FaultEvent,
-            FaultPlan,
             FleetError,
             bursty_trace,
             default_inputs_builder,
@@ -489,25 +485,24 @@ class TestFleetResilience:
         spec = self.TINY
         predict = "/v1/predict"
         # Request-level faults hit worker 0's predict path only (health
-        # probes stay clean, so its ledger survives to prove coverage);
-        # the crash kills worker 1, whose replacement warm-starts
-        # through a corrupted first blob read.
-        plan = FaultPlan(seed=11, events=(
-            FaultEvent("slow", at_s=0.0, duration_s=2.5, worker=0,
-                       path=predict, delay_s=0.02),
-            FaultEvent("drop", at_s=0.2, duration_s=0.6, worker=0,
-                       path=predict, count=2),
-            FaultEvent("delay", at_s=0.4, duration_s=0.8, worker=0,
-                       path=predict, delay_s=0.1, count=3),
-            FaultEvent("error", at_s=0.6, duration_s=0.8, worker=0,
-                       path=predict, count=2),
-            FaultEvent("error", at_s=0.8, duration_s=0.8, worker=0,
-                       path=predict, garbage=True, count=2),
-            FaultEvent("hang", at_s=1.2, duration_s=0.6, worker=0,
-                       path=predict),
-            FaultEvent("crash", at_s=0.5, worker=1),
-            FaultEvent("corrupt_blob", at_s=0.0, duration_s=60.0, count=1),
-        ))
+        # probes stay clean); the crash kills worker 1, whose
+        # replacement pulls the corrupted blob when it loads the model.
+        pool = FaultyPool([
+            Fault("slow", at_s=0.0, duration_s=2.5, worker="w0",
+                  path=predict, delay_s=0.02),
+            Fault("drop", at_s=0.2, duration_s=0.6, worker="w0",
+                  path=predict, count=2),
+            Fault("delay", at_s=0.4, duration_s=0.8, worker="w0",
+                  path=predict, delay_s=0.1, count=3),
+            Fault("error", at_s=0.6, duration_s=0.8, worker="w0",
+                  path=predict, count=2),
+            Fault("error", at_s=0.8, duration_s=0.8, worker="w0",
+                  path=predict, garbage=True, count=2),
+            Fault("hang", at_s=1.2, duration_s=0.6, worker="w0",
+                  path=predict),
+            Fault("crash", at_s=0.5, worker="w1"),
+            Fault("corrupt_blob", at_s=0.0, duration_s=60.0, count=1),
+        ], seed=11)
         trace = bursty_trace([spec.name], 300, base_rate_rps=60.0,
                              burst_every_s=1.0, burst_len_s=0.3,
                              burst_multiplier=3.0, seed=22)
@@ -524,29 +519,32 @@ class TestFleetResilience:
                 wrong.append(arrival.request_seed)
 
         async def main():
-            async with PumaFleet([spec], num_workers=2,
-                                 replicas_per_model=2,
-                                 work_dir=str(tmp_path),
-                                 max_batch_size=8,
-                                 max_queue_depth=256) as fleet:
-                await fleet.arm_chaos(plan)
+            fleet = PumaFleet([spec], num_workers=2,
+                              replicas_per_model=2,
+                              work_dir=str(tmp_path),
+                              max_batch_size=8,
+                              max_queue_depth=256)
+            fleet.pool = pool
+            async with fleet:
+                pool.arm(fleet)
                 report = await run_trace(
                     fleet.host, fleet.http.port, trace, inputs_for,
                     deadline_ms=2000.0, on_reply=check)
-                # The crash is proven by the respawn (the dead worker's
-                # ledger died with it), the corrupted read by the
-                # replacement loading the model: predict until it has.
+                # The crash is replaced by a respawn, and the corrupted
+                # blob is rejected when the replacement loads the
+                # model: predict until both have happened.
                 deadline = time.monotonic() + 60
                 while True:
                     metrics = await fleet.metrics()
-                    fired = set(metrics["fleet"]["chaos"]["fired"])
-                    for entry in metrics["workers"].values():
-                        if entry.get("metrics"):
-                            fired |= set(entry["metrics"]["chaos"]["fired"])
                     respawns = metrics["fleet"]["respawns"]
-                    if (respawns and fired >= set(FAULT_KINDS) - {"crash"}) \
+                    rejected = sum(
+                        entry["metrics"]["network_store"]["rejections"]
+                        for entry in metrics["workers"].values()
+                        if entry.get("metrics"))
+                    if (respawns and rejected
+                            and set(pool.fired) >= set(FAULT_KINDS)) \
                             or time.monotonic() > deadline:
-                        return report, fired, respawns
+                        return report, respawns, rejected
                     try:
                         await fleet.predict(spec.name, inputs_for(trace[0]),
                                             timeout=30.0)
@@ -554,34 +552,36 @@ class TestFleetResilience:
                         pass        # still recovering; that's why we poll
                     await asyncio.sleep(0.1)
 
-        report, fired, respawns = run(main())
+        report, respawns, rejected = run(main())
         assert wrong == [], f"faults corrupted an answer: seeds {wrong}"
         assert report.timeouts == 0 and report.transport_errors == 0, (
             f"the fleet went silent: {report.errors}")
         assert set(report.statuses) <= {429, 503, 504}, (
-            f"untyped failure under chaos: {report.errors}")
+            f"untyped failure under faults: {report.errors}")
         assert report.completed + report.rejections == len(trace)
         assert respawns >= 1, "the crashed worker was never replaced"
-        assert fired >= set(FAULT_KINDS) - {"crash"}, (
-            f"never fired: {sorted(set(FAULT_KINDS) - fired)}")
+        assert set(pool.fired) >= set(FAULT_KINDS), (
+            f"never fired: {sorted(set(FAULT_KINDS) - set(pool.fired))}")
+        assert rejected >= 1, "no worker rejected the corrupted blob"
 
     def test_stop_drain_bound_lapses_on_a_hung_worker(self, tmp_path):
         """stop(drain=True) with a hung worker: the bounded drain gives
         up at the bound and fails the stuck work loudly — shutdown is
         never held hostage (the former uncovered drain-timeout path)."""
-        from repro.fleet import FaultEvent, FaultPlan, FleetError
+        from repro.fleet import FleetError
 
         spec = self.TINY
+        pool = FaultyPool([Fault("hang", duration_s=20.0,
+                                 path="/v1/predict")])
 
         async def main():
             fleet = PumaFleet([spec], num_workers=1,
                               work_dir=str(tmp_path),
                               max_batch_size=4,
                               dispatch_concurrency=1)
+            fleet.pool = pool
             await fleet.start()
-            await fleet.arm_chaos(FaultPlan(events=(
-                FaultEvent("hang", duration_s=20.0,
-                           path="/v1/predict"),)))
+            pool.arm(fleet)
             stuck = asyncio.create_task(
                 fleet.predict(spec.name, request_inputs(spec, 7)))
             await asyncio.sleep(0.2)          # dispatched into the hang
@@ -592,6 +592,28 @@ class TestFleetResilience:
             with pytest.raises(FleetError):
                 await stuck
             assert not fleet._running
+
+        run(main())
+
+    def test_no_route_arms_a_fault(self, tmp_path):
+        """Fault injection is not an endpoint: ``POST /v1/chaos`` is a
+        404 at the gateway's front door and on a live worker alike."""
+        body = json.dumps({"events": []}).encode()
+
+        async def main():
+            async with PumaFleet([self.TINY], num_workers=1,
+                                 work_dir=str(tmp_path),
+                                 preload=False) as fleet:
+                worker = fleet.manager.workers["w0"]
+                client = ConnectionPool()
+                try:
+                    for host, port in ((fleet.host, fleet.http.port),
+                                       (worker.host, worker.port)):
+                        response = await client.request(
+                            host, port, "POST", "/v1/chaos", body=body)
+                        assert response.status == 404, (port, response)
+                finally:
+                    await client.close()
 
         run(main())
 

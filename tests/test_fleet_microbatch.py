@@ -23,9 +23,8 @@ import json
 import numpy as np
 import pytest
 
+from fleet_faults import Fault, FaultyPool
 from repro.fleet import (
-    FaultEvent,
-    FaultPlan,
     FleetAdmissionError,
     FleetDeadlineError,
     FleetError,
@@ -206,9 +205,9 @@ class TestPerRiderOutcomes:
 
 class TestMicroBatchRetry:
     @pytest.mark.parametrize("fault", [
-        FaultEvent("drop", worker=0, path="/v1/predict", count=1),
-        FaultEvent("error", worker=0, path="/v1/predict", count=1,
-                   garbage=True),
+        Fault("drop", worker="w0", path="/v1/predict", count=1),
+        Fault("error", worker="w0", path="/v1/predict", count=1,
+              garbage=True),
     ], ids=["drop_connection", "garbage_body"])
     def test_a_faulted_exchange_retries_every_rider(self, tmp_path,
                                                     reference, fault):
@@ -219,13 +218,14 @@ class TestMicroBatchRetry:
         n = 5
 
         async def main():
-            async with PumaFleet([SPEC], num_workers=2,
-                                 replicas_per_model=2,
-                                 work_dir=str(tmp_path),
-                                 max_batch_size=MAX_BATCH,
-                                 max_attempts=3,
-                                 fault_plan=FaultPlan(
-                                     events=(fault,))) as fleet:
+            fleet = PumaFleet([SPEC], num_workers=2,
+                              replicas_per_model=2,
+                              work_dir=str(tmp_path),
+                              max_batch_size=MAX_BATCH,
+                              max_attempts=3)
+            fleet.pool = pool = FaultyPool([fault])
+            async with fleet:
+                pool.arm(fleet)
                 for first in (500, 600):
                     seeds = list(range(first, first + n))
                     replies = await asyncio.gather(
@@ -237,9 +237,7 @@ class TestMicroBatchRetry:
                 assert counters(fleet) == {
                     "served": 2 * n, "failed": 0, "sheds": 0,
                     "rejections": 0, "retries": n, "inflight": 0}
-                metrics = await fleet.metrics()
-                fired = metrics["workers"]["w0"]["metrics"]["chaos"]["fired"]
-                assert sum(fired.values()) == 1
+                assert sum(pool.fired.values()) == 1
                 # The fault ate its exchange ahead of the server: three
                 # exchanges in all, but each micro-batch ran only once.
                 stats = await server_stats(fleet)
@@ -364,8 +362,7 @@ class TestWorkerWire:
 
                 # Valid JSON, not a request: 400, never a 500.
                 for body in (b"[]", b"3", b'"x"', b"null", b"{nope"):
-                    for path in ("/v1/predict", "/v1/models",
-                                 "/v1/chaos"):
+                    for path in ("/v1/predict", "/v1/models"):
                         status, reply = await post(body, path)
                         assert status == 400, (body, path, reply)
                         assert reply["reason"] == "bad_request"

@@ -1,12 +1,12 @@
-"""Resilience primitives: fault plans, injectors, breakers, backoff, LRU.
+"""Resilience primitives: breakers, backoff, LRU, and the test transport.
 
-Everything in :mod:`repro.fleet.resilience` is seeded and
-clock-injectable, so these tests drive fault windows, breaker cooldowns,
-and backoff schedules deterministically — no sleeps, no real time.  The
-worker-facing half (the chaos middleware intercepting live HTTP
-traffic) runs an in-process :class:`FleetWorker` over real sockets,
-mirroring ``tests/test_fleet.py``'s idiom; the cross-process story,
-chaos soak included, is ``tests/test_fleet_e2e.py``.
+:mod:`repro.fleet.resilience` is seeded and clock-injectable, so these
+tests drive breaker cooldowns and backoff schedules deterministically —
+no sleeps, no real time.  The fault windows of
+``tests/fleet_faults.py``'s :class:`FaultyPool` are driven the same way;
+the cross-process story, fault soak included, is
+``tests/test_fleet_e2e.py``.  The worker half runs an in-process
+:class:`FleetWorker` over real sockets, mirroring ``tests/test_fleet.py``.
 """
 
 import asyncio
@@ -14,21 +14,18 @@ import json
 
 import pytest
 
-from repro.fleet import FleetModelSpec, FleetWorker
-from repro.fleet.http import FleetConnectionError, HttpConnection
+from fleet_faults import Fault, FaultyPool
+from repro.fleet import FleetModelSpec, FleetWorker, PumaFleet
+from repro.fleet.http import (
+    FleetConnectionError,
+    FleetTimeoutError,
+    HttpConnection,
+    ProtocolError,
+)
 from repro.fleet.models import route_key
 from repro.fleet.netstore import BlobStore, blob_digest
-from repro.fleet.resilience import (
-    FAULT_KINDS,
-    GATEWAY_FAULT_KINDS,
-    WORKER_FAULT_KINDS,
-    CircuitBreaker,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultPlanError,
-    backoff_delay,
-)
+from repro.fleet.resilience import CircuitBreaker, backoff_delay
+from repro.serve import VirtualClock
 
 
 def run(coro):
@@ -45,177 +42,104 @@ class FakeClock:
         return self.now
 
 
-class TestFaultEvents:
-    def test_every_kind_is_routed_somewhere(self):
-        assert set(WORKER_FAULT_KINDS) | set(GATEWAY_FAULT_KINDS) \
-            == set(FAULT_KINDS)
+class TestFaultyPool:
+    """The test transport's window and budget logic (``fleet_faults``)."""
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(FaultPlanError, match="unknown fault kind"):
-            FaultEvent("meteor")
-
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(kind="drop", at_s=-1.0), "must be >= 0"),
-        (dict(kind="drop", count=0), "count must be >= 1"),
-        (dict(kind="delay"), "positive delay_s"),
-        (dict(kind="slow"), "positive delay_s"),
-        (dict(kind="hang"), "positive duration_s"),
-    ])
-    def test_malformed_events_rejected(self, kwargs, message):
-        with pytest.raises(FaultPlanError, match=message):
-            FaultEvent(**kwargs)
-
-    def test_from_dict_requires_a_kind(self):
-        with pytest.raises(FaultPlanError, match="'kind'"):
-            FaultEvent.from_dict({"at_s": 1.0})
-        with pytest.raises(FaultPlanError, match="malformed"):
-            FaultEvent.from_dict({"kind": "drop", "at_s": "soon"})
-
-
-class TestFaultPlan:
-    def test_round_trip_dict_and_file(self, tmp_path):
-        plan = FaultPlan.sample(seed=5, workers=3)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
-        path = plan.save(tmp_path / "plan.json")
-        loaded = FaultPlan.load(path)
-        assert loaded == plan
-        # The saved file is plain JSON a human can edit.
-        assert json.loads(path.read_text())["seed"] == 5
-
-    def test_sample_covers_all_kinds_deterministically(self):
-        plan = FaultPlan.sample(seed=9)
-        assert {event.kind for event in plan.events} == set(FAULT_KINDS)
-        assert plan == FaultPlan.sample(seed=9)
-        assert plan != FaultPlan.sample(seed=10)
-
-    def test_worker_and_gateway_slices(self):
-        plan = FaultPlan(events=(
-            FaultEvent("drop", worker=0),
-            FaultEvent("drop", worker=1),
-            FaultEvent("error"),                    # worker=None: all
-            FaultEvent("corrupt_blob"),
-        ))
-        kinds_w0 = [e.kind for e in plan.for_worker(0)]
-        assert kinds_w0 == ["drop", "error"]
-        assert [e.kind for e in plan.for_worker(7)] == ["error"]
-        assert [e.kind for e in plan.gateway_events()] == ["corrupt_blob"]
-        # corrupt_blob never rides to a worker, drops never to a gateway.
-        assert all(e.kind != "corrupt_blob" for e in plan.for_worker(0))
-
-    def test_malformed_plans_rejected(self, tmp_path):
-        with pytest.raises(FaultPlanError, match="must be an object"):
-            FaultPlan.from_dict([1, 2])
-        with pytest.raises(FaultPlanError, match="must be a list"):
-            FaultPlan.from_dict({"events": "nope"})
-        with pytest.raises(FaultPlanError, match="seed must be an int"):
-            FaultPlan.from_dict({"seed": "zero"})
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(FaultPlanError):
-            FaultPlan.load(bad)
-        with pytest.raises(FaultPlanError):
-            FaultPlan.load(tmp_path / "missing.json")
-        with pytest.raises(FaultPlanError, match="workers must be >= 1"):
-            FaultPlan.sample(workers=0)
-
-
-class TestFaultInjector:
-    def test_windows_open_and_close_on_the_clock(self):
+    def test_nothing_fires_before_arm_and_windows_follow_the_clock(self):
         clock = FakeClock()
-        injector = FaultInjector(clock=clock)
-        injector.arm([FaultEvent("error", at_s=1.0, duration_s=2.0)])
-        assert not injector.decide("/v1/predict").faulted
+        pool = FaultyPool([Fault("error", at_s=1.0, duration_s=2.0)],
+                          clock=clock)
         clock.now = 1.5
-        decision = injector.decide("/v1/predict")
-        assert decision.error and not decision.garbage
+        assert pool.decide("w0", "/v1/predict") == (0.0, "send")
+        pool.arm(now=0.0)
+        clock.now = 0.5
+        assert pool.decide("w0", "/v1/predict") == (0.0, "send")
+        clock.now = 1.5
+        assert pool.decide("w0", "/v1/predict") == (0.0, "error")
         clock.now = 3.5                         # window closed
-        assert not injector.decide("/v1/predict").faulted
+        assert pool.decide("w0", "/v1/predict") == (0.0, "send")
+        assert pool.fired == {"error": 1}
 
     def test_count_budget_is_consumed(self):
-        clock = FakeClock(1.0)
-        injector = FaultInjector(clock=clock)
-        injector.arm([FaultEvent("drop", duration_s=100.0, count=2)],
-                     now=0.0)
-        assert injector.decide("/a").drop
-        assert injector.decide("/b").drop
-        assert not injector.decide("/c").drop    # budget spent
-        assert injector.fired == {"drop": 2}
-        assert injector.active_kinds() == []
+        pool = FaultyPool([Fault("drop", count=2)], clock=FakeClock(1.0))
+        pool.arm(now=0.0)
+        assert [pool.decide("w0", path)[1] for path in ("/a", "/b", "/c")] \
+            == ["drop", "drop", "send"]
+        assert pool.fired == {"drop": 2}
 
-    def test_path_filter_and_protected_paths(self):
-        clock = FakeClock(0.5)
-        injector = FaultInjector(clock=clock)
-        injector.arm([
-            FaultEvent("error", duration_s=10.0, path="/v1/predict"),
-            FaultEvent("drop", duration_s=10.0),
-        ], now=0.0)
-        assert not injector.decide("/metrics").error     # path filtered
-        assert injector.decide("/metrics").drop          # unfiltered
-        # Control endpoints are never faulted, by any event.
-        assert not injector.decide("/v1/chaos").faulted
-        assert not injector.decide("/v1/shutdown").faulted
+    def test_worker_and_path_filters(self):
+        pool = FaultyPool([
+            Fault("error", worker="w1", path="/v1/predict"),
+            Fault("error", worker="w0", garbage=True),
+        ], clock=FakeClock())
+        pool.arm(now=0.0)
+        assert pool.decide("w1", "/metrics") == (0.0, "send")
+        assert pool.decide("w1", "/v1/predict") == (0.0, "error")
+        assert pool.decide("w0", "/metrics") == (0.0, "garbage")
+        assert pool.decide(None, "/v1/predict") == (0.0, "send")
 
     def test_hang_sleeps_to_window_end_and_delays_stack(self):
-        clock = FakeClock(2.0)
-        injector = FaultInjector(clock=clock)
-        injector.arm([
-            FaultEvent("hang", at_s=1.0, duration_s=3.0),
-            FaultEvent("slow", duration_s=10.0, delay_s=0.25),
-            FaultEvent("delay", duration_s=10.0, delay_s=0.5),
-        ], now=0.0)
-        decision = injector.decide("/v1/predict")
-        # hang until t=4 (2s away) wins the max; delay+slow stack on it.
-        assert decision.sleep_s == pytest.approx(2.0 + 0.25 + 0.5)
+        pool = FaultyPool([
+            Fault("hang", at_s=1.0, duration_s=3.0),
+            Fault("slow", duration_s=10.0, delay_s=0.25),
+            Fault("delay", duration_s=10.0, delay_s=0.5),
+            Fault("error", duration_s=10.0),
+            Fault("drop", duration_s=10.0),
+        ], clock=FakeClock(2.0))
+        pool.arm(now=0.0)
+        sleep_s, outcome = pool.decide("w0", "/v1/predict")
+        # hang until t=4 (2s away) wins the max; delay+slow stack on it,
+        # and a drop beats an error.
+        assert sleep_s == pytest.approx(2.0 + 0.25 + 0.5)
+        assert outcome == "drop"
 
-    def test_garbage_flag_travels(self):
-        clock = FakeClock(0.0)
-        injector = FaultInjector(clock=clock)
-        injector.arm([FaultEvent("error", duration_s=1.0, garbage=True)],
-                     now=0.0)
-        decision = injector.decide("/v1/predict")
-        assert decision.error and decision.garbage
+    def test_faulted_requests_never_reach_the_peer(self):
+        """Nothing listens on the target, so only an exchange that is
+        really sent would fail to connect."""
+        async def send(fault, timeout=None):
+            pool = FaultyPool([fault])
+            pool.arm()
+            try:
+                return await pool.request("127.0.0.1", 9, "GET", "/x",
+                                          timeout=timeout)
+            finally:
+                await pool.close()
 
-    def test_take_and_crash_due_consume(self):
-        clock = FakeClock(0.0)
-        injector = FaultInjector(clock=clock)
-        injector.arm([FaultEvent("corrupt_blob", count=1),
-                      FaultEvent("crash", at_s=5.0)], now=0.0)
-        assert injector.take("corrupt_blob") is not None
-        assert injector.take("corrupt_blob") is None     # consumed
-        assert not injector.crash_due()
-        clock.now = 6.0
-        assert injector.crash_due()
-        ledger = injector.ledger()
-        assert ledger["fired"] == {"corrupt_blob": 1, "crash": 1}
-        injector.disarm()
-        assert injector.ledger()["armed"] == 0
-
-    def test_corrupt_flips_one_byte_deterministically(self):
-        injector = FaultInjector(seed=3)
-        data = bytes(range(256)) * 4
-        corrupted = injector.corrupt(data)
-        assert corrupted != data
-        assert len(corrupted) == len(data)
-        diffs = [i for i, (a, b) in enumerate(zip(data, corrupted))
-                 if a != b]
-        assert len(diffs) == 1
-        assert corrupted[diffs[0]] == data[diffs[0]] ^ 0xFF
-        # Same seed + same fired count -> same byte; and the declared
-        # digest no longer matches, which is the whole point.
-        assert FaultInjector(seed=3).corrupt(data) == corrupted
-        assert blob_digest(corrupted) != blob_digest(data)
-        assert injector.corrupt(b"") == b""
-
-    def test_crash_timer_fires_replaceable_callback(self):
         async def main():
-            died = asyncio.Event()
-            clock = FakeClock(0.0)
-            injector = FaultInjector(clock=clock, on_crash=died.set)
-            injector.arm([FaultEvent("crash", at_s=0.0)])
-            await asyncio.wait_for(died.wait(), timeout=5.0)
-            assert injector.fired == {"crash": 1}
+            with pytest.raises(FleetConnectionError, match="injected"):
+                await send(Fault("drop"))
+            with pytest.raises(FleetTimeoutError, match="injected hang"):
+                await send(Fault("hang", duration_s=30.0), timeout=0.05)
+            response = await send(Fault("error"))
+            assert (response.status, response.json()["reason"]) \
+                == (500, "injected_error")
+            response = await send(Fault("error", garbage=True))
+            assert response.status == 200
+            with pytest.raises(ProtocolError):
+                response.json()
 
         run(main())
+
+    def test_corrupt_flips_one_byte_deterministically(self):
+        data = bytes(range(256)) * 4
+        corrupted = FaultyPool([], seed=3).corrupt(data)
+        diffs = [i for i, (a, b) in enumerate(zip(data, corrupted))
+                 if a != b]
+        assert len(corrupted) == len(data) and len(diffs) == 1
+        assert corrupted[diffs[0]] == data[diffs[0]] ^ 0xFF
+        # Same seed, same byte; and the recorded digest goes stale,
+        # which is what the pulling worker must catch.
+        assert FaultyPool([], seed=3).corrupt(data) == corrupted
+        assert blob_digest(corrupted) != blob_digest(data)
+
+    def test_malformed_faults_rejected(self):
+        for kwargs, message in [
+                (dict(kind="meteor"), "unknown fault kind"),
+                (dict(kind="delay"), "positive delay_s"),
+                (dict(kind="hang"), "positive duration_s"),
+                (dict(kind="crash"), "target worker")]:
+            with pytest.raises(ValueError, match=message):
+                Fault(**kwargs)
 
 
 class TestCircuitBreaker:
@@ -255,6 +179,23 @@ class TestCircuitBreaker:
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == "closed"        # never 2 in a row
+
+    def test_fleet_breakers_run_on_the_fleet_clock(self, tmp_path):
+        """Cooldowns read the clock the fleet was given, like every
+        other gateway deadline and backoff decision."""
+        async def main():
+            clock = VirtualClock()
+            fleet = PumaFleet([MLP_SPEC], work_dir=str(tmp_path),
+                              clock=clock, breaker_threshold=2,
+                              breaker_cooldown_s=0.5)
+            breaker = fleet._new_breaker()
+            breaker.record_failure()
+            breaker.record_failure()
+            assert breaker.state == "open"
+            await clock.advance(0.5)
+            assert breaker.state == "half-open"
+
+        run(main())
 
     def test_validation(self):
         with pytest.raises(ValueError, match="failure_threshold"):
@@ -357,100 +298,7 @@ MLP_SPEC = FleetModelSpec("tiny", "mlp", {"dims": [8, 6, 4]}, seed=2)
 
 
 class TestWorkerChaosMiddleware:
-    """The injector wired into a live worker's HTTP plane."""
-
-    def test_drop_error_garbage_and_disarm(self, tmp_path):
-        async def main():
-            worker = FleetWorker("w0", None, str(tmp_path / "work"),
-                                 max_batch_size=2)
-            await worker.start()
-            try:
-                connection = HttpConnection(worker.http.host,
-                                            worker.http.port)
-                # Arm over the wire, exactly as the gateway does.
-                response = await connection.request(
-                    "POST", "/v1/chaos", body=json.dumps({
-                        "seed": 4,
-                        "events": [{"kind": "drop", "duration_s": 60.0,
-                                    "count": 1}]}).encode())
-                assert response.status == 200
-                assert response.json()["chaos"]["active"] == ["drop"]
-                with pytest.raises(FleetConnectionError):
-                    await connection.request("GET", "/healthz")
-                await connection.close()
-
-                connection = HttpConnection(worker.http.host,
-                                            worker.http.port)
-                # Budget spent: traffic flows again.
-                response = await connection.request("GET", "/healthz")
-                assert response.json()["ok"] is True
-
-                # A clean 500 with a machine-readable reason...
-                await connection.request(
-                    "POST", "/v1/chaos", body=json.dumps({
-                        "events": [{"kind": "error", "duration_s": 60.0,
-                                    "count": 1}]}).encode())
-                response = await connection.request("GET", "/metrics")
-                assert response.status == 500
-                assert response.json()["reason"] == "chaos_error"
-
-                # ...vs a garbage 200 body that refuses to parse.
-                await connection.request(
-                    "POST", "/v1/chaos", body=json.dumps({
-                        "events": [{"kind": "error", "duration_s": 60.0,
-                                    "garbage": True,
-                                    "count": 1}]}).encode())
-                response = await connection.request("GET", "/metrics")
-                assert response.status == 200
-                with pytest.raises(ValueError):
-                    response.json()
-
-                # The ledger made it into /metrics; disarm clears arming.
-                response = await connection.request("GET", "/metrics")
-                assert response.json()["chaos"]["fired"] == \
-                    {"drop": 1, "error": 2}
-                response = await connection.request(
-                    "POST", "/v1/chaos", body=b'{"disarm": true}')
-                assert response.json()["chaos"]["armed"] == 0
-
-                # A malformed plan is refused loudly.
-                response = await connection.request(
-                    "POST", "/v1/chaos", body=json.dumps({
-                        "events": [{"kind": "meteor"}]}).encode())
-                assert response.status == 400
-                assert response.json()["reason"] == "bad_fault_plan"
-                await connection.close()
-            finally:
-                await worker.close()
-
-        run(main())
-
-    def test_bootstrap_events_arm_at_start_and_protect_controls(
-            self, tmp_path):
-        async def main():
-            worker = FleetWorker(
-                "w1", None, str(tmp_path / "work"), max_batch_size=2,
-                fault_events=(FaultEvent("error", duration_s=60.0),),
-                chaos_seed=7)
-            assert worker.injector.ledger()["armed"] == 0   # not yet
-            await worker.start()
-            try:
-                assert worker.injector.seed == 7
-                connection = HttpConnection(worker.http.host,
-                                            worker.http.port)
-                response = await connection.request("GET", "/healthz")
-                assert response.status == 500       # fault is live
-                # The control plane stays reachable regardless.
-                response = await connection.request(
-                    "POST", "/v1/chaos", body=b'{"disarm": true}')
-                assert response.status == 200
-                response = await connection.request("GET", "/healthz")
-                assert response.status == 200
-                await connection.close()
-            finally:
-                await worker.close()
-
-        run(main())
+    """A live worker's own resilience: deadlines shed before work."""
 
     def test_deadline_shed_and_bad_deadline_at_the_worker(self, tmp_path):
         async def main():
