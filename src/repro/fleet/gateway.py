@@ -58,6 +58,7 @@ from repro.fleet.http import (
     HttpResponse,
     HttpServer,
     ProtocolError,
+    _fail,
     error_response,
     json_response,
 )
@@ -466,16 +467,21 @@ class PumaFleet:
                 retry_after_s=self._retry_after(state))
         wire_inputs = {name: np.asarray(values, dtype=np.float64).tolist()
                        for name, values in inputs.items()}
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         pending = _Pending(
             inputs=wire_inputs, future=future,
             enqueued_at=self.clock.now(), deadline_at=deadline_at,
             token=next(self._tokens), priority=priority)
         state.queue.put_nowait((pending.sort_key(), pending))
+        # A timer, not wait_for, which costs a Task per call before
+        # Python 3.12.
+        timer = loop.call_later(wait_timeout, _fail, future,
+                                asyncio.TimeoutError())
         try:
-            return await asyncio.wait_for(future, wait_timeout)
+            return await future
         except asyncio.TimeoutError:
-            # wait_for cancelled the future, so the dispatcher (whose
+            # The timer failed the future, so the dispatcher (whose
             # _settle skips a future that is already done) won't also
             # count this request — every tally stays single-entry.
             if deadline_at is not None and self.clock.now() >= deadline_at:
@@ -486,6 +492,8 @@ class PumaFleet:
             state.failed += 1
             raise FleetError(
                 f"{model}: no reply within {wait_timeout:g}s") from None
+        finally:
+            timer.cancel()
 
     def _retry_after(self, state: _ModelState) -> float:
         """A Retry-After estimate: rough time to drain half the queue."""
@@ -897,15 +905,15 @@ async def _cancel_and_wait(tasks: list[asyncio.Task],
                            poll_s: float = 0.2) -> None:
     """Cancel tasks and wait until every one has actually finished.
 
-    A plain ``cancel() + gather()`` can hang forever on Python < 3.12:
-    ``asyncio.wait_for`` has a race where a cancellation arriving just
-    as the inner future completes is swallowed — the task keeps running
-    (state "cancelling") and the one-shot CancelledError is spent.  The
-    dispatch and health loops sit on ``wait_for``-based HTTP calls, so
-    they can lose a cancel this way and park on their next ``await``
-    for good.  Re-issuing ``cancel()`` re-delivers the exception, so
-    cancelling in a loop until ``asyncio.wait`` reports every task done
-    is guaranteed to converge.
+    A ``cancel()`` is delivered once, and a task can absorb it in any
+    code it awaits that catches ``CancelledError`` without re-raising.
+    The dispatch and health loops await code this module does not own —
+    ``PumaFleet.pool`` is replaceable, and an ``asyncio.wait_for`` there
+    drops a cancel that races the inner result on Python < 3.12.  A task
+    that absorbed its cancel parks on its next ``await``, where a plain
+    ``cancel() + gather()`` would wait for it forever; re-issuing
+    ``cancel()`` until ``asyncio.wait`` reports every task done bounds
+    shutdown without trusting every ``await`` on the path.
     """
     pending = {task for task in tasks if not task.done()}
     while pending:

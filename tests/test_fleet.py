@@ -10,6 +10,7 @@ multi-process gateway tests live in ``tests/test_fleet_e2e.py``.
 
 import asyncio
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from repro.fleet.http import (
     ProtocolError,
     error_response,
     json_response,
-    read_request,
 )
 from repro.fleet.netstore import (
     SHA_HEADER,
@@ -147,6 +147,77 @@ class TestHttpPlane:
 
         run(main())
 
+    @pytest.mark.parametrize("data, statuses, paths", [
+        (b"\r\nGET /a HTTP/1.1\r\n\r\n", [200], ["/a"]),
+        (b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc", [400], []),
+        (b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+         [400], []),
+        (b"POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5"
+         b"\r\n\r\nabc", [400], []),
+        (b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"3\r\nabc\r\n0\r\n\r\n", [400], []),
+        (b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\n"
+         b"GET /3 HTTP/1.1\r\n\r\n", [200] * 3, ["/1", "/2", "/3"]),
+    ], ids=["leading_crlf", "plus_sign_length", "underscore_length",
+            "two_lengths", "chunked", "pipelined"])
+    def test_raw_bytes_get_exactly_these_answers(self, data, statuses,
+                                                 paths):
+        """Bytes written, then the write side closed: the server answers
+        every request in order and then closes — a blank line before the
+        request line is skipped, and a body it cannot frame gets one 400,
+        never a silent close or a second answer parsed from the body."""
+        seen = []
+
+        async def handler(request):
+            seen.append(request.path)
+            return json_response({})
+
+        async def main():
+            server = await HttpServer(handler).start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                writer.write(data)
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                await writer.wait_closed()
+                return raw
+            finally:
+                await server.close()
+
+        raw = run(main())
+        assert [int(status) for status in
+                re.findall(rb"HTTP/1\.1 (\d{3})", raw)] == statuses
+        assert seen == paths
+
+    def test_a_malformed_response_raises_and_closes(self):
+        async def main():
+            answered = asyncio.get_running_loop().create_future()
+
+            async def answer(reader, writer):
+                await reader.readuntil(b"\r\n\r\n")
+                writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: +2"
+                             b"\r\n\r\nok")
+                await reader.read()         # until the client hangs up
+                writer.close()
+                await writer.wait_closed()
+                answered.set_result(None)
+
+            server = await asyncio.start_server(answer, "127.0.0.1", 0)
+            connection = HttpConnection(
+                "127.0.0.1", server.sockets[0].getsockname()[1])
+            try:
+                with pytest.raises(ProtocolError, match="Content-Length"):
+                    await connection.request("GET", "/", timeout=5.0)
+                assert not connection.connected
+                await asyncio.wait_for(answered, 5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(main())
+
     def test_bad_json_body_raises_protocol_error(self):
         request = HttpRequest(method="POST", path="/", body=b"{nope")
         with pytest.raises(ProtocolError, match="malformed JSON"):
@@ -214,14 +285,6 @@ class TestHttpPlane:
                 await connection.close()
             finally:
                 await server.close()
-
-        run(main())
-
-    def test_read_request_clean_eof_returns_none(self):
-        async def main():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            assert await read_request(reader) is None
 
         run(main())
 

@@ -12,7 +12,8 @@ These tests pin, over real worker processes:
 * a transport fault on the exchange retries *every* rider on the other
   replica, bitwise and bounded;
 * the gateway conserves requests: each ends in exactly one of
-  served / failed / sheds / rejections;
+  served / failed / sheds / rejections, a caller that stopped waiting
+  included;
 * the worker still answers the single-request body unwrapped, and a
   JSON body that is not a request object is a 400, never a 500.
 """
@@ -292,6 +293,34 @@ class TestGatewayConservation:
                 # 12 queued together left as two exchanges (8 + 4).
                 stats = await server_stats(fleet)
                 assert stats["lanes_simulated"] == 18
+
+        run(main())
+
+
+    def test_a_caller_that_stops_waiting_counts_once(self, tmp_path,
+                                                     reference):
+        """``predict``'s own timeout lapses while its exchange hangs: the
+        caller gets :class:`FleetError`, counted once in ``failed``.
+        When the hung exchange completes, the dispatcher's settle of the
+        abandoned request is a no-op — it is not also ``served``."""
+        async def main():
+            fleet = PumaFleet([SPEC], num_workers=1,
+                              work_dir=str(tmp_path),
+                              max_batch_size=MAX_BATCH)
+            fleet.pool = pool = FaultyPool([Fault(
+                "hang", duration_s=0.6, path="/v1/predict", count=1)])
+            async with fleet:
+                pool.arm(fleet)
+                with pytest.raises(FleetError, match="no reply within"):
+                    await fleet.predict(SPEC.name, inputs(1), timeout=0.2)
+                while fleet.models[SPEC.name].inflight:
+                    await asyncio.sleep(0.02)
+                reply = await fleet.predict(SPEC.name, inputs(2))
+                assert reply["words"] == reference(2)
+                assert counters(fleet) == {
+                    "served": 1, "failed": 1, "sheds": 0,
+                    "rejections": 0, "retries": 0, "inflight": 0}
+                assert pool.fired == {"hang": 1}
 
         run(main())
 

@@ -8,7 +8,9 @@ pass, with no Task per rider.  This file pins:
 
 * host-cost ratchets — every pass runs on the loop thread, in
   whole-batch, sharded and continuous serving; one ``POST /v1/predict``
-  creates as many Tasks for 8 riders as for 1;
+  creates as many Tasks for 8 riders as for 1; an ``HttpConnection``
+  request creates no Task, and an ``HttpServer`` one per connection
+  however many requests it carries;
 * fairness and coalescing after the hop is gone — two servers with deep
   queues on one loop alternate pass by pass; riders admitted between two
   passes of a deep queue join the next batch; a worker hosting two
@@ -25,7 +27,12 @@ import pytest
 
 from repro import InferenceEngine, PumaServer, default_config
 from repro.fleet import FleetModelSpec, FleetWorker, route_key
-from repro.fleet.http import HttpConnection, HttpRequest
+from repro.fleet.http import (
+    HttpConnection,
+    HttpRequest,
+    HttpServer,
+    json_response,
+)
 from repro.workloads.lstm import build_lstm_model
 from repro.workloads.mlp import build_mlp_model
 
@@ -191,6 +198,52 @@ def test_one_exchange_creates_as_many_tasks_for_eight_riders_as_for_one(
     tasks, counters = asyncio.run(scenario())
     assert tasks["one"] == tasks["eight"] == tasks["single"]
     assert (counters.batches_formed, counters.lanes_simulated) == (3, 10)
+
+
+def count_tasks(loop, created):
+    """Install a task factory that logs the module creating each Task."""
+    def counting(loop, coro, **kwargs):
+        created.append(coro.cr_frame.f_globals["__name__"])
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop.set_task_factory(counting)
+
+
+def test_http_requests_create_no_tasks_and_connections_one_each():
+    """A request is one write and one future, its deadline a loop timer:
+    no Task on either side of a connected exchange.  The server runs one
+    Task per connection, for one request or for eight."""
+    async def handler(request):
+        return json_response({"ok": True})
+
+    async def scenario():
+        server = await HttpServer(handler).start()
+        loop = asyncio.get_running_loop()
+        warm = HttpConnection(server.host, server.port)
+        connections = [HttpConnection(server.host, server.port)
+                       for _ in range(2)]
+        try:
+            await warm.request("GET", "/")
+            exchange, per_connection = [], []
+            count_tasks(loop, exchange)
+            for _ in range(5):
+                await warm.request("POST", "/", body=b"{}", timeout=5.0)
+            count_tasks(loop, per_connection)
+            for connection, requests in zip(connections, (1, 8)):
+                for _ in range(requests):
+                    await connection.request("GET", "/", timeout=5.0)
+            loop.set_task_factory(None)
+            return exchange, per_connection
+        finally:
+            for connection in [warm, *connections]:
+                await connection.close()
+            await server.close()
+
+    exchange, per_connection = asyncio.run(scenario())
+    assert exchange == []
+    # asyncio's own accept Task per connection is not the server's.
+    assert [name for name in per_connection
+            if not name.startswith("asyncio.")] == ["repro.fleet.http"] * 2
 
 
 def test_worker_answers_while_one_model_has_a_deep_queue(tmp_path):
