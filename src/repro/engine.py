@@ -905,26 +905,6 @@ class InferenceEngine:
             return OptimizedReplayer(tape, plan, node, self.program)
         return TapeReplayer(tape, node, self.program)
 
-    def private_replayer(self, batch: int) -> TapeReplayer | None:
-        """A replayer on its own ``batch``-lane node, owned by the caller
-        (``None`` when this engine cannot trace-replay).
-
-        Continuous batching drives this one's ops itself, cohort by
-        cohort; the replayers behind :meth:`run_batch` are overwritten
-        by every run and cannot be shared.  :meth:`warm` records the tape
-        (and checks its plan) if there is none yet; the replayer binds
-        the plan, or the plain tape in ``"replay"`` mode or when the plan
-        was refuted at recording.
-        """
-        if self._replay_blocker() is not None:
-            return None
-        self.warm(batch=batch)
-        tape = self.compiled.execution_tapes.get(self._fingerprint)
-        if tape is None:  # the recording failed its dependence cross-check
-            return None
-        plan = tape.optimized if self.execution_mode == "auto" else None
-        return self._bind_replayer(tape, plan, batch)
-
     def _invalidate_tape(self) -> None:
         """Drop the tape, its bound replayers, and the persistence
         bookkeeping that claimed it was saved.

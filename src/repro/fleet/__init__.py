@@ -43,7 +43,6 @@ from repro.fleet.loadgen import (
 from repro.fleet.manager import (
     WorkerManager,
     WorkerSpawnError,
-    autoscale_decision,
 )
 from repro.fleet.models import (
     MODEL_KINDS,
@@ -75,7 +74,6 @@ __all__ = [
     "PumaFleet",
     "WorkerManager",
     "WorkerSpawnError",
-    "autoscale_decision",
     "backoff_delay",
     "build_engine",
     "bursty_trace",

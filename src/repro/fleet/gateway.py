@@ -25,11 +25,7 @@
   ``tests/test_fleet.py`` / ``tests/test_fleet_microbatch.py`` enforce;
 * **health & lifecycle** — periodic ``/healthz`` probes; consecutive
   failures (or a dead process) evict the worker and respawn a fresh one
-  that warm-starts its models off the networked store;
-* **autoscaling** — per-model replica counts follow observed queue
-  depth through the pure policy
-  :func:`repro.fleet.manager.autoscale_decision`; new replicas load
-  lazily on first dispatch (pulling the artifact blob, not recompiling).
+  that warm-starts its models off the networked store.
 
 Graceful shutdown mirrors ``PumaServer.stop``: the front door starts
 refusing new work (503), queued requests drain to completion, workers
@@ -65,7 +61,6 @@ from repro.fleet.http import (
 from repro.fleet.manager import (
     WorkerHandle,
     WorkerManager,
-    autoscale_decision,
     probe_health,
 )
 from repro.fleet.models import FleetModelSpec, route_key
@@ -112,7 +107,6 @@ class _ModelState:
 
     spec: FleetModelSpec
     key: str
-    replicas: int
     # Entries are ((-priority, deadline, seq), _Pending): higher-priority
     # requests dispatch first, earlier deadlines next, arrival order last
     # — the same EDF order the worker-side scheduler uses, so a burst of
@@ -168,9 +162,8 @@ class PumaFleet:
         models: the deployment set (unique names).
         num_workers: worker processes to spawn (restored on eviction).
         work_dir: scratch root (artifact blobs, worker scratch).
-        replicas_per_model: initial replicas per model (default:
-            ``min(2, num_workers)``); the autoscaler moves it between
-            ``min_replicas`` and ``max_replicas`` when enabled.
+        replicas_per_model: replicas per model (default:
+            ``min(2, num_workers)``).
         max_batch_size: most requests one dispatch carries, and the
             batching limit of each worker's ``PumaServer``.
         dispatch_concurrency: concurrent *exchanges* per model, each
@@ -182,9 +175,6 @@ class PumaFleet:
             preferred; transport failures and 5xx retry, 400 never).
         health_interval_s / health_failures: probe cadence and the
             consecutive-failure threshold for eviction + respawn.
-        autoscale / autoscale_interval_s / min_replicas / max_replicas /
-            high_watermark / low_watermark: queue-depth autoscaling
-            policy (see :func:`autoscale_decision`).
         preload: load every model onto its placement when the fleet
             starts (first request fast + deterministic placement).
         max_queue_depth: per-model admission bound — when this many
@@ -219,12 +209,6 @@ class PumaFleet:
                  max_attempts: int = 3,
                  health_interval_s: float = 0.5,
                  health_failures: int = 2,
-                 autoscale: bool = False,
-                 autoscale_interval_s: float = 0.5,
-                 min_replicas: int = 1,
-                 max_replicas: int | None = None,
-                 high_watermark: float = 8.0,
-                 low_watermark: float = 1.0,
                  respawn: bool = True,
                  preload: bool = True,
                  max_queue_depth: int | None = None,
@@ -255,13 +239,6 @@ class PumaFleet:
         self.max_attempts = max_attempts
         self.health_interval_s = health_interval_s
         self.health_failures = health_failures
-        self.autoscale = autoscale
-        self.autoscale_interval_s = autoscale_interval_s
-        self.min_replicas = min_replicas
-        self.max_replicas = (num_workers if max_replicas is None
-                             else min(max_replicas, num_workers))
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.respawn = respawn
         self.preload = preload
         if max_queue_depth is not None and max_queue_depth < 1:
@@ -286,8 +263,7 @@ class PumaFleet:
         self.models: dict[str, _ModelState] = {}
         for spec in models:
             key = route_key(spec)
-            self.models[spec.name] = _ModelState(
-                spec=spec, key=key, replicas=self.replicas_per_model)
+            self.models[spec.name] = _ModelState(spec=spec, key=key)
 
         self.ring = HashRing()
         self.http = HttpServer(self._handle, host=host, port=port)
@@ -302,7 +278,6 @@ class PumaFleet:
         self._closing = False
         self.evictions = 0
         self.respawns = 0
-        self.autoscale_events = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -331,12 +306,7 @@ class PumaFleet:
             for state in self.models.values():
                 for handle in self._placement(state):
                     await self._ensure_loaded(state, handle)
-        self._background = [
-            asyncio.create_task(self._health_loop()),
-        ]
-        if self.autoscale:
-            self._background.append(
-                asyncio.create_task(self._autoscale_loop()))
+        self._background = [asyncio.create_task(self._health_loop())]
         return self
 
     async def stop(self, *, drain: bool = True,
@@ -389,7 +359,7 @@ class PumaFleet:
 
     def _placement(self, state: _ModelState) -> list[WorkerHandle]:
         """The model's current replica set, healthiest-first subset."""
-        chosen = self.ring.replicas(state.key, state.replicas)
+        chosen = self.ring.replicas(state.key, self.replicas_per_model)
         return [self.manager.workers[w] for w in chosen
                 if w in self.manager.workers
                 and self.manager.workers[w].healthy]
@@ -436,8 +406,9 @@ class PumaFleet:
         it never affects output values, only ordering.  Raises
         :class:`FleetError` on permanent failure —
         :class:`FleetAdmissionError` when the model's queue is full,
-        :class:`FleetDeadlineError` when the budget expires — and
-        :class:`KeyError` for an unknown model.
+        :class:`FleetDeadlineError` when the budget expires —
+        :class:`KeyError` for an unknown model, and :class:`ValueError`
+        for a non-finite ``deadline_ms``.
         """
         if not self._running or self._closing:
             raise FleetError("fleet is not accepting requests "
@@ -449,6 +420,10 @@ class PumaFleet:
         deadline_at = None
         wait_timeout = timeout
         if deadline_ms is not None:
+            if not math.isfinite(deadline_ms):
+                raise ValueError(
+                    f"deadline_ms must be finite, got {deadline_ms} "
+                    f"(omit it for no deadline)")
             if deadline_ms <= 0:
                 state.sheds += 1
                 raise FleetDeadlineError(
@@ -744,20 +719,6 @@ class PumaFleet:
             self.breakers[replacement.worker_id] = self._new_breaker()
             self.respawns += 1
 
-    async def _autoscale_loop(self) -> None:
-        while not self._closing:
-            await asyncio.sleep(self.autoscale_interval_s)
-            for state in self.models.values():
-                delta = autoscale_decision(
-                    state.queue.qsize(), state.replicas,
-                    min_replicas=self.min_replicas,
-                    max_replicas=self.max_replicas,
-                    high_watermark=self.high_watermark,
-                    low_watermark=self.low_watermark)
-                if delta:
-                    state.replicas += delta
-                    self.autoscale_events += 1
-
     # -- HTTP front door ----------------------------------------------------
 
     async def _handle(self, request: HttpRequest) -> HttpResponse:
@@ -777,7 +738,8 @@ class PumaFleet:
         if route == ("GET", "/v1/models"):
             return json_response({"models": [
                 {"name": state.spec.name, "kind": state.spec.kind,
-                 "route_key": state.key, "replicas": state.replicas,
+                 "route_key": state.key,
+                 "replicas": self.replicas_per_model,
                  "placement": [h.worker_id
                                for h in self._placement(state)]}
                 for state in self.models.values()]})
@@ -874,7 +836,6 @@ class PumaFleet:
                 "workers": len(self.manager.workers),
                 "evictions": self.evictions,
                 "respawns": self.respawns,
-                "autoscale_events": self.autoscale_events,
                 "store_blobs": self.blobs.keys() if self.blobs else [],
                 "store_evictions": (self.blobs.evictions
                                     if self.blobs else 0),
@@ -887,7 +848,7 @@ class PumaFleet:
                 "models": {
                     state.spec.name: {
                         "route_key": state.key,
-                        "replicas": state.replicas,
+                        "replicas": self.replicas_per_model,
                         "queue_depth": state.queue.qsize(),
                         "inflight": state.inflight,
                         "served": state.served,

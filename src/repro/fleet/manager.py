@@ -1,4 +1,4 @@
-"""Worker lifecycle: spawn, readiness, eviction, respawn, autoscaling.
+"""Worker lifecycle: spawn, readiness, eviction, respawn.
 
 The manager owns the boring-but-critical half of a fleet — processes:
 
@@ -14,11 +14,6 @@ The manager owns the boring-but-critical half of a fleet — processes:
   :meth:`evict` after consecutive probe failures; the process is
   terminated (then killed) and a replacement with a fresh id is spawned,
   warm-starting its models off the networked store.
-* **Autoscaling** — :func:`autoscale_decision` is a pure function of
-  observed queue pressure, so the policy is unit-testable without
-  processes: scale up when the backlog per replica crosses the high
-  watermark, down below the low watermark, with hysteresis coming from
-  the gap between the two.
 """
 
 from __future__ import annotations
@@ -209,37 +204,3 @@ def _terminate(process) -> None:
     if process.is_alive():           # pragma: no cover - last resort
         process.kill()
         process.join(timeout=5.0)
-
-
-def autoscale_decision(queue_depth: int, replicas: int, *,
-                       min_replicas: int = 1, max_replicas: int = 4,
-                       high_watermark: float = 8.0,
-                       low_watermark: float = 1.0) -> int:
-    """How many replicas to add (+1), shed (-1), or keep (0).
-
-    Pure policy over observed state: ``queue_depth`` is the model's
-    waiting requests, ``replicas`` its current replica count.  The
-    watermarks are *per replica*: scale up when the backlog per replica
-    exceeds ``high_watermark`` (queueing is growing faster than the
-    replicas drain it), down when it falls below ``low_watermark`` (the
-    marginal replica is idle).  The gap between watermarks provides the
-    hysteresis that stops flapping on bursty arrivals; the caller adds
-    time-based damping (cooldown between applications).
-
-    >>> autoscale_decision(40, 2)
-    1
-    >>> autoscale_decision(1, 3)
-    -1
-    >>> autoscale_decision(6, 2)
-    0
-    """
-    if replicas < 1:
-        return 1 if min_replicas >= 1 else 0
-    if low_watermark >= high_watermark:
-        raise ValueError("low_watermark must be below high_watermark")
-    per_replica = queue_depth / replicas
-    if per_replica > high_watermark and replicas < max_replicas:
-        return 1
-    if per_replica < low_watermark and replicas > min_replicas:
-        return -1
-    return 0

@@ -39,6 +39,7 @@ provide (and that its tests verify).
 from __future__ import annotations
 
 import asyncio
+import math
 import os
 
 import numpy as np
@@ -386,7 +387,10 @@ def predict_fields(item: dict) -> tuple[dict, float | None, int]:
 
     The one reading of these wire fields, shared by the gateway's front
     door and the worker.  Raises :class:`ProtocolError` naming the
-    field that is missing or has the wrong type.
+    field that is missing or has the wrong type.  Python's ``json``
+    reads ``NaN`` and ``Infinity``, so a deadline must also be finite,
+    and a priority must be an integer, not a boolean or a fraction to
+    truncate.
     """
     inputs = item.get("inputs")
     if not isinstance(inputs, dict):
@@ -397,14 +401,19 @@ def predict_fields(item: dict) -> tuple[dict, float | None, int]:
         try:
             deadline_ms = float(deadline_ms)
         except (TypeError, ValueError):
+            deadline_ms = math.nan
+        if not math.isfinite(deadline_ms):
             raise ProtocolError(
-                f"bad deadline_ms {item['deadline_ms']!r}") from None
+                f"bad deadline_ms {item['deadline_ms']!r} (must be a "
+                f"finite number; omit it for no deadline)")
+    priority = item.get("priority", 0)
     try:
-        priority = int(item.get("priority", 0))
-    except (TypeError, ValueError):
-        raise ProtocolError(f"bad priority {item['priority']!r} "
+        if isinstance(priority, bool) or int(priority) != priority:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ProtocolError(f"bad priority {priority!r} "
                             f"(must be an integer)") from None
-    return inputs, deadline_ms, priority
+    return inputs, deadline_ms, int(priority)
 
 
 def _failed(status: int, message: str, reason: str | None = None) -> dict:

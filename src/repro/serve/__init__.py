@@ -8,10 +8,6 @@
 * :class:`~repro.serve.scheduler.BatchScheduler` — batch formation:
   the EDF queue with deadline-pressure early close
   (:mod:`repro.serve.scheduler`);
-* :class:`~repro.serve.continuous.ContinuousBatcher` — continuous
-  batching for sequence workloads: cohorts of lanes join/leave the
-  shared node at recorded step boundaries
-  (:mod:`repro.serve.continuous`);
 * :class:`~repro.serve.clock.VirtualClock` — the deterministic-time
   test harness every wall-clock decision runs on
   (:mod:`repro.serve.clock`);
@@ -23,7 +19,6 @@
 
 from repro.serve.types import InferenceRequest, RunResult
 from repro.serve.clock import Clock, MonotonicClock, VirtualClock
-from repro.serve.continuous import ContinuousBatcher, ContinuousUnsupported
 from repro.serve.scheduler import (
     BatchScheduler,
     SchedulerCounters,
@@ -41,8 +36,6 @@ __all__ = [
     "AdmissionError",
     "BatchScheduler",
     "Clock",
-    "ContinuousBatcher",
-    "ContinuousUnsupported",
     "DeadlineExceeded",
     "InferenceRequest",
     "MonotonicClock",

@@ -2,7 +2,7 @@
 
 This is the policy layer between request intake and engine dispatch.
 :class:`~repro.serve.server.PumaServer` owns the asyncio plumbing
-(futures, the arrival event, the executor); the scheduler owns *which
+(futures, the arrival event, the engine pass); the scheduler owns *which
 requests form the next batch and how long to keep the window open*.
 
 **Order.**  The queue is earliest-deadline-first (EDF) within priority:
@@ -55,8 +55,6 @@ class SchedulerCounters:
         drained: requests removed administratively (server stopping
             without drain, or the batching loop crashing).
         early_closes: batch windows closed early by deadline pressure.
-        refills: lanes of a continuous batch refilled from the queue at
-            a step boundary (0 unless continuous batching is on).
     """
 
     admitted: int = 0
@@ -64,7 +62,6 @@ class SchedulerCounters:
     shed: int = 0
     drained: int = 0
     early_closes: int = 0
-    refills: int = 0
 
     def in_balance(self, queued: int) -> bool:
         """The conservation law; ``queued`` is the live queue depth."""
@@ -78,7 +75,6 @@ class SchedulerCounters:
             "shed": self.shed,
             "drained": self.drained,
             "early_closes": self.early_closes,
-            "refills": self.refills,
         }
 
 

@@ -18,24 +18,16 @@ stationary, so a batch buys throughput but is never needed for
 efficiency — nothing waits on a clock unless the caller asks for it
 with an explicit ``batch_window_s``.
 
-Two serving modes:
+The queue is priority-then-earliest-deadline (EDF) order with an
+early-close rule: an explicit window also closes when the most urgent
+queued deadline can no longer afford waiting, given the EWMA-observed
+per-batch service time.  It degenerates to exact FIFO when no request
+carries a priority or deadline.
 
-* **Whole-batch** (the default) — the queue is priority-then-earliest-
-  deadline (EDF) order with an early-close rule: an explicit window
-  also closes when the most urgent queued deadline can no longer afford
-  waiting, given the EWMA-observed per-batch service time.  Degenerates
-  to exact FIFO when no request carries a priority or deadline.
-* **Continuous** (``continuous=True``) — sequence workloads join and
-  leave the active batch at recorded step boundaries
-  (:mod:`repro.serve.continuous`): a lane freed at sequence end refills
-  from the same queue instead of idling until the longest rider drains.
-
-One loop serves both: it claims riders for an *executor* with two
-methods, ``start_cohort`` and ``tick``.  Whole-batch serving
-(:class:`WholeBatchExecutor`) is the one-cohort, one-segment executor;
-:class:`~repro.serve.continuous.ContinuousBatcher` is the general one.
-Every ``tick`` runs on the event loop, which yields once after each
-pass (``PumaServer._serve_batch`` says why).
+The serve loop does three things: it pops up to ``max_batch_size``
+riders, runs them as one ``predict`` pass on the event loop, and
+resolves each rider with its lane of the result.  It yields once after
+each pass (``PumaServer._serve_batch`` says why).
 
 All wall-clock decisions go through an injectable :class:`Clock`
 (:mod:`repro.serve.clock`), so the deterministic test harness drives
@@ -55,12 +47,11 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.continuous import Cohort, ContinuousBatcher
 from repro.serve.scheduler import BatchScheduler
 from repro.serve.sharding import ShardedEngine
 from repro.serve.types import InferenceRequest, RunResult
@@ -100,8 +91,7 @@ class ServerCounters:
         requests_shed: deadline-expired requests failed at batch
             formation or on arrival (they never occupy a lane).
         requests_rejected: requests refused at admission (queue full).
-        batches_formed: engine passes executed (cohorts started, in
-            continuous mode).
+        batches_formed: engine passes executed.
         lanes_simulated: total batch lanes across all passes (equals
             ``requests_served`` + failed lanes).
     """
@@ -145,50 +135,6 @@ class _Pending:
     priority: int = 0
 
 
-class WholeBatchExecutor:
-    """Whole-batch serving in the batcher's shape: one cohort, one segment.
-
-    ``start_cohort`` claims every lane for one coalesced batch and
-    ``tick`` runs it as a single ``runner.predict`` pass — ``runner`` is
-    an :class:`~repro.engine.InferenceEngine` or a
-    :class:`~repro.serve.sharding.ShardedEngine`, and ``predict`` is
-    looked up per pass.  A failed pass is its riders' outcome.
-    """
-
-    def __init__(self, runner, max_lanes: int) -> None:
-        self.runner = runner
-        self.max_lanes = max_lanes
-        self._cohort: Cohort | None = None
-        self._rows: list[dict[str, np.ndarray]] = []
-
-    @property
-    def free_lanes(self) -> int:
-        return 0 if self._cohort is not None else self.max_lanes
-
-    def busy(self) -> bool:
-        return self._cohort is not None
-
-    def cohorts(self) -> list[Cohort]:
-        return [] if self._cohort is None else [self._cohort]
-
-    def start_cohort(self, rows: list[dict[str, np.ndarray]],
-                     tag: Any = None) -> Cohort:
-        self._cohort = Cohort(np.arange(len(rows)), tag)
-        self._rows = rows
-        return self._cohort
-
-    def tick(self) -> list[tuple[Cohort, RunResult | Exception]]:
-        cohort, rows = self._cohort, self._rows
-        try:
-            outcome = self.runner.predict({
-                name: np.stack([row[name] for row in rows])
-                for name in rows[0]})
-        except Exception as error:  # noqa: BLE001 - fail every rider
-            outcome = error
-        self._cohort, self._rows = None, []
-        return [(cohort, outcome)]
-
-
 class PumaServer:
     """Queueing + scheduled micro-batching front-end over one engine.
 
@@ -196,9 +142,7 @@ class PumaServer:
         engine: the :class:`~repro.engine.InferenceEngine` to serve.  The
             engine's compiled program and seed are fixed for the server's
             lifetime (program the crossbars once, stream requests through).
-        max_batch_size: most requests coalesced into one simulator pass
-            (in continuous mode: the node's lane count — the most
-            requests in flight at once).
+        max_batch_size: most requests coalesced into one simulator pass.
         batch_window_s: how long an *idle* engine holds an under-full
             batch open waiting for more arrivals.  ``0`` (the default)
             never holds: coalescing comes only from requests already
@@ -221,16 +165,6 @@ class PumaServer:
             already waiting, :meth:`submit` raises
             :class:`AdmissionError` instead of enqueueing (``None`` =
             unbounded, the pre-resilience behavior).
-        scheduler: a pre-built
-            :class:`~repro.serve.scheduler.BatchScheduler` to queue on
-            (tests seed its service-time tracker directly); by default
-            the server builds its own from ``max_batch_size`` and
-            ``batch_window_s``.
-        continuous: serve via continuous batching
-            (:mod:`repro.serve.continuous`): requests join/leave the
-            active batch at recorded step boundaries.  Requires a
-            tape-replayable engine and is mutually exclusive with
-            ``num_shards > 1``.
         clock: time source for windows, deadlines, and EDF decisions
             (default: real monotonic time).  Tests inject a
             :class:`~repro.serve.clock.VirtualClock`.
@@ -248,8 +182,6 @@ class PumaServer:
                  num_shards: int = 1,
                  artifact_dir=None,
                  max_queue_depth: int | None = None,
-                 scheduler: BatchScheduler | None = None,
-                 continuous: bool = False,
                  clock: Clock | None = None) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, "
@@ -261,27 +193,24 @@ class PumaServer:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, "
                              f"got {max_queue_depth}")
-        if continuous and num_shards > 1:
-            raise ValueError(
-                "continuous=True is mutually exclusive with num_shards > 1 "
-                "(cohorts share one node; shard the fleet instead)")
         self.engine = engine
         self.max_batch_size = max_batch_size
         self.batch_window_s = batch_window_s
         self.num_shards = num_shards
         self.artifact_dir = artifact_dir
         self.max_queue_depth = max_queue_depth
-        self.continuous = continuous
         self._clock: Clock = clock if clock is not None else MonotonicClock()
-        self._scheduler = scheduler if scheduler is not None else \
-            BatchScheduler(max_batch_size=max_batch_size,
-                           batch_window_s=batch_window_s)
+        self._scheduler = BatchScheduler(max_batch_size=max_batch_size,
+                                         batch_window_s=batch_window_s)
         self.counters = ServerCounters(max_batch_size=max_batch_size)
         self._arrival: asyncio.Event | None = None
         self._batcher_task: asyncio.Task | None = None
-        # What runs claimed riders: a ContinuousBatcher or the one-cohort
-        # WholeBatchExecutor, chosen once in start().
-        self._executor: ContinuousBatcher | WholeBatchExecutor | None = None
+        # What runs a pass: the engine, or a ShardedEngine over it.
+        self._runner = (ShardedEngine(engine, num_shards=num_shards)
+                        if num_shards > 1 else engine)
+        # The riders of the pass being formed or run (the crash path
+        # fails them with the queue).
+        self._claimed: list[_Pending] = []
         self._closed = False
         self._next_request_id = 0
 
@@ -295,7 +224,6 @@ class PumaServer:
     async def start(self) -> "PumaServer":
         """Spawn the batching loop; idempotent."""
         if self._batcher_task is None:
-            loop = asyncio.get_running_loop()
             if self.artifact_dir is not None or \
                     self.engine.artifact_dir is not None:
                 # Cross-process warm start: adopt (or write) the on-disk
@@ -303,17 +231,6 @@ class PumaServer:
                 # full coalesced batches.
                 self.engine.ensure_artifacts(self.artifact_dir,
                                              batch=self.max_batch_size)
-            if self.continuous:
-                # Warm-up (tape recording) is a blocking interpreter
-                # pass; keep it off the event loop.
-                self._executor = await loop.run_in_executor(
-                    None, ContinuousBatcher, self.engine,
-                    self.max_batch_size)
-            else:
-                self._executor = WholeBatchExecutor(
-                    ShardedEngine(self.engine, num_shards=self.num_shards)
-                    if self.num_shards > 1 else self.engine,
-                    self.max_batch_size)
             self._arrival = asyncio.Event()
             self._closed = False
             self._batcher_task = asyncio.create_task(self._serve_loop())
@@ -350,7 +267,6 @@ class PumaServer:
         finally:
             self._batcher_task = None
             self._arrival = None
-            self._executor = None
 
     async def __aenter__(self) -> "PumaServer":
         return await self.start()
@@ -479,86 +395,16 @@ class PumaServer:
             if not pending.future.done():
                 pending.future.set_exception(error)
 
-    def _crash(self, error: BaseException,
-               claimed: list[_Pending]) -> RuntimeError:
-        """Fail the claimed batch + queue after a loop crash; wrap it."""
+    def _crash(self, error: BaseException) -> RuntimeError:
+        """Fail the claimed riders + queue after a loop crash; wrap it."""
         failure = RuntimeError(
             f"PumaServer batching loop crashed: "
             f"{type(error).__name__}: {error}")
         failure.__cause__ = error
-        self._fail_riders(claimed, failure)
+        self._fail_riders(self._claimed, failure)
+        self._claimed = []
         self._fail_queued(failure)
         return failure
-
-    # -- the serve loop ----------------------------------------------------
-
-    async def _serve_loop(self) -> None:
-        executor = self._executor
-        window_started_at: float | None = None
-        try:
-            while True:
-                self._arrival.clear()
-                self._shed_expired_queued()
-                depth = len(self._scheduler)
-                if not executor.busy() and depth == 0:
-                    window_started_at = None
-                    if self._closed:
-                        return
-                    await self._wait_arrival(None)
-                    continue
-                if not executor.busy() and not self._closed \
-                        and depth < executor.max_lanes:
-                    # Idle engine, under-full queue: with no window (the
-                    # default) the first hold_for is <= 0 and the batch
-                    # is whatever is queued.  An explicit window is held
-                    # per the scheduler (deadline pressure closes it
-                    # early), re-evaluated on every arrival.  Once
-                    # cohorts are in flight, ticks happen anyway and
-                    # arrivals join at the next step boundary with no
-                    # extra hold.
-                    if window_started_at is None:
-                        window_started_at = self._clock.now()
-                    hold = self._scheduler.hold_for(
-                        self._clock.now(), window_started_at)
-                    if hold > 0:
-                        await self._wait_arrival(hold)
-                        continue
-                window_started_at = None
-                if executor.free_lanes and depth:
-                    refill = executor.busy()
-                    riders = self._scheduler.pop_batch(executor.free_lanes)
-                    if riders:
-                        self._start_cohort(riders, refill=refill)
-                if not executor.busy():
-                    continue  # admission failed or everything shed
-                await self._serve_batch()
-        except BaseException as error:
-            # The loop itself crashed (not a failed pass — _serve_batch
-            # hands those to the riders).  A dead loop must not leave
-            # clients awaiting futures that will never resolve: fail the
-            # claimed riders and everything still queued, then surface
-            # the error to stop().
-            claimed = [rider for cohort in executor.cohorts()
-                       for rider in cohort.tag[0]]
-            failure = self._crash(error, claimed)
-            if isinstance(error, asyncio.CancelledError):
-                raise
-            raise failure from error
-
-    def _start_cohort(self, riders: list[_Pending], *,
-                      refill: bool) -> None:
-        """Hand ``riders`` to the executor as one cohort."""
-        try:
-            self._executor.start_cohort(
-                [p.request.inputs for p in riders],
-                tag=(riders, self._clock.now()))
-        except Exception as exc:  # noqa: BLE001 - fail these riders only
-            self._fail_riders(riders, exc)
-            return
-        self.counters.batches_formed += 1
-        self.counters.lanes_simulated += len(riders)
-        if refill:
-            self._scheduler.counters.refills += len(riders)
 
     def _fail_riders(self, riders: list[_Pending],
                      error: BaseException) -> None:
@@ -567,26 +413,77 @@ class PumaServer:
             if not pending.future.done():
                 pending.future.set_exception(error)
 
+    # -- the serve loop ----------------------------------------------------
+
+    async def _serve_loop(self) -> None:
+        window_started_at: float | None = None
+        try:
+            while True:
+                self._arrival.clear()
+                self._shed_expired_queued()
+                depth = len(self._scheduler)
+                if depth == 0:
+                    window_started_at = None
+                    if self._closed:
+                        return
+                    await self._wait_arrival(None)
+                    continue
+                if not self._closed and depth < self.max_batch_size:
+                    # Under-full queue: with no window (the default) the
+                    # first hold_for is <= 0 and the batch is whatever is
+                    # queued.  An explicit window is held per the
+                    # scheduler (deadline pressure closes it early),
+                    # re-evaluated on every arrival.
+                    if window_started_at is None:
+                        window_started_at = self._clock.now()
+                    hold = self._scheduler.hold_for(
+                        self._clock.now(), window_started_at)
+                    if hold > 0:
+                        await self._wait_arrival(hold)
+                        continue
+                window_started_at = None
+                self._claimed = self._scheduler.pop_batch(
+                    self.max_batch_size)
+                self.counters.batches_formed += 1
+                self.counters.lanes_simulated += len(self._claimed)
+                await self._serve_batch()
+        except BaseException as error:
+            # The loop itself crashed (not a failed pass — _serve_batch
+            # hands those to the riders).  A dead loop must not leave
+            # clients awaiting futures that will never resolve: fail the
+            # claimed riders and everything still queued, then surface
+            # the error to stop().
+            failure = self._crash(error)
+            if isinstance(error, asyncio.CancelledError):
+                raise
+            raise failure from error
+
     async def _serve_batch(self) -> None:
-        """One executor tick on the loop; resolve every finished cohort.
+        """One ``predict`` pass over the claimed riders, on the loop.
 
         The pass is GIL-bound, so a thread hop bought it no concurrency.
-        A finished cohort's outcome — a result to slice per lane, or the
-        exception its pass raised — goes to its riders' futures; nothing
-        a pass raises escapes to kill the serve loop.  The one yield after
-        it lets sibling servers and new arrivals in between passes.
+        Its outcome — a result to slice per lane, or the exception the
+        pass raised — goes to the riders' futures; nothing a pass raises
+        escapes to kill the serve loop.  The one yield after it lets
+        sibling servers and new arrivals in between passes.
         """
-        for cohort, outcome in self._executor.tick():
-            riders, started_at = cohort.tag
-            if isinstance(outcome, Exception):
-                self._fail_riders(riders, outcome)
-                continue
+        riders = self._claimed
+        started_at = self._clock.now()
+        try:
+            # Looked up per pass: tests wrap the engine's predict.
+            result = self._runner.predict({
+                name: np.stack([p.request.inputs[name] for p in riders])
+                for name in riders[0].request.inputs})
+        except Exception as error:  # noqa: BLE001 - fail every rider
+            self._fail_riders(riders, error)
+        else:
             self._scheduler.observe_service(
                 len(riders), self._clock.now() - started_at)
             for index, pending in enumerate(riders):
                 self.counters.requests_served += 1
                 if not pending.future.done():
-                    pending.future.set_result(outcome.lane(index))
+                    pending.future.set_result(result.lane(index))
+        self._claimed = []
         await asyncio.sleep(0)
 
     # -- observability -----------------------------------------------------
@@ -619,7 +516,6 @@ class PumaServer:
             "max_batch_size": self.max_batch_size,
             "queue_depth": len(self._scheduler),
             "running": self._batcher_task is not None and not self._closed,
-            "continuous": self.continuous,
             "scheduler": self._scheduler.stats(),
             "tape_cache": tape_cache_info()._asdict(),
             "compile_cache": compile_cache_info()._asdict(),

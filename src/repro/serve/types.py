@@ -78,9 +78,6 @@ class RunResult(Mapping):
             "replay"``, or a plan refuted at recording) or
             ``"interpreter"`` (event-driven simulation); ``None`` when
             unknown (e.g. merged across shards that took different paths).
-            Continuous-batching cohorts report the path their replayer
-            runs (``"optimized"`` or ``"replay"``); the serving mode is
-            on ``PumaServer.stats()["continuous"]``.
             Purely observational: all paths are bitwise identical.
 
     Mapping protocol: iterating/indexing a ``RunResult`` reads ``words``,

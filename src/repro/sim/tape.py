@@ -21,9 +21,9 @@ This module implements the fast path:
   recorded order already reflects every branch resolution.
 * :class:`ExecutionTape` is the resulting artifact: the step list plus
   per-batch :class:`~repro.sim.stats.SimulationStats`.  The step list is
-  **batch-generic** — closures index ``array[rows, ...]`` and scalar
-  control reads the selection's first row, so one tape replays at any
-  batch size and over any subset of a node's lanes.  Timing, energy,
+  **batch-generic** — closures index ``array[:, ...]`` and scalar
+  control reads the first lane, so one tape replays at any batch
+  size.  Timing, energy,
   stalls, and NoC traffic are input-independent but *batch*-dependent
   (latencies stretch with lanes), so stats are cached per batch size: the
   recording run seeds one entry, and the engine derives the others with a
@@ -111,8 +111,8 @@ class ExecutionTape:
     """The resolved dynamic schedule of one (program, config, seed) key.
 
     The tape is **batch-generic**: every step's closure indexes its arrays
-    as ``array[rows, start:start+width]``, scalar reads take the first
-    selected row, and the valid/count protocol plus per-flow FIFO ordering
+    as ``array[:, start:start+width]``, scalar reads take the first lane,
+    and the valid/count protocol plus per-flow FIFO ordering
     are batch-independent — so one recorded step list replays correctly
     at *any* batch size.
     What does depend on the batch is timing (latencies stretch with lanes,
@@ -217,13 +217,10 @@ def find_unsupported_op(program: NodeProgram) -> str | None:
     return None
 
 
-# A bound step: ``(rows, flows) -> None``.  ``rows`` selects the batch
-# lanes the step touches — ``slice(None)`` for a whole-batch run (basic
-# indexing: every ``array[rows, a:b]`` is a view), an integer index array
-# for a cohort of lanes (reads gather a copy, writes scatter into exactly
-# those rows).  ``flows`` maps ``(destination tile, fifo)`` to the deque
-# carrying that NoC flow's payloads for the rows being run.
-TapeOp = Callable[[object, dict], None]
+# A bound step: a zero-argument closure over whole-batch views of the
+# node's register files and tile memories (sends and receives also hold
+# their flow's payload queue), so a step is one numpy operation.
+TapeOp = Callable[[], None]
 
 
 def _bind_mvm(core, instr: Instruction) -> TapeOp:
@@ -233,16 +230,17 @@ def _bind_mvm(core, instr: Instruction) -> TapeOp:
         raise TapeValidationError("recorded MVM selects no MVMU")
     dim = config.mvmu_dim
     reg = core.registers._data
-    units = [(core.mvmus[i], config.xbar_in_base(i), config.xbar_out_base(i))
-             for i in active]
+    units = []
+    for i in active:
+        x, y = config.xbar_in_base(i), config.xbar_out_base(i)
+        units.append((core.mvmus[i], reg[:, x:x + dim], reg[:, y:y + dim]))
     filter_, stride = instr.filter, instr.stride
 
-    def step(rows, _flows) -> None:
-        for mvmu, in_base, out_base in units:
-            x = reg[rows, in_base:in_base + dim]
+    def step() -> None:
+        for mvmu, x, y in units:
             if filter_:
                 x = MVMU.shuffle_inputs(x, filter_, stride)
-            reg[rows, out_base:out_base + dim] = mvmu.execute(x)
+            y[...] = mvmu.execute(x)
 
     return step
 
@@ -253,68 +251,66 @@ def _bind_alu(core, instr: Instruction,
 
     The kernel is resolved here, once, and writes straight into the
     destination view when every source range is the destination range or
-    disjoint from it and ``rows`` is a slice; a source overlapping it in
-    part, or an index-array selection, goes through a scratch.
+    disjoint from it; a source overlapping it in part goes through a
+    scratch.
     """
     reg = core.registers._data
     op, w, dest, src1 = instr.alu_op, instr.vec_width, instr.dest, instr.src1
+    a = reg[:, src1:src1 + w]
     if op == AluOp.SUBSAMPLE:
         apply_op = core.vfu._apply
-        factor = instr.src2
+        factor = reg[:, instr.src2:instr.src2 + 1]
 
         # _apply returns a strided *view* of its operand; materialize the
         # operand so the destination write cannot alias the source.
-        def step(rows, _flows) -> None:
-            a = reg[rows, src1:src1 + w].copy()
-            result = apply_op(op, a, reg[rows, factor:factor + 1])
-            reg[rows, dest:dest + result.shape[-1]] = result
+        def step() -> None:
+            result = apply_op(op, a.copy(), factor)
+            reg[:, dest:dest + result.shape[-1]] = result
         return step
     kernel = core.vfu.kernels[op]
     src2 = instr.src2 if imm_vec is None and op.num_sources == 2 else None
-    in_place = all(src == dest or src + w <= dest or dest + w <= src
-                   for src in (src1, src2) if src is not None)
-
-    def step(rows, _flows) -> None:
-        a = reg[rows, src1:src1 + w]
-        b = imm_vec if src2 is None else reg[rows, src2:src2 + w]
-        if in_place and type(rows) is slice:
-            kernel(a, b, reg[rows, dest:dest + w])
-        else:
-            out = np.empty_like(a)
+    b = imm_vec if src2 is None else reg[:, src2:src2 + w]
+    out = reg[:, dest:dest + w]
+    if all(src == dest or src + w <= dest or dest + w <= src
+           for src in (src1, src2) if src is not None):
+        def step() -> None:
             kernel(a, b, out)
-            reg[rows, dest:dest + w] = out
+    else:
+        def step() -> None:
+            scratch = np.empty_like(a)
+            kernel(a, b, scratch)
+            out[...] = scratch
     return step
 
 
 def _bind_alu_int(core, instr: Instruction) -> TapeOp:
     # Scalar loop bookkeeping: control-uniform programs compute the same
-    # value in every lane, so read the selection's first row and write
-    # only the selection (never rows some other cohort owns).
+    # value in every lane, so read the first lane and broadcast.
     sfu_execute = core.sfu.execute
     reg = core.registers._data
     op, dest, src1 = instr.alu_op, instr.dest, instr.src1
+    out = reg[:, dest]
 
     if instr.imm_mode:
         imm = instr.imm
 
-        def step(rows, _flows) -> None:
-            reg[rows, dest] = sfu_execute(op, int(reg[rows, src1][0]), imm)
+        def step() -> None:
+            out[...] = sfu_execute(op, int(reg[0, src1]), imm)
     else:
         src2 = instr.src2
 
-        def step(rows, _flows) -> None:
-            reg[rows, dest] = sfu_execute(op, int(reg[rows, src1][0]),
-                                          int(reg[rows, src2][0]))
+        def step() -> None:
+            out[...] = sfu_execute(op, int(reg[0, src1]), int(reg[0, src2]))
     return step
 
 
 def _bind_set(core, instr: Instruction) -> TapeOp:
-    reg = core.registers._data
     dest, w = instr.dest, instr.vec_width
+    out = core.registers._data[:, dest:dest + w]
     imm_vec = core._imm_vector(instr.imm, w)  # cached, read-only
 
-    def step(rows, _flows) -> None:
-        reg[rows, dest:dest + w] = imm_vec
+    def step() -> None:
+        out[...] = imm_vec
 
     return step
 
@@ -322,56 +318,55 @@ def _bind_set(core, instr: Instruction) -> TapeOp:
 def _bind_copy(core, instr: Instruction) -> TapeOp:
     reg = core.registers._data
     dest, src1, w = instr.dest, instr.src1, instr.vec_width
-    if src1 < dest + w and dest < src1 + w:  # overlapping ranges
-        def step(rows, _flows) -> None:
-            reg[rows, dest:dest + w] = reg[rows, src1:src1 + w].copy()
+    return _bind_move(reg[:, dest:dest + w], reg[:, src1:src1 + w],
+                      overlap=src1 < dest + w and dest < src1 + w)
+
+
+def _bind_move(dst: np.ndarray, src: np.ndarray, *,
+               overlap: bool = False) -> TapeOp:
+    """``dst[...] = src`` — through a copy when the two views overlap."""
+    if overlap:
+        def step() -> None:
+            dst[...] = src.copy()
     else:
-        def step(rows, _flows) -> None:
-            reg[rows, dest:dest + w] = reg[rows, src1:src1 + w]
+        def step() -> None:
+            dst[...] = src
     return step
 
 
 def _bind_load(core, mem: np.ndarray, instr: Instruction,
                eff_addr: int) -> TapeOp:
-    reg = core.registers._data
     dest, w = instr.dest, instr.vec_width
-
-    def step(rows, _flows) -> None:
-        reg[rows, dest:dest + w] = mem[rows, eff_addr:eff_addr + w]
-
-    return step
+    return _bind_move(core.registers._data[:, dest:dest + w],
+                      mem[:, eff_addr:eff_addr + w])
 
 
 def _bind_store(core, mem: np.ndarray, instr: Instruction,
                 eff_addr: int) -> TapeOp:
-    reg = core.registers._data
     src1, w = instr.src1, instr.vec_width
-
-    def step(rows, _flows) -> None:
-        mem[rows, eff_addr:eff_addr + w] = reg[rows, src1:src1 + w]
-
-    return step
+    return _bind_move(mem[:, eff_addr:eff_addr + w],
+                      core.registers._data[:, src1:src1 + w])
 
 
 def _bind_send(mem: np.ndarray, instr: Instruction, eff_addr: int,
-               key: tuple[int, int]) -> TapeOp:
-    w = instr.vec_width
+               flow: deque) -> TapeOp:
+    words = mem[:, eff_addr:eff_addr + instr.vec_width]
 
-    def step(rows, flows) -> None:
+    def step() -> None:
         # Copy: the attribute protocol lets the source words be recycled
         # before the matching receive lands, so snapshot at send time (the
         # interpreter's try_read copies too).
-        flows[key].append(mem[rows, eff_addr:eff_addr + w].copy())
+        flow.append(words.copy())
 
     return step
 
 
 def _bind_receive(mem: np.ndarray, instr: Instruction, eff_addr: int,
-                  key: tuple[int, int]) -> TapeOp:
-    w = instr.vec_width
+                  flow: deque) -> TapeOp:
+    words = mem[:, eff_addr:eff_addr + instr.vec_width]
 
-    def step(rows, flows) -> None:
-        mem[rows, eff_addr:eff_addr + w] = flows[key].popleft()
+    def step() -> None:
+        words[...] = flow.popleft()
 
     return step
 
@@ -379,24 +374,17 @@ def _bind_receive(mem: np.ndarray, instr: Instruction, eff_addr: int,
 class TapeReplayer:
     """Replays an :class:`ExecutionTape` against one node's live arrays.
 
-    Binds every step to pre-resolved array references once, then executes
+    Binds every step to pre-resolved array views once, then executes
     runs as a flat closure loop.  The node is reusable across runs: the
     control-uniform schedule guarantees every value read during a run was
     written earlier in that same run (inputs/constants are re-preloaded per
     run), so stale data from a previous run is unreachable.
 
-    The row selection is a *call-time* argument of every bound step
-    (:data:`TapeOp`).  :meth:`run` drives all of the node's lanes with
-    ``slice(None)`` and the replayer's own flow dict; continuous batching
-    (:mod:`repro.serve.continuous`) drives :attr:`ops` directly, one
-    lane-index array and one flow dict per cohort, with cohorts at
-    different positions of the same list.  Lanes outside a selection are
-    never read or written — exactly, not approximately: register files,
-    tile memories and NoC payloads are all ``(batch, width)`` arrays
-    addressed row-wise; the one broadcasting step (``ALU_INT``) reads the
-    selection's first row and writes the selection only; the k-th
-    receive of a flow pops the k-th send *of the same flow dict*; and
-    :meth:`begin` re-initialises only the rows it is given.
+    Every bound step (:data:`TapeOp`) takes no arguments: it closes over
+    whole-batch views of the node's register files and tile memories, and
+    a send or receive over its flow's queue in the replayer's own flow
+    dict — the k-th receive of a flow pops the k-th send.  :meth:`run`
+    is :meth:`begin`, the inputs, every op in order, and the outputs.
 
     Args:
         tape: the recorded schedule.
@@ -424,13 +412,15 @@ class TapeReplayer:
         # fresh node's zeros in the interpreter, and must again on every
         # replay (not a previous run's leftovers).
         self._register_files: list[np.ndarray] = []
+        # (memory view, words) of every constant begin() preloads.
+        self._constants: list[tuple[np.ndarray, np.ndarray]] = []
         try:
-            # (memory, address, words) of every constant begin() preloads.
-            self._constants = [
-                (node.tiles[tile_id].memory._data, addr,
-                 np.atleast_1d(np.asarray(values, dtype=np.int64)))
-                for tile_id, entries in program.const_memory.items()
-                for addr, values in entries]
+            for tile_id, entries in program.const_memory.items():
+                memory = node.tiles[tile_id].memory._data
+                for addr, values in entries:
+                    words = np.atleast_1d(np.asarray(values, dtype=np.int64))
+                    self._constants.append(
+                        (memory[:, addr:addr + words.shape[-1]], words))
             self.ops = self._bind()
         except (KeyError, IndexError, AttributeError) as error:
             raise TapeValidationError(
@@ -449,11 +439,10 @@ class TapeReplayer:
         if not any(regs is seen for seen in self._register_files):
             self._register_files.append(regs)
 
-    def _reset_registers(self, rows) -> None:
-        """Zero ``rows`` of every tracked register file (subclasses may
-        narrow this)."""
+    def _reset_registers(self) -> None:
+        """Zero every tracked register file (subclasses may narrow this)."""
         for registers in self._register_files:
-            registers[rows] = 0
+            registers[...] = 0
 
     def _bind_one(self, step: TapeStep) -> TapeOp:
         """Bind one tape step to the node's live arrays (a closure)."""
@@ -464,10 +453,10 @@ class TapeReplayer:
         if core_id is None:
             if op == Opcode.SEND:
                 return _bind_send(mem, instr, eff_addr,
-                                  (instr.target, instr.fifo_id))
+                                  self._flows[instr.target, instr.fifo_id])
             if op == Opcode.RECEIVE:
                 return _bind_receive(mem, instr, eff_addr,
-                                     (tile_id, instr.fifo_id))
+                                     self._flows[tile_id, instr.fifo_id])
             raise TapeValidationError(
                 f"unexpected tile-stream opcode {op.name} on tape")
         core = tile.cores[core_id]
@@ -494,18 +483,18 @@ class TapeReplayer:
 
     # -- data movement (mirrors Simulator.write_input / read_output) -------
 
-    def begin(self, rows=slice(None)) -> None:
-        """Per-run initialisation of ``rows``: zeroed registers and
-        re-preloaded constant memory (what a fresh node would hold)."""
-        self._reset_registers(rows)
-        for mem, addr, words in self._constants:
-            mem[rows, addr:addr + words.shape[-1]] = words
+    def begin(self) -> None:
+        """Per-run initialisation: zeroed registers, re-preloaded constant
+        memory (what a fresh node would hold) and empty NoC flows."""
+        self._reset_registers()
+        for memory, words in self._constants:
+            memory[...] = words
+        for flow in self._flows.values():
+            flow.clear()
 
-    def write_input(self, name: str, values: np.ndarray,
-                    rows=slice(None)) -> None:
-        """Preload one named model input (already fixed-point integers)
-        into ``rows``: one vector for all of them, or a matrix with one
-        row each."""
+    def write_input(self, name: str, values: np.ndarray) -> None:
+        """Preload one named model input (already fixed-point integers):
+        one vector for every lane, or a matrix with one row each."""
         if name not in self.program.input_layout:
             raise KeyError(f"program has no input named {name!r}")
         tile_id, addr, length = self.program.input_layout[name]
@@ -514,14 +503,14 @@ class TapeReplayer:
             raise ValueError(
                 f"input {name!r} expects {length} words per lane, "
                 f"got shape {arr.shape}")
-        # A matrix whose row count is not the selection's fails here.
-        self.node.tiles[tile_id].memory._data[rows, addr:addr + length] = arr
+        # A matrix whose row count is not the batch's fails here.
+        self.node.tiles[tile_id].memory._data[:, addr:addr + length] = arr
 
-    def read_output(self, name: str, rows=slice(None)) -> np.ndarray:
-        """One named model output of ``rows``, ``(len(rows), length)``."""
+    def read_output(self, name: str) -> np.ndarray:
+        """One named model output, ``(batch, length)``."""
         tile_id, addr, length = self.program.output_layout[name]
         return self.node.tiles[tile_id].memory._data[
-            rows, addr:addr + length].copy()
+            :, addr:addr + length].copy()
 
     # -- execution ---------------------------------------------------------
 
@@ -534,14 +523,12 @@ class TapeReplayer:
         :meth:`repro.sim.simulator.Simulator.run` on the same node
         configuration, inputs, and batch.
         """
-        rows, flows = slice(None), self._flows
-        flows.clear()
-        self.begin(rows)
+        self.begin()
         for name, values in (inputs or {}).items():
-            self.write_input(name, values, rows)
+            self.write_input(name, values)
         for step in self.ops:
-            step(rows, flows)
-        outputs = {name: self.read_output(name, rows)
+            step()
+        outputs = {name: self.read_output(name)
                    for name in self.program.output_layout}
         if self.batch == 1:
             outputs = {name: words[0] for name, words in outputs.items()}

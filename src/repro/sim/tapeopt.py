@@ -57,7 +57,7 @@ from repro.analysis.dataflow import core_effects
 from repro.arch.mvmu import MVMU
 from repro.isa.opcodes import AluOp, Opcode
 from repro.sim.tape import (ExecutionTape, TapeOp, TapeReplayer, TapeStep,
-                            TapeValidationError, _bind_mvm)
+                            TapeValidationError, _bind_move, _bind_mvm)
 from repro.tile.attribute_buffer import PERSISTENT_COUNT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -831,25 +831,20 @@ class OptimizedReplayer(TapeReplayer):
             padded = np.concatenate(([False], mask, [False]))
             edges = np.flatnonzero(padded[1:] != padded[:-1])
             for start, stop in zip(edges[::2], edges[1::2]):
-                runs.append((regs, int(start), int(stop)))
+                runs.append(regs[:, start:stop])
         return runs
 
-    def _reset_registers(self, rows) -> None:
-        for regs, start, stop in self._zero_runs:
-            regs[rows, start:stop] = 0
+    def _reset_registers(self) -> None:
+        for registers in self._zero_runs:
+            registers[...] = 0
 
     def _bind_regmove(self, mv: RegMove) -> TapeOp:
         tile = self.node.tiles[mv.tile_id]
         dst = tile.cores[mv.dst_core].registers._data
         src = tile.cores[mv.src_core].registers._data
         d, s, w = mv.dst_reg, mv.src_reg, mv.width
-        if dst is src and s < d + w and d < s + w:  # overlapping same-file
-            def step(rows, _flows) -> None:
-                dst[rows, d:d + w] = src[rows, s:s + w].copy()
-        else:
-            def step(rows, _flows) -> None:
-                dst[rows, d:d + w] = src[rows, s:s + w]
-        return step
+        return _bind_move(dst[:, d:d + w], src[:, s:s + w],
+                          overlap=dst is src and s < d + w and d < s + w)
 
     def _bind_fused(self, block: FusedBlock) -> TapeOp:
         """A fused block is one wide instruction: its members' ranges are
@@ -860,15 +855,14 @@ class OptimizedReplayer(TapeReplayer):
         first = steps[0].instruction
         if block.kind == "set":  # members may carry different immediates
             core = self.node.tiles[block.tile_id].cores[block.core_id]
-            reg = core.registers._data
-            d = first.dest
+            out = core.registers._data[:, first.dest:first.dest + total]
             imm_vec = np.concatenate([
                 np.full(s.instruction.vec_width, s.instruction.imm,
                         dtype=np.int64) for s in steps])
             imm_vec.setflags(write=False)
 
-            def step(rows, _flows) -> None:
-                reg[rows, d:d + total] = imm_vec
+            def step() -> None:
+                out[...] = imm_vec
             return step
         return self._bind_one(TapeStep(
             block.tile_id, block.core_id, replace(first, vec_width=total),
@@ -915,9 +909,9 @@ class OptimizedReplayer(TapeReplayer):
         if any(job[3].fmt != fmt for job in jobs):
             stackable = False
         if not stackable or len(dims) != 1:
-            def step(rows, flows) -> None:
+            def step() -> None:
                 for fn in per_step:
-                    fn(rows, flows)
+                    fn()
             return step
         dim = dims.pop()
         # y = x @ M per lane is M^T @ x^T over all lanes at once.
@@ -943,22 +937,16 @@ class OptimizedReplayer(TapeReplayer):
         inv_scale = np.array(1.0 / fmt.scale)
         lo, hi = np.array(float(fmt.int_min)), np.array(float(fmt.int_max))
         k = len(jobs)
-        # Scratch sized once for the node's batch; a narrower selection
-        # uses the leading lanes of each unit's block.  Products are only
+        # Scratch sized once for the node's batch.  Products are only
         # written inside the box: the columns outside it stay 0.
         xs_all = np.empty((k, r1 - r0, self.batch), dtype=np.float64)
         ys_all = np.zeros((k, dim, self.batch), dtype=np.float64)
 
-        def step(rows, _flows) -> None:
-            # Lane indices x a gathered index array: pair every lane with
-            # every column (two index arrays side by side would zip).
-            lanes = rows if type(rows) is slice else rows[:, None]
+        def step() -> None:
             for idx, (regs, src) in enumerate(gathers):
-                x = regs[rows if type(src) is slice else lanes, src]
-                n = len(x)
-                xs_all[idx, :, :n] = x.T
-            xs, ys = xs_all[:, :, :n], ys_all[:, c0:c1, :n]
-            np.matmul(matrices, xs, out=ys)
+                xs_all[idx] = regs[:, src].T
+            ys = ys_all[:, c0:c1]
+            np.matmul(matrices, xs_all, out=ys)
             np.multiply(ys, inv_scale, out=ys)
             np.floor(ys, out=ys)
             np.maximum(ys, lo, out=ys)
@@ -967,7 +955,7 @@ class OptimizedReplayer(TapeReplayer):
             # values are exact integers after the clamp, so the cast equals
             # astype(np.int64) without materializing the full array.
             for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
-                regs[rows, out_base:out_base + dim] = ys_all[idx, :, :n].T
+                regs[:, out_base:out_base + dim] = ys_all[idx].T
         return step
 
 

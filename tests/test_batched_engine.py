@@ -217,14 +217,10 @@ def _replica_node(engine, batch):
     return replica._replayers[batch].node
 
 
-def _private_replayer_node(engine, batch):
-    return engine.private_replayer(batch).node
-
-
 @pytest.mark.parametrize("batch", [1, 16, 64])
 @pytest.mark.parametrize("path", [
-    _fresh_node, _restored_node, _artifact_node, _replica_node,
-    _private_replayer_node], ids=lambda fn: fn.__name__.strip("_"))
+    _fresh_node, _restored_node, _artifact_node, _replica_node],
+    ids=lambda fn: fn.__name__.strip("_"))
 def test_lanes_are_the_minor_axis_on_every_construction_path(path, batch,
                                                               tmp_path):
     """A path that rebuilt a C-ordered ``(batch, words)`` array would stay

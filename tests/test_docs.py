@@ -1,7 +1,7 @@
 """Documentation health: internal links resolve, doctests run, and the
 pages keep naming real tests.
 
-Five failure modes this guards against:
+Six failure modes this guards against:
 
 * a docs page linking to a file or heading that was renamed away
   (``[text](path#anchor)`` targets are resolved against the repo and
@@ -17,7 +17,9 @@ Five failure modes this guards against:
   back: a second harness beside it, a per-PR record file at the root,
   or prose that still points at either;
 * fault injection growing back into the product (``src/``) instead of
-  living in the tests.
+  living in the tests;
+* continuous batching or the gateway autoscaler growing back into
+  ``src/``.
 """
 
 import doctest
@@ -138,15 +140,34 @@ _FAULT_SURFACE = re.compile(
     "|Drop" "Connection|arm" "_chaos|fault" "_plan")
 
 
-def test_no_fault_injection_in_the_product():
-    """Nothing under ``src/`` can inject a fault into the fleet."""
-    offenders = [
+def _src_lines_matching(pattern: re.Pattern) -> list[str]:
+    """Every ``src/`` line ``pattern`` finds, as ``path:number: line``."""
+    return [
         f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
         for path in sorted((ROOT / "src").rglob("*"))
         if path.is_file() and "__pycache__" not in path.parts
         for number, line in enumerate(
             path.read_text(errors="replace").splitlines(), start=1)
-        if _FAULT_SURFACE.search(line)]
+        if pattern.search(line)]
+
+
+def test_no_fault_injection_in_the_product():
+    """Nothing under ``src/`` can inject a fault into the fleet."""
+    offenders = _src_lines_matching(_FAULT_SURFACE)
+    assert not offenders, "\n".join(offenders)
+
+
+# Continuous batching and the gateway autoscaler ran only under tests;
+# the product serves one way, a whole batch per pass, on a constant
+# replica count.  Spelled in halves so this file is not its own offender.
+_RETIRED_SERVING = re.compile(
+    "Continuous" "Batcher|continuous" "=|auto" "scale|private" "_replayer"
+    "|re" "fills")
+
+
+def test_retired_serving_mechanisms_stay_retired():
+    """Nothing under ``src/`` names continuous batching or autoscaling."""
+    offenders = _src_lines_matching(_RETIRED_SERVING)
     assert not offenders, "\n".join(offenders)
 
 

@@ -2,14 +2,15 @@
 
 Covers the in-process layers of :mod:`repro.fleet` — the HTTP plane,
 the consistent-hash ring, wire model specs and route keys, the
-networked artifact blob format, the load generator, the autoscaling
-policy, and a full :class:`FleetWorker` driven over real sockets
+networked artifact blob format, the load generator, the predict wire
+fields, and a full :class:`FleetWorker` driven over real sockets
 (including the corrupt-blob rejection + cold-fallback path).  The
 multi-process gateway tests live in ``tests/test_fleet_e2e.py``.
 """
 
 import asyncio
 import json
+import math
 import re
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.fleet import (
     HashRing,
     LoadReport,
     NetworkArtifactError,
-    autoscale_decision,
     build_engine,
     bursty_trace,
     default_inputs_builder,
@@ -46,6 +46,7 @@ from repro.fleet.netstore import (
     pack_artifact_dir,
     unpack_artifact_blob,
 )
+from repro.fleet.worker import predict_fields
 
 
 def run(coro):
@@ -598,28 +599,50 @@ class TestLoadgen:
         assert len(builder(arrival)["x"]) == 8
 
 
-# -- autoscaling policy ------------------------------------------------------
+# -- predict fields: the one reading of the wire, gateway and worker ---------
 
 
-class TestAutoscalePolicy:
-    def test_scale_up_on_backlog(self):
-        assert autoscale_decision(40, 2, max_replicas=4) == 1
+class TestPredictFields:
+    INPUTS = '"inputs": {"x": [0.5, 0.25]}'
 
-    def test_scale_down_when_idle(self):
-        assert autoscale_decision(0, 3) == -1
+    def _fields(self, extra: str):
+        return predict_fields(json.loads(f"{{{self.INPUTS}, {extra}}}"))
 
-    def test_hysteresis_band_holds(self):
-        for depth in range(3, 16):      # 1.5..8 per replica at 2 replicas
-            assert autoscale_decision(depth, 2) == 0
+    def test_typed_fields_pass(self):
+        inputs, deadline_ms, priority = self._fields(
+            '"deadline_ms": 12.5, "priority": 2')
+        assert inputs == {"x": [0.5, 0.25]}
+        assert (deadline_ms, priority) == (12.5, 2)
+        assert self._fields('"priority": 3.0')[2] == 3
 
-    def test_bounds_respected(self):
-        assert autoscale_decision(1000, 4, max_replicas=4) == 0
-        assert autoscale_decision(0, 1, min_replicas=1) == 0
-        assert autoscale_decision(0, 0) == 1
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_is_a_protocol_error(self, raw):
+        """Python's json reads these; as an EDF key NaN breaks the
+        gateway's heap order for every other request of the model."""
+        with pytest.raises(ProtocolError, match="deadline_ms"):
+            self._fields(f'"deadline_ms": {raw}')
 
-    def test_bad_watermarks(self):
-        with pytest.raises(ValueError, match="watermark"):
-            autoscale_decision(1, 1, high_watermark=1.0, low_watermark=2.0)
+    @pytest.mark.parametrize("raw", ["true", "1.9", "Infinity", '"1"'])
+    def test_priority_is_an_integer_not_truncated(self, raw):
+        with pytest.raises(ProtocolError, match="must be an integer"):
+            self._fields(f'"priority": {raw}')
+
+    @pytest.mark.parametrize("deadline_ms", [math.nan, math.inf])
+    def test_gateway_refuses_a_non_finite_deadline(self, tmp_path,
+                                                   deadline_ms):
+        from repro.fleet import PumaFleet
+
+        spec = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
+
+        async def main():
+            fleet = PumaFleet([spec], work_dir=str(tmp_path))
+            fleet._running = True      # no workers: nothing may queue
+            with pytest.raises(ValueError, match="finite"):
+                await fleet.predict("mlp", {"x": [0.0] * 8},
+                                    deadline_ms=deadline_ms)
+            assert fleet.models["mlp"].queue.qsize() == 0
+
+        run(main())
 
 
 # -- one real worker over real sockets ---------------------------------------

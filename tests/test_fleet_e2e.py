@@ -290,42 +290,6 @@ class TestFleetFailurePaths:
         run(main())
 
 
-class TestFleetAutoscale:
-    def test_queue_pressure_widens_replicas(self, tmp_path):
-        # The heavy model: noisy CNN predicts are slow enough that a
-        # flood keeps the queue deep across several autoscale ticks
-        # (a tiny MLP would drain before the first tick fired).
-        spec = SPECS[5]
-
-        async def main():
-            async with PumaFleet([spec], num_workers=2,
-                                 replicas_per_model=1,
-                                 work_dir=str(tmp_path),
-                                 max_batch_size=2,
-                                 dispatch_concurrency=2,
-                                 autoscale=True,
-                                 autoscale_interval_s=0.05,
-                                 high_watermark=2.0,
-                                 low_watermark=0.1) as fleet:
-                state = fleet.models[spec.name]
-                assert state.replicas == 1
-                tasks = [asyncio.create_task(
-                    fleet.predict(spec.name, request_inputs(spec, seed)))
-                    for seed in range(400, 416)]
-                # Sample while the flood is in flight: the autoscaler
-                # may legitimately scale back down once the queue empties.
-                peak_replicas = 1
-                pending = set(tasks)
-                while pending:
-                    _, pending = await asyncio.wait(pending, timeout=0.02)
-                    peak_replicas = max(peak_replicas, state.replicas)
-                await asyncio.gather(*tasks)
-                assert fleet.autoscale_events >= 1
-                assert peak_replicas >= 2
-
-        run(main())
-
-
 class TestFleetResilience:
     """The resilience control plane, end to end over real processes.
 
@@ -372,10 +336,27 @@ class TestFleetResilience:
                             "inputs": {},
                             "deadline_ms": "soon"}).encode())
                     assert response.status == 400
+                    # Python's json reads NaN and Infinity: the front
+                    # door refuses them before the request is queued.
+                    inputs = json.dumps({
+                        name: list(values) for name, values
+                        in request_inputs(spec, 1).items()})
+                    for raw in ("NaN", "Infinity"):
+                        response = await pool.request(
+                            fleet.host, fleet.http.port, "POST",
+                            "/v1/predict", body=(
+                                f'{{"model": "{spec.name}", "inputs": '
+                                f'{inputs}, "deadline_ms": {raw}}}'
+                            ).encode())
+                        assert response.status == 400, raw
+                        assert response.json()["reason"] == "bad_request"
                 finally:
                     await pool.close()
                 shed = sum(s.sheds for s in fleet.models.values())
                 assert shed == 1
+                state = fleet.models[spec.name]
+                assert (state.served, state.failed, state.retries) == \
+                    (0, 0, 0)
 
         run(main())
 

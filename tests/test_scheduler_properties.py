@@ -3,7 +3,7 @@
 The scheduler (:mod:`repro.serve.scheduler`) is pure policy — a queue
 with an ordering and a window-hold rule, no asyncio — so it can be
 driven through a miniature discrete-event simulation with total control
-over time.  Four properties, each over a seeded family of random
+over time.  Three properties, each over a seeded family of random
 workloads:
 
 * **conservation / no starvation** — every admitted request is
@@ -17,12 +17,7 @@ workloads:
   order: EDF degenerates to FIFO);
 * **hold-rule sanity** — ``hold_for`` never exceeds the remaining
   window, and an EDF early close (slack exhausted while window remains)
-  is counted;
-* **continuous lanes bitwise** — engine-backed: cohorts joining a
-  :class:`~repro.serve.continuous.ContinuousBatcher` at staggered step
-  boundaries produce outputs bitwise equal to the sequential
-  single-request reference, per lane (the invariant
-  ``docs/guarantees.md`` pins for continuous serving).
+  is counted.
 """
 
 import math
@@ -30,16 +25,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import default_config
-from repro.compiler.cnn import compile_cnn
-from repro.engine import InferenceEngine
-from repro.isa.opcodes import Opcode
 from repro.serve import BatchScheduler, ServiceTimeTracker
-from repro.serve.continuous import ContinuousBatcher
-from repro.sim.tapeopt import OptimizedReplayer
-from repro.workloads.cnn import small_cnn_spec
-from repro.workloads.lstm import build_lstm_model
-from repro.workloads.mlp import build_mlp_model
 
 # ---------------------------------------------------------------------------
 # The miniature discrete-event world
@@ -241,129 +227,3 @@ def test_service_time_tracker_nearest_estimate(seed):
     # EWMA: a second observation moves the estimate toward it.
     tracker.observe(sizes[0], 1.0)
     assert tracker.estimate(sizes[0]) > sizes[0] * 0.001
-
-
-# ---------------------------------------------------------------------------
-# Engine-backed: continuous lanes stay bitwise vs the sequential reference
-
-
-def _continuous_engine(workload, seed):
-    if workload == "mlp":
-        return InferenceEngine(build_mlp_model([24, 16, 8], seed=0),
-                               seed=seed)
-    if workload == "mlp_two_tile":  # layers on two tiles: NoC flows
-        return InferenceEngine(build_mlp_model([512, 512, 10], seed=0),
-                               seed=seed)
-    if workload == "cnn_small":  # ALU_INT counters, SUBSAMPLE, COPY overlap
-        config = default_config()
-        return InferenceEngine.from_compiled(
-            compile_cnn(small_cnn_spec(seed=0), config), config, seed=seed)
-    return InferenceEngine(build_lstm_model(8, 6, 4, seq_len=2, seed=0),
-                           seed=seed)
-
-
-@pytest.mark.parametrize("workload,seed", [
-    ("mlp", 3), ("mlp", 7), ("lstm", 3), ("lstm", 11),
-    ("cnn_small", 3), ("mlp_two_tile", 3),
-])
-def test_continuous_lanes_bitwise(workload, seed):
-    """Cohorts joining/leaving at step boundaries == sequential, bitwise."""
-    engine = _continuous_engine(workload, seed)
-    engine.warm()
-    rng = np.random.default_rng(seed)
-    layout = engine.program.input_layout
-
-    def request(i):
-        row_rng = np.random.default_rng(seed * 1000 + i)
-        return {name: row_rng.uniform(-1.0, 1.0, size=length)
-                for name, (_tile, _addr, length) in sorted(layout.items())}
-
-    rows = [request(i) for i in range(6)]
-    references = [engine.predict(row).words for row in rows]
-
-    batcher = ContinuousBatcher(engine, max_lanes=4)
-    # Cohorts run the engine's probed optimized plan, not a private
-    # re-binding of the plain tape.
-    assert isinstance(batcher.replayer, OptimizedReplayer)
-    opcodes = {step.instruction.opcode for step in batcher.tape.steps}
-    if workload == "cnn_small":
-        assert Opcode.ALU_INT in opcodes
-    if workload == "mlp_two_tile":
-        assert {Opcode.SEND, Opcode.RECEIVE} <= opcodes
-    served: dict[int, dict] = {}
-    tags = {}
-    # Staggered joins: requests 0-1 launch alone; each loop iteration
-    # ticks first, then refills freed lanes two at a time — so on the
-    # multi-segment LSTM tape, later cohorts join while earlier ones
-    # are mid-flight at a step boundary.
-    tags[batcher.start_cohort([rows[0], rows[1]], tag="a")] = (0, 1)
-    queued = [2, 3, 4, 5]
-    for _ in range(64):
-        for cohort, words in batcher.tick():
-            for lane_index, rid in enumerate(tags[cohort]):
-                served[rid] = {name: np.asarray(values)[lane_index]
-                               for name, values in words.items()}
-        while queued and batcher.free_lanes:
-            take = queued[:min(2, batcher.free_lanes)]
-            del queued[:len(take)]
-            cohort = batcher.start_cohort([rows[i] for i in take])
-            tags[cohort] = tuple(take)
-        if not batcher.busy() and not queued:
-            break
-    assert sorted(served) == list(range(6))
-    for rid, words in served.items():
-        for name, reference in references[rid].items():
-            np.testing.assert_array_equal(
-                np.asarray(words[name]).ravel(),
-                np.asarray(reference).ravel(),
-                err_msg=f"{workload} lane {rid} output {name!r} diverged")
-    assert not batcher.busy()
-    assert batcher.free_lanes == 4
-
-
-def test_rejected_cohort_leaks_no_lanes():
-    """A cohort whose rows fail validation claims nothing: the lanes stay
-    free and the next valid cohort is served bitwise."""
-    engine = _continuous_engine("mlp", 3)
-    batcher = ContinuousBatcher(engine, max_lanes=4)
-    good = {"x": np.linspace(-1.0, 1.0, 24)}
-    for bad in ({"x": np.zeros(23)},
-                {"x": np.full(24, np.nan)}):
-        with pytest.raises(ValueError):
-            batcher.start_cohort([good, bad])
-        assert batcher.free_lanes == 4
-        assert not batcher.busy()
-    batcher.start_cohort([good, good])
-    finished = []
-    while batcher.busy():
-        finished += batcher.tick()
-    ((cohort, result),) = finished
-    reference = engine.predict(good).words
-    for lane in range(len(cohort)):
-        np.testing.assert_array_equal(result["out"][lane], reference["out"])
-    assert batcher.free_lanes == 4
-
-
-@pytest.mark.parametrize("how", ["poisoned", "mode"])
-def test_cohorts_never_run_an_unprobed_plan(how):
-    """A plan refuted at recording (``tape.optimized`` is ``None``), or a
-    ``"replay"`` engine, leaves the cohorts on the plain tape — reported
-    as such, and still bitwise."""
-    model = build_mlp_model([24, 16, 8], seed=0)
-    engine = InferenceEngine(
-        model, seed=3, execution_mode="replay" if how == "mode" else "auto")
-    row = {"x": np.linspace(-1.0, 1.0, 24)}
-    reference = engine.predict(row).words   # records the tape
-    if how == "poisoned":
-        (tape,) = engine.compiled.execution_tapes.values()
-        tape.optimized = None
-    batcher = ContinuousBatcher(engine, max_lanes=2)
-    assert not isinstance(batcher.replayer, OptimizedReplayer)
-    assert batcher.replayer not in engine._replayers.values()
-    batcher.start_cohort([row])
-    finished = []
-    while batcher.busy():
-        finished += batcher.tick()
-    ((_cohort, result),) = finished
-    assert result.execution == "replay"
-    np.testing.assert_array_equal(result["out"][0], reference["out"])

@@ -1,13 +1,13 @@
 """The pass runs on the loop: one request, one loop turn of host plumbing.
 
-``PumaServer`` runs every executor ``tick`` on the event-loop thread (a
+``PumaServer`` runs every ``predict`` pass on the event-loop thread (a
 thread hop bought a GIL-bound pass no concurrency, only a futex wake
 and a self-pipe write per pass) and yields exactly once after each
 pass.  A fleet worker admits an exchange's riders in one synchronous
 pass, with no Task per rider.  This file pins:
 
 * host-cost ratchets — every pass runs on the loop thread, in
-  whole-batch, sharded and continuous serving; one ``POST /v1/predict``
+  whole-batch and sharded serving; one ``POST /v1/predict``
   creates as many Tasks for 8 riders as for 1; an ``HttpConnection``
   request creates no Task, and an ``HttpServer`` one per connection
   however many requests it carries;
@@ -33,7 +33,6 @@ from repro.fleet.http import (
     HttpServer,
     json_response,
 )
-from repro.workloads.lstm import build_lstm_model
 from repro.workloads.mlp import build_mlp_model
 
 CONFIG = default_config()
@@ -59,18 +58,12 @@ def record_calls(engine, name, log, label):
     setattr(engine, name, wrapped)
 
 
-@pytest.mark.parametrize("mode", ["whole", "sharded", "continuous"])
+@pytest.mark.parametrize("mode", ["whole", "sharded"])
 def test_every_pass_runs_on_the_loop_thread(mode):
     """``run_batch`` is every whole-batch and sharded pass; a replayed
-    pass of any mode derives its stats through ``_stats_for_batch``
-    (continuous cohorts call it inside ``tick``)."""
-    if mode == "continuous":
-        engine = InferenceEngine(
-            build_lstm_model(16, 24, 8, seq_len=3, seed=0), CONFIG, seed=1)
-        options = {"continuous": True}
-    else:
-        engine = mlp_engine()
-        options = {"num_shards": 2} if mode == "sharded" else {}
+    pass derives its stats through ``_stats_for_batch``."""
+    engine = mlp_engine()
+    options = {"num_shards": 2} if mode == "sharded" else {}
     rng = np.random.default_rng(4)
     requests = [{name: rng.normal(0.0, 0.5, length)
                  for name, (_tile, _addr, length)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import InferenceEngine, PumaServer
-from repro.serve import BatchScheduler
 from repro.workloads.mlp import build_mlp_model
 
 DIMS = [24, 16, 10]
@@ -111,8 +110,7 @@ def test_stress_mixed_priority_deadline_clients(engine, workload):
 
     async def run():
         server = PumaServer(engine, max_batch_size=8,
-                            scheduler=BatchScheduler(
-                                max_batch_size=8, batch_window_s=0.004))
+                            batch_window_s=0.004)
         async with server:
             async def client(i):
                 await asyncio.sleep(float(rng.uniform(0, 0.02)))
@@ -144,39 +142,6 @@ def test_stress_mixed_priority_deadline_clients(engine, workload):
     assert sched["shed"] == 0
     assert server.counters.requests_served == NUM_CLIENTS
     assert server.counters.requests_failed == 0
-
-
-def test_stress_continuous_server_bitwise(engine, workload):
-    """Continuous batching under the same herd: per-lane bitwise.
-
-    Lanes join and leave the shared node at step boundaries as clients
-    trickle in; every response must still equal its sequential
-    reference bit for bit, with the conservation law intact.
-    """
-    xs, references = workload
-    rng = np.random.default_rng(41)
-
-    async def run():
-        server = PumaServer(engine, max_batch_size=6,
-                            batch_window_s=0.002, continuous=True)
-        async with server:
-            tasks = [asyncio.create_task(
-                _client(server, x, float(rng.uniform(0, 0.03)), rng))
-                for x in xs]
-            results = await asyncio.gather(*tasks)
-            stats = server.stats()
-        return results, stats
-
-    results, stats = asyncio.run(run())
-    for result, reference in zip(results, references):
-        for name in reference:
-            assert np.array_equal(result[name], reference[name])
-        assert result.execution == "optimized"
-    sched = stats["scheduler"]
-    assert sched["admitted"] == NUM_CLIENTS
-    assert sched["admitted"] == (sched["dispatched"] + sched["shed"]
-                                 + sched["drained"])
-    assert stats["requests_served"] == NUM_CLIENTS
 
 
 def test_stress_rejects_after_stop(engine):

@@ -138,8 +138,7 @@ def _core(batch):
                 rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("rows", [slice(None), np.array([2, 0])],
-                         ids=["slice", "index-array"])
+@pytest.mark.parametrize("rows", [slice(None)], ids=["slice"])
 @pytest.mark.parametrize("offsets", [
     (0, 0, 40),     # dest == src1
     (40, 0, 40),    # dest == src2
@@ -153,7 +152,8 @@ def _core(batch):
                          ids=lambda op: op.name)
 def test_bound_step_reads_its_sources_before_it_writes(op, offsets, rows):
     """Through the binder: in place when ranges are identical or disjoint,
-    through a scratch when they overlap in part or ``rows`` gathers."""
+    through a scratch when they overlap in part.  A bound step runs on
+    every lane (``rows`` is the whole batch)."""
     core = _core(batch=3)
     base, w = core.config.general_base, 16
     dest, src1, src2 = (base + o for o in offsets)
@@ -169,7 +169,7 @@ def test_bound_step_reads_its_sources_before_it_writes(op, offsets, rows):
         op, before[rows, src1:src1 + w],
         before[rows, src2:src2 + w] if binary else None, FMT)
 
-    _bind_alu(core, isa.alu(op, dest, src1, src2, vec_width=w))(rows, {})
+    _bind_alu(core, isa.alu(op, dest, src1, src2, vec_width=w))()
     np.testing.assert_array_equal(reg, expected)
 
     # ALUI: the immediate expansion is the second operand.
@@ -180,7 +180,7 @@ def test_bound_step_reads_its_sources_before_it_writes(op, offsets, rows):
         expected[rows, dest:dest + w] = reference(
             op, before[rows, src1:src1 + w], np.full(w, imm), FMT)
         _bind_alu(core, isa.alui(op, dest, src1, imm, vec_width=w),
-                  core._imm_vector(imm, w))(rows, {})
+                  core._imm_vector(imm, w))()
         np.testing.assert_array_equal(reg, expected)
 
 
@@ -238,7 +238,7 @@ def test_wide_format_takes_the_generic_paths():
                    for cell in replayer.ops[0].__closure__)
     x = rng.integers(-(1 << 28), 1 << 28, size=(2, 128))
     core.registers._data[:, :128] = x
-    replayer.ops[0](slice(None), {})
+    replayer.ops[0]()
     out = core.config.xbar_out_base(0)
     np.testing.assert_array_equal(core.registers._data[:, out:out + 128],
                                   core.mvmus[0].execute(x))
@@ -284,22 +284,19 @@ def test_lone_mvm_binds_as_a_group_of_one_equal_to_execute(batch, filter_,
     cfg = core.config
     x = rng.integers(FMT.int_min, FMT.int_max + 1, size=(batch, dim))
     x[0, :4] = [1, 3, 4097, FMT.int_max]
-    for rows in (slice(None), np.arange(batch)[::-1][:max(1, batch - 2)]):
-        core.registers._data[...] = 0
-        core.registers._data[:, :dim] = x
-        replayer.ops[0](rows, {})
-        routed = MVMU.shuffle_inputs(x[rows], filter_, stride)
-        expected = core.mvmus[0].execute(routed)
-        out = cfg.xbar_out_base(0)
-        got = core.registers._data[rows, out:out + dim]
-        np.testing.assert_array_equal(got, expected)
-        assert (expected == FMT.int_max).any() and (
-            expected == FMT.int_min).any()
+    core.registers._data[:, :dim] = x
+    replayer.ops[0]()
+    expected = core.mvmus[0].execute(MVMU.shuffle_inputs(x, filter_, stride))
+    out = cfg.xbar_out_base(0)
+    np.testing.assert_array_equal(core.registers._data[:, out:out + dim],
+                                  expected)
+    assert (expected == FMT.int_max).any() and (
+        expected == FMT.int_min).any()
 
 
 def test_group_scratch_is_one_allocation_per_group_not_per_batch_size():
-    """A narrower selection reuses the leading lanes of the node-sized
-    scratch: no per-batch-size cache behind the group closure."""
+    """The group's operand and product scratch are allocated once, at
+    the node's batch: no per-batch-size cache behind the group closure."""
     dim = default_config().core.mvmu_dim
     replayer, _node = _mvm_replayer(np.eye(dim, dtype=np.int64) * 4096, 8)
     scratch = [cell.cell_contents for cell in replayer.ops[0].__closure__
@@ -374,9 +371,8 @@ def _group_cases(dim):
 def test_box_bound_group_equals_per_unit_execute(case, batch):
     """A stacked group bound to its members' union nonzero box, DAC rows
     gathered through each member's shuffle, is bitwise
-    ``MVMU.execute(shuffle_inputs(x))`` per unit: for slice and
-    lane-index-array rows, and with garbage in every XbarOut register
-    beforehand, columns outside the box included."""
+    ``MVMU.execute(shuffle_inputs(x))`` per unit, with garbage in every
+    XbarOut register beforehand, columns outside the box included."""
     cfg = default_config().core
     dim = cfg.mvmu_dim
     members = _group_cases(dim)[case]
@@ -393,24 +389,20 @@ def test_box_bound_group_equals_per_unit_execute(case, batch):
         assert stack[0].size < dim * dim                  # narrower than dim
     rng = np.random.default_rng(batch)
     cores = node.tiles[0].cores
-    for rows in (slice(None), np.arange(batch)[::-1][:max(1, batch - 2)]):
-        others = np.setdiff1d(np.arange(batch), np.arange(batch)[rows])
-        for core_id in range(len(members)):
-            cores[core_id].registers._data[...] = rng.integers(
-                FMT.int_min, FMT.int_max + 1,
-                size=cores[core_id].registers._data.shape)
-        before = [core.registers._data.copy() for core in cores]
-        replayer.ops[0](rows, {})
-        for core_id, (matrices, filter_, stride) in enumerate(members):
-            regs = cores[core_id].registers._data
-            for m in range(len(matrices)):
-                x = before[core_id][rows, cfg.xbar_in_base(m):
-                                    cfg.xbar_in_base(m) + dim]
-                expected = cores[core_id].mvmus[m].execute(
-                    MVMU.shuffle_inputs(x, filter_, stride))
-                out = cfg.xbar_out_base(m)
-                got = regs[rows, out:out + dim]
-                np.testing.assert_array_equal(got, expected)
-                assert not got[:, :c0].any() and not got[:, c1:].any()
-            np.testing.assert_array_equal(regs[others],
-                                          before[core_id][others])
+    for core_id in range(len(members)):
+        cores[core_id].registers._data[...] = rng.integers(
+            FMT.int_min, FMT.int_max + 1,
+            size=cores[core_id].registers._data.shape)
+    before = [core.registers._data.copy() for core in cores]
+    replayer.ops[0]()
+    for core_id, (matrices, filter_, stride) in enumerate(members):
+        regs = cores[core_id].registers._data
+        for m in range(len(matrices)):
+            x = before[core_id][:, cfg.xbar_in_base(m):
+                                cfg.xbar_in_base(m) + dim]
+            expected = cores[core_id].mvmus[m].execute(
+                MVMU.shuffle_inputs(x, filter_, stride))
+            out = cfg.xbar_out_base(m)
+            got = regs[:, out:out + dim]
+            np.testing.assert_array_equal(got, expected)
+            assert not got[:, :c0].any() and not got[:, c1:].any()
