@@ -12,13 +12,17 @@ This example walks the lifecycle an operator would see:
 1. deploy three models onto a 2-worker fleet — each model cold-builds
    on one worker, which publishes its artifact blob; the *other* worker
    warm-starts over the network without ever running the compiler;
-2. replay a deterministic bursty trace through the HTTP front door and
-   read the load report (p50/p99, throughput, zero failures);
-3. spot-check a fleet reply **bitwise** against a local single-engine
-   build — which replica answered is unobservable by design;
-4. kill a worker and watch the health loop evict and respawn it; the
+2. send a concurrent burst of requests across all three models and
+   check every reply **bitwise** against a local single-engine build —
+   which replica answered, and which requests shared a batch, is
+   unobservable by design;
+3. kill a worker and watch the health loop evict and respawn it; the
    replacement warm-starts off the networked store too;
-5. stop the fleet gracefully — queued requests drain, nothing drops.
+4. stop the fleet gracefully — queued requests drain, nothing drops.
+
+Load at a fixed arrival rate, with latency percentiles, is
+``benchmarks/puma_bench``'s job; ``python -m repro fleet DEPLOY.json``
+starts a fleet that serves any HTTP client until SIGINT or SIGTERM.
 
 Run:  python examples/fleet_serving.py
 """
@@ -29,14 +33,7 @@ import time
 
 import numpy as np
 
-from repro.fleet import (
-    FleetModelSpec,
-    PumaFleet,
-    build_engine,
-    bursty_trace,
-    default_inputs_builder,
-    run_trace,
-)
+from repro.fleet import FleetModelSpec, PumaFleet, build_engine
 
 SPECS = [
     FleetModelSpec("mlp", "mlp", {"dims": [32, 24, 10]}),
@@ -50,6 +47,13 @@ LAYOUTS = {
     "lstm": {"x0": 8, "x1": 8},
     "noisy-mlp": {"x": 32},
 }
+
+
+def request_inputs(model: str, seed: int) -> dict[str, np.ndarray]:
+    """Deterministic float inputs for one request against ``model``."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.uniform(-1.0, 1.0, size=length)
+            for name, length in sorted(LAYOUTS[model].items())}
 
 
 async def demo(work_dir: str) -> None:
@@ -70,43 +74,38 @@ async def demo(work_dir: str) -> None:
         print(f"  blob store: {len(metrics['fleet']['store_blobs'])} "
               f"artifacts (one per model — replicas pulled, not rebuilt)")
 
-        # -- 2. a bursty trace through the front door ------------------
-        trace = bursty_trace([s.name for s in SPECS], 48,
-                             base_rate_rps=120.0, seed=1)
-        inputs_for = default_inputs_builder(LAYOUTS)
-        report = await run_trace(fleet.host, fleet.http.port, trace,
-                                 inputs_for)
-        print(f"trace: {report.summary()}")
+        # -- 2. a concurrent burst, every reply checked bitwise -------
+        engines = {spec.name: build_engine(spec) for spec in SPECS}
+        requests = [(spec.name, request_inputs(spec.name, seed))
+                    for seed, spec in enumerate(SPECS * 16)]
+        started = time.monotonic()
+        replies = await asyncio.gather(
+            *(fleet.predict(model, inputs) for model, inputs in requests))
+        elapsed = time.monotonic() - started
+        for (model, inputs), reply in zip(requests, replies):
+            reference = engines[model].predict(inputs)
+            assert reply["words"] == {name: reference[name].tolist()
+                                      for name in reference}, model
+        answered_by = sorted({reply["worker"] for reply in replies})
+        print(f"burst: {len(requests)} concurrent requests in {elapsed:.2f}s, "
+              f"answered by {', '.join(answered_by)}; every reply "
+              f"bitwise identical to the local engine")
 
-        # -- 3. the bitwise spot check ---------------------------------
-        arrival = trace[0]
-        reply = await fleet.predict(arrival.model, inputs_for(arrival))
-        local = build_engine(next(s for s in SPECS
-                                  if s.name == arrival.model))
-        reference = local.predict(
-            {name: np.asarray(values)
-             for name, values in inputs_for(arrival).items()})
-        matched = reply["words"] == {name: reference[name].tolist()
-                                     for name in reference}
-        print(f"bitwise vs local engine ({arrival.model}, "
-              f"answered by {reply['worker']}): "
-              f"{'identical' if matched else 'MISMATCH'}")
-
-        # -- 4. kill a worker; the fleet heals -------------------------
+        # -- 3. kill a worker; the fleet heals -------------------------
         victim = next(iter(fleet.manager.workers))
         fleet.manager.workers[victim].process.terminate()
         print(f"killed {victim}; requests keep flowing while the "
               f"health loop evicts + respawns...")
-        reply = await fleet.predict(arrival.model, inputs_for(arrival))
-        assert reply["words"] == {name: reference[name].tolist()
-                                  for name in reference}
+        model, inputs = requests[0]
+        reply = await fleet.predict(model, inputs)
+        assert reply["words"] == replies[0]["words"]
         deadline = time.monotonic() + 30
         while fleet.respawns < 1 and time.monotonic() < deadline:
             await asyncio.sleep(0.1)
         print(f"evictions {fleet.evictions}, respawns {fleet.respawns}, "
               f"workers {len(fleet.manager.workers)}")
 
-    # -- 5. the context manager exit above was the graceful drain ------
+    # -- 4. the context manager exit above was the graceful drain ------
     print("fleet stopped: queued work drained, workers shut down")
 
 

@@ -18,11 +18,11 @@ Commands:
   artifact (compilation + programmed crossbars + execution tapes, see
   :mod:`repro.store`) so later ``run``/``serve`` invocations — separate
   processes — warm-start with ``--artifact-dir DIR``;
-* ``fleet DEPLOYMENT.json`` — spin up a multi-process serving fleet
-  (:mod:`repro.fleet`): N workers behind one HTTP front door, replay a
-  deterministic bursty trace against it, spot-check the replies bitwise
-  against a local engine, and print the load report + per-worker cache
-  metrics;
+* ``fleet DEPLOYMENT.json`` — start a multi-process serving fleet
+  (:mod:`repro.fleet`): N workers behind one HTTP front door, whose
+  URL is printed; it serves until SIGINT or SIGTERM, then drains
+  queued work and exits 0.  It sends no load: any HTTP client can, and
+  ``benchmarks/puma_bench`` measures the fleet under load;
 * ``lint GRAPH.json`` — compile a graph and run the static verifier
   (:mod:`repro.analysis`); prints every diagnostic and exits non-zero
   when errors are found;
@@ -301,34 +301,22 @@ def _cmd_warm(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Serving-fleet demo: N workers, one front door, a bursty trace.
+    """Start a serving fleet and serve until SIGINT or SIGTERM.
 
     Loads a deployment (a JSON list of fleet model specs), spawns the
-    fleet, replays a deterministic bursty trace through the HTTP front
-    door, and prints the load report plus per-worker metrics.  One
-    request per model is spot-checked **bitwise** against a local
-    single-engine build — the fleet-level guarantee of
-    ``docs/guarantees.md``, demonstrated from the command line.
+    workers behind one HTTP front door and prints its URL.  Either
+    signal leaves the fleet's ``async with``, so queued work drains
+    before the workers exit, and the command exits 0.  It sends no
+    load; any HTTP client can.
     """
     import asyncio
+    import signal
     import tempfile
 
-    from repro.fleet import (
-        FleetModelError,
-        FleetModelSpec,
-        PumaFleet,
-        build_engine,
-        bursty_trace,
-        default_inputs_builder,
-        run_trace,
-    )
+    from repro.fleet import FleetModelError, FleetModelSpec, PumaFleet
 
     if args.workers < 1:
         raise CliError("--workers must be >= 1", EXIT_USAGE)
-    if args.requests < 1:
-        raise CliError("--requests must be >= 1", EXIT_USAGE)
-    if args.rate <= 0:
-        raise CliError("--rate must be positive", EXIT_USAGE)
     try:
         with open(args.deployment, encoding="utf-8") as handle:
             described = json.load(handle)
@@ -342,65 +330,22 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except FleetModelError as error:
         raise CliError(f"{args.deployment}: {error}") from error
 
-    # Local single-engine references: input layouts for the trace, and
-    # the bitwise ground truth for the spot check.
-    engines = {spec.name: build_engine(spec) for spec in specs}
-    layouts = {
-        name: {input_name: length for input_name, (_t, _a, length)
-               in engine.program.input_layout.items()}
-        for name, engine in engines.items()}
-    trace = bursty_trace([spec.name for spec in specs], args.requests,
-                         base_rate_rps=args.rate, seed=args.seed)
-    inputs_for = default_inputs_builder(layouts)
-
-    async def drive(work_dir: str):
+    async def serve(work_dir: str) -> None:
+        # Handlers, not asyncio.run's own SIGINT handling: before Python
+        # 3.11 that is a KeyboardInterrupt through the running fleet.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         async with PumaFleet(specs, num_workers=args.workers,
                              work_dir=work_dir,
                              max_batch_size=args.max_batch) as fleet:
             print(f"fleet up: {args.workers} worker(s) behind "
-                  f"{fleet.url}")
-            report = await run_trace(fleet.host, fleet.http.port, trace,
-                                     inputs_for,
-                                     time_scale=args.time_scale)
-            checks = {}
-            for spec in specs:
-                arrival = next(a for a in trace if a.model == spec.name)
-                reply = await fleet.predict(spec.name,
-                                            inputs_for(arrival))
-                reference = engines[spec.name].predict(
-                    {name: np.asarray(values) for name, values
-                     in inputs_for(arrival).items()})
-                checks[spec.name] = reply["words"] == {
-                    name: reference[name].tolist() for name in reference}
-            metrics = await fleet.metrics()
-            return report, checks, metrics
+                  f"{fleet.url}", flush=True)
+            await stopping.wait()
 
     with tempfile.TemporaryDirectory(prefix="repro-fleet-") as scratch:
-        report, checks, metrics = asyncio.run(
-            drive(args.work_dir or scratch))
-
-    print(report.summary())
-    for model, entry in sorted(report.to_dict()["per_model"].items()):
-        print(f"  {model}: {entry['requests']} requests, "
-              f"p50 {entry['p50_ms']:.1f} ms, p99 {entry['p99_ms']:.1f} ms")
-    for worker_id, entry in sorted(metrics["workers"].items()):
-        detail = entry.get("metrics")
-        if not detail:
-            continue
-        hosted = ", ".join(
-            f"{m['name']} ({m['source']})"
-            for m in detail["models"].values())
-        store = detail["network_store"]
-        print(f"  {worker_id}: {hosted}; store pulls "
-              f"{store['pulls']}, pushes {store['pushes']}")
-    for model, matched in sorted(checks.items()):
-        status = "bitwise == local engine" if matched else "MISMATCH"
-        print(f"  {model}: {status}")
-    if not all(checks.values()):
-        raise CliError("fleet replies diverged from the local engine")
-    if report.failed:
-        raise CliError(f"{report.failed} request(s) failed: "
-                       f"{report.errors[:3]}")
+        asyncio.run(serve(args.work_dir or scratch))
     return EXIT_OK
 
 
@@ -541,26 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(fn=_cmd_serve)
 
     fleet = sub.add_parser(
-        "fleet", help="multi-worker serving fleet demo (trace replay)")
+        "fleet", help="start a multi-worker serving fleet and serve "
+                      "until SIGINT/SIGTERM")
     fleet.add_argument("deployment",
                        help="JSON list of fleet model specs, e.g. "
                             '[{"name": "mlp", "kind": "mlp", '
                             '"params": {"dims": [32, 24, 10]}}]')
     fleet.add_argument("--workers", type=int, default=2,
                        help="worker processes to spawn (default 2)")
-    fleet.add_argument("--requests", type=int, default=32,
-                       help="trace length in requests (default 32)")
-    fleet.add_argument("--rate", type=float, default=50.0,
-                       help="base arrival rate in req/s (default 50)")
-    fleet.add_argument("--time-scale", type=float, default=1.0,
-                       help="multiply trace offsets (0 = fire all at "
-                            "once; default 1.0 = real time)")
     fleet.add_argument("--max-batch", type=int, default=8,
                        help="per-worker dynamic batching limit (default 8)")
     fleet.add_argument("--work-dir", metavar="DIR",
                        help="fleet scratch + artifact blob store "
                             "(default: a temporary directory)")
-    fleet.add_argument("--seed", type=int, default=0)
     fleet.set_defaults(fn=_cmd_fleet)
 
     lint = sub.add_parser(

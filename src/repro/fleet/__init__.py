@@ -1,12 +1,12 @@
 """Multi-node serving fleet: N PumaServer workers behind one front door.
 
-The scale-out layer over :mod:`repro.serve` (ROADMAP open item 1):
+The scale-out layer over :mod:`repro.serve`:
 
 * :class:`PumaFleet` — the gateway: HTTP front door, consistent-hash
   placement, per-model queues + admission control, dispatch with
   deadline-aware retry-on-another-replica (circuit breakers + seeded
-  backoff), health-driven eviction/respawn, queue-depth autoscaling
-  (:mod:`repro.fleet.gateway`);
+  backoff), health-driven eviction/respawn onto a constant worker
+  count (:mod:`repro.fleet.gateway`);
 * :class:`FleetModelSpec` / :func:`route_key` / :func:`build_engine` —
   wire-serializable model identity shared by gateway, workers, and the
   networked store (:mod:`repro.fleet.models`);
@@ -15,8 +15,6 @@ The scale-out layer over :mod:`repro.serve` (ROADMAP open item 1):
   (:mod:`repro.fleet.worker`);
 * networked artifact store — warm starts as integrity-verified GET/PUT
   blobs with size-capped LRU eviction (:mod:`repro.fleet.netstore`);
-* :func:`bursty_trace` / :func:`run_trace` — deterministic load
-  generation and SLO measurement (:mod:`repro.fleet.loadgen`);
 * :class:`CircuitBreaker` / :func:`backoff_delay` — the resilience
   policies behind dispatch retry (:mod:`repro.fleet.resilience`).
 
@@ -33,13 +31,6 @@ from repro.fleet.gateway import (
     PumaFleet,
 )
 from repro.fleet.http import FleetConnectionError, FleetTimeoutError
-from repro.fleet.loadgen import (
-    Arrival,
-    LoadReport,
-    bursty_trace,
-    default_inputs_builder,
-    run_trace,
-)
 from repro.fleet.manager import (
     WorkerManager,
     WorkerSpawnError,
@@ -57,7 +48,6 @@ from repro.fleet.ring import HashRing
 from repro.fleet.worker import FleetWorker
 
 __all__ = [
-    "Arrival",
     "CircuitBreaker",
     "FleetAdmissionError",
     "FleetConnectionError",
@@ -68,7 +58,6 @@ __all__ = [
     "FleetTimeoutError",
     "FleetWorker",
     "HashRing",
-    "LoadReport",
     "MODEL_KINDS",
     "NetworkArtifactError",
     "PumaFleet",
@@ -76,8 +65,5 @@ __all__ = [
     "WorkerSpawnError",
     "backoff_delay",
     "build_engine",
-    "bursty_trace",
-    "default_inputs_builder",
     "route_key",
-    "run_trace",
 ]

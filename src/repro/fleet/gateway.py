@@ -46,6 +46,7 @@ from typing import Any
 import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
+from repro.serve.server import check_priority
 
 from repro.fleet.http import (
     ConnectionPool,
@@ -174,30 +175,28 @@ class PumaFleet:
         max_attempts: dispatch attempts per request (distinct replicas
             preferred; transport failures and 5xx retry, 400 never).
         health_interval_s / health_failures: probe cadence and the
-            consecutive-failure threshold for eviction + respawn.
+            consecutive-failure threshold for eviction; an evicted
+            worker is always respawned, back to ``num_workers``.
         preload: load every model onto its placement when the fleet
             starts (first request fast + deterministic placement).
         max_queue_depth: per-model admission bound — when this many
             requests already wait in a model's gateway queue, new ones
             fail fast with :class:`FleetAdmissionError` (HTTP 429 +
             ``Retry-After``).  ``None`` = unbounded.
-        default_deadline_ms: end-to-end deadline applied to requests
-            that don't carry their own ``deadline_ms`` (``None`` = no
-            default; requests without a deadline never shed).
         breaker_threshold / breaker_cooldown_s: per-replica circuit
             breaker policy (consecutive failures to open; cooldown
             before a half-open probe) — the fast path around a sick
             replica while the slower health loop decides on eviction.
-        backoff_base_s / backoff_cap_s / backoff_seed: dispatch retry
-            backoff (capped exponential, deterministic jitter via
-            :func:`repro.fleet.resilience.backoff_delay`).
         blob_store_max_bytes: size cap for the artifact plane's LRU
             (``None`` = unbounded, the pre-resilience behavior).
         clock: time source for gateway deadline math, retry backoff
             and breaker cooldowns (default wall clock; tests inject
             :class:`~repro.serve.clock.VirtualClock`).
-        drain_timeout_s: how long :meth:`stop`'s drain waits for queued
-            + in-flight work before giving up and failing the rest.
+
+    Requests without a ``deadline_ms`` never shed.  A retry backs off
+    exponentially from 20 ms, capped at 0.5 s, with deterministic
+    jitter (:func:`backoff_delay`).  The fleet generates no load of its
+    own; ``python -m repro fleet`` serves one until SIGINT or SIGTERM.
     """
 
     def __init__(self, models: list[FleetModelSpec], *,
@@ -209,17 +208,11 @@ class PumaFleet:
                  max_attempts: int = 3,
                  health_interval_s: float = 0.5,
                  health_failures: int = 2,
-                 respawn: bool = True,
                  preload: bool = True,
                  max_queue_depth: int | None = None,
-                 default_deadline_ms: float | None = None,
                  breaker_threshold: int = 3,
                  breaker_cooldown_s: float = 0.5,
-                 backoff_base_s: float = 0.02,
-                 backoff_cap_s: float = 0.5,
-                 backoff_seed: int = 0,
                  blob_store_max_bytes: int | None = None,
-                 drain_timeout_s: float = PREDICT_TIMEOUT_S,
                  clock: Clock | None = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         if num_workers < 1:
@@ -239,20 +232,14 @@ class PumaFleet:
         self.max_attempts = max_attempts
         self.health_interval_s = health_interval_s
         self.health_failures = health_failures
-        self.respawn = respawn
         self.preload = preload
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, "
                              f"got {max_queue_depth}")
         self.max_queue_depth = max_queue_depth
-        self.default_deadline_ms = default_deadline_ms
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.backoff_seed = backoff_seed
         self.blob_store_max_bytes = blob_store_max_bytes
-        self.drain_timeout_s = drain_timeout_s
         # Every deadline, backoff and breaker decision reads this clock,
         # so tests can inject a VirtualClock and drive gateway time
         # deterministically.
@@ -310,22 +297,19 @@ class PumaFleet:
         return self
 
     async def stop(self, *, drain: bool = True,
-                   drain_timeout_s: float | None = None) -> None:
+                   drain_timeout_s: float = PREDICT_TIMEOUT_S) -> None:
         """Drain, then dismantle — queued work finishes unless told not to.
 
-        The drain is time-bounded (``drain_timeout_s``, defaulting to
-        the constructor's): a worker hung mid-response must not hold
-        shutdown hostage.  Work still queued or in flight when the
-        bound lapses is failed loudly with :class:`FleetError` — never
-        abandoned.
+        The drain is time-bounded (``drain_timeout_s``): a worker hung
+        mid-response must not hold shutdown hostage.  Work still queued
+        or in flight when the bound lapses is failed loudly with
+        :class:`FleetError` — never abandoned.
         """
         if not self._running:
             return
         self._closing = True
         if drain:
-            limit = (self.drain_timeout_s if drain_timeout_s is None
-                     else drain_timeout_s)
-            deadline = self.clock.now() + limit
+            deadline = self.clock.now() + drain_timeout_s
             while any(state.queue.qsize() or state.inflight
                       for state in self.models.values()):
                 if self.clock.now() > deadline:
@@ -408,15 +392,14 @@ class PumaFleet:
         :class:`FleetAdmissionError` when the model's queue is full,
         :class:`FleetDeadlineError` when the budget expires —
         :class:`KeyError` for an unknown model, and :class:`ValueError`
-        for a non-finite ``deadline_ms``.
+        for a non-finite ``deadline_ms`` or a priority that is not an
+        integer (:func:`~repro.serve.check_priority`).
         """
         if not self._running or self._closing:
             raise FleetError("fleet is not accepting requests "
                              "(stopped or draining)")
         state = self.models[model]
-        priority = int(priority)
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
+        priority = check_priority(priority)
         deadline_at = None
         wait_timeout = timeout
         if deadline_ms is not None:
@@ -660,8 +643,7 @@ class PumaFleet:
 
     async def _backoff(self, attempt: int, token: int) -> None:
         await self.clock.sleep(backoff_delay(
-            attempt, base_s=self.backoff_base_s, cap_s=self.backoff_cap_s,
-            seed=self.backoff_seed, token=token))
+            attempt, base_s=0.02, cap_s=0.5, seed=0, token=token))
 
     def _new_breaker(self) -> CircuitBreaker:
         return CircuitBreaker(failure_threshold=self.breaker_threshold,
@@ -709,7 +691,7 @@ class PumaFleet:
         self.manager.evict(worker_id)
         self.breakers.pop(worker_id, None)
         await self.pool.forget(handle.host, handle.port)
-        if self.respawn and not self._closing \
+        if not self._closing \
                 and len(self.manager.workers) < self.num_workers:
             try:
                 replacement = await self.manager.spawn()

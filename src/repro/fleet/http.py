@@ -34,6 +34,8 @@ from urllib.parse import parse_qsl
 MAX_HEADER_BYTES = 64 * 1024
 MAX_HEADERS = 100
 MAX_BODY_BYTES = 512 * 1024 * 1024
+# Idle keep-alive connections a ConnectionPool keeps per address.
+MAX_IDLE_PER_ADDRESS = 32
 
 REASONS = {status.value: status.phrase for status in HTTPStatus}
 
@@ -417,9 +419,8 @@ class ConnectionPool:
     reuse sockets without interleaving frames; ``forget()`` drops an
     address's connections (when a worker is evicted)."""
 
-    def __init__(self, max_per_address: int = 32) -> None:
+    def __init__(self) -> None:
         self._free: dict[tuple[str, int], list[HttpConnection]] = {}
-        self._max = max_per_address
 
     async def request(self, host: str, port: int, method: str, path: str,
                       body: bytes = b"",
@@ -429,7 +430,7 @@ class ConnectionPool:
         connection = free.pop() if free else HttpConnection(host, port)
         response = await connection.request(method, path, body, headers,
                                             timeout)
-        if connection.connected and len(free) < self._max:
+        if connection.connected and len(free) < MAX_IDLE_PER_ADDRESS:
             free.append(connection)
         else:
             await connection.close()

@@ -97,8 +97,7 @@ class WorkerManager:
         self._ids = itertools.count()
         self._context = mp.get_context("spawn")
 
-    async def spawn(self, ready_timeout: float = READY_TIMEOUT_S
-                    ) -> WorkerHandle:
+    async def spawn(self) -> WorkerHandle:
         """Start one worker and wait until it serves ``/healthz``."""
         worker_id = f"w{next(self._ids)}"
         bootstrap = worker_bootstrap(
@@ -113,7 +112,7 @@ class WorkerManager:
             name=f"fleet-{worker_id}", daemon=True)
         process.start()
         child_conn.close()
-        deadline = time.monotonic() + ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT_S
         try:
             hello = await asyncio.to_thread(
                 _recv_with_deadline, parent_conn, process, deadline)

@@ -12,7 +12,8 @@ tapes is the expensive, pay-once part (Section 3.2.5 of the paper); the
 ring keeps a model pinned to a stable subset of workers so that cost is
 paid ``replicas`` times, not ``workers`` times — and when a worker joins
 or leaves, only the keys adjacent to its points move (``~K/N`` of them),
-so an autoscaling event doesn't cold-start the whole fleet.
+so evicting a worker and respawning its replacement doesn't cold-start
+the whole fleet.
 
 Deterministic by construction (SHA-256 over ``worker_id:vnode`` /
 route-key strings, no process salt), so the gateway can be restarted —

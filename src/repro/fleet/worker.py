@@ -62,7 +62,11 @@ from repro.fleet.netstore import (
     pack_artifact_dir,
     unpack_artifact_blob,
 )
-from repro.serve.server import AdmissionError, DeadlineExceeded
+from repro.serve.server import (
+    AdmissionError,
+    DeadlineExceeded,
+    check_priority,
+)
 from repro.store import ArtifactError
 
 # Artifact blobs are multi-MB; give transfers more room than a health
@@ -388,9 +392,9 @@ def predict_fields(item: dict) -> tuple[dict, float | None, int]:
     The one reading of these wire fields, shared by the gateway's front
     door and the worker.  Raises :class:`ProtocolError` naming the
     field that is missing or has the wrong type.  Python's ``json``
-    reads ``NaN`` and ``Infinity``, so a deadline must also be finite,
-    and a priority must be an integer, not a boolean or a fraction to
-    truncate.
+    reads ``NaN`` and ``Infinity``, so a deadline must also be finite;
+    a priority follows :func:`~repro.serve.check_priority`, the rule
+    the in-process APIs apply too.
     """
     inputs = item.get("inputs")
     if not isinstance(inputs, dict):
@@ -406,14 +410,11 @@ def predict_fields(item: dict) -> tuple[dict, float | None, int]:
             raise ProtocolError(
                 f"bad deadline_ms {item['deadline_ms']!r} (must be a "
                 f"finite number; omit it for no deadline)")
-    priority = item.get("priority", 0)
     try:
-        if isinstance(priority, bool) or int(priority) != priority:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ProtocolError(f"bad priority {priority!r} "
-                            f"(must be an integer)") from None
-    return inputs, deadline_ms, int(priority)
+        priority = check_priority(item.get("priority", 0))
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
+    return inputs, deadline_ms, priority
 
 
 def _failed(status: int, message: str, reason: str | None = None) -> dict:

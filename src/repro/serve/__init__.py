@@ -30,6 +30,7 @@ from repro.serve.server import (
     DeadlineExceeded,
     PumaServer,
     ServerCounters,
+    check_priority,
 )
 
 __all__ = [
@@ -46,5 +47,6 @@ __all__ = [
     "ServiceTimeTracker",
     "ShardedEngine",
     "VirtualClock",
+    "check_priority",
     "shard_lanes",
 ]

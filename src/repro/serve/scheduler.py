@@ -140,8 +140,7 @@ class BatchScheduler:
     """
 
     def __init__(self, *, max_batch_size: int = 16,
-                 batch_window_s: float = 0.0,
-                 service_times: ServiceTimeTracker | None = None) -> None:
+                 batch_window_s: float = 0.0) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, "
                              f"got {max_batch_size}")
@@ -149,7 +148,7 @@ class BatchScheduler:
             raise ValueError("batch_window_s must be >= 0")
         self.max_batch_size = max_batch_size
         self.batch_window_s = batch_window_s
-        self.service_times = service_times or ServiceTimeTracker()
+        self.service_times = ServiceTimeTracker()
         self.counters = SchedulerCounters()
         self._heap: list[_Entry] = []
         # Queued entries carrying a deadline; at zero the deadline scans

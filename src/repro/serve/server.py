@@ -60,6 +60,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.engine import InferenceEngine
 
 
+def check_priority(priority) -> int:
+    """``priority`` as an ``int``, or :class:`ValueError`.
+
+    The one rule for every way in — :meth:`PumaServer.admit`,
+    ``PumaFleet.predict`` and the fleet's wire fields: a priority is an
+    integer.  A boolean, a fraction, a non-finite float or a string is
+    refused, never truncated or parsed.
+
+    >>> check_priority(3), check_priority(2.0)
+    (3, 2)
+    """
+    try:
+        if isinstance(priority, bool) or int(priority) != priority:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"bad priority {priority!r} "
+                         f"(must be an integer)") from None
+    return int(priority)
+
+
 class DeadlineExceeded(RuntimeError):
     """The request's deadline passed before it reached an engine.
 
@@ -296,13 +316,14 @@ class PumaServer:
             deadline_s: remaining time budget in seconds; the request is
                 shed (:class:`DeadlineExceeded`) if it has not reached an
                 engine pass when the budget runs out.  Must be finite.
-            priority: larger = served strictly sooner (ties broken by
-                deadline, then arrival).
+            priority: an integer; larger = served strictly sooner
+                (ties broken by deadline, then arrival).
 
         The future resolves to this request's :class:`RunResult` once the
         batch it was coalesced into completes.  Raises :class:`ValueError`
-        for unknown/missing input names, wrong vector lengths, or a
-        non-finite ``deadline_s``; :class:`RuntimeError` if the server is
+        for unknown/missing input names, wrong vector lengths, a
+        non-finite ``deadline_s``, or a priority that is not an integer
+        (:func:`check_priority`); :class:`RuntimeError` if the server is
         not running; :class:`DeadlineExceeded` if the deadline already
         expired on arrival (counted as shed — the request will never be
         servable, so it is not charged against the queue bound);
@@ -320,7 +341,7 @@ class PumaServer:
         request_inputs = {name: np.asarray(values, dtype=np.float64)
                           for name, values in inputs.items()}
         self.engine.validate_request(request_inputs)
-        priority = int(priority)
+        priority = check_priority(priority)
         if deadline_s is not None:
             deadline_s = float(deadline_s)
             if not math.isfinite(deadline_s):
@@ -388,8 +409,6 @@ class PumaServer:
 
     def _fail_queued(self, error: BaseException) -> None:
         """Resolve every still-queued request with ``error`` (no hangs)."""
-        if self._scheduler is None:
-            return
         for pending in self._scheduler.drain():
             self.counters.requests_failed += 1
             if not pending.future.done():

@@ -157,13 +157,6 @@ def store_info() -> ArtifactStoreInfo:
                                  rejections=_rejections)
 
 
-def clear_store_counters() -> None:
-    """Reset the process-wide save/load/rejection counters to zero."""
-    global _saves, _loads, _rejections
-    with _counter_lock:
-        _saves = _loads = _rejections = 0
-
-
 def _count(kind: str) -> None:
     global _saves, _loads, _rejections
     with _counter_lock:

@@ -34,15 +34,24 @@ is written against (``docs/fleet.md``):
 Health probes use their own connections, so they never pass through
 the pool and stay clean.  Every window and byte position is a function
 of the arming time and ``seed``; :attr:`FaultyPool.fired` is the ledger.
+
+The load a fault soak offers comes from here too: :func:`bursty_offsets`
+is a seeded on/off-burst arrival schedule, and :func:`open_loop` fires
+one ``POST /v1/predict`` per offset at a front door and tallies how
+each one ended.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from repro.fleet.http import (
     ConnectionPool,
@@ -259,3 +268,70 @@ class FaultyPool(ConnectionPool):
         await asyncio.gather(*self._timers, return_exceptions=True)
         self._timers.clear()
         await super().close()
+
+
+def bursty_offsets(count: int, *, rate_rps: float, burst_every_s: float,
+                   burst_len_s: float, burst_multiplier: float,
+                   seed: int) -> list[float]:
+    """``count`` arrival offsets in seconds, deterministic in ``seed``.
+
+    Inter-arrival times are exponential at ``rate_rps``, and at
+    ``rate_rps * burst_multiplier`` while ``now`` lies in the first
+    ``burst_len_s`` of every ``burst_every_s`` — an on/off burst shape
+    that stresses queueing far more than its average rate suggests.
+    """
+    rng = np.random.default_rng(seed)
+    offsets, now = [], 0.0
+    for _ in range(count):
+        in_burst = (now % burst_every_s) < burst_len_s
+        rate = rate_rps * (burst_multiplier if in_burst else 1.0)
+        now += float(rng.exponential(1.0 / rate))
+        rng.random()    # the retired model draw: keeps the soak's offsets
+        offsets.append(now)
+    return offsets
+
+
+async def open_loop(host: str, port: int, offsets: list[float],
+                    payload_for: Callable[[int], dict],
+                    on_reply: Callable[[int, HttpResponse], None], *,
+                    timeout_s: float = 120.0) -> tuple[Counter, list[str]]:
+    """Fire request ``i`` (body ``payload_for(i)``) at ``offsets[i]``.
+
+    Open loop: every request is its own task, so a saturated fleet
+    shows up as latency, never as a slower offered load.  Each 200
+    goes to ``on_reply(i, response)``.  Returns ``(tally, errors)``:
+    ``tally`` counts each request's end once, keyed by HTTP status,
+    ``"timeout"`` (no reply within ``timeout_s``) or ``"transport"``
+    (the connection failed); ``errors`` describes the first twenty
+    that did not end in a 200.
+    """
+    pool = ConnectionPool()
+    tally: Counter = Counter()
+    errors: list[str] = []
+    start = time.monotonic()
+
+    async def fire(index: int) -> None:
+        await asyncio.sleep(offsets[index] - (time.monotonic() - start))
+        body = json.dumps(payload_for(index)).encode()
+        try:
+            response = await pool.request(
+                host, port, "POST", "/v1/predict", body=body,
+                headers={"Content-Type": "application/json"},
+                timeout=timeout_s)
+        except FleetTimeoutError as error:
+            outcome, detail = "timeout", str(error)
+        except FleetConnectionError as error:
+            outcome, detail = "transport", str(error)
+        else:
+            outcome, detail = response.status, response.body[:120]
+            if outcome == 200:
+                on_reply(index, response)
+        tally[outcome] += 1
+        if outcome != 200 and len(errors) < 20:
+            errors.append(f"request {index}: {outcome} {detail!r}")
+
+    try:
+        await asyncio.gather(*(fire(i) for i in range(len(offsets))))
+    finally:
+        await pool.close()
+    return tally, errors

@@ -7,10 +7,31 @@ code argparse uses for syntax errors.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
+def _http_json(url: str, payload: dict | None = None) -> dict:
+    """GET ``url``, or POST ``payload`` as JSON; the decoded reply.
+    Never through a proxy: the fleet listens on loopback."""
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"})
+    opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+    with opener.open(request, timeout=60) as response:
+        return json.load(response)
 
 
 @pytest.fixture()
@@ -141,10 +162,6 @@ class TestFleetCommand:
     def test_usage_errors(self, deployment_file, capsys):
         assert main(["fleet", deployment_file,
                      "--workers", "0"]) == EXIT_USAGE
-        assert main(["fleet", deployment_file,
-                     "--requests", "0"]) == EXIT_USAGE
-        assert main(["fleet", deployment_file,
-                     "--rate", "0"]) == EXIT_USAGE
         capsys.readouterr()
 
     def test_missing_deployment_file(self, tmp_path, capsys):
@@ -163,10 +180,48 @@ class TestFleetCommand:
         assert main(["fleet", str(bad_kind)]) == EXIT_FAILURE
         assert "transformer" in capsys.readouterr().err
 
-    def test_fleet_trace_exits_zero(self, deployment_file, capsys):
-        """Happy path: real worker process, trace served, bitwise check."""
-        assert main(["fleet", deployment_file, "--workers", "1",
-                     "--requests", "4", "--time-scale", "0"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "4/4 ok" in out
-        assert "bitwise == local engine" in out
+    def test_fleet_serves_until_sigterm(self, deployment_file):
+        """The server: one real worker answers a POST bitwise equal to
+        the local engine; SIGTERM drains, exits 0 and leaves no worker
+        process behind."""
+        from repro.fleet import FleetModelSpec, build_engine
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", deployment_file,
+             "--workers", "1"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            banner = []
+            reader = threading.Thread(
+                target=lambda: banner.append(process.stdout.readline()),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=120)
+            assert banner and banner[0].startswith(
+                "fleet up: 1 worker(s) behind http://"), banner
+            url = banner[0].split()[-1]
+
+            x = np.random.default_rng(0).uniform(-1.0, 1.0, 16)
+            reply = _http_json(url + "/v1/predict",
+                               {"model": "mlp", "inputs": {"x": x.tolist()}})
+            with open(deployment_file) as handle:
+                spec = FleetModelSpec.from_dict(json.load(handle)[0])
+            reference = build_engine(spec).predict({"x": x})
+            assert reply["words"] == {name: reference[name].tolist()
+                                      for name in reference}
+            workers = _http_json(url + "/metrics")["workers"].values()
+            pids = [entry["metrics"]["pid"] for entry in workers]
+            assert len(pids) == 1
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=60) == EXIT_OK
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

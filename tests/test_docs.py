@@ -18,8 +18,8 @@ Six failure modes this guards against:
   or prose that still points at either;
 * fault injection growing back into the product (``src/``) instead of
   living in the tests;
-* continuous batching or the gateway autoscaler growing back into
-  ``src/``.
+* continuous batching, the gateway autoscaler or the product load
+  generator growing back into ``src/``.
 """
 
 import doctest
@@ -157,16 +157,19 @@ def test_no_fault_injection_in_the_product():
     assert not offenders, "\n".join(offenders)
 
 
-# Continuous batching and the gateway autoscaler ran only under tests;
-# the product serves one way, a whole batch per pass, on a constant
-# replica count.  Spelled in halves so this file is not its own offender.
+# Continuous batching, the gateway autoscaler and the product load
+# generator ran only under tests, the CLI and an example; the product
+# serves one way, a whole batch per pass, on a constant replica count,
+# and load comes from benchmarks/puma_bench.  Spelled in halves so this
+# file is not its own offender.
 _RETIRED_SERVING = re.compile(
-    "Continuous" "Batcher|continuous" "=|auto" "scale|private" "_replayer"
-    "|re" "fills")
+    "Continuous" "Batcher|continuous" "=|auto" "scal|private" "_replayer"
+    "|re" "fills|load" "gen|bursty" "_trace|run" "_trace|Load" "Report")
 
 
 def test_retired_serving_mechanisms_stay_retired():
-    """Nothing under ``src/`` names continuous batching or autoscaling."""
+    """Nothing under ``src/`` names continuous batching, autoscaling or
+    the load generator."""
     offenders = _src_lines_matching(_RETIRED_SERVING)
     assert not offenders, "\n".join(offenders)
 

@@ -2,10 +2,10 @@
 
 Covers the in-process layers of :mod:`repro.fleet` — the HTTP plane,
 the consistent-hash ring, wire model specs and route keys, the
-networked artifact blob format, the load generator, the predict wire
-fields, and a full :class:`FleetWorker` driven over real sockets
-(including the corrupt-blob rejection + cold-fallback path).  The
-multi-process gateway tests live in ``tests/test_fleet_e2e.py``.
+networked artifact blob format, the predict wire fields, and a full
+:class:`FleetWorker` driven over real sockets (including the
+corrupt-blob rejection + cold-fallback path).  The multi-process
+gateway tests live in ``tests/test_fleet_e2e.py``.
 """
 
 import asyncio
@@ -17,16 +17,12 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    Arrival,
     FleetModelError,
     FleetModelSpec,
     FleetWorker,
     HashRing,
-    LoadReport,
     NetworkArtifactError,
     build_engine,
-    bursty_trace,
-    default_inputs_builder,
     route_key,
 )
 from repro.fleet.http import (
@@ -519,86 +515,6 @@ class TestNetstore:
         assert blob_digest(got) != digest
 
 
-# -- load generation ---------------------------------------------------------
-
-
-class TestLoadgen:
-    def test_trace_is_deterministic(self):
-        kw = dict(num_requests=50, base_rate_rps=100.0, seed=7)
-        a = bursty_trace(["m1", "m2"], **kw)
-        b = bursty_trace(["m1", "m2"], **kw)
-        assert a == b
-        assert len(a) == 50
-        assert all(x.at_s <= y.at_s for x, y in zip(a, a[1:]))
-
-    def test_mix_weights_respected(self):
-        trace = bursty_trace(["heavy", "light"], num_requests=400,
-                             mix=[0.9, 0.1], seed=1)
-        heavy = sum(1 for arrival in trace if arrival.model == "heavy")
-        assert heavy > 300
-
-    def test_burst_compresses_interarrivals(self):
-        steady = bursty_trace(["m"], num_requests=200, base_rate_rps=50,
-                              burst_multiplier=1.0, seed=3)
-        bursty = bursty_trace(["m"], num_requests=200, base_rate_rps=50,
-                              burst_multiplier=8.0, seed=3)
-        assert bursty[-1].at_s < steady[-1].at_s
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="at least one model"):
-            bursty_trace([], num_requests=1)
-        with pytest.raises(ValueError, match="num_requests"):
-            bursty_trace(["m"], num_requests=0)
-        with pytest.raises(ValueError, match="mix"):
-            bursty_trace(["m"], num_requests=5, mix=[0.5, 0.5])
-
-    def test_report_percentiles_and_dict(self):
-        report = LoadReport(num_requests=4, completed=3, failed=1,
-                            elapsed_s=2.0,
-                            latencies_s={"m": [0.010, 0.020, 0.030]})
-        assert report.throughput_rps == pytest.approx(1.5)
-        assert report.percentile(50) == pytest.approx(0.020)
-        payload = report.to_dict()
-        assert payload["per_model"]["m"]["requests"] == 3
-        assert payload["failed"] == 1
-        assert "p99_ms" in payload
-        assert np.isnan(report.percentile(50, "missing"))
-
-    def test_percentiles_interpolate(self):
-        """Linear interpolation between order statistics — p50 of 1..100 ms
-        is 50.5 ms, not a nearest-rank snap to either neighbor."""
-        latencies = [i * 1e-3 for i in range(1, 101)]
-        report = LoadReport(num_requests=100, completed=100, failed=0,
-                            elapsed_s=1.0, latencies_s={"m": latencies})
-        assert report.percentile(50) == pytest.approx(50.5e-3)
-        assert report.percentile(99) == pytest.approx(99.01e-3)
-        assert report.percentile(0) == pytest.approx(1e-3)
-        assert report.percentile(100) == pytest.approx(100e-3)
-        payload = report.to_dict()
-        assert payload["p50_ms"] == pytest.approx(50.5)
-        assert payload["p99_ms"] == pytest.approx(99.01)
-
-    def test_zero_completed_report_is_json_clean(self):
-        """No completed requests: percentiles are null, not NaN — the
-        payload must survive strict JSON round-trips."""
-        report = LoadReport(num_requests=5, completed=0, failed=5,
-                            elapsed_s=1.0, latencies_s={"m": []})
-        payload = report.to_dict()
-        assert payload["p50_ms"] is None
-        assert payload["p99_ms"] is None
-        assert payload["per_model"]["m"]["p99_ms"] is None
-        round_tripped = json.loads(
-            json.dumps(payload, allow_nan=False))  # strict JSON
-        assert round_tripped["p50_ms"] is None
-        assert report.throughput_rps == 0.0
-
-    def test_default_inputs_builder_deterministic(self):
-        builder = default_inputs_builder({"m": {"x": 8}})
-        arrival = Arrival(at_s=0.0, model="m", request_seed=42)
-        assert builder(arrival) == builder(arrival)
-        assert len(builder(arrival)["x"]) == 8
-
-
 # -- predict fields: the one reading of the wire, gateway and worker ---------
 
 
@@ -641,6 +557,29 @@ class TestPredictFields:
                 await fleet.predict("mlp", {"x": [0.0] * 8},
                                     deadline_ms=deadline_ms)
             assert fleet.models["mlp"].queue.qsize() == 0
+
+        run(main())
+
+    @pytest.mark.parametrize("priority", [1.9, True, "3", math.inf,
+                                          math.nan])
+    def test_gateway_refuses_a_priority_that_is_not_an_integer(
+            self, tmp_path, priority):
+        """``PumaFleet.predict`` applies the wire's priority rule, and
+        refuses before anything is queued or counted."""
+        from repro.fleet import PumaFleet
+
+        spec = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
+
+        async def main():
+            fleet = PumaFleet([spec], work_dir=str(tmp_path))
+            fleet._running = True      # no workers: nothing may queue
+            state = fleet.models["mlp"]
+            with pytest.raises(ValueError, match="must be an integer"):
+                await fleet.predict("mlp", {"x": [0.0] * 8},
+                                    deadline_ms=-1.0, priority=priority)
+            assert state.queue.qsize() == 0
+            assert (state.served, state.failed, state.sheds,
+                    state.rejections) == (0, 0, 0, 0)
 
         run(main())
 

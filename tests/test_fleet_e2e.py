@@ -11,8 +11,8 @@ talk to them over real sockets, asserting the fleet-level invariant of
 
 Plus the operational guarantees: a cold worker warm-starts from the
 networked artifact store without recompiling, graceful shutdown drains
-with zero dropped requests, and queue-depth autoscaling widens a hot
-model's replica set.
+with zero dropped requests, and every fault kind of
+``tests/fleet_faults.py`` ends in a typed answer, never a wrong one.
 """
 
 import asyncio
@@ -22,7 +22,13 @@ import time
 import numpy as np
 import pytest
 
-from fleet_faults import FAULT_KINDS, Fault, FaultyPool
+from fleet_faults import (
+    FAULT_KINDS,
+    Fault,
+    FaultyPool,
+    bursty_offsets,
+    open_loop,
+)
 from repro.fleet import FleetModelSpec, PumaFleet, build_engine
 from repro.fleet.http import ConnectionPool
 
@@ -456,12 +462,7 @@ class TestFleetResilience:
         429/503/504, the fleet never goes silent, the pool's ledger
         proves every kind fired, and a worker rejected the corrupted
         blob."""
-        from repro.fleet import (
-            FleetError,
-            bursty_trace,
-            default_inputs_builder,
-            run_trace,
-        )
+        from repro.fleet import FleetError
 
         spec = self.TINY
         predict = "/v1/predict"
@@ -484,20 +485,26 @@ class TestFleetResilience:
             Fault("crash", at_s=0.5, worker="w1"),
             Fault("corrupt_blob", at_s=0.0, duration_s=60.0, count=1),
         ], seed=11)
-        trace = bursty_trace([spec.name], 300, base_rate_rps=60.0,
-                             burst_every_s=1.0, burst_len_s=0.3,
-                             burst_multiplier=3.0, seed=22)
-        inputs_for = default_inputs_builder({spec.name: {"x": 16}})
+        offsets = bursty_offsets(300, rate_rps=60.0, burst_every_s=1.0,
+                                 burst_len_s=0.3, burst_multiplier=3.0,
+                                 seed=22)
+        request_seeds = [22 * 1_000_003 + i for i in range(len(offsets))]
+
+        def payload(index):
+            inputs = request_inputs(spec, request_seeds[index])
+            return {"model": spec.name, "deadline_ms": 2000.0,
+                    "inputs": {name: values.tolist()
+                               for name, values in inputs.items()}}
+
         engine = build_engine(spec)
         wrong = []
 
-        def check(arrival, response):
+        def check(index, response):
             reference = engine.predict(
-                {name: np.asarray(values)
-                 for name, values in inputs_for(arrival).items()})
+                request_inputs(spec, request_seeds[index]))
             if response.json()["words"] != {
                     name: reference[name].tolist() for name in reference}:
-                wrong.append(arrival.request_seed)
+                wrong.append(request_seeds[index])
 
         async def main():
             fleet = PumaFleet([spec], num_workers=2,
@@ -508,9 +515,8 @@ class TestFleetResilience:
             fleet.pool = pool
             async with fleet:
                 pool.arm(fleet)
-                report = await run_trace(
-                    fleet.host, fleet.http.port, trace, inputs_for,
-                    deadline_ms=2000.0, on_reply=check)
+                tally, errors = await open_loop(
+                    fleet.host, fleet.http.port, offsets, payload, check)
                 # The crash is replaced by a respawn, and the corrupted
                 # blob is rejected when the replacement loads the
                 # model: predict until both have happened.
@@ -525,21 +531,25 @@ class TestFleetResilience:
                     if (respawns and rejected
                             and set(pool.fired) >= set(FAULT_KINDS)) \
                             or time.monotonic() > deadline:
-                        return report, respawns, rejected
+                        return tally, errors, respawns, rejected
                     try:
-                        await fleet.predict(spec.name, inputs_for(trace[0]),
-                                            timeout=30.0)
+                        await fleet.predict(
+                            spec.name,
+                            request_inputs(spec, request_seeds[0]),
+                            timeout=30.0)
                     except FleetError:
                         pass        # still recovering; that's why we poll
                     await asyncio.sleep(0.1)
 
-        report, respawns, rejected = run(main())
+        tally, errors, respawns, rejected = run(main())
         assert wrong == [], f"faults corrupted an answer: seeds {wrong}"
-        assert report.timeouts == 0 and report.transport_errors == 0, (
-            f"the fleet went silent: {report.errors}")
-        assert set(report.statuses) <= {429, 503, 504}, (
-            f"untyped failure under faults: {report.errors}")
-        assert report.completed + report.rejections == len(trace)
+        assert tally["timeout"] == 0 and tally["transport"] == 0, (
+            f"the fleet went silent: {errors}")
+        statuses = set(tally) - {200, "timeout", "transport"}
+        assert statuses <= {429, 503, 504}, (
+            f"untyped failure under faults: {errors}")
+        assert sum(tally[status] for status in {200} | statuses) \
+            == len(offsets)
         assert respawns >= 1, "the crashed worker was never replaced"
         assert set(pool.fired) >= set(FAULT_KINDS), (
             f"never fired: {sorted(set(FAULT_KINDS) - set(pool.fired))}")

@@ -958,3 +958,23 @@ class TestSubmitSideEffectOrdering:
         assert sched["admitted"] == 1 == sched["dispatched"]
         assert sched["shed"] == 0 and sched["drained"] == 0
         assert stats["requests_served"] == 1
+
+    @pytest.mark.parametrize("priority", [1.9, True, "3", math.inf,
+                                          math.nan])
+    def test_priority_must_be_an_integer(self, engine, priority):
+        """The wire's priority rule holds in process too: a boolean, a
+        fraction, a string or a non-finite float is a ValueError,
+        never truncated or parsed, and leaves no trace."""
+        async def scenario():
+            async with PumaServer(engine) as server:
+                x = float_inputs(1)[0]
+                with pytest.raises(ValueError, match="must be an integer"):
+                    server.admit({"x": x}, priority=priority)
+                with pytest.raises(ValueError, match="must be an integer"):
+                    await server.submit({"x": x}, deadline_s=-1.0,
+                                        priority=priority)
+                assert server._next_request_id == 0
+                assert len(server._scheduler) == 0
+                assert server.counters.requests_shed == 0
+
+        serve(scenario())
