@@ -4,13 +4,14 @@ The PUMA deployment model (Section 3.2.5 + 7.3): program the crossbars
 once, then serve a stream of requests through them.
 :class:`~repro.serve.PumaServer` is the software front-end for that —
 clients submit single float-vector requests concurrently; the server
-coalesces whatever is waiting (up to ``max_batch_size``, held open for
-``batch_window_s``) into one SIMD-over-batch pass and hands each client
-its own :class:`~repro.serve.RunResult`.
+coalesces whatever is waiting (up to ``max_batch_size``) into one
+SIMD-over-batch pass and hands each client its own
+:class:`~repro.serve.RunResult`.  Nothing waits on a clock for company:
+requests that arrive together, or while a pass runs, form one batch.
 
-The script fires 32 clients with staggered arrivals, verifies every
-response is bitwise identical to the sequential single-input reference,
-and prints the batching counters.
+The script fires 32 clients in three waves, verifies every response is
+bitwise identical to the sequential single-input reference, and prints
+the batching counters: each wave coalesces through concurrency alone.
 
 Run:  python examples/async_serving.py
 """
@@ -41,8 +42,7 @@ async def main() -> None:
     # Deterministic staggered arrivals: three waves of concurrent users.
     delays = [0.01 * (i % 3) for i in range(CLIENTS)]
 
-    async with PumaServer(engine, max_batch_size=MAX_BATCH,
-                          batch_window_s=0.02) as server:
+    async with PumaServer(engine, max_batch_size=MAX_BATCH) as server:
         results = await asyncio.gather(
             *(client(server, xs[i], delays[i]) for i in range(CLIENTS)))
         counters = server.counters

@@ -1,4 +1,4 @@
-"""Sharded serving: model a batch spread over replica nodes.
+"""Sharded engine: model one batch spread over replica nodes.
 
 PUMA reaches production throughput by spatial replication — many nodes,
 each holding a copy of the programmed weights, each serving a slice of
@@ -15,20 +15,16 @@ instruction counters the sum.
 ``num_shards`` sets how many replicas the modelled node group has; it
 spends no host CPUs.  To use N cores, run N fleet workers
 (``PumaFleet(num_workers=N)``, see ``examples/fleet_serving.py``).
-
-The example finishes with the same model behind the async front-end:
-``PumaServer(engine, num_shards=...)`` splits every dynamically-formed
-micro-batch into shard passes.
+``python -m repro run GRAPH.json --batch-file REQUESTS.json --shards N``
+runs the same model from the command line.
 
 Run:  python examples/sharded_serving.py
 """
 
-import asyncio
-
 import numpy as np
 
 from repro.engine import InferenceEngine
-from repro.serve import PumaServer, ShardedEngine
+from repro.serve import ShardedEngine
 from repro.workloads.mlp import FIGURE4_MLP_DIMS, build_mlp_model
 
 BATCH = 64
@@ -58,23 +54,6 @@ def main() -> None:
     print(f"outputs bitwise identical to the single engine; energy "
           f"{merged.energy_j * 1e6:.1f} uJ total "
           f"(sum over replicas, was {single.energy_j * 1e6:.1f})")
-
-    # The same model behind the async server: micro-batches formed from
-    # concurrent clients are split into shard passes transparently.
-    async def serve() -> None:
-        requests = [x[i] for i in range(16)]
-        async with PumaServer(engine, max_batch_size=8,
-                              num_shards=SHARDS) as server:
-            results = await asyncio.gather(
-                *(server.submit({"x": r}) for r in requests))
-        for i, result in enumerate(results):
-            expect = single.lane(i) if i < BATCH else None
-            assert expect is None or np.array_equal(result["out"],
-                                                    expect["out"])
-        print(f"served {len(requests)} concurrent clients sharded: "
-              f"{server.counters.summary()}")
-
-    asyncio.run(serve())
     print("OK")
 
 

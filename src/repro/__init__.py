@@ -74,12 +74,7 @@ from repro.compiler import (
 from repro.compiler.frontend import const_vector
 from repro.engine import InferenceEngine
 from repro.fixedpoint import FixedPointFormat
-from repro.serve import (
-    InferenceRequest,
-    PumaServer,
-    RunResult,
-    ShardedEngine,
-)
+from repro.serve import PumaServer, RunResult, ShardedEngine
 from repro.sim import SimulationDeadlock, SimulationStats, Simulator
 from repro.store import ArtifactError, store_info
 
@@ -141,7 +136,6 @@ __all__ = [
     "SimulationStats",
     "SimulationDeadlock",
     "InferenceEngine",
-    "InferenceRequest",
     "RunResult",
     "PumaServer",
     "ShardedEngine",

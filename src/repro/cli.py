@@ -10,13 +10,9 @@ Commands:
   stats).  ``--batch-file FILE.json`` runs a whole request list as one
   SIMD-over-batch pass; ``--shards K`` models it spread over K replica
   nodes (bitwise-identical outputs; cycles = max, energy = sum);
-* ``serve GRAPH.json`` — demo of the async serving front-end: N
-  concurrent clients stream through :class:`~repro.serve.PumaServer`
-  and the batching counters are printed; ``--shards K`` models each
-  coalesced micro-batch spread over K replica nodes;
 * ``warm GRAPH.json --artifact-dir DIR`` — pre-build the persistent
   artifact (compilation + programmed crossbars + execution tapes, see
-  :mod:`repro.store`) so later ``run``/``serve`` invocations — separate
+  :mod:`repro.store`) so later ``run`` invocations — separate
   processes — warm-start with ``--artifact-dir DIR``;
 * ``fleet DEPLOYMENT.json`` — start a multi-process serving fleet
   (:mod:`repro.fleet`): N workers behind one HTTP front door, whose
@@ -225,58 +221,13 @@ def _run_batch_file(engine, path: str, shards: int = 1) -> int:
     return EXIT_OK
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Headless serving demo: concurrent clients, dynamic batching."""
-    import asyncio
-
-    from repro.engine import compile_cache_info, tape_cache_info
-    from repro.serve import PumaServer
-
-    if args.shards < 1:
-        raise CliError("--shards must be >= 1", EXIT_USAGE)
-    engine = _build_engine(args.graph, seed=args.seed,
-                           execution_mode=args.execution_mode,
-                           artifact_dir=args.artifact_dir)
-    layout = engine.program.input_layout
-    rng = np.random.default_rng(args.seed)
-    requests = [
-        {name: rng.normal(0, 0.3, size=length)
-         for name, (_t, _a, length) in layout.items()}
-        for _ in range(args.requests)
-    ]
-
-    async def serve_all():
-        async with PumaServer(engine, max_batch_size=args.max_batch,
-                              batch_window_s=args.window,
-                              num_shards=args.shards,
-                              artifact_dir=args.artifact_dir) as server:
-            results = await asyncio.gather(
-                *(server.submit(request) for request in requests))
-        return results, server.counters
-
-    results, counters = asyncio.run(serve_all())
-    for index, result in enumerate(results):
-        for name in result:
-            print(f"[{index}] {name} = "
-                  f"{np.array2string(result.outputs[name], precision=4)}")
-    print()
-    print(counters.summary())
-    print(f"compile cache: {compile_cache_info()}")
-    print(f"tape cache: {tape_cache_info()}")
-    if args.artifact_dir:
-        from repro.store import store_info
-
-        print(f"artifact store: {store_info()}")
-    return EXIT_OK
-
-
 def _cmd_warm(args: argparse.Namespace) -> int:
     """Pre-build the persistent artifact for a graph (cross-process warm).
 
     Compiles, programs the crossbars, records the batch-generic
     execution tape with timing stats derived for every requested batch
     size, and writes the artifact keyed by (model, config, crossbar
-    model, seed) under ``--artifact-dir``.  A later ``run``/``serve`` in
+    model, seed) under ``--artifact-dir``.  A later ``run`` in
     a brand-new process pointed at the same directory starts from that
     state instead of rebuilding it.
     """
@@ -458,32 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(repeatable; default: 1)")
     warm.add_argument("--seed", type=int, default=0)
     warm.set_defaults(fn=_cmd_warm)
-
-    serve = sub.add_parser(
-        "serve", help="async serving demo (queue + dynamic batching)")
-    serve.add_argument("graph", help="path to the graph description (JSON)")
-    serve.add_argument("--requests", type=int, default=16,
-                       help="number of concurrent clients (default 16)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="dynamic batching limit (default 8)")
-    serve.add_argument("--window", type=float, default=0.0,
-                       help="seconds an idle engine holds an under-full "
-                            "batch open for more arrivals (default 0: "
-                            "work-conserving, dispatch whatever is queued)")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="model each coalesced micro-batch spread over "
-                            "N replica nodes: cycles = max over shards, "
-                            "energy = sum (default 1)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--execution-mode", default="auto",
-                       choices=("auto", "replay", "interpret"),
-                       help="trace-replay fast path on repeated batches "
-                            "(auto, the default), strict replay, or always "
-                            "the event-driven interpreter")
-    serve.add_argument("--artifact-dir", metavar="DIR",
-                       help="persistent artifact store: warm-start from "
-                            "(and refresh) a 'repro warm' artifact")
-    serve.set_defaults(fn=_cmd_serve)
 
     fleet = sub.add_parser(
         "fleet", help="start a multi-worker serving fleet and serve "

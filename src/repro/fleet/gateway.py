@@ -8,9 +8,11 @@
 * **placement** — consistent hashing of each model's route key onto the
   worker ring (:mod:`repro.fleet.ring`), so a model's replicas are a
   stable subset of workers sharing warm artifacts;
-* **per-model queues** — every model gets its own queue + dispatcher
-  pool, so a burst of heavy CNN traffic queues behind *itself*, never
-  in front of MLP requests (head-of-line isolation);
+* **per-model queues** — every model gets its own EDF queue (the same
+  :class:`~repro.serve.scheduler.BatchScheduler` each worker's
+  ``PumaServer`` uses) + dispatcher pool, so a burst of heavy CNN
+  traffic queues behind *itself*, never in front of MLP requests
+  (head-of-line isolation);
 * **work-conserving micro-batches** — a dispatcher that wakes takes
   the head of its model's queue *and everything else already queued*
   and sends them to one replica in one exchange, so requests that
@@ -36,9 +38,7 @@ exit — zero dropped requests, which the CI smoke job asserts.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -46,7 +46,8 @@ from typing import Any
 import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.server import check_priority
+from repro.serve.scheduler import BatchScheduler, _Pending
+from repro.serve.server import check_deadline, check_priority
 
 from repro.fleet.http import (
     ConnectionPool,
@@ -108,12 +109,9 @@ class _ModelState:
 
     spec: FleetModelSpec
     key: str
-    # Entries are ((-priority, deadline, seq), _Pending): higher-priority
-    # requests dispatch first, earlier deadlines next, arrival order last
-    # — the same EDF order the worker-side scheduler uses, so a burst of
+    # The EDF queue every worker's PumaServer uses too, so a burst of
     # low-priority traffic cannot sit in front of an urgent request.
-    queue: asyncio.PriorityQueue = field(
-        default_factory=asyncio.PriorityQueue)
+    queue: BatchScheduler
     dispatchers: list = field(default_factory=list)
     rr: int = 0                     # round-robin cursor over placement
     # All of these count *requests*, never exchanges.  Every request
@@ -124,27 +122,6 @@ class _ModelState:
     retries: int = 0
     sheds: int = 0                  # deadline-expired, failed with 504
     rejections: int = 0             # admission-refused, failed with 429
-
-
-@dataclass
-class _Pending:
-    """One queued predict: wire-level inputs + the caller's future."""
-
-    inputs: dict[str, Any]
-    future: asyncio.Future
-    enqueued_at: float
-    # Absolute monotonic deadline (None = no deadline) and a unique
-    # token decorrelating this request's backoff jitter from its peers'.
-    deadline_at: float | None = None
-    token: int = 0
-    priority: int = 0
-    # Why the latest dispatch attempt did not answer this request.
-    last_error: str = "no healthy replica available"
-
-    def sort_key(self) -> tuple:
-        """EDF order for the gateway queue (mirrors the worker scheduler)."""
-        deadline = math.inf if self.deadline_at is None else self.deadline_at
-        return (-self.priority, deadline, self.token)
 
 
 class PumaFleet:
@@ -233,9 +210,6 @@ class PumaFleet:
         self.health_interval_s = health_interval_s
         self.health_failures = health_failures
         self.preload = preload
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, "
-                             f"got {max_queue_depth}")
         self.max_queue_depth = max_queue_depth
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
@@ -249,8 +223,10 @@ class PumaFleet:
 
         self.models: dict[str, _ModelState] = {}
         for spec in models:
-            key = route_key(spec)
-            self.models[spec.name] = _ModelState(spec=spec, key=key)
+            self.models[spec.name] = _ModelState(
+                spec=spec, key=route_key(spec), queue=BatchScheduler(
+                    max_batch_size=max_batch_size,
+                    max_queue_depth=max_queue_depth))
 
         self.ring = HashRing()
         self.http = HttpServer(self._handle, host=host, port=port)
@@ -260,7 +236,6 @@ class PumaFleet:
         self.breakers: dict[str, CircuitBreaker] = {}
         self._load_locks: dict[tuple[str, str], asyncio.Lock] = {}
         self._background: list[asyncio.Task] = []
-        self._tokens = itertools.count()
         self._running = False
         self._closing = False
         self.evictions = 0
@@ -310,14 +285,13 @@ class PumaFleet:
         self._closing = True
         if drain:
             deadline = self.clock.now() + drain_timeout_s
-            while any(state.queue.qsize() or state.inflight
+            while any(len(state.queue) or state.inflight
                       for state in self.models.values()):
                 if self.clock.now() > deadline:
                     break           # hung worker: drain bound lapsed
                 await self.clock.sleep(0.01)
         for state in self.models.values():
-            while not state.queue.empty():
-                _key, pending = state.queue.get_nowait()
+            for pending in state.queue.drain():
                 self._settle(state, pending, FleetError(
                     "fleet stopped before this request was served"))
         await _cancel_and_wait(
@@ -392,21 +366,19 @@ class PumaFleet:
         :class:`FleetAdmissionError` when the model's queue is full,
         :class:`FleetDeadlineError` when the budget expires —
         :class:`KeyError` for an unknown model, and :class:`ValueError`
-        for a non-finite ``deadline_ms`` or a priority that is not an
-        integer (:func:`~repro.serve.check_priority`).
+        for a ``deadline_ms`` that is not a finite number
+        (:func:`~repro.serve.check_deadline`) or a priority that is not
+        an integer (:func:`~repro.serve.check_priority`).
         """
         if not self._running or self._closing:
             raise FleetError("fleet is not accepting requests "
                              "(stopped or draining)")
         state = self.models[model]
         priority = check_priority(priority)
+        deadline_ms = check_deadline(deadline_ms, "deadline_ms")
         deadline_at = None
         wait_timeout = timeout
         if deadline_ms is not None:
-            if not math.isfinite(deadline_ms):
-                raise ValueError(
-                    f"deadline_ms must be finite, got {deadline_ms} "
-                    f"(omit it for no deadline)")
             if deadline_ms <= 0:
                 state.sheds += 1
                 raise FleetDeadlineError(
@@ -416,8 +388,7 @@ class PumaFleet:
             # The future resolves with a 504 at the deadline; the extra
             # margin only covers dispatcher scheduling, not more work.
             wait_timeout = min(timeout, deadline_ms / 1000.0 + 1.0)
-        if self.max_queue_depth is not None and \
-                state.queue.qsize() >= self.max_queue_depth:
+        if state.queue.full:
             state.rejections += 1
             raise FleetAdmissionError(
                 f"{model}: gateway queue is full "
@@ -427,11 +398,8 @@ class PumaFleet:
                        for name, values in inputs.items()}
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        pending = _Pending(
-            inputs=wire_inputs, future=future,
-            enqueued_at=self.clock.now(), deadline_at=deadline_at,
-            token=next(self._tokens), priority=priority)
-        state.queue.put_nowait((pending.sort_key(), pending))
+        state.queue.push(wire_inputs, future, priority=priority,
+                         deadline_at=deadline_at)
         # A timer, not wait_for, which costs a Task per call before
         # Python 3.12.
         timer = loop.call_later(wait_timeout, _fail, future,
@@ -456,7 +424,7 @@ class PumaFleet:
     def _retry_after(self, state: _ModelState) -> float:
         """A Retry-After estimate: rough time to drain half the queue."""
         per_request_s = 0.02
-        return round(max(0.1, state.queue.qsize() * per_request_s / 2), 2)
+        return round(max(0.1, len(state.queue) * per_request_s / 2), 2)
 
     def _settle(self, state: _ModelState, rider: _Pending,
                 outcome: dict | FleetError) -> None:
@@ -492,14 +460,18 @@ class PumaFleet:
         return wanted
 
     async def _dispatch_loop(self, state: _ModelState) -> None:
+        queue = state.queue
         while True:
-            _key, head = await state.queue.get()
+            await queue.wait()
+            for rider in queue.pop_expired(self.clock.now()):
+                self._settle(state, rider, FleetDeadlineError(
+                    f"{state.spec.name}: deadline passed in the gateway "
+                    f"queue"))
             # Work-conserving coalescing: whatever is queued right now
             # rides this dispatch; nothing waits for more to arrive.
-            riders = [head]
-            while len(riders) < self.max_batch_size \
-                    and not state.queue.empty():
-                riders.append(state.queue.get_nowait()[1])
+            riders = queue.pop_batch()
+            if not riders:
+                continue
             state.inflight += len(riders)
             try:
                 await self._dispatch_riders(state, riders)
@@ -524,10 +496,10 @@ class PumaFleet:
         could not answer go to a *different* replica, bounded by
         ``max_attempts`` and paced by capped exponential backoff with
         deterministic jitter (:func:`backoff_delay`, keyed on the head
-        rider's token).  Each attempt — the first included, so an entry
-        that expired or was abandoned while queued costs no dispatch —
-        re-checks every rider's remaining deadline budget, which also
-        rides to the worker as ``deadline_ms``.
+        rider's arrival number).  Each attempt — the first included, so
+        an entry that expired or was abandoned while queued costs no
+        dispatch — re-checks every rider's remaining deadline budget,
+        which also rides to the worker as ``deadline_ms``.
         """
         tried: set[str] = set()
         for attempt in range(self.max_attempts):
@@ -552,7 +524,7 @@ class PumaFleet:
             if not riders:
                 return
             state.retries += len(riders)
-            await self._backoff(attempt, riders[0].token)
+            await self._backoff(attempt, riders[0].seq)
         for rider in riders:
             self._settle(state, rider, FleetError(
                 f"{state.spec.name}: no replica answered after "
@@ -578,7 +550,7 @@ class PumaFleet:
         requests = []
         http_timeout = 0.0
         for rider in riders:
-            item = {"inputs": rider.inputs, "priority": rider.priority}
+            item = {"inputs": rider.payload, "priority": rider.priority}
             budget_s = PREDICT_TIMEOUT_S
             if rider.deadline_at is not None:
                 # The worker sheds on its own clock; the grace margin
@@ -831,7 +803,7 @@ class PumaFleet:
                     state.spec.name: {
                         "route_key": state.key,
                         "replicas": self.replicas_per_model,
-                        "queue_depth": state.queue.qsize(),
+                        "queue_depth": len(state.queue),
                         "inflight": state.inflight,
                         "served": state.served,
                         "failed": state.failed,

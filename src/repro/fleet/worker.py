@@ -39,8 +39,8 @@ provide (and that its tests verify).
 from __future__ import annotations
 
 import asyncio
-import math
 import os
+import signal
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from repro.fleet.netstore import (
 from repro.serve.server import (
     AdmissionError,
     DeadlineExceeded,
+    check_deadline,
     check_priority,
 )
 from repro.store import ArtifactError
@@ -292,18 +293,9 @@ class FleetWorker:
         the rider could not be admitted."""
         try:
             inputs, deadline_ms, priority = predict_fields(item)
-            try:
-                arrays = {name: np.asarray(values, dtype=np.float64)
-                          for name, values in inputs.items()}
-            except (TypeError, ValueError) as error:
-                raise ValueError(f"bad input vectors: {error}") from None
-            if deadline_ms is not None and deadline_ms <= 0:
-                # The budget was spent in flight (gateway queue + wire);
-                # don't even enqueue.
-                raise DeadlineExceeded("deadline expired before the request "
-                                       "reached the model server")
+            # admit sheds a budget spent in flight (gateway queue + wire).
             return hosted.server.admit(
-                arrays, priority=priority,
+                inputs, priority=priority,
                 deadline_s=None if deadline_ms is None else deadline_ms / 1e3)
         except Exception as error:  # noqa: BLE001 - fail this rider only
             future = asyncio.get_running_loop().create_future()
@@ -391,26 +383,18 @@ def predict_fields(item: dict) -> tuple[dict, float | None, int]:
 
     The one reading of these wire fields, shared by the gateway's front
     door and the worker.  Raises :class:`ProtocolError` naming the
-    field that is missing or has the wrong type.  Python's ``json``
-    reads ``NaN`` and ``Infinity``, so a deadline must also be finite;
-    a priority follows :func:`~repro.serve.check_priority`, the rule
-    the in-process APIs apply too.
+    field that is missing or has the wrong type.  A deadline follows
+    :func:`~repro.serve.check_deadline` (Python's ``json`` reads
+    ``NaN`` and ``Infinity``; they are refused like ``true`` and
+    ``"250"``) and a priority :func:`~repro.serve.check_priority`: the
+    rules the in-process APIs apply too.
     """
     inputs = item.get("inputs")
     if not isinstance(inputs, dict):
         raise ProtocolError("predict body needs an 'inputs' object of "
                             "float vectors")
-    deadline_ms = item.get("deadline_ms")
-    if deadline_ms is not None:
-        try:
-            deadline_ms = float(deadline_ms)
-        except (TypeError, ValueError):
-            deadline_ms = math.nan
-        if not math.isfinite(deadline_ms):
-            raise ProtocolError(
-                f"bad deadline_ms {item['deadline_ms']!r} (must be a "
-                f"finite number; omit it for no deadline)")
     try:
+        deadline_ms = check_deadline(item.get("deadline_ms"), "deadline_ms")
         priority = check_priority(item.get("priority", 0))
     except ValueError as error:
         raise ProtocolError(str(error)) from None
@@ -460,11 +444,14 @@ async def _worker_main(bootstrap: dict, conn) -> None:
 
 
 def run_worker(bootstrap: dict, conn) -> None:
-    """Process entry point (must stay module-level picklable for spawn)."""
-    try:
-        asyncio.run(_worker_main(bootstrap, conn))
-    except KeyboardInterrupt:
-        pass
+    """Process entry point (must stay module-level picklable for spawn).
+
+    A worker ignores SIGINT: Ctrl-C in a terminal signals the whole
+    process group, and the gateway, which owns each worker's life,
+    drains its workers itself (``/v1/shutdown``, else a terminate).
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    asyncio.run(_worker_main(bootstrap, conn))
 
 
 def worker_bootstrap(worker_id: str, work_dir: str, *,

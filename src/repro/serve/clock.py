@@ -1,11 +1,11 @@
 """Injectable time for the serving stack.
 
-Every wall-clock decision in the serving layer — batch windows, deadline
-math, EDF ordering, early-close slack, retry backoff — goes through a
+Every wall-clock decision in the serving layer — deadline math, EDF
+ordering, retry backoff, breaker cooldowns — goes through a
 :class:`Clock` so tests can replace real time with a
 :class:`VirtualClock` and drive the schedule deterministically: no real
-sleeps, no timing flakes, and a 5-second batch window costs 0 wall
-seconds to test.
+sleeps, no timing flakes, and a 5-second wait costs 0 wall seconds to
+test.
 
 Production uses :class:`MonotonicClock`, a thin veneer over the event
 loop's monotonic time and ``asyncio.sleep`` — behaviorally identical to
@@ -18,10 +18,9 @@ import asyncio
 import heapq
 import itertools
 import time
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 
-@runtime_checkable
 class Clock(Protocol):
     """The time surface the serving stack consumes.
 
@@ -57,7 +56,7 @@ class VirtualClock:
     yielding to the loop at every step, so a woken coroutine runs — and
     may schedule new sleeps — before time moves past it).  Time never
     passes on its own, so a test can assert *exactly* what happens at a
-    window boundary.
+    deadline.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -1,45 +1,53 @@
-"""SLO-aware batch formation: priorities, deadlines, EDF, early close.
+"""The one EDF queue: priorities, deadlines, admission, shed and drain.
 
-This is the policy layer between request intake and engine dispatch.
-:class:`~repro.serve.server.PumaServer` owns the asyncio plumbing
-(futures, the arrival event, the engine pass); the scheduler owns *which
-requests form the next batch and how long to keep the window open*.
+Both queues of the serving stack are a :class:`BatchScheduler`: each
+:class:`~repro.serve.server.PumaServer` has one, and so does each
+model at the fleet gateway (:mod:`repro.fleet.gateway`).  Its owner
+decides what a request carries and how a batch is served; the queue
+decides *which requests leave next*.
 
-**Order.**  The queue is earliest-deadline-first (EDF) within priority:
-ordered by ``(-priority, deadline, arrival)`` — higher ``priority``
+**Order.**  Earliest-deadline-first (EDF) within priority: entries
+leave by ``(-priority, deadline, arrival)`` — higher ``priority``
 strictly first, earliest deadline next, arrival order last.  With no
 priorities or deadlines this degenerates to exact FIFO order.
 
-**The hold is opt-in.**  ``batch_window_s`` defaults to ``0``: an idle
-engine takes whatever is queued immediately and requests that arrive
-during a pass form the next batch, so coalescing comes from concurrency
-that is actually visible and never from waiting on a clock (PUMA's
-weights are stationary — it needs no batch to be efficient).  Pass an
-explicit window to trade latency for fill.
+>>> queue = BatchScheduler(max_batch_size=8)
+>>> for payload, priority, deadline_at in [("late", 0, 9.0),
+...         ("plain", 0, None), ("urgent", 1, None), ("soon", 0, 2.0),
+...         ("also-late", 0, 9.0)]:
+...     _ = queue.push(payload, None, priority=priority,
+...                    deadline_at=deadline_at)
+>>> [pending.payload for pending in queue.pop_batch()]
+['urgent', 'soon', 'late', 'also-late', 'plain']
 
-**Early close.**  A window additionally closes *early* when the
-most urgent queued deadline no longer affords waiting: with ``d`` the
-earliest absolute deadline in the queue and ``s`` the EWMA-observed
-service time of the batch we would dispatch (tracked per batch size by
-:class:`ServiceTimeTracker`), the remaining slack is ``d - now - s``.
-When slack runs out before the window does, the batch dispatches
-immediately — trading batch fill for deadline attainment — and the
-event counts in :attr:`SchedulerCounters.early_closes`.
+**No hold.**  A consumer takes whatever is queued the moment it wakes;
+requests that arrive while it serves form its next batch.  PUMA's
+weights are stationary, so a batch buys throughput but is never needed
+for efficiency, and nothing waits on a clock for company.
 
-Counter conservation (asserted by
-``tests/test_scheduler_properties.py``): every admitted request is
-eventually dispatched, shed, or drained::
+**Wake-ups.**  :meth:`wait` parks a consumer until an entry is queued
+or :meth:`close` is called.  Each :meth:`push` wakes exactly one parked
+consumer, as ``asyncio.Queue`` does, so N dispatchers do not all wake
+for one request.
+
+Counter conservation: every admitted request is eventually dispatched,
+shed, or drained::
 
     admitted == dispatched + shed + drained + len(queue)
 """
 
 from __future__ import annotations
 
+import asyncio
+import collections
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
+
+# Weight of the newest observation in the per-size service-time EWMA.
+_EWMA_ALPHA = 0.3
 
 
 @dataclass
@@ -49,12 +57,14 @@ class SchedulerCounters:
     Attributes:
         admitted: requests accepted into the queue (post-validation,
             post-admission-control).
-        dispatched: requests handed to the engine in some batch.
+        dispatched: requests handed out in some batch.
         shed: requests removed because their deadline expired while
             queued.
-        drained: requests removed administratively (server stopping
-            without drain, or the batching loop crashing).
-        early_closes: batch windows closed early by deadline pressure.
+        drained: requests removed administratively (a stop without
+            drain, a crashed serve loop, a fleet shutting down).
+        early_closes: always 0.  It stays in :meth:`BatchScheduler.stats`
+            until the benchmark harness, which still reads it, drops
+            the key.
     """
 
     admitted: int = 0
@@ -63,180 +73,158 @@ class SchedulerCounters:
     drained: int = 0
     early_closes: int = 0
 
-    def in_balance(self, queued: int) -> bool:
-        """The conservation law; ``queued`` is the live queue depth."""
-        return self.admitted == (self.dispatched + self.shed
-                                 + self.drained + queued)
 
-    def as_dict(self) -> dict:
-        return {
-            "admitted": self.admitted,
-            "dispatched": self.dispatched,
-            "shed": self.shed,
-            "drained": self.drained,
-            "early_closes": self.early_closes,
-        }
+@dataclass(eq=False)
+class _Pending:
+    """One queued request and the future its caller awaits.
 
-
-class ServiceTimeTracker:
-    """EWMA of observed per-batch service time, keyed by batch size.
-
-    The server reports every engine pass (``observe(batch_size,
-    seconds)``, measured on the injected clock); the scheduler asks
-    ``estimate(batch_size)`` for the early-close rule.  An exact match
-    is preferred; otherwise the nearest observed batch size answers
-    (service time is monotone-ish in batch size, and a nearby size is a
-    far better predictor than nothing).  Returns ``None`` until the
-    first observation — no estimate means no early close, never a
-    guessed one.
+    ``payload`` is whatever the queue's owner serves the request from:
+    the validated input arrays in ``PumaServer``, the wire inputs at the
+    gateway.
     """
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._ewma: dict[int, float] = {}
-
-    def observe(self, batch_size: int, seconds: float) -> None:
-        if batch_size < 1 or not math.isfinite(seconds) or seconds < 0:
-            return
-        previous = self._ewma.get(batch_size)
-        if previous is None:
-            self._ewma[batch_size] = seconds
-        else:
-            self._ewma[batch_size] = (self.alpha * seconds
-                                      + (1 - self.alpha) * previous)
-
-    def estimate(self, batch_size: int) -> float | None:
-        if not self._ewma:
-            return None
-        if batch_size in self._ewma:
-            return self._ewma[batch_size]
-        nearest = min(self._ewma, key=lambda size: (abs(size - batch_size),
-                                                    size))
-        return self._ewma[nearest]
-
-    def seed(self, batch_size: int, seconds: float) -> None:
-        """Pin an estimate directly (deterministic tests, warm starts)."""
-        self._ewma[int(batch_size)] = float(seconds)
-
-    def snapshot(self) -> dict[int, float]:
-        return dict(self._ewma)
-
-
-@dataclass(order=True)
-class _Entry:
-    sort_key: tuple
-    item: Any = field(compare=False)
-    priority: int = field(compare=False, default=0)
-    deadline_at: float | None = field(compare=False, default=None)
+    payload: Any
+    future: "asyncio.Future | None" = field(repr=False)
+    # Absolute clock time after which the request is shed, or None.
+    deadline_at: float | None = None
+    priority: int = 0
+    # Arrival order within this queue, stamped by push().
+    seq: int = 0
+    # Why the gateway's latest dispatch attempt did not answer.
+    last_error: str = "no healthy replica available"
 
 
 class BatchScheduler:
-    """The EDF queue plus the window-hold rule with deadline-pressure close.
+    """The EDF queue: admission bound, expiry shed, drain and wake-ups.
 
-    Items are opaque to the scheduler — the server queues its
-    ``_Pending`` records and gets them back in dispatch order.
+    Args:
+        max_batch_size: most entries one :meth:`pop_batch` returns.
+        max_queue_depth: admission bound read by :attr:`full` (``None``
+            = unbounded).
     """
 
     def __init__(self, *, max_batch_size: int = 16,
-                 batch_window_s: float = 0.0) -> None:
+                 max_queue_depth: int | None = None) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, "
                              f"got {max_batch_size}")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
+        if max_queue_depth is not None and max_queue_depth < 1:
+            raise ValueError(f"max_queue_depth must be >= 1, "
+                             f"got {max_queue_depth}")
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
-        self.service_times = ServiceTimeTracker()
+        self.max_queue_depth = max_queue_depth
         self.counters = SchedulerCounters()
-        self._heap: list[_Entry] = []
-        # Queued entries carrying a deadline; at zero the deadline scans
-        # (pop_expired, earliest_deadline) have nothing to find.
+        # Per batch size, the EWMA of observed pass times in seconds.
+        self.service_ewma_s: dict[int, float] = {}
+        self.closed = False
+        self._heap: list[tuple[tuple, _Pending]] = []
+        # Queued entries carrying a deadline; at zero pop_expired has
+        # nothing to find.
         self._deadlines = 0
         self._seq = itertools.count()
+        self._waiters: collections.deque = collections.deque()
 
     # -- queue operations --------------------------------------------------
 
-    def push(self, item: Any, *, priority: int = 0,
-             deadline_at: float | None = None) -> None:
-        """Admit one request into the queue."""
+    def push(self, payload: Any, future: "asyncio.Future | None", *,
+             priority: int = 0,
+             deadline_at: float | None = None) -> _Pending:
+        """Admit one request, wake one parked consumer; its record."""
+        pending = _Pending(payload, future, deadline_at, priority,
+                           next(self._seq))
         deadline_key = math.inf if deadline_at is None else deadline_at
-        heapq.heappush(self._heap, _Entry(
-            (-priority, deadline_key, next(self._seq)), item,
-            priority=priority, deadline_at=deadline_at))
+        heapq.heappush(self._heap,
+                       ((-priority, deadline_key, pending.seq), pending))
         self._deadlines += deadline_at is not None
         self.counters.admitted += 1
+        self._wake_one()
+        return pending
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def pop_batch(self, limit: int | None = None) -> list[Any]:
+    @property
+    def full(self) -> bool:
+        """Whether the admission bound refuses the next request."""
+        return (self.max_queue_depth is not None
+                and len(self._heap) >= self.max_queue_depth)
+
+    def pop_batch(self) -> list[_Pending]:
         """Remove and return the next batch, most urgent first."""
-        limit = self.max_batch_size if limit is None else limit
-        batch: list[Any] = []
-        while self._heap and len(batch) < limit:
-            entry = heapq.heappop(self._heap)
-            self._deadlines -= entry.deadline_at is not None
-            batch.append(entry.item)
+        batch: list[_Pending] = []
+        while self._heap and len(batch) < self.max_batch_size:
+            _key, pending = heapq.heappop(self._heap)
+            self._deadlines -= pending.deadline_at is not None
+            batch.append(pending)
         self.counters.dispatched += len(batch)
         return batch
 
-    def pop_expired(self, now: float) -> list[Any]:
+    def pop_expired(self, now: float) -> list[_Pending]:
         """Remove and return every queued request whose deadline passed."""
         if not self._deadlines:
             return []
-        expired = [e for e in self._heap
-                   if e.deadline_at is not None and now >= e.deadline_at]
-        if expired:
-            self._heap = [e for e in self._heap
-                          if not (e.deadline_at is not None
-                                  and now >= e.deadline_at)]
-            heapq.heapify(self._heap)
-            self._deadlines -= len(expired)
-            self.counters.shed += len(expired)
-        return [e.item for e in expired]
 
-    def drain(self) -> list[Any]:
-        """Remove and return everything queued (shutdown/crash path)."""
-        drained = [e.item for e in sorted(self._heap)]
+        def expired(entry) -> bool:
+            deadline_at = entry[1].deadline_at
+            return deadline_at is not None and now >= deadline_at
+
+        gone = [entry[1] for entry in self._heap if expired(entry)]
+        if gone:
+            self._heap = [entry for entry in self._heap
+                          if not expired(entry)]
+            heapq.heapify(self._heap)
+            self._deadlines -= len(gone)
+            self.counters.shed += len(gone)
+        return gone
+
+    def drain(self) -> list[_Pending]:
+        """Remove and return everything queued, in EDF order."""
+        drained = [pending for _key, pending in sorted(self._heap)]
         self.counters.drained += len(drained)
         self._heap.clear()
         self._deadlines = 0
         return drained
 
-    # -- the hold policy ---------------------------------------------------
+    # -- consumers ---------------------------------------------------------
 
-    def earliest_deadline(self) -> float | None:
-        if not self._deadlines:
-            return None
-        return min(e.deadline_at for e in self._heap
-                   if e.deadline_at is not None)
+    async def wait(self) -> None:
+        """Park until an entry is queued or the queue is closed."""
+        while not self._heap and not self.closed:
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+            try:
+                await waiter
+            except BaseException:
+                waiter.cancel()
+                if waiter in self._waiters:
+                    self._waiters.remove(waiter)
+                elif self._heap:
+                    # This consumer was woken for an entry, then
+                    # cancelled: pass the wake-up on.
+                    self._wake_one()
+                raise
 
-    def hold_for(self, now: float, window_started_at: float) -> float:
-        """Seconds to keep the forming batch open; ``<= 0`` = dispatch."""
-        window_left = (window_started_at + self.batch_window_s) - now
-        if window_left <= 0:
-            return window_left
-        earliest = self.earliest_deadline()
-        if earliest is None:
-            return window_left
-        estimate = self.service_times.estimate(
-            min(len(self._heap), self.max_batch_size))
-        if estimate is None:
-            # No observation yet: the deadline itself still bounds the
-            # hold — never wait past the point of guaranteed failure.
-            slack = earliest - now
-        else:
-            slack = (earliest - now) - estimate
-        if slack < window_left:
-            if slack <= 0:
-                self.counters.early_closes += 1
-            return slack
-        return window_left
+    def _wake_one(self) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                return
+
+    def close(self) -> None:
+        """Wake every parked consumer; :meth:`wait` no longer parks."""
+        self.closed = True
+        while self._waiters:
+            self._wake_one()
+
+    # -- observability -----------------------------------------------------
 
     def observe_service(self, batch_size: int, seconds: float) -> None:
-        self.service_times.observe(batch_size, seconds)
+        """Fold one pass's time into the EWMA for its batch size."""
+        previous = self.service_ewma_s.get(batch_size)
+        self.service_ewma_s[batch_size] = (
+            seconds if previous is None
+            else _EWMA_ALPHA * seconds + (1 - _EWMA_ALPHA) * previous)
 
     def stats(self) -> dict:
         return {
@@ -244,7 +232,6 @@ class BatchScheduler:
             "queue_depth": len(self._heap),
             "service_time_ewma_s": {
                 str(size): seconds
-                for size, seconds in
-                sorted(self.service_times.snapshot().items())},
-            **self.counters.as_dict(),
+                for size, seconds in sorted(self.service_ewma_s.items())},
+            **asdict(self.counters),
         }

@@ -1,37 +1,29 @@
-"""PumaServer: an async serving front-end with SLO-aware micro-batching.
+"""PumaServer: an async serving front-end with work-conserving batching.
 
 The programmed crossbars are a fixed endpoint (Section 3.2.5: weights are
 written once at configuration time); serving is software's job.
 :class:`PumaServer` is that layer: concurrent clients submit single
 inferences (optionally carrying a ``priority`` and a ``deadline_s``
-budget), the scheduler (:mod:`repro.serve.scheduler`) orders the
-queue and decides when the forming batch dispatches, and each client gets
-back its own :class:`~repro.serve.types.RunResult`.  Because batched
-execution is bitwise identical to sequential single-input runs (the
-engine's core guarantee), coalescing is invisible to clients except in
-latency and throughput.
+budget), the EDF queue (:mod:`repro.serve.scheduler`) orders them, and
+each client gets back its own :class:`~repro.serve.types.RunResult`.
+Because batched execution is bitwise identical to sequential
+single-input runs (the engine's core guarantee), coalescing is
+invisible to clients except in latency and throughput.
 
-Batch formation is **work-conserving by default**: an idle engine takes
-whatever is queued the moment it arrives, and requests that arrive
-while a pass is in flight form the next batch.  The weights are
-stationary, so a batch buys throughput but is never needed for
-efficiency — nothing waits on a clock unless the caller asks for it
-with an explicit ``batch_window_s``.
-
-The queue is priority-then-earliest-deadline (EDF) order with an
-early-close rule: an explicit window also closes when the most urgent
-queued deadline can no longer afford waiting, given the EWMA-observed
-per-batch service time.  It degenerates to exact FIFO when no request
-carries a priority or deadline.
+Batch formation is **work-conserving**: an idle engine takes whatever
+is queued the moment it arrives, and requests that arrive while a pass
+is in flight form the next batch.  The weights are stationary, so a
+batch buys throughput but is never needed for efficiency — nothing
+waits on a clock for company.
 
 The serve loop does three things: it pops up to ``max_batch_size``
 riders, runs them as one ``predict`` pass on the event loop, and
 resolves each rider with its lane of the result.  It yields once after
 each pass (``PumaServer._serve_batch`` says why).
 
-All wall-clock decisions go through an injectable :class:`Clock`
+Deadlines are measured on an injectable :class:`Clock`
 (:mod:`repro.serve.clock`), so the deterministic test harness drives
-windows, deadlines, and EDF order on virtual time.
+them on virtual time.
 
 Usage::
 
@@ -46,15 +38,15 @@ from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.serve.clock import Clock, MonotonicClock
-from repro.serve.scheduler import BatchScheduler
-from repro.serve.sharding import ShardedEngine
-from repro.serve.types import InferenceRequest, RunResult
+from repro.serve.scheduler import BatchScheduler, _Pending
+from repro.serve.types import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.engine import InferenceEngine
@@ -78,6 +70,28 @@ def check_priority(priority) -> int:
         raise ValueError(f"bad priority {priority!r} "
                          f"(must be an integer)") from None
     return int(priority)
+
+
+def check_deadline(deadline, name: str = "deadline") -> float | None:
+    """A deadline budget as a ``float`` (``None`` stays ``None``), or
+    :class:`ValueError`.
+
+    The one rule for every way in — :meth:`PumaServer.admit`'s
+    ``deadline_s``, ``PumaFleet.predict``'s ``deadline_ms`` and the
+    fleet's wire field: a deadline is a finite real number.  A boolean,
+    a string or a non-finite value is refused, never parsed.  A budget
+    that is already spent (``<= 0``) passes; its owner sheds it.
+
+    >>> check_deadline(250), check_deadline(None)
+    (250.0, None)
+    """
+    if deadline is None:
+        return None
+    if isinstance(deadline, bool) or not isinstance(deadline, numbers.Real) \
+            or not math.isfinite(deadline):
+        raise ValueError(f"bad {name} {deadline!r} (must be a finite "
+                         f"number; omit it for no deadline)")
+    return float(deadline)
 
 
 class DeadlineExceeded(RuntimeError):
@@ -144,50 +158,22 @@ class ServerCounters:
                 f"max {self.max_batch_size})")
 
 
-@dataclass
-class _Pending:
-    """A queued request plus the future its client is awaiting."""
-
-    request: InferenceRequest
-    future: "asyncio.Future[RunResult]" = field(repr=False)
-    # Absolute clock.now() after which the request is shed, or None.
-    deadline_at: float | None = None
-    priority: int = 0
-
-
 class PumaServer:
-    """Queueing + scheduled micro-batching front-end over one engine.
+    """Queueing + work-conserving micro-batching over one engine.
 
     Args:
         engine: the :class:`~repro.engine.InferenceEngine` to serve.  The
             engine's compiled program and seed are fixed for the server's
             lifetime (program the crossbars once, stream requests through).
+            An engine built with an ``artifact_dir`` warm-starts from (or
+            populates) that store on :meth:`start`.
         max_batch_size: most requests coalesced into one simulator pass.
-        batch_window_s: how long an *idle* engine holds an under-full
-            batch open waiting for more arrivals.  ``0`` (the default)
-            never holds: coalescing comes only from requests already
-            queued — those that arrived together or during the previous
-            pass.  A positive window trades that latency for fill (the
-            EDF early-close rule can only shorten it, never extend it).
-        num_shards: replica nodes the *modelled* node group has: each
-            coalesced micro-batch runs as that many sequential shard
-            passes (:class:`~repro.serve.sharding.ShardedEngine`) whose
-            merged stats are cycles = max, energy = sum.  1 (the
-            default) serves every batch as one pass.  Per-request
-            results are bitwise identical either way; host CPUs are
-            spent by fleet workers, not here.
-        artifact_dir: persistent artifact store directory
-            (:mod:`repro.store`).  On :meth:`start` the engine
-            warm-starts from (or populates) the store — a freshly-spawned
-            serving process skips compilation, crossbar programming, and
-            tape recording when a prior process left an artifact.
         max_queue_depth: admission bound; when this many requests are
             already waiting, :meth:`submit` raises
             :class:`AdmissionError` instead of enqueueing (``None`` =
-            unbounded, the pre-resilience behavior).
-        clock: time source for windows, deadlines, and EDF decisions
-            (default: real monotonic time).  Tests inject a
-            :class:`~repro.serve.clock.VirtualClock`.
+            unbounded).
+        clock: time source for deadlines (default: real monotonic
+            time); tests inject a :class:`~repro.serve.clock.VirtualClock`.
 
     Requests are float-first: clients submit 1-D float vectors per model
     input and receive dequantized floats (plus the fixed-point words) in
@@ -198,61 +184,31 @@ class PumaServer:
 
     def __init__(self, engine: "InferenceEngine", *,
                  max_batch_size: int = 16,
-                 batch_window_s: float = 0.0,
-                 num_shards: int = 1,
-                 artifact_dir=None,
                  max_queue_depth: int | None = None,
                  clock: Clock | None = None) -> None:
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, "
-                             f"got {max_batch_size}")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(f"max_queue_depth must be >= 1, "
-                             f"got {max_queue_depth}")
+        # The live EDF queue (counters, service-time EWMA).
+        self.scheduler = BatchScheduler(max_batch_size=max_batch_size,
+                                        max_queue_depth=max_queue_depth)
         self.engine = engine
         self.max_batch_size = max_batch_size
-        self.batch_window_s = batch_window_s
-        self.num_shards = num_shards
-        self.artifact_dir = artifact_dir
-        self.max_queue_depth = max_queue_depth
         self._clock: Clock = clock if clock is not None else MonotonicClock()
-        self._scheduler = BatchScheduler(max_batch_size=max_batch_size,
-                                         batch_window_s=batch_window_s)
         self.counters = ServerCounters(max_batch_size=max_batch_size)
-        self._arrival: asyncio.Event | None = None
         self._batcher_task: asyncio.Task | None = None
-        # What runs a pass: the engine, or a ShardedEngine over it.
-        self._runner = (ShardedEngine(engine, num_shards=num_shards)
-                        if num_shards > 1 else engine)
-        # The riders of the pass being formed or run (the crash path
-        # fails them with the queue).
+        # The riders of the pass being run (the crash path fails them
+        # with the queue).
         self._claimed: list[_Pending] = []
-        self._closed = False
-        self._next_request_id = 0
-
-    @property
-    def scheduler(self) -> BatchScheduler:
-        """The live scheduler (counters, service-time EWMA)."""
-        return self._scheduler
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> "PumaServer":
         """Spawn the batching loop; idempotent."""
         if self._batcher_task is None:
-            if self.artifact_dir is not None or \
-                    self.engine.artifact_dir is not None:
+            if self.engine.artifact_dir is not None:
                 # Cross-process warm start: adopt (or write) the on-disk
                 # artifact before serving, with a tape pre-recorded for
                 # full coalesced batches.
-                self.engine.ensure_artifacts(self.artifact_dir,
-                                             batch=self.max_batch_size)
-            self._arrival = asyncio.Event()
-            self._closed = False
+                self.engine.ensure_artifacts(batch=self.max_batch_size)
+            self.scheduler.closed = False
             self._batcher_task = asyncio.create_task(self._serve_loop())
         return self
 
@@ -275,18 +231,16 @@ class PumaServer:
         """
         if self._batcher_task is None:
             return
-        self._closed = True
+        self.scheduler.close()
         if not drain:
             self._fail_queued(RuntimeError(
                 "PumaServer stopped before this request was served "
                 "(stop(drain=False) fails queued requests; the in-flight "
                 "micro-batch still completes)"))
-        self._arrival.set()
         try:
             await self._batcher_task
         finally:
             self._batcher_task = None
-            self._arrival = None
 
     async def __aenter__(self) -> "PumaServer":
         return await self.start()
@@ -315,14 +269,17 @@ class PumaServer:
             inputs: 1-D float vector per model input name.
             deadline_s: remaining time budget in seconds; the request is
                 shed (:class:`DeadlineExceeded`) if it has not reached an
-                engine pass when the budget runs out.  Must be finite.
+                engine pass when the budget runs out.  A finite number
+                (:func:`check_deadline`).
             priority: an integer; larger = served strictly sooner
                 (ties broken by deadline, then arrival).
 
         The future resolves to this request's :class:`RunResult` once the
         batch it was coalesced into completes.  Raises :class:`ValueError`
-        for unknown/missing input names, wrong vector lengths, a
-        non-finite ``deadline_s``, or a priority that is not an integer
+        for values that are not numeric vectors, unknown/missing input
+        names, wrong vector lengths, a
+        ``deadline_s`` that is not a finite number
+        (:func:`check_deadline`), or a priority that is not an integer
         (:func:`check_priority`); :class:`RuntimeError` if the server is
         not running; :class:`DeadlineExceeded` if the deadline already
         expired on arrival (counted as shed — the request will never be
@@ -330,66 +287,40 @@ class PumaServer:
         and :class:`AdmissionError` if the bounded queue is full.
 
         Ordering note: all *validation* happens before any side effect —
-        a rejected request never increments a counter, consumes a
-        request id, or occupies a queue slot.
+        a rejected request never increments a counter, consumes an
+        arrival number, or occupies a queue slot.
         """
-        if self._batcher_task is None or self._closed:
+        if self._batcher_task is None or self.scheduler.closed:
             raise RuntimeError("server is not running (use 'async with "
                                "PumaServer(engine):' or await start())")
-        # Pure validation first: no counter, id, or queue-slot side
-        # effects until the request is known to be well-formed.
-        request_inputs = {name: np.asarray(values, dtype=np.float64)
-                          for name, values in inputs.items()}
+        # Pure validation first: no side effects until the request is
+        # known to be well-formed.
+        try:
+            request_inputs = {name: np.asarray(values, dtype=np.float64)
+                              for name, values in inputs.items()}
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"bad input vectors: {error}") from None
         self.engine.validate_request(request_inputs)
         priority = check_priority(priority)
-        if deadline_s is not None:
-            deadline_s = float(deadline_s)
-            if not math.isfinite(deadline_s):
-                raise ValueError(
-                    f"deadline_s must be finite, got {deadline_s} "
-                    f"(omit it for no deadline)")
+        deadline_s = check_deadline(deadline_s, "deadline_s")
         if deadline_s is not None and deadline_s <= 0:
             self.counters.requests_shed += 1
             raise DeadlineExceeded(
                 f"deadline expired {-deadline_s * 1000:.0f}ms before "
                 f"the request was enqueued")
-        if self.max_queue_depth is not None and \
-                len(self._scheduler) >= self.max_queue_depth:
+        if self.scheduler.full:
             self.counters.requests_rejected += 1
             raise AdmissionError(
-                f"queue full ({self.max_queue_depth} requests waiting); "
-                f"retry later")
+                f"queue full ({self.scheduler.max_queue_depth} requests "
+                f"waiting); retry later")
         deadline_at = (self._clock.now() + deadline_s
                        if deadline_s is not None else None)
-        request = InferenceRequest(
-            inputs=request_inputs, request_id=self._next_request_id)
-        self._next_request_id += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._scheduler.push(
-            _Pending(request, future, deadline_at, priority),
-            priority=priority, deadline_at=deadline_at)
-        self._arrival.set()
+        self.scheduler.push(request_inputs, future, priority=priority,
+                            deadline_at=deadline_at)
         return future
 
     # -- shared loop helpers -----------------------------------------------
-
-    async def _wait_arrival(self, timeout: float | None) -> None:
-        """Park until a new arrival/stop signal, or ``timeout`` clock-secs.
-
-        The caller must have *cleared* the arrival event before checking
-        the condition it is waiting on (a submit between the check and
-        this wait then completes the event immediately — no lost wakeup).
-        """
-        if timeout is None:
-            await self._arrival.wait()
-            return
-        waiter = asyncio.ensure_future(self._arrival.wait())
-        sleeper = asyncio.ensure_future(self._clock.sleep(timeout))
-        _done, pending = await asyncio.wait(
-            {waiter, sleeper}, return_when=asyncio.FIRST_COMPLETED)
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
 
     def _shed_expired_queued(self) -> None:
         """Shed every queued request whose deadline has passed.
@@ -399,20 +330,16 @@ class PumaServer:
         :class:`DeadlineExceeded` instead of riding (and slowing) a
         batch whose answer nobody is waiting for anymore.
         """
-        for pending in self._scheduler.pop_expired(self._clock.now()):
+        for pending in self.scheduler.pop_expired(self._clock.now()):
             self.counters.requests_shed += 1
             if not pending.future.done():
                 pending.future.set_exception(DeadlineExceeded(
-                    f"deadline passed while request "
-                    f"{pending.request.request_id} waited in the "
-                    f"batch queue"))
+                    f"deadline passed while request {pending.seq} "
+                    f"waited in the batch queue"))
 
     def _fail_queued(self, error: BaseException) -> None:
         """Resolve every still-queued request with ``error`` (no hangs)."""
-        for pending in self._scheduler.drain():
-            self.counters.requests_failed += 1
-            if not pending.future.done():
-                pending.future.set_exception(error)
+        self._fail_riders(self.scheduler.drain(), error)
 
     def _crash(self, error: BaseException) -> RuntimeError:
         """Fail the claimed riders + queue after a loop crash; wrap it."""
@@ -435,34 +362,16 @@ class PumaServer:
     # -- the serve loop ----------------------------------------------------
 
     async def _serve_loop(self) -> None:
-        window_started_at: float | None = None
+        queue = self.scheduler
         try:
             while True:
-                self._arrival.clear()
                 self._shed_expired_queued()
-                depth = len(self._scheduler)
-                if depth == 0:
-                    window_started_at = None
-                    if self._closed:
+                if not len(queue):
+                    if queue.closed:
                         return
-                    await self._wait_arrival(None)
+                    await queue.wait()
                     continue
-                if not self._closed and depth < self.max_batch_size:
-                    # Under-full queue: with no window (the default) the
-                    # first hold_for is <= 0 and the batch is whatever is
-                    # queued.  An explicit window is held per the
-                    # scheduler (deadline pressure closes it early),
-                    # re-evaluated on every arrival.
-                    if window_started_at is None:
-                        window_started_at = self._clock.now()
-                    hold = self._scheduler.hold_for(
-                        self._clock.now(), window_started_at)
-                    if hold > 0:
-                        await self._wait_arrival(hold)
-                        continue
-                window_started_at = None
-                self._claimed = self._scheduler.pop_batch(
-                    self.max_batch_size)
+                self._claimed = queue.pop_batch()
                 self.counters.batches_formed += 1
                 self.counters.lanes_simulated += len(self._claimed)
                 await self._serve_batch()
@@ -490,13 +399,13 @@ class PumaServer:
         started_at = self._clock.now()
         try:
             # Looked up per pass: tests wrap the engine's predict.
-            result = self._runner.predict({
-                name: np.stack([p.request.inputs[name] for p in riders])
-                for name in riders[0].request.inputs})
+            result = self.engine.predict({
+                name: np.stack([p.payload[name] for p in riders])
+                for name in riders[0].payload})
         except Exception as error:  # noqa: BLE001 - fail every rider
             self._fail_riders(riders, error)
         else:
-            self._scheduler.observe_service(
+            self.scheduler.observe_service(
                 len(riders), self._clock.now() - started_at)
             for index, pending in enumerate(riders):
                 self.counters.requests_served += 1
@@ -510,10 +419,10 @@ class PumaServer:
     def stats(self) -> dict:
         """One observable snapshot of this server's health.
 
-        Combines the per-server batching counters and the scheduler's
-        queue-side accounting (policy, admission/dispatch/shed/early-
-        close counts, service-time EWMA) with the process-wide cache
-        counters every serving layer shares — the execution-tape cache
+        Combines the per-server batching counters and the queue's
+        accounting (policy, admission/dispatch/shed counts, per-size
+        service-time EWMA) with the process-wide cache counters every
+        serving layer shares — the execution-tape cache
         (recordings/replays/**fallbacks**), the compile cache
         (hits/misses), and the artifact store (saves/loads/rejections) —
         so an operator (or the fleet ``/metrics`` endpoint,
@@ -533,9 +442,10 @@ class PumaServer:
             "mean_batch_size": self.counters.mean_batch_size,
             "mean_occupancy": self.counters.mean_occupancy,
             "max_batch_size": self.max_batch_size,
-            "queue_depth": len(self._scheduler),
-            "running": self._batcher_task is not None and not self._closed,
-            "scheduler": self._scheduler.stats(),
+            "queue_depth": len(self.scheduler),
+            "running": (self._batcher_task is not None
+                        and not self.scheduler.closed),
+            "scheduler": self.scheduler.stats(),
             "tape_cache": tape_cache_info()._asdict(),
             "compile_cache": compile_cache_info()._asdict(),
             "artifact_store": store_info()._asdict(),

@@ -1,4 +1,4 @@
-"""Sharded serving: the *model* of one batch spread over replica nodes.
+"""Sharded engine: the *model* of one batch spread over replica nodes.
 
 PUMA's throughput story (Fig 11c/d) is spatial replication: many nodes
 each hold a copy of the programmed weights and serve a slice of the
@@ -53,7 +53,7 @@ def shard_lanes(batch: int, num_shards: int) -> list[np.ndarray]:
 
     Consecutive lane runs whose sizes differ by at most one
     (``np.array_split``), with the shard count clamped to the batch size:
-    a 4-way engine serving a 2-lane micro-batch forms 2 shards, so every
+    a 4-way engine given a 2-lane batch forms 2 shards, so every
     returned array is non-empty and together they partition
     ``range(batch)``.
 

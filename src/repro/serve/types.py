@@ -1,13 +1,9 @@
-"""Typed request/result objects for the serving API.
+"""The typed result of the serving API.
 
-These are the value types exchanged across the serving boundary:
-
-* :class:`InferenceRequest` — one named-input bundle submitted by a
-  client (float domain; quantization is the engine's job);
-* :class:`RunResult` — everything a run produced: the fixed-point output
-  words exactly as they left the accelerator, dequantized float views,
-  the :class:`~repro.sim.stats.SimulationStats` of the pass, and
-  latency/energy summaries amortized over the batch.
+:class:`RunResult` is everything a run produced: the fixed-point output
+words exactly as they left the accelerator, dequantized float views,
+the :class:`~repro.sim.stats.SimulationStats` of the pass, and
+latency/energy summaries amortized over the batch.
 
 ``RunResult`` is also a read-only :class:`~collections.abc.Mapping` over
 the *fixed-point* outputs, so code written against the original raw-dict
@@ -25,25 +21,6 @@ import numpy as np
 
 from repro.fixedpoint import FixedPointFormat
 from repro.sim.stats import SimulationStats
-
-
-@dataclass
-class InferenceRequest:
-    """One client request: float-domain values per model input name.
-
-    Attributes:
-        inputs: 1-D float vector per input name (one inference).
-        request_id: optional caller-assigned correlation id; the server
-            assigns a monotonically increasing id when the caller does not.
-
-    Example::
-
-        request = InferenceRequest({"x": np.linspace(-1, 1, 64)})
-        engine.validate_request(request.inputs)   # fail fast on typos
-    """
-
-    inputs: dict[str, np.ndarray]
-    request_id: int | None = None
 
 
 @dataclass(eq=False)

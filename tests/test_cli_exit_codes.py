@@ -6,6 +6,7 @@ on usage errors (bad flag combinations, out-of-range options) — the same
 code argparse uses for syntax errors.
 """
 
+import asyncio
 import json
 import os
 import signal
@@ -60,7 +61,6 @@ class TestUsageErrors:
 
     def test_shards_out_of_range(self, graph_file, capsys):
         assert main(["run", graph_file, "--shards", "0"]) == EXIT_USAGE
-        assert main(["serve", graph_file, "--shards", "0"]) == EXIT_USAGE
 
     def test_shards_without_batch_file(self, graph_file, capsys):
         assert main(["run", graph_file, "--shards", "2"]) == EXIT_USAGE
@@ -225,3 +225,83 @@ class TestFleetCommand:
                 process.kill()
                 process.wait()
             process.stdout.close()
+
+    def test_fleet_drains_on_the_terminals_sigint(self, deployment_file,
+                                                  tmp_path):
+        """Ctrl-C signals the whole process group, workers included.
+        With at least 100 of 160 requests still in flight, SIGINT to the
+        group of a ``cli fleet`` in its own session drains and exits 0
+        with a clean stderr; every reply is a 200 bitwise equal to the local engine,
+        or a typed 503 ``draining``."""
+        from repro.fleet import FleetModelSpec, build_engine
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        stderr_path = tmp_path / "stderr.txt"
+        with open(stderr_path, "w") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "fleet", deployment_file,
+                 "--workers", "1"],
+                stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+                start_new_session=True)
+        xs = np.random.default_rng(1).uniform(-1.0, 1.0, (160, 16))
+
+        async def in_flight_then_sigint(host, port):
+            """Every request written on its own connection; the signal
+            once the first reply is back; every reply read to the
+            server's close.  Returns the replies and how many were
+            still outstanding when the signal went."""
+            streams = [await asyncio.open_connection(host, port)
+                       for _ in xs]
+            for (_reader, writer), x in zip(streams, xs):
+                body = json.dumps({"model": "mlp",
+                                   "inputs": {"x": x.tolist()}}).encode()
+                writer.write(b"POST /v1/predict HTTP/1.1\r\n"
+                             b"Connection: close\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body)
+                             + body)
+            reads = [asyncio.create_task(reader.read())
+                     for reader, _writer in streams]
+            await asyncio.wait(reads, return_when=asyncio.FIRST_COMPLETED)
+            outstanding = sum(not read.done() for read in reads)
+            os.killpg(process.pid, signal.SIGINT)
+            replies = await asyncio.wait_for(asyncio.gather(*reads), 60)
+            for _reader, writer in streams:
+                writer.close()
+            return replies, outstanding
+
+        try:
+            banner = []
+            reader = threading.Thread(
+                target=lambda: banner.append(process.stdout.readline()),
+                daemon=True)
+            reader.start()
+            reader.join(timeout=120)
+            assert banner and banner[0].startswith(
+                "fleet up: 1 worker(s) behind http://"), banner
+            host, port = banner[0].split()[-1][len("http://"):].split(":")
+            replies, outstanding = asyncio.run(
+                in_flight_then_sigint(host, int(port)))
+            assert outstanding >= 100
+            assert process.wait(timeout=60) == EXIT_OK
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.wait()
+            process.stdout.close()
+        errors = stderr_path.read_text()
+        assert "Traceback" not in errors and "CancelledError" not in errors, \
+            errors
+        with open(deployment_file) as handle:
+            spec = FleetModelSpec.from_dict(json.load(handle)[0])
+        reference = build_engine(spec).predict({"x": xs})
+        for index, raw in enumerate(replies):
+            head, _, body = raw.partition(b"\r\n\r\n")
+            status = int(head.split()[1])
+            reply = json.loads(body)
+            if status == 200:
+                assert reply["words"] == {
+                    name: reference[name][index].tolist()
+                    for name in reference}
+            else:
+                assert (status, reply["reason"]) == (503, "draining")

@@ -157,19 +157,21 @@ def test_no_fault_injection_in_the_product():
     assert not offenders, "\n".join(offenders)
 
 
-# Continuous batching, the gateway autoscaler and the product load
-# generator ran only under tests, the CLI and an example; the product
-# serves one way, a whole batch per pass, on a constant replica count,
-# and load comes from benchmarks/puma_bench.  Spelled in halves so this
-# file is not its own offender.
+# Continuous batching, the gateway autoscaler, the product load
+# generator and the batch window's hold ran only under tests, the CLI
+# and examples; the product serves one way, whatever is queued as one
+# pass, on a constant replica count, and load comes from
+# benchmarks/puma_bench.  Spelled in halves so this file is not its own
+# offender.
 _RETIRED_SERVING = re.compile(
     "Continuous" "Batcher|continuous" "=|auto" "scal|private" "_replayer"
-    "|re" "fills|load" "gen|bursty" "_trace|run" "_trace|Load" "Report")
+    "|re" "fills|load" "gen|bursty" "_trace|run" "_trace|Load" "Report"
+    "|batch" "_window|hold" "_for|window" "_started")
 
 
 def test_retired_serving_mechanisms_stay_retired():
-    """Nothing under ``src/`` names continuous batching, autoscaling or
-    the load generator."""
+    """Nothing under ``src/`` names continuous batching, autoscaling,
+    the load generator or the batch window's hold."""
     offenders = _src_lines_matching(_RETIRED_SERVING)
     assert not offenders, "\n".join(offenders)
 
@@ -177,7 +179,7 @@ def test_retired_serving_mechanisms_stay_retired():
 # -- doctests on the facade modules -----------------------------------------
 
 FACADE_MODULES = ["repro.store", "repro.serve.sharding",
-                  "repro.fleet.resilience"]
+                  "repro.serve.scheduler", "repro.fleet.resilience"]
 
 
 @pytest.mark.parametrize("module_name", FACADE_MODULES)

@@ -531,10 +531,13 @@ class TestPredictFields:
         assert (deadline_ms, priority) == (12.5, 2)
         assert self._fields('"priority": 3.0')[2] == 3
 
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity",
+                                     "true", '"250"'])
     def test_non_finite_deadline_is_a_protocol_error(self, raw):
-        """Python's json reads these; as an EDF key NaN breaks the
-        gateway's heap order for every other request of the model."""
+        """Python's json reads the first three; as an EDF key NaN breaks
+        the gateway's heap order for every other request of the model.
+        A boolean is not 1 ms and a string is not parsed: a deadline is
+        a finite number (:func:`repro.serve.check_deadline`)."""
         with pytest.raises(ProtocolError, match="deadline_ms"):
             self._fields(f'"deadline_ms": {raw}')
 
@@ -543,9 +546,12 @@ class TestPredictFields:
         with pytest.raises(ProtocolError, match="must be an integer"):
             self._fields(f'"priority": {raw}')
 
-    @pytest.mark.parametrize("deadline_ms", [math.nan, math.inf])
+    @pytest.mark.parametrize("deadline_ms", [math.nan, math.inf, "5",
+                                             True])
     def test_gateway_refuses_a_non_finite_deadline(self, tmp_path,
                                                    deadline_ms):
+        """``PumaFleet.predict`` applies the wire's deadline rule, and
+        refuses before anything is queued or counted."""
         from repro.fleet import PumaFleet
 
         spec = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
@@ -553,10 +559,13 @@ class TestPredictFields:
         async def main():
             fleet = PumaFleet([spec], work_dir=str(tmp_path))
             fleet._running = True      # no workers: nothing may queue
+            state = fleet.models["mlp"]
             with pytest.raises(ValueError, match="finite"):
                 await fleet.predict("mlp", {"x": [0.0] * 8},
                                     deadline_ms=deadline_ms)
-            assert fleet.models["mlp"].queue.qsize() == 0
+            assert len(state.queue) == 0
+            assert (state.served, state.failed, state.sheds,
+                    state.rejections) == (0, 0, 0, 0)
 
         run(main())
 
@@ -577,11 +586,178 @@ class TestPredictFields:
             with pytest.raises(ValueError, match="must be an integer"):
                 await fleet.predict("mlp", {"x": [0.0] * 8},
                                     deadline_ms=-1.0, priority=priority)
-            assert state.queue.qsize() == 0
+            assert len(state.queue) == 0
             assert (state.served, state.failed, state.sheds,
                     state.rejections) == (0, 0, 0, 0)
 
         run(main())
+
+
+# -- the one EDF queue, at the gateway and in PumaServer --------------------
+
+_EIGHT_IN = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
+
+
+def test_gateway_dispatches_in_edf_order(tmp_path):
+    """Requests queued on one model leave for dispatch by
+    ``(-priority, deadline, arrival)``: higher priority first,
+    earlier deadline next, arrival order last.  Deadlines read a
+    virtual clock, so none lapses while the test runs."""
+    from repro.fleet import PumaFleet
+    from repro.serve import VirtualClock
+
+    # (label, priority, deadline_ms), in arrival order.
+    queued = [("plain", 0, None), ("late", 0, 9000.0),
+              ("urgent", 2, None), ("soon", 0, 500.0),
+              ("urgent-soon", 2, 500.0), ("also-plain", 0, None),
+              ("background", -1, 100.0), ("also-late", 0, 9000.0)]
+
+    async def main():
+        fleet = PumaFleet([_EIGHT_IN], work_dir=str(tmp_path),
+                          max_batch_size=1, clock=VirtualClock())
+        fleet._running = True      # no workers, no dispatchers yet
+        state = fleet.models["mlp"]
+        left = []
+
+        async def record(state, riders):
+            for rider in riders:
+                left.append(queued[int(rider.payload["x"][0])][0])
+                fleet._settle(state, rider, {"status": 200})
+
+        fleet._dispatch_riders = record
+        callers = [asyncio.create_task(fleet.predict(
+            "mlp", {"x": [float(i)] * 8}, deadline_ms=deadline_ms,
+            priority=priority))
+            for i, (_label, priority, deadline_ms) in enumerate(queued)]
+        await asyncio.sleep(0)
+        assert len(state.queue) == len(queued)
+        dispatcher = asyncio.create_task(fleet._dispatch_loop(state))
+        await asyncio.gather(*callers)
+        dispatcher.cancel()
+        await asyncio.gather(dispatcher, return_exceptions=True)
+        return left, state
+
+    left, state = run(main())
+    assert left == ["urgent-soon", "urgent", "soon", "late",
+                    "also-late", "plain", "also-plain", "background"]
+    assert (state.served, state.sheds) == (len(queued), 0)
+
+
+class _ServerQueue:
+    """A PumaServer whose passes wait at ``gate``."""
+
+    def __init__(self, tmp_path, clock) -> None:
+        from repro.serve import PumaServer
+
+        self.server = PumaServer(build_engine(_EIGHT_IN), max_batch_size=2,
+                                 clock=clock)
+        self.queue = self.server.scheduler
+        self.gate = asyncio.Event()
+
+    async def start(self) -> None:
+        await self.server.start()
+        original = self.server._serve_batch
+
+        async def gated():
+            await self.gate.wait()
+            return await original()
+
+        self.server._serve_batch = gated
+
+    async def admit(self, x, deadline_s) -> asyncio.Future:
+        return self.server.admit({"x": x}, deadline_s=deadline_s)
+
+    def consume(self) -> None:
+        """The serve loop already runs."""
+
+    async def stop_without_drain(self) -> None:
+        self.gate.set()
+        await self.server.stop(drain=False)
+
+
+class _GatewayQueue:
+    """One gateway model queue and one dispatcher whose exchanges wait
+    at ``gate``; no workers."""
+
+    def __init__(self, tmp_path, clock) -> None:
+        from repro.fleet import PumaFleet
+
+        self.fleet = PumaFleet([_EIGHT_IN], work_dir=str(tmp_path),
+                               max_batch_size=2, clock=clock)
+        self.state = self.fleet.models[_EIGHT_IN.name]
+        self.queue = self.state.queue
+        self.gate = asyncio.Event()
+
+    async def start(self) -> None:
+        self.fleet._running = True
+
+        async def gated(state, riders):
+            await self.gate.wait()
+            for rider in riders:
+                self.fleet._settle(state, rider, {"status": 200})
+
+        self.fleet._dispatch_riders = gated
+
+    async def admit(self, x, deadline_s) -> asyncio.Future:
+        caller = asyncio.ensure_future(self.fleet.predict(
+            _EIGHT_IN.name, {"x": x},
+            deadline_ms=None if deadline_s is None else deadline_s * 1e3))
+        await asyncio.sleep(0)
+        return caller
+
+    def consume(self) -> None:
+        self.state.dispatchers.append(asyncio.create_task(
+            self.fleet._dispatch_loop(self.state)))
+
+    async def stop_without_drain(self) -> None:
+        await self.fleet.stop(drain=False)
+
+
+@pytest.fixture(params=[_ServerQueue, _GatewayQueue],
+                ids=["PumaServer", "gateway"])
+def edf_queue(request, tmp_path):
+    """Each owner of the one EDF queue, with a clock to age deadlines."""
+    from repro.serve import VirtualClock
+
+    clock = VirtualClock()
+    return request.param(tmp_path, clock), clock
+
+
+def test_queue_conserves_every_request(edf_queue):
+    """``admitted == dispatched + shed + drained + queued`` after every
+    step, in ``PumaServer`` and at the gateway alike: six requests are
+    queued, the two with a 1 s budget lapse and are shed, one batch of
+    two is dispatched, and a stop without drain drains the last two."""
+    owner, clock = edf_queue
+
+    def balanced() -> bool:
+        counters = owner.queue.counters
+        return counters.admitted == (counters.dispatched + counters.shed
+                                     + counters.drained + len(owner.queue))
+
+    async def main():
+        await owner.start()
+        xs = np.linspace(-0.5, 0.5, 6 * 8).reshape(6, 8)
+        callers = [await owner.admit(x.tolist(),
+                                     1.0 if i in (1, 4) else None)
+                   for i, x in enumerate(xs)]
+        assert len(owner.queue) == 6 and balanced()
+        await clock.advance(2.0)
+        owner.consume()
+        for _ in range(50):
+            await asyncio.sleep(0)
+        counters = owner.queue.counters
+        assert (counters.shed, counters.dispatched, len(owner.queue)) == \
+            (2, 2, 2)
+        assert balanced()
+        await owner.stop_without_drain()
+        # Every caller is resolved: none is left awaiting.
+        await asyncio.wait_for(
+            asyncio.gather(*callers, return_exceptions=True), 10)
+        assert (counters.drained, len(owner.queue)) == (2, 0)
+        assert balanced()
+
+    run(main())
 
 
 # -- one real worker over real sockets ---------------------------------------

@@ -375,12 +375,13 @@ class TestWorkerWire:
                     item(2), {"inputs": {"x": [0.0] * 3}},
                     item(3, deadline_ms=-5), item(4, priority=2),
                     item(5, priority=None), item(6, deadline_ms="soon"),
-                    not_a_number]})
+                    not_a_number, {"inputs": {"x": {"not": "a vector"}}}]})
                 assert status == 200
                 assert (reply["model"], reply["worker"]) == (SPEC.name,
                                                              "w0")
                 statuses = [r["status"] for r in reply["replies"]]
-                assert statuses == [200, 400, 504, 200, 400, 400, 400]
+                assert statuses == [200, 400, 504, 200, 400, 400, 400,
+                                    400]
                 assert reply["replies"][0]["words"] == reference(2)
                 assert reply["replies"][3]["words"] == reference(4)
                 assert reply["replies"][2]["reason"] == "deadline_exceeded"

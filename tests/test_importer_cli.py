@@ -175,16 +175,6 @@ class TestCli:
                      "--batch-file", str(batch_path)]) != 0
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_serve_demo(self, graph_file, capsys):
-        code = main(["serve", graph_file, "--requests", "5",
-                     "--max-batch", "4", "--window", "0.05"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "requests served: 5" in out
-        assert "batches formed:" in out
-        assert "[4] out =" in out
-        assert "compile cache:" in out
-
     def test_warm_then_run_artifact_dir(self, graph_file, tmp_path, capsys):
         """The documented warm flow: warm once, every later run warm-starts."""
         store = str(tmp_path / "store")
@@ -211,19 +201,6 @@ class TestCli:
         assert main(["warm", graph_file, "--artifact-dir", "/tmp/x",
                      "--batch", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_serve_artifact_dir(self, graph_file, tmp_path, capsys):
-        from pathlib import Path
-
-        store = tmp_path / "store"
-        code = main(["serve", graph_file, "--requests", "3",
-                     "--max-batch", "2", "--window", "0.01",
-                     "--artifact-dir", str(store)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "artifact store:" in out
-        # The server's start-up persisted the engine's warm state.
-        assert list(Path(store).glob("*/manifest.json"))
 
     def test_disasm(self, graph_file, capsys):
         assert main(["disasm", graph_file]) == 0

@@ -1,10 +1,9 @@
 """Property tests for the batch scheduler: 200+ seeded cases.
 
-The scheduler (:mod:`repro.serve.scheduler`) is pure policy — a queue
-with an ordering and a window-hold rule, no asyncio — so it can be
-driven through a miniature discrete-event simulation with total control
-over time.  Three properties, each over a seeded family of random
-workloads:
+The scheduler (:mod:`repro.serve.scheduler`) is one EDF queue; its
+queue operations need no event loop, so it can be driven through a
+miniature discrete-event simulation with total control over time.  Two
+properties, each over a seeded family of random workloads:
 
 * **conservation / no starvation** — every admitted request is
   dispatched exactly once or shed exactly once (typed outcome, never
@@ -14,18 +13,16 @@ workloads:
   arrival)`` order: strictly higher priority first; earlier deadline
   within a priority class; arrival order as the final tie-break (so
   priority-free, deadline-free traffic dispatches in pure arrival
-  order: EDF degenerates to FIFO);
-* **hold-rule sanity** — ``hold_for`` never exceeds the remaining
-  window, and an EDF early close (slack exhausted while window remains)
-  is counted.
+  order: EDF degenerates to FIFO).
 """
 
+import asyncio
 import math
 
 import numpy as np
 import pytest
 
-from repro.serve import BatchScheduler, ServiceTimeTracker
+from repro.serve import BatchScheduler
 
 # ---------------------------------------------------------------------------
 # The miniature discrete-event world
@@ -44,17 +41,24 @@ def _random_workload(rng: np.random.Generator):
     return sorted(requests)
 
 
-def _simulate(requests, *, max_batch_size: int,
-              batch_window_s: float, service_s: float):
+def _balanced(scheduler) -> bool:
+    """The conservation law, with the live queue depth."""
+    counters = scheduler.counters
+    return counters.admitted == (counters.dispatched + counters.shed
+                                 + counters.drained + len(scheduler))
+
+
+def _simulate(requests, *, max_batch_size: int, service_s: float):
     """Replay the workload through the scheduler under virtual time.
 
-    Returns (scheduler, outcomes) where outcomes maps request id ->
-    ``("dispatched", t)`` or ``("shed", t)``.  Conservation is asserted
-    *during* the run at every dispatch point.
+    Work-conserving, like the serve loop: whenever the engine is free,
+    expired requests are shed and whatever is queued dispatches; each
+    batch keeps the engine busy for ``service_s``.  Returns (scheduler,
+    outcomes) where outcomes maps request id -> ``("dispatched", t)``
+    or ``("shed", t)``.  Conservation is asserted *during* the run at
+    every dispatch point.
     """
-    scheduler = BatchScheduler(max_batch_size=max_batch_size,
-                               batch_window_s=batch_window_s)
-    scheduler.service_times.seed(max_batch_size, service_s)
+    scheduler = BatchScheduler(max_batch_size=max_batch_size)
     outcomes: dict[int, tuple[str, float]] = {}
     now = 0.0
     pending = list(enumerate(requests))
@@ -63,45 +67,23 @@ def _simulate(requests, *, max_batch_size: int,
         while pending and pending[0][1][0] <= now:
             rid, (arrival, priority, deadline) = pending.pop(0)
             deadline_at = None if deadline is None else arrival + deadline
-            scheduler.push(rid, priority=priority, deadline_at=deadline_at)
+            scheduler.push(rid, None, priority=priority,
+                           deadline_at=deadline_at)
         if not len(scheduler):
             now = pending[0][1][0]
             continue
-        window_started = now
-        # Hold the window: next arrival may land inside the hold.
-        while True:
-            for rid in scheduler.pop_expired(now):
-                assert rid not in outcomes, f"request {rid} shed twice"
-                outcomes[rid] = ("shed", now)
-            if not len(scheduler):
-                break
-            if len(scheduler) >= max_batch_size:
-                break
-            hold = scheduler.hold_for(now, window_started)
-            assert hold <= (window_started + batch_window_s) - now + 1e-12
-            if hold <= 0:
-                break
-            next_arrival = pending[0][1][0] if pending else math.inf
-            if next_arrival <= now + hold:
-                now = next_arrival
-                while pending and pending[0][1][0] <= now:
-                    rid, (arrival, priority, deadline) = pending.pop(0)
-                    deadline_at = (None if deadline is None
-                                   else arrival + deadline)
-                    scheduler.push(rid, priority=priority,
-                                   deadline_at=deadline_at)
-            elif now + hold == now:
-                break  # hold smaller than one ulp of `now`: dispatch
-            else:
-                now += hold
-        batch = scheduler.pop_batch(max_batch_size)
+        for expired in scheduler.pop_expired(now):
+            assert expired.payload not in outcomes, \
+                f"request {expired.payload} shed twice"
+            outcomes[expired.payload] = ("shed", now)
+        batch = [entry.payload for entry in scheduler.pop_batch()]
         for rid in batch:
             assert rid not in outcomes, f"request {rid} dispatched twice"
             outcomes[rid] = ("dispatched", now)
         if batch:
             now += service_s
         # The conservation law holds mid-flight, not just at the end.
-        assert scheduler.counters.in_balance(len(scheduler))
+        assert _balanced(scheduler)
     return scheduler, outcomes
 
 
@@ -120,7 +102,6 @@ def test_conservation_and_no_starvation(traffic, seed):
         requests = [(arrival, 0, None) for arrival, _p, _d in requests]
     scheduler, outcomes = _simulate(
         requests, max_batch_size=int(rng.integers(1, 9)),
-        batch_window_s=float(rng.uniform(0.0, 0.05)),
         service_s=float(rng.uniform(0.001, 0.02)))
     # No starvation: every request has exactly one typed outcome.
     assert sorted(outcomes) == list(range(len(requests)))
@@ -131,7 +112,7 @@ def test_conservation_and_no_starvation(traffic, seed):
     shed = len(outcomes) - dispatched
     assert counters.dispatched == dispatched
     assert counters.shed == shed
-    assert counters.in_balance(0)
+    assert len(scheduler) == 0 and _balanced(scheduler)
     if traffic == "fifo":
         assert shed == 0
         times = [outcomes[rid][1] for rid in range(len(requests))]
@@ -162,14 +143,15 @@ def test_edf_dispatch_order(seed):
         deadline_at = (float(rng.uniform(0, 10))
                        if rng.random() < 0.6 else None)
         entries.append((priority, deadline_at, seq))
-        edf.push(seq, priority=priority, deadline_at=deadline_at)
-        plain.push(seq)
-    order = edf.pop_batch(count)
+        edf.push(seq, None, priority=priority, deadline_at=deadline_at)
+        plain.push(seq, None)
+    order = [entry.payload for entry in edf.pop_batch()]
     keys = [(-entries[rid][0],
              math.inf if entries[rid][1] is None else entries[rid][1],
              rid) for rid in order]
     assert keys == sorted(keys), f"EDF out of order: {order}"
-    assert plain.pop_batch(count) == list(range(count))
+    assert [entry.payload for entry in plain.pop_batch()] == \
+        list(range(count))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -183,47 +165,41 @@ def test_edf_priority_beats_deadline_and_arrival(seed):
     # Low-priority requests arrive FIRST (earlier seq) — priority must
     # still win over both arrival order and the shared deadline.
     for item in low:
-        scheduler.push(item, priority=0, deadline_at=deadline_at)
+        scheduler.push(item, None, priority=0, deadline_at=deadline_at)
     for item in high:
-        scheduler.push(item, priority=1, deadline_at=deadline_at)
-    batch = scheduler.pop_batch(len(low) + len(high))
+        scheduler.push(item, None, priority=1, deadline_at=deadline_at)
+    batch = [entry.payload for entry in scheduler.pop_batch()]
     assert batch == high + low
-    assert scheduler.counters.in_balance(0)
+    assert _balanced(scheduler)
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_edf_early_close_is_counted(seed):
-    """Deadline pressure inside the window closes it early, and counts."""
-    rng = np.random.default_rng(3000 + seed)
-    window = float(rng.uniform(0.05, 0.5))
-    service = float(rng.uniform(0.01, 0.04))
-    scheduler = BatchScheduler(max_batch_size=4, batch_window_s=window)
-    scheduler.service_times.seed(1, service)
-    # A deadline tighter than the window: slack runs out mid-window.
-    scheduler.push("urgent", deadline_at=service / 2)
-    hold = scheduler.hold_for(0.0, 0.0)
-    assert hold <= 0, "tight deadline must close the window immediately"
-    assert scheduler.counters.early_closes == 1
-    # Without deadline pressure the full window stays open.
-    relaxed = BatchScheduler(max_batch_size=4, batch_window_s=window)
-    relaxed.push("calm", deadline_at=None)
-    assert relaxed.hold_for(0.0, 0.0) == pytest.approx(window)
-    assert relaxed.counters.early_closes == 0
+def test_a_push_wakes_exactly_one_parked_consumer():
+    """Three consumers park on ``wait()``: a push wakes one, a consumer
+    cancelled after its wake-up hands it on, and ``close()`` wakes the
+    rest."""
+    async def main():
+        queue = BatchScheduler(max_batch_size=4)
+        woken = []
 
+        async def consumer(name):
+            await queue.wait()
+            woken.append(name)
 
-@pytest.mark.parametrize("seed", range(20))
-def test_service_time_tracker_nearest_estimate(seed):
-    """estimate() answers with the nearest observed batch size."""
-    rng = np.random.default_rng(4000 + seed)
-    tracker = ServiceTimeTracker(alpha=float(rng.uniform(0.1, 1.0)))
-    assert tracker.estimate(4) is None
-    sizes = sorted(set(int(s) for s in rng.integers(1, 33, size=5)))
-    for size in sizes:
-        tracker.observe(size, size * 0.001)
-    for query in (1, 7, 16, 40):
-        estimate = tracker.estimate(query)
-        nearest = min(sizes, key=lambda s: (abs(s - query), s))
-        assert estimate == pytest.approx(tracker.snapshot()[nearest])
-    # EWMA: a second observation moves the estimate toward it.
-    tracker.observe(sizes[0], 1.0)
-    assert tracker.estimate(sizes[0]) > sizes[0] * 0.001
+        tasks = {name: asyncio.create_task(consumer(name))
+                 for name in ("a", "b", "c")}
+        await asyncio.sleep(0)
+        queue.push("first", None)
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert woken == ["a"]
+        queue.pop_batch()
+        queue.push("second", None)      # wakes b ...
+        tasks["b"].cancel()             # ... which is cancelled first
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert woken == ["a", "c"]
+        queue.close()
+        await asyncio.gather(*tasks.values(), return_exceptions=True)
+        assert tasks["b"].cancelled()
+
+    asyncio.run(main())

@@ -261,8 +261,7 @@ class TestPumaServer:
         xs = float_inputs(n, seed=11)
 
         async def scenario():
-            async with PumaServer(engine, max_batch_size=8,
-                                  batch_window_s=0.25) as server:
+            async with PumaServer(engine, max_batch_size=8) as server:
                 results = await asyncio.gather(
                     *(server.submit({"x": xs[i]}) for i in range(n)))
             return results, server.counters
@@ -281,8 +280,7 @@ class TestPumaServer:
         xs = float_inputs(n, seed=2)
 
         async def scenario():
-            async with PumaServer(engine, max_batch_size=cap,
-                                  batch_window_s=0.1) as server:
+            async with PumaServer(engine, max_batch_size=cap) as server:
                 await asyncio.gather(
                     *(server.submit({"x": xs[i]}) for i in range(n)))
             return server.counters
@@ -360,21 +358,18 @@ class TestPumaServer:
     def test_stop_serves_queued_requests(self, engine):
         """Graceful shutdown: stop() drains the queue before exiting.
 
-        The 5-second batch window runs on a virtual clock, so the drain
-        is proven to short-circuit it rather than merely winning a race
-        against a real timer.
+        The three requests are admitted before the serve loop first
+        runs, so all of them are still queued when stop() is called.
         """
 
         async def scenario():
             server = await PumaServer(engine, max_batch_size=4,
-                                      batch_window_s=5.0,
                                       clock=VirtualClock()).start()
-            tasks = [asyncio.create_task(
-                server.submit({"x": float_inputs(1, seed=i)[0]}))
-                for i in range(3)]
-            await until(lambda: len(server._scheduler) == 3)
+            futures = [server.admit({"x": float_inputs(1, seed=i)[0]})
+                       for i in range(3)]
+            assert len(server.scheduler) == 3
             await server.stop()
-            return await asyncio.gather(*tasks)
+            return await asyncio.gather(*futures)
 
         results = serve(scenario())
         assert len(results) == 3
@@ -437,8 +432,7 @@ class TestGracefulShutdown:
         n = 12
 
         async def scenario():
-            server = await PumaServer(engine, max_batch_size=2,
-                                      batch_window_s=0.0).start()
+            server = await PumaServer(engine, max_batch_size=2).start()
             xs = float_inputs(n, seed=7)
             tasks = [asyncio.create_task(server.submit({"x": xs[i]}))
                      for i in range(n)]
@@ -467,8 +461,7 @@ class TestGracefulShutdown:
         n = 10
 
         async def scenario():
-            server = await PumaServer(engine, max_batch_size=4,
-                                      batch_window_s=0.005).start()
+            server = await PumaServer(engine, max_batch_size=4).start()
             xs = float_inputs(n, seed=3)
 
             async def client(i):
@@ -492,8 +485,7 @@ class TestGracefulShutdown:
             pass
 
         async def scenario():
-            server = await PumaServer(engine, max_batch_size=2,
-                                      batch_window_s=0.0).start()
+            server = await PumaServer(engine, max_batch_size=2).start()
 
             async def explode():
                 raise Boom("induced loop crash")
@@ -522,8 +514,7 @@ class TestGracefulShutdown:
 class TestServerStats:
     def test_stats_expose_cache_counters(self, engine):
         async def scenario():
-            async with PumaServer(engine, max_batch_size=4,
-                                  batch_window_s=0.01) as server:
+            async with PumaServer(engine, max_batch_size=4) as server:
                 xs = float_inputs(4, seed=9)
                 await asyncio.gather(
                     *(server.submit({"x": xs[i]}) for i in range(4)))
@@ -545,8 +536,7 @@ class TestServerStats:
 
     def test_stats_expose_scheduler_section(self, engine):
         async def scenario():
-            async with PumaServer(engine, max_batch_size=4,
-                                  batch_window_s=0.005) as server:
+            async with PumaServer(engine, max_batch_size=4) as server:
                 xs = float_inputs(3, seed=13)
                 await asyncio.gather(
                     *(server.submit({"x": xs[i]}, priority=i)
@@ -597,7 +587,6 @@ class TestDeadlinesAndAdmission:
         async def scenario():
             clock = VirtualClock()
             server = await PumaServer(engine, max_batch_size=2,
-                                      batch_window_s=0.0,
                                       clock=clock).start()
             gate = asyncio.Event()
             original = server._serve_batch
@@ -611,11 +600,11 @@ class TestDeadlinesAndAdmission:
             blocker = asyncio.create_task(server.submit({"x": xs[0]}))
             # The loop claims the blocker and parks at the gate.
             await until(
-                lambda: server._scheduler.counters.dispatched == 1)
+                lambda: server.scheduler.counters.dispatched == 1)
             doomed = asyncio.create_task(
                 server.submit({"x": xs[1]}, deadline_s=0.02))
             fresh = asyncio.create_task(server.submit({"x": xs[2]}))
-            await until(lambda: len(server._scheduler) == 2)
+            await until(lambda: len(server.scheduler) == 2)
             await clock.advance(0.05)   # doomed's budget lapses queued
             gate.set()
             outcomes = await asyncio.gather(blocker, doomed, fresh,
@@ -636,7 +625,6 @@ class TestDeadlinesAndAdmission:
 
         async def scenario():
             server = await PumaServer(engine, max_batch_size=1,
-                                      batch_window_s=0.0,
                                       max_queue_depth=1).start()
             gate = asyncio.Event()
             original = server._serve_batch
@@ -650,9 +638,9 @@ class TestDeadlinesAndAdmission:
             inflight = asyncio.create_task(server.submit({"x": xs[0]}))
             # Claimed and parked at the gate — no timing races.
             await until(
-                lambda: server._scheduler.counters.dispatched == 1)
+                lambda: server.scheduler.counters.dispatched == 1)
             queued = asyncio.create_task(server.submit({"x": xs[1]}))
-            await until(lambda: len(server._scheduler) == 1)
+            await until(lambda: len(server.scheduler) == 1)
             with pytest.raises(AdmissionError, match="queue full"):
                 await server.submit({"x": xs[2]})
             gate.set()                  # drain; admission recovers
@@ -726,26 +714,38 @@ class TestVirtualClockHarness:
 
         serve(scenario())
 
-    def test_five_second_window_costs_zero_wall_seconds(self, engine):
-        """The point of the harness: a 5-second batch window is held
-        and released purely in virtual time — the test asserts the
-        mid-window state exactly, and never sleeps for real."""
+    def test_five_second_pass_costs_zero_wall_seconds(self, engine):
+        """The point of the harness: a pass gated on 5 seconds of the
+        clock keeps two requests queued behind it and releases them
+        purely in virtual time — the test asserts the mid-pass state
+        exactly, and never sleeps for real."""
 
         async def scenario():
             clock = VirtualClock()
             server = await PumaServer(engine, max_batch_size=8,
-                                      batch_window_s=5.0,
                                       clock=clock).start()
-            xs = float_inputs(2, seed=21)
-            riders = [asyncio.create_task(server.submit({"x": xs[i]}))
-                      for i in range(2)]
-            # The batching loop settles onto the window sleeper.
+            original = server._serve_batch
+
+            async def five_seconds():
+                await clock.sleep(5.0)
+                return await original()
+
+            server._serve_batch = five_seconds
+            xs = float_inputs(3, seed=21)
+            blocker = asyncio.create_task(server.submit({"x": xs[0]}))
+            # The batching loop claims the blocker and parks on the clock.
             await until(lambda: clock.pending_sleepers == 1)
-            # Mid-window: both requests queued, nothing served yet.
+            riders = [asyncio.create_task(server.submit({"x": xs[i]}))
+                      for i in (1, 2)]
+            await until(lambda: len(server.scheduler) == 2)
+            # Mid-pass: both requests queued, nothing served yet.
             assert server.counters.requests_served == 0
-            assert len(server._scheduler) == 2
             await clock.advance(5.0)
-            results = await asyncio.gather(*riders)
+            # The two queued riders form the next pass, which parks.
+            await until(lambda: server.counters.requests_served == 1
+                        and clock.pending_sleepers == 1)
+            await clock.advance(5.0)
+            results = await asyncio.gather(blocker, *riders)
             counters = server.counters
             await server.stop()
             return results, counters
@@ -753,40 +753,50 @@ class TestVirtualClockHarness:
         started = time.monotonic()
         results, counters = serve(scenario())
         elapsed = time.monotonic() - started
-        assert counters.requests_served == 2
-        assert counters.batches_formed == 1   # one coalesced batch
+        assert counters.requests_served == 3
+        assert counters.batches_formed == 2   # the queued two coalesced
         assert all(r["out"].shape == (DIMS[-1],) for r in results)
-        assert elapsed < 2.0, "the 5 s window must not cost wall time"
+        assert elapsed < 2.0, "the 5 s passes must not cost wall time"
 
-    def test_edf_parks_on_deadline_not_window(self, engine):
-        """Under EDF the window sleeper is bounded by the earliest
-        queued deadline: a 10 s window with a 1 s deadline sheds the
-        doomed request at exactly t=1 and keeps holding for the rest."""
+    def test_deadline_lapsed_behind_a_long_pass_is_shed(self, engine):
+        """A request whose 1 s budget lapses while a 10 s pass runs is
+        shed when the next batch forms, never riding it; the patient
+        request queued beside it is served.  Deadlines are measured on
+        the injected clock."""
         from repro.serve import DeadlineExceeded
 
         async def scenario():
             clock = VirtualClock()
             server = await PumaServer(engine, max_batch_size=8,
-                                      batch_window_s=10.0,
                                       clock=clock).start()
-            xs = float_inputs(2, seed=17)
+            original = server._serve_batch
+
+            async def ten_seconds():
+                await clock.sleep(10.0)
+                return await original()
+
+            server._serve_batch = ten_seconds
+            xs = float_inputs(3, seed=17)
+            blocker = asyncio.create_task(server.submit({"x": xs[2]}))
+            await until(lambda: clock.pending_sleepers == 1)
             doomed = asyncio.create_task(
                 server.submit({"x": xs[0]}, deadline_s=1.0))
             patient = asyncio.create_task(server.submit({"x": xs[1]}))
-            await until(lambda: len(server._scheduler) == 2)
-            # Wait for the loop to open the window at t=0 and park —
-            # only then does advancing time hit the hold it chose.
-            await until(lambda: clock.pending_sleepers == 1)
+            await until(lambda: len(server.scheduler) == 2)
             await clock.advance(1.0)
-            # The deadline fired: doomed is shed the moment its budget
-            # lapses, while the window stays open for the patient one.
+            # The budget lapsed mid-pass; only batch formation sheds.
+            assert not doomed.done()
+            assert len(server.scheduler) == 2
+            await clock.advance(9.0)     # the rest of the long pass
             outcome = await asyncio.wait_for(
                 asyncio.gather(doomed, return_exceptions=True), 1.0)
             assert isinstance(outcome[0], DeadlineExceeded)
             assert not patient.done()
-            assert len(server._scheduler) == 1
-            await clock.advance(9.0)     # the rest of the window
+            assert len(server.scheduler) == 0   # patient rides alone
+            await until(lambda: clock.pending_sleepers == 1)
+            await clock.advance(10.0)
             result = await patient
+            await blocker
             counters = server.counters
             await server.stop()
             return result, counters
@@ -794,13 +804,14 @@ class TestVirtualClockHarness:
         result, counters = serve(scenario())
         assert result["out"].shape == (DIMS[-1],)
         assert counters.requests_shed == 1
-        assert counters.requests_served == 1
+        assert counters.requests_served == 2
+        assert counters.lanes_simulated == 2
 
-    def test_default_window_never_consults_the_clock(self, engine):
-        """Work-conserving by default: an idle server answers a lone
-        request without ever asking the clock to sleep — there is no
-        hold to wait out — and a burst made in one loop turn is still
-        one batch."""
+    def test_an_idle_server_never_consults_the_clock(self, engine):
+        """Work-conserving: an idle server answers a lone request
+        without ever asking the clock to sleep — there is no hold to
+        wait out — and a burst made in one loop turn is still one
+        batch."""
 
         class CountingClock(VirtualClock):
             sleeps = 0
@@ -813,8 +824,6 @@ class TestVirtualClockHarness:
             clock = CountingClock()
             server = await PumaServer(engine, max_batch_size=8,
                                       clock=clock).start()
-            assert server.batch_window_s == 0.0
-            assert server.scheduler.batch_window_s == 0.0
             xs = float_inputs(5, seed=33)
             # Never advanced: a server waiting on the clock would hang.
             lone = await asyncio.wait_for(server.submit({"x": xs[0]}), 30)
@@ -836,36 +845,6 @@ class TestVirtualClockHarness:
             assert np.array_equal(result["out"],
                                   engine.predict({"x": x})["out"])
 
-    def test_explicit_window_still_holds_and_early_closes(self, engine):
-        """Passing a window is the only switch: it is held on the
-        clock, and deadline pressure still closes it early."""
-
-        async def scenario():
-            clock = VirtualClock()
-            server = await PumaServer(engine, max_batch_size=8,
-                                      batch_window_s=5.0,
-                                      clock=clock).start()
-            xs = float_inputs(2, seed=34)
-            held = asyncio.create_task(server.submit({"x": xs[0]}))
-            await until(lambda: clock.pending_sleepers == 1)
-            assert server.counters.batches_formed == 0      # held
-            await clock.advance(5.0)
-            await asyncio.wait_for(held, 30)
-            assert server.scheduler.counters.early_closes == 0
-            # A batch of 1 is estimated at 2 s: a 1.5 s deadline cannot
-            # afford any of the 5 s hold.
-            server.scheduler.service_times.seed(1, 2.0)
-            urgent = await asyncio.wait_for(
-                server.submit({"x": xs[1]}, deadline_s=1.5), 30)
-            early_closes = server.scheduler.counters.early_closes
-            await server.stop()
-            return urgent, early_closes, clock.now()
-
-        urgent, early_closes, now = serve(scenario())
-        assert early_closes == 1
-        assert now == 5.0                # the second hold never slept
-        assert urgent["out"].shape == (DIMS[-1],)
-
 
 # ---------------------------------------------------------------------------
 # Submit side-effect ordering (PR 10 regression guard)
@@ -876,7 +855,7 @@ class TestSubmitSideEffectOrdering:
 
     Validation runs strictly before any side effect: a request that
     fails (bad inputs, bad priority, non-finite deadline, expired
-    deadline, full queue) must never consume a request id, occupy a
+    deadline, full queue) must never consume an arrival number, occupy a
     queue slot, or touch any counter other than the one naming its own
     outcome.  Previously an expired-deadline request arriving at a full
     queue was *rejected* (charged against the queue it could never
@@ -888,31 +867,26 @@ class TestSubmitSideEffectOrdering:
         from repro.serve import AdmissionError, DeadlineExceeded
 
         async def scenario():
-            clock = VirtualClock()
             server = await PumaServer(engine, max_batch_size=8,
-                                      batch_window_s=100.0,
-                                      max_queue_depth=1,
-                                      clock=clock).start()
+                                      max_queue_depth=1).start()
             xs = float_inputs(4, seed=5)
-            # Park one request: the 100 s virtual window keeps it
-            # queued (filling the 1-deep queue) while we probe.
-            parked = asyncio.create_task(server.submit({"x": xs[0]}))
-            await until(lambda: len(server._scheduler) == 1)
-            # The loop opens its window at t=0 and parks on the clock;
-            # advancing later must land inside this window.
-            await until(lambda: clock.pending_sleepers == 1)
+            # Park one request: admitted before the serve loop first
+            # runs, and nothing below yields to the loop (each refused
+            # submit raises before its first suspension), so it stays
+            # queued, filling the 1-deep queue, while we probe.
+            parked = server.admit({"x": xs[0]})
+            assert len(server.scheduler) == 1
 
             def snapshot():
-                return (server._next_request_id,
-                        len(server._scheduler),
-                        server._scheduler.counters.admitted,
+                return (server.scheduler.counters.admitted,
+                        len(server.scheduler),
                         server.counters.requests_served,
                         server.counters.requests_failed,
                         server.counters.requests_shed,
                         server.counters.requests_rejected)
 
             baseline = snapshot()
-            assert baseline[0] == 1      # exactly one id consumed so far
+            assert baseline[0] == 1      # one arrival numbered so far
 
             # Pure-validation failures: nothing moves, not even the
             # shed/rejected counters.
@@ -926,27 +900,30 @@ class TestSubmitSideEffectOrdering:
                 await server.submit({"x": xs[1]}, deadline_s=math.nan)
             with pytest.raises(ValueError, match="finite"):
                 await server.submit({"x": xs[1]}, deadline_s=math.inf)
+            # A deadline is a number: never parsed, never a boolean.
+            with pytest.raises(ValueError, match="finite"):
+                await server.submit({"x": xs[1]}, deadline_s="0.5")
+            with pytest.raises(ValueError, match="finite"):
+                await server.submit({"x": xs[1]}, deadline_s=True)
             assert snapshot() == baseline
 
             # Expired deadline into a FULL queue: shed, not rejected —
-            # and still no id or queue slot consumed.
+            # and still no arrival number or queue slot consumed.
             with pytest.raises(DeadlineExceeded, match="expired"):
                 await server.submit({"x": xs[1]}, deadline_s=-0.5)
             assert server.counters.requests_shed == 1
             assert server.counters.requests_rejected == 0
-            assert server._next_request_id == baseline[0]
-            assert len(server._scheduler) == 1
+            assert server.scheduler.counters.admitted == baseline[0]
+            assert len(server.scheduler) == 1
 
-            # Queue full: rejected, id still not consumed.
+            # Queue full: rejected, arrival number still not consumed.
             with pytest.raises(AdmissionError, match="queue full"):
                 await server.submit({"x": xs[1]})
             assert server.counters.requests_rejected == 1
-            assert server._next_request_id == baseline[0]
-            assert len(server._scheduler) == 1
-            assert server._scheduler.counters.admitted == 1
+            assert server.scheduler.counters.admitted == baseline[0]
+            assert len(server.scheduler) == 1
 
             # The parked request was untouched by any of the above.
-            await clock.advance(100.0)
             result = await parked
             stats = server.stats()
             await server.stop()
@@ -973,8 +950,8 @@ class TestSubmitSideEffectOrdering:
                 with pytest.raises(ValueError, match="must be an integer"):
                     await server.submit({"x": x}, deadline_s=-1.0,
                                         priority=priority)
-                assert server._next_request_id == 0
-                assert len(server._scheduler) == 0
+                assert server.scheduler.counters.admitted == 0
+                assert len(server.scheduler) == 0
                 assert server.counters.requests_shed == 0
 
         serve(scenario())

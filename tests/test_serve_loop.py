@@ -6,8 +6,8 @@ and a self-pipe write per pass) and yields exactly once after each
 pass.  A fleet worker admits an exchange's riders in one synchronous
 pass, with no Task per rider.  This file pins:
 
-* host-cost ratchets — every pass runs on the loop thread, in
-  whole-batch and sharded serving; one ``POST /v1/predict``
+* host-cost ratchets — every pass runs on the loop thread; one
+  ``POST /v1/predict``
   creates as many Tasks for 8 riders as for 1; an ``HttpConnection``
   request creates no Task, and an ``HttpServer`` one per connection
   however many requests it carries;
@@ -23,7 +23,6 @@ import json
 import threading
 
 import numpy as np
-import pytest
 
 from repro import InferenceEngine, PumaServer, default_config
 from repro.fleet import FleetModelSpec, FleetWorker, route_key
@@ -58,20 +57,17 @@ def record_calls(engine, name, log, label):
     setattr(engine, name, wrapped)
 
 
-@pytest.mark.parametrize("mode", ["whole", "sharded"])
-def test_every_pass_runs_on_the_loop_thread(mode):
-    """``run_batch`` is every whole-batch and sharded pass; a replayed
-    pass derives its stats through ``_stats_for_batch``."""
+def test_every_pass_runs_on_the_loop_thread():
+    """``run_batch`` is every pass; a replayed pass derives its stats
+    through ``_stats_for_batch``."""
     engine = mlp_engine()
-    options = {"num_shards": 2} if mode == "sharded" else {}
     rng = np.random.default_rng(4)
     requests = [{name: rng.normal(0.0, 0.5, length)
                  for name, (_tile, _addr, length)
                  in engine.program.input_layout.items()} for _ in range(12)]
 
     async def scenario():
-        async with PumaServer(engine, max_batch_size=4,
-                              **options) as server:
+        async with PumaServer(engine, max_batch_size=4) as server:
             threads = []
             for name in ("run_batch", "_stats_for_batch"):
                 record_calls(engine, name, threads,

@@ -6,9 +6,6 @@ sequential single-input reference (no request may be lost, duplicated,
 swapped between lanes, or served from the wrong batch), and the server
 counters must balance exactly: requests served + failed == lanes
 simulated, summed over the batches actually formed.
-
-The same battery runs against a sharded server (``num_shards > 1``) —
-the shard/merge layer must be invisible to clients.
 """
 
 import asyncio
@@ -42,12 +39,12 @@ async def _client(server, x, delay, rng_jitter):
     return await server.submit({"x": x})
 
 
-def _run_stress(engine, *, num_shards=1, max_batch_size=8, seed=11):
+def _run_stress(engine, *, max_batch_size=8, seed=11):
     """Drive NUM_CLIENTS mixed-arrival clients; return (results,
     server)."""
     rng = np.random.default_rng(seed)
     # Three arrival regimes: a thundering herd at t=0, a trickle, and a
-    # late burst — exercising full, partial, and timed-out batches.
+    # late burst — exercising full, partial, and lone-request batches.
     delays = np.concatenate([
         np.zeros(NUM_CLIENTS // 3),
         rng.uniform(0.0, 0.02, size=NUM_CLIENTS // 3),
@@ -55,8 +52,7 @@ def _run_stress(engine, *, num_shards=1, max_batch_size=8, seed=11):
     ])
 
     async def run(xs):
-        server = PumaServer(engine, max_batch_size=max_batch_size,
-                            batch_window_s=0.004, num_shards=num_shards)
+        server = PumaServer(engine, max_batch_size=max_batch_size)
         async with server:
             results = await asyncio.gather(
                 *(_client(server, x, delay, rng)
@@ -66,13 +62,9 @@ def _run_stress(engine, *, num_shards=1, max_batch_size=8, seed=11):
     return run
 
 
-@pytest.mark.parametrize("num_shards", [1, 2, 3],
-                         ids=["unsharded", "sharded-x2", "sharded-x3"])
-def test_stress_bitwise_and_counter_consistency(engine, workload,
-                                                num_shards):
+def test_stress_bitwise_and_counter_consistency(engine, workload):
     xs, references = workload
-    results, server = asyncio.run(
-        _run_stress(engine, num_shards=num_shards)(xs))
+    results, server = asyncio.run(_run_stress(engine)(xs))
 
     # Every client got exactly its own answer, bit for bit.
     assert len(results) == NUM_CLIENTS
@@ -109,8 +101,7 @@ def test_stress_mixed_priority_deadline_clients(engine, workload):
     deadlines = [10.0 if p else None for p in priorities]
 
     async def run():
-        server = PumaServer(engine, max_batch_size=8,
-                            batch_window_s=0.004)
+        server = PumaServer(engine, max_batch_size=8)
         async with server:
             async def client(i):
                 await asyncio.sleep(float(rng.uniform(0, 0.02)))

@@ -193,21 +193,22 @@ def test_fresh_process_bitwise(tmp_path, workload, device):
 
 
 def test_server_with_artifact_dir_round_trip(tmp_path):
-    """PumaServer(artifact_dir=...) persists on first start, adopts later."""
+    """A PumaServer over an ``artifact_dir`` engine persists on first
+    start, adopts later."""
     import asyncio
 
     async def serve_once(engine):
-        async with PumaServer(engine, max_batch_size=4,
-                              batch_window_s=0.0,
-                              artifact_dir=tmp_path) as server:
+        async with PumaServer(engine, max_batch_size=4) as server:
             return await server.submit(
                 {"x": np.linspace(-0.4, 0.4, 32)})
 
-    first = asyncio.run(serve_once(make_engine("mlp", "ideal")))
+    first = asyncio.run(serve_once(
+        make_engine("mlp", "ideal", artifact_dir=tmp_path)))
     saved = store_info().saves
     assert saved >= 1
     # A second server (fresh engine object) adopts the artifact.
-    second = asyncio.run(serve_once(make_engine("mlp", "ideal")))
+    second = asyncio.run(serve_once(
+        make_engine("mlp", "ideal", artifact_dir=tmp_path)))
     for name in first:
         np.testing.assert_array_equal(second[name], first[name])
 
