@@ -21,11 +21,11 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
     Severity,
+    program_digest,
 )
 from repro.analysis.verifier import (
     VerificationError,
     analyze_program,
-    program_digest,
     verify_program,
 )
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +43,9 @@ from repro.arch.config import PumaConfig
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import NodeProgram
-from repro.sim.tape import ExecutionTape
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.tape import ExecutionTape
 
 # Must match repro.sim.tape's notion of "data-carrying": the recorder
 # omits these, so the static sequence a tape realizes omits them too.

@@ -14,6 +14,12 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+from repro.isa.encoding import encode_program
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.isa.program import NodeProgram
 
 # Bumped whenever a checker's semantics change, so a manifest's clean-bill
 # digest identifies *which* analyzer vouched for the program.
@@ -79,12 +85,17 @@ class AnalysisReport:
         diagnostics: findings in emission order (checker by checker).
         program_name: name of the analyzed program.
         program_sha256: digest of the analyzed program's encoded
-            instruction streams, tying the report to exact bits.
+            instruction streams (:func:`program_digest`), tying the
+            report to exact bits; computed from ``program`` when
+            :meth:`clean_bill_digest` first needs it.
+        program: the analyzed program.
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     program_name: str = ""
     program_sha256: str = ""
+    program: NodeProgram | None = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -126,9 +137,23 @@ class AnalysisReport:
         """
         if self.has_errors:
             return None
+        if not self.program_sha256 and self.program is not None:
+            self.program_sha256 = program_digest(self.program)
         payload = "\n".join([
             f"analyzer-version:{ANALYZER_VERSION}",
             f"program:{self.program_sha256}",
             *sorted(str(d) for d in self.diagnostics),
         ])
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def program_digest(program: NodeProgram) -> str:
+    """sha256 over every encoded instruction stream, in tile/core order."""
+    digest = hashlib.sha256()
+    for tile_id, tile in sorted(program.tiles.items()):
+        digest.update(f"tile:{tile_id}".encode())
+        digest.update(encode_program(tile.tile_instructions))
+        for core_id, core in sorted(tile.cores.items()):
+            digest.update(f"core:{core_id}".encode())
+            digest.update(encode_program(core.instructions))
+    return digest.hexdigest()

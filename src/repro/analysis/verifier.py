@@ -1,21 +1,19 @@
 """Entry points: analyze a compiled program, or verify-and-raise.
 
 ``analyze_program`` builds the dependence graph, runs every checker, and
-packages an :class:`~repro.analysis.diagnostics.AnalysisReport` tied to a
-digest of the program's encoded instruction streams.  ``verify_program``
-is the compiler gate (``CompilerOptions.verify``): same analysis, but
-error-severity findings raise :class:`VerificationError`.
+packages an :class:`~repro.analysis.diagnostics.AnalysisReport` of the
+program (its clean bill digests the encoded instruction streams, on
+demand).  ``verify_program`` is the compiler gate
+(``CompilerOptions.verify``): same analysis, but error-severity findings
+raise :class:`VerificationError`.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from repro.analysis.checks import run_all
 from repro.analysis.depgraph import StaticDependenceGraph
 from repro.analysis.diagnostics import AnalysisReport
 from repro.arch.config import PumaConfig
-from repro.isa.encoding import encode_program
 from repro.isa.program import NodeProgram
 
 
@@ -38,18 +36,6 @@ class VerificationError(RuntimeError):
             f"({report.summary()}):\n{shown}")
 
 
-def program_digest(program: NodeProgram) -> str:
-    """sha256 over every encoded instruction stream, in tile/core order."""
-    digest = hashlib.sha256()
-    for tile_id, tile in sorted(program.tiles.items()):
-        digest.update(f"tile:{tile_id}".encode())
-        digest.update(encode_program(tile.tile_instructions))
-        for core_id, core in sorted(tile.cores.items()):
-            digest.update(f"core:{core_id}".encode())
-            digest.update(encode_program(core.instructions))
-    return digest.hexdigest()
-
-
 def analyze_program(program: NodeProgram,
                     config: PumaConfig) -> AnalysisReport:
     """Run the full checker suite; never raises on findings."""
@@ -57,7 +43,7 @@ def analyze_program(program: NodeProgram,
     return AnalysisReport(
         diagnostics=run_all(graph),
         program_name=program.name,
-        program_sha256=program_digest(program))
+        program=program)
 
 
 def verify_program(program: NodeProgram,

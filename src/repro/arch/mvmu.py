@@ -13,14 +13,12 @@ using the per-column weight sums (a compile-time constant stored with the
 unit) and the input sum (computed on the fly) — the standard arrangement for
 signed arithmetic on unipolar conductances.
 
-The unit exposes two functionally identical paths:
-
-* :meth:`execute` — full analog emulation through
-  :meth:`~repro.arch.crossbar.CrossbarStack.column_sums` (DAC/ADC, write
-  noise).
-* the ideal shortcut taken automatically when the model is bit-exact, which
-  computes the same integer product directly (orders of magnitude faster;
-  property tests in ``tests/test_mvmu.py`` check the equivalence).
+An MVM instruction (:meth:`MVMU.execute`) is :meth:`MVMU.dot` — full
+analog emulation through
+:meth:`~repro.arch.crossbar.CrossbarStack.column_sums` (DAC/ADC, write
+noise), or the same integer product computed directly when the model is
+bit-exact (``tests/test_crossbar.py`` checks the equivalence) — then
+:meth:`MVMU.rescale`, which tape replay's stacked MVM groups call too.
 """
 
 from __future__ import annotations
@@ -29,6 +27,16 @@ import numpy as np
 
 from repro.arch.crossbar import CrossbarModel, CrossbarStack
 from repro.fixedpoint import FixedPointFormat, bit_slices
+
+
+def _rescale_operands(fmt: FixedPointFormat) -> tuple[np.ndarray, dict]:
+    """:meth:`MVMU.rescale`'s operands for ``fmt``, 0-d so its in-place
+    ufuncs convert nothing per call: the reciprocal of the scale, and the
+    word range per product dtype kind."""
+    return np.array(1.0 / fmt.scale), {
+        kind: (np.array(fmt.int_min, dtype=dtype),
+               np.array(fmt.int_max, dtype=dtype))
+        for kind, dtype in (("f", np.float64), ("i", np.int64))}
 
 
 class MVMU:
@@ -58,6 +66,7 @@ class MVMU:
         # ideal shortcut, the offset sums by the analog path.
         self._matrix_f64: np.ndarray | None = None
         self._column_offset_sums: np.ndarray | None = None
+        self._rescale_operands: tuple | None = None  # on first rescale()
 
     @property
     def dim(self) -> int:
@@ -173,30 +182,6 @@ class MVMU:
         product_bits = 2 * (self.fmt.total_bits - 1)
         return self.dim * (1 << product_bits) <= (1 << 53)
 
-    def dot_ideal(self, inputs: np.ndarray) -> np.ndarray:
-        """Exact signed integer product ``inputs @ matrix`` (reference path).
-
-        Accepts ``(dim,)`` or ``(batch, dim)`` inputs; integer arithmetic is
-        exact, so batched lanes are trivially bit-identical to separate
-        calls.  When the value range permits (see
-        :meth:`_f64_product_is_exact`) the product runs through float64
-        BLAS — an order of magnitude faster than numpy's int64 matmul and
-        provably bit-identical; otherwise integer arithmetic is used.
-        """
-        if self._matrix is None:
-            raise RuntimeError("MVMU has not been programmed")
-        x = np.asarray(inputs, dtype=np.int64)
-        if self._f64_product_is_exact():
-            return self._dot_ideal_f64(x).astype(np.int64)
-        return x @ self._matrix
-
-    def _dot_ideal_f64(self, x: np.ndarray) -> np.ndarray:
-        """The exact product as float64 (callers needing floats avoid the
-        int64 round-trip; valid only under :meth:`_f64_product_is_exact`)."""
-        if self._matrix_f64 is None:
-            self._matrix_f64 = self._matrix.astype(np.float64)
-        return x.astype(np.float64) @ self._matrix_f64
-
     def dot(self, inputs: np.ndarray, force_analog: bool = False) -> np.ndarray:
         """Full-precision dot products through the modelled analog path.
 
@@ -208,9 +193,10 @@ class MVMU:
                 bit-sliced emulation (used by equivalence tests).
 
         Returns:
-            Float column results at full precision with the same leading
-            shape as ``inputs`` (callers rescale to the 16-bit format; see
-            :meth:`execute`).
+            Column results at full precision with the same leading shape
+            as ``inputs``: an ideal unit's exact ``inputs @ matrix``, in
+            float64 when that cannot round (:meth:`_f64_product_is_exact`)
+            and int64 otherwise; the analog path's float64 sums.
         """
         if self._matrix is None:
             raise RuntimeError("MVMU has not been programmed")
@@ -220,9 +206,11 @@ class MVMU:
                 f"expected shape ({self.dim},) or (batch, {self.dim}), "
                 f"got {x.shape}")
         if self.model.is_ideal and not force_analog:
-            if self._f64_product_is_exact():
-                return self._dot_ideal_f64(x)  # already-exact float64
-            return self.dot_ideal(x).astype(np.float64)
+            if not self._f64_product_is_exact():
+                return x @ self._matrix
+            if self._matrix_f64 is None:
+                self._matrix_f64 = self._matrix.astype(np.float64)
+            return x.astype(np.float64) @ self._matrix_f64
 
         offset = 1 << (self.fmt.total_bits - 1)
         unsigned_x = x + offset  # offset-binary, matching program()
@@ -248,18 +236,34 @@ class MVMU:
         return acc - h * weight_sums - h * input_sums + n * h * h
 
     def execute(self, inputs: np.ndarray) -> np.ndarray:
-        """A complete MVM instruction's datapath: dot, rescale, saturate.
+        """A complete MVM instruction's datapath: :meth:`dot`, then
+        :meth:`rescale`, as int64 words."""
+        return self.rescale(self.dot(inputs)).astype(np.int64, copy=False)
 
-        Both operands carry ``frac_bits`` fractional bits, so the product is
-        rescaled by ``>> frac_bits`` — an arithmetic shift, i.e. floor —
-        and saturated to the 16-bit range, matching
+    def rescale(self, full: np.ndarray) -> np.ndarray:
+        """Take a full-precision product to 16-bit words, in place.
+
+        Both operands carry ``frac_bits`` fractional bits, so the product
+        is rescaled by ``>> frac_bits`` — an arithmetic shift, i.e. floor
+        — and saturated to the word range, matching
         :meth:`FixedPointFormat.multiply` exactly (including negative
         products with odd low bits, which round toward -inf, not to
-        nearest).
+        nearest).  ``full`` is a :meth:`dot` result of any shape: int64
+        shifts; float64 is multiplied by the power-of-two scale's
+        reciprocal (exact) and floored.
         """
-        full = self.dot(inputs)
-        scaled = np.floor(full / self.fmt.scale)
-        return self.fmt.saturate(scaled.astype(np.int64))
+        if self._rescale_operands is None:
+            self._rescale_operands = _rescale_operands(self.fmt)
+        inv_scale, word_range = self._rescale_operands
+        if full.dtype.kind == "i":
+            np.right_shift(full, self.fmt.frac_bits, out=full)
+        else:
+            np.multiply(full, inv_scale, out=full)
+            np.floor(full, out=full)
+        lo, hi = word_range[full.dtype.kind]
+        np.maximum(full, lo, out=full)
+        np.minimum(full, hi, out=full)
+        return full
 
     @staticmethod
     def shuffle_inputs(xbar_in: np.ndarray, filter_length: int,

@@ -87,7 +87,6 @@ from repro.sim.tape import (
     find_unsupported_op,
 )
 from repro.sim.tapeopt import (
-    OptimizedReplayer,
     OptimizedTape,
     TapeOptimizationError,
     optimize_tape,
@@ -900,10 +899,8 @@ class InferenceEngine:
                        plan: OptimizedTape | None, batch: int
                        ) -> TapeReplayer:
         """Bind ``tape`` (through ``plan`` when given) to a fresh node."""
-        node = self._fresh_node(batch)
-        if plan is not None:
-            return OptimizedReplayer(tape, plan, node, self.program)
-        return TapeReplayer(tape, node, self.program)
+        return TapeReplayer(tape, self._fresh_node(batch), self.program,
+                            plan)
 
     def _invalidate_tape(self) -> None:
         """Drop the tape, its bound replayers, and the persistence
@@ -947,7 +944,7 @@ class InferenceEngine:
     def _checked_plan(self, tape: ExecutionTape,
                       inputs: dict[str, np.ndarray], batch: int,
                       words: dict[str, np.ndarray]
-                      ) -> OptimizedReplayer | None:
+                      ) -> TapeReplayer | None:
         """Optimize a freshly recorded tape and check the plan, once.
 
         Bound on a fresh node, the plan replays the recording run's
@@ -992,9 +989,8 @@ class InferenceEngine:
                 replayer = self._replayer(batch)
                 if replayer is not None:
                     words = replayer.run(inputs)
-                    execution = ("optimized"
-                                 if isinstance(replayer, OptimizedReplayer)
-                                 else "replay")
+                    execution = ("replay" if replayer.optimized is None
+                                 else "optimized")
                     stats = self._stats_for_batch(replayer.tape, batch)
                     _count_tape_event(execution)
                     return words, stats, execution

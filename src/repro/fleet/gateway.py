@@ -43,11 +43,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.scheduler import BatchScheduler, _Pending
-from repro.serve.server import check_deadline, check_priority
+from repro.serve.server import check_deadline, check_priority, check_vector
 
 from repro.fleet.http import (
     ConnectionPool,
@@ -367,8 +365,9 @@ class PumaFleet:
         :class:`FleetDeadlineError` when the budget expires —
         :class:`KeyError` for an unknown model, and :class:`ValueError`
         for a ``deadline_ms`` that is not a finite number
-        (:func:`~repro.serve.check_deadline`) or a priority that is not
-        an integer (:func:`~repro.serve.check_priority`).
+        (:func:`~repro.serve.check_deadline`), a priority that is not
+        an integer (:func:`~repro.serve.check_priority`) or an input
+        that is not numbers (:func:`~repro.serve.check_vector`).
         """
         if not self._running or self._closing:
             raise FleetError("fleet is not accepting requests "
@@ -376,6 +375,8 @@ class PumaFleet:
         state = self.models[model]
         priority = check_priority(priority)
         deadline_ms = check_deadline(deadline_ms, "deadline_ms")
+        wire_inputs = {name: check_vector(values, name).tolist()
+                       for name, values in inputs.items()}
         deadline_at = None
         wait_timeout = timeout
         if deadline_ms is not None:
@@ -394,8 +395,6 @@ class PumaFleet:
                 f"{model}: gateway queue is full "
                 f"({self.max_queue_depth} requests waiting)",
                 retry_after_s=self._retry_after(state))
-        wire_inputs = {name: np.asarray(values, dtype=np.float64).tolist()
-                       for name, values in inputs.items()}
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         state.queue.push(wire_inputs, future, priority=priority,

@@ -8,8 +8,9 @@
 * :class:`~repro.serve.scheduler.BatchScheduler` — the one EDF queue,
   used by ``PumaServer`` and by each model at the fleet gateway
   (:mod:`repro.serve.scheduler`);
-* :func:`check_priority` / :func:`check_deadline` — the one rule for
-  each request field, for every way in;
+* :func:`check_priority` / :func:`check_deadline` /
+  :func:`check_vector` — the one rule for each request field, for
+  every way in;
 * :class:`~repro.serve.clock.VirtualClock` — the deterministic-time
   test harness every wall-clock decision runs on
   (:mod:`repro.serve.clock`);
@@ -30,6 +31,7 @@ from repro.serve.server import (
     ServerCounters,
     check_deadline,
     check_priority,
+    check_vector,
 )
 
 __all__ = [
@@ -46,5 +48,6 @@ __all__ = [
     "VirtualClock",
     "check_deadline",
     "check_priority",
+    "check_vector",
     "shard_lanes",
 ]

@@ -94,6 +94,31 @@ def check_deadline(deadline, name: str = "deadline") -> float | None:
     return float(deadline)
 
 
+def check_vector(values, name: str = "x") -> np.ndarray:
+    """Input vector ``name`` as a float64 array, or :class:`ValueError`.
+
+    The one rule for every way in — :meth:`PumaServer.admit`,
+    ``PumaFleet.predict`` and the fleet's wire: an input holds integers
+    or floats.  A boolean, a string or a ``null`` is refused, never
+    parsed or cast, and so is an integer too large for int64 (numpy
+    types it as an object).  Shape, length and NaN are the engine's
+    rules (:meth:`repro.engine.InferenceEngine.validate_request`).
+
+    >>> check_vector([1, 2.5])
+    array([1. , 2.5])
+    """
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"bad input {name!r}: {error}") from None
+    # numpy types [True, 0.5] as floats: the list itself shows the bool.
+    if arr.dtype.kind not in "iuf" or (
+            isinstance(values, list) and bool in map(type, values)):
+        raise ValueError(f"bad input {name!r}: values must be integers "
+                         f"or floats")
+    return arr.astype(np.float64, copy=False)
+
+
 class DeadlineExceeded(RuntimeError):
     """The request's deadline passed before it reached an engine.
 
@@ -276,7 +301,8 @@ class PumaServer:
 
         The future resolves to this request's :class:`RunResult` once the
         batch it was coalesced into completes.  Raises :class:`ValueError`
-        for values that are not numeric vectors, unknown/missing input
+        for values that are not numeric vectors (:func:`check_vector`),
+        unknown/missing input
         names, wrong vector lengths, a
         ``deadline_s`` that is not a finite number
         (:func:`check_deadline`), or a priority that is not an integer
@@ -295,11 +321,8 @@ class PumaServer:
                                "PumaServer(engine):' or await start())")
         # Pure validation first: no side effects until the request is
         # known to be well-formed.
-        try:
-            request_inputs = {name: np.asarray(values, dtype=np.float64)
-                              for name, values in inputs.items()}
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"bad input vectors: {error}") from None
+        request_inputs = {name: check_vector(values, name)
+                          for name, values in inputs.items()}
         self.engine.validate_request(request_inputs)
         priority = check_priority(priority)
         deadline_s = check_deadline(deadline_s, "deadline_s")

@@ -49,10 +49,11 @@ class RunResult(Mapping):
             counters summed, ``busy_cycles`` the busiest replica's).
             ``None`` for unsharded passes.
         execution: which execution path produced the result —
-            ``"optimized"`` (an ``OptimizedReplayer`` ran the tape's
-            fused plan, :mod:`repro.sim.tapeopt`), ``"replay"`` (plain
-            trace replay, :mod:`repro.sim.tape`: ``execution_mode=
-            "replay"``, or a plan refuted at recording) or
+            ``"optimized"`` (trace replay of the tape's checked fused
+            plan, :mod:`repro.sim.tapeopt`), ``"replay"`` (trace replay
+            of the tape's own steps, :mod:`repro.sim.tape`:
+            ``execution_mode="replay"``, or a plan refuted at
+            recording) or
             ``"interpreter"`` (event-driven simulation); ``None`` when
             unknown (e.g. merged across shards that took different paths).
             Purely observational: all paths are bitwise identical.

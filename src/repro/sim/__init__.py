@@ -1,17 +1,21 @@
 """PUMAsim: event-driven functional + timing + energy simulation.
 
-Three execution paths share the functional semantics:
+Two executors share the functional semantics, and one kernel per op:
 
 * :class:`Simulator` — the event-driven interpreter (agents, blocking
   protocol, NoC events);
-* :mod:`repro.sim.tape` — the trace-replay fast path: record the resolved
-  schedule of one interpreter run, replay it as a flat tape of pre-bound
-  numpy operations (see :class:`TapeRecorder` / :class:`TapeReplayer`);
-* :mod:`repro.sim.tapeopt` — the tape optimizer: compile a recorded tape
-  into a shorter plan (dead stores and register writes eliminated,
-  store→load forwarding, adjacent ops fused, independent MVMs batched over
-  their programmed boxes) replayed by :class:`OptimizedReplayer`, bitwise
-  identical to the tape it came from.
+* :class:`TapeReplayer` (:mod:`repro.sim.tape`) — the trace-replay fast
+  path: record the resolved schedule of one interpreter run
+  (:class:`TapeRecorder`), then replay a *plan* of it as a flat list of
+  pre-bound numpy operations.  The plain tape is the identity plan;
+  :mod:`repro.sim.tapeopt` compiles a recorded tape into a shorter one
+  (dead stores and register writes eliminated, store→load forwarding,
+  adjacent ops fused, independent MVMs batched over their programmed
+  boxes), served once it matched the recording run bitwise.
+
+Both call the VFU kernel table for ALU ops and
+:meth:`repro.arch.mvmu.MVMU.rescale` after every MVM product, so
+interpreter == replay == optimized holds by construction.
 """
 
 from repro.sim.simulator import SimulationDeadlock, Simulator
@@ -25,7 +29,6 @@ from repro.sim.tape import (
 )
 from repro.sim.tapeopt import (
     OptimizationReport,
-    OptimizedReplayer,
     OptimizedTape,
     TapeOptimizationError,
     optimize_tape,
@@ -44,7 +47,6 @@ __all__ = [
     "TapeValidationError",
     "find_unsupported_op",
     "OptimizationReport",
-    "OptimizedReplayer",
     "OptimizedTape",
     "TapeOptimizationError",
     "optimize_tape",

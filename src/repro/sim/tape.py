@@ -29,12 +29,14 @@ This module implements the fast path:
   recording run seeds one entry, and the engine derives the others with a
   shadow timing simulation (``Simulator(stats_batch=...)``) —
   field-identical to what a real run at that batch would produce.
-* :class:`TapeReplayer` binds the tape once to a node's live arrays and
-  replays it as a flat list of pre-bound closures over numpy slices — no
-  event heap, no dispatch dict, no attribute-buffer protocol, no per-op
-  stats churn.  Functional equivalence is exact: every step performs the
-  same array arithmetic as the interpreter's handler, in the same global
-  order, so outputs are bitwise identical.
+* :class:`TapeReplayer` binds a plan of the tape — its own steps, or
+  the optimized plan of :mod:`repro.sim.tapeopt` — once to a node's live
+  arrays and replays it as a flat list of pre-bound closures over numpy
+  slices — no event heap, no dispatch dict, no attribute-buffer
+  protocol, no per-op stats churn.  Functional equivalence is exact:
+  every step calls the interpreter handler's own kernel (the VFU kernel
+  table; :meth:`~repro.arch.mvmu.MVMU.rescale` after every MVM product)
+  in the same global order, so outputs are bitwise identical.
 
 Why replaying in recorded completion order is sound: the valid/count
 protocol guarantees that, in the recorded run, every read observed a value
@@ -56,11 +58,12 @@ them (see :func:`find_unsupported_op` and ``repro.engine``).
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from repro.analysis.dataflow import core_effects
 from repro.arch.mvmu import MVMU
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import AluOp, Opcode
@@ -69,6 +72,7 @@ from repro.sim.stats import SimulationStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.node import Node
+    from repro.sim.tapeopt import OptimizedTape
 
 
 class TapeValidationError(RuntimeError):
@@ -104,6 +108,55 @@ _CONTROL_OPCODES = frozenset({Opcode.JMP, Opcode.BRN, Opcode.HLT})
 # Tile-control scalar bookkeeping only ever feeds tile-stream branches —
 # tile sends/receives address memory with immediates — so it is control too.
 _TILE_CONTROL_OPCODES = _CONTROL_OPCODES | {Opcode.SET, Opcode.ALU_INT}
+
+
+# -- ops an optimized plan (repro.sim.tapeopt) adds to the tape's steps ------
+
+
+@dataclass(frozen=True)
+class RegMove:
+    """A forwarded load: copy registers instead of round-tripping memory.
+
+    Replaces a ``load`` whose full range was written by a single earlier
+    ``store`` with an intra-tile register-file copy from the store's
+    source registers.  ``src_core`` and ``dst_core`` may differ — shared
+    memory is exactly how cores on one tile communicate.
+    """
+
+    tile_id: int
+    dst_core: int
+    dst_reg: int
+    src_core: int
+    src_reg: int
+    width: int
+
+
+@dataclass(frozen=True)
+class FusedBlock:
+    """A run of same-kind steps on one core fused into one wide op.
+
+    ``kind`` is one of ``copy``/``set``/``alu``/``alui``/``load``/
+    ``store``; members appear in plan order with contiguous destination
+    (and source / memory) ranges, so the fused closure is a single numpy
+    slice operation over the concatenated range.
+    """
+
+    kind: str
+    tile_id: int
+    core_id: int
+    steps: tuple[TapeStep, ...]
+
+
+@dataclass(frozen=True)
+class MvmGroup:
+    """Independent MVM steps hoisted to one slot for a stacked BLAS call.
+
+    Members touch pairwise-disjoint cores and nothing between the
+    group's anchor and each member's original slot touches that member's
+    core — so executing them together at the anchor is order-equivalent.
+    """
+
+    steps: tuple[TapeStep, ...]
 
 
 @dataclass
@@ -372,13 +425,19 @@ def _bind_receive(mem: np.ndarray, instr: Instruction, eff_addr: int,
 
 
 class TapeReplayer:
-    """Replays an :class:`ExecutionTape` against one node's live arrays.
+    """Replays a plan of an :class:`ExecutionTape` against one node's
+    live arrays.
 
-    Binds every step to pre-resolved array views once, then executes
-    runs as a flat closure loop.  The node is reusable across runs: the
-    control-uniform schedule guarantees every value read during a run was
-    written earlier in that same run (inputs/constants are re-preloaded per
-    run), so stale data from a previous run is unreachable.
+    The plan is the tape's own step list — the identity plan — or the
+    tape's optimized plan (:class:`~repro.sim.tapeopt.OptimizedTape`),
+    which adds :class:`RegMove`, :class:`FusedBlock` and
+    :class:`MvmGroup` ops and is served only once it matched the
+    recording run bitwise.  Either way every plan op is bound once to
+    pre-resolved array views, and runs execute as a flat closure loop.
+    The node is reusable across runs: the control-uniform schedule
+    guarantees every value read during a run was written earlier in that
+    same run (inputs/constants are re-preloaded per run), so stale data
+    from a previous run is unreachable.
 
     Every bound step (:data:`TapeOp`) takes no arguments: it closes over
     whole-batch views of the node's register files and tile memories, and
@@ -390,28 +449,30 @@ class TapeReplayer:
         tape: the recorded schedule.
         node: an instantiated, weight-programmed node (any batch size).
         program: the compiled program (input/output layouts, constants).
+        optimized: the tape's checked optimized plan, or ``None`` to
+            replay the steps as recorded.
 
     Attributes:
+        optimized: the optimized plan bound, or ``None``.
         plan: the sequence :attr:`ops` was bound from, index for index
-            (the tape's steps here; the fused plan in
-            :class:`~repro.sim.tapeopt.OptimizedReplayer`).
+            (``tape.steps``, or ``optimized.plan``).
         ops: the bound steps.
     """
 
     def __init__(self, tape: ExecutionTape, node: "Node",
-                 program: NodeProgram) -> None:
+                 program: NodeProgram,
+                 optimized: "OptimizedTape | None" = None) -> None:
         self.tape = tape
+        self.optimized = optimized
+        self.plan = tape.steps if optimized is None else optimized.plan
         self.node = node
         self.program = program
         self.batch = node.batch
         self._flows: dict[tuple[int, int], deque] = defaultdict(deque)
-        # Register files of every core the tape touches, zeroed at the
-        # start of each run: unlike shared memory, whose valid/count
-        # protocol guarantees def-before-use, register reads are ungated —
-        # a schedule reading a register before its first write saw a
-        # fresh node's zeros in the interpreter, and must again on every
-        # replay (not a previous run's leftovers).
-        self._register_files: list[np.ndarray] = []
+        # Stacked MVM operands and scratch by member units: a recurrent
+        # plan runs the same units once per time step, and one stack
+        # serves them all.
+        self._stacks: dict[tuple, tuple] = {}
         # (memory view, words) of every constant begin() preloads.
         self._constants: list[tuple[np.ndarray, np.ndarray]] = []
         try:
@@ -421,31 +482,68 @@ class TapeReplayer:
                     words = np.atleast_1d(np.asarray(values, dtype=np.int64))
                     self._constants.append(
                         (memory[:, addr:addr + words.shape[-1]], words))
-            self.ops = self._bind()
+            self._zero_runs = self._read_before_write_runs()
+            self.ops = [self._bind_op(op) for op in self.plan]
         except (KeyError, IndexError, AttributeError) as error:
             raise TapeValidationError(
                 f"tape does not match the node/program: {error}") from error
 
-    @property
-    def plan(self) -> tuple:
-        return self.tape.steps
+    def _read_before_write_runs(self) -> list[np.ndarray]:
+        """Register runs that must be zeroed before each run.
 
-    def _bind(self) -> list[TapeOp]:
-        return [self._bind_one(step) for step in self.plan]
+        Unlike shared memory, whose valid/count protocol guarantees
+        def-before-use, register reads are ungated: a schedule reading a
+        register before its first write saw a fresh node's zeros in the
+        interpreter, and must again on every replay (not a previous
+        run's leftovers).  One walk over the *source* steps finds exactly
+        the registers some step may read before their first definite
+        write (a ``may_write`` does not count as covering — the read
+        could still see zeros).  Every plan of the tape needs no more: a
+        ``RegMove`` reads the registers its store read, and the store's
+        own read already marked them.
+        """
+        core_cfg = self.node.tiles[
+            next(iter(self.node.tiles))].cores[0].config
+        needed: dict[tuple[int, int], np.ndarray] = {}
+        written: dict[tuple[int, int], np.ndarray] = {}
+        num_regs = core_cfg.num_registers
+        for step in self.tape.steps:
+            if step.core_id is None:
+                continue
+            key = (step.tile_id, step.core_id)
+            if key not in needed:
+                needed[key] = np.zeros(num_regs, dtype=bool)
+                written[key] = np.zeros(num_regs, dtype=bool)
+            eff = core_effects(step.instruction, core_cfg)
+            for start, width in eff.all_reads():
+                mask = needed[key][start:start + width]
+                np.logical_or(mask, ~written[key][start:start + width],
+                              out=mask)
+            for start, width in eff.writes:
+                written[key][start:start + width] = True
+        runs = []
+        for key, mask in needed.items():
+            regs = self.node.tiles[key[0]].cores[key[1]].registers._data
+            padded = np.concatenate(([False], mask, [False]))
+            edges = np.flatnonzero(padded[1:] != padded[:-1])
+            for start, stop in zip(edges[::2], edges[1::2]):
+                runs.append(regs[:, start:stop])
+        return runs
 
-    def _track_registers(self, core) -> None:
-        """Note a core's register file for the per-run re-zeroing pass."""
-        regs = core.registers._data
-        if not any(regs is seen for seen in self._register_files):
-            self._register_files.append(regs)
-
-    def _reset_registers(self) -> None:
-        """Zero every tracked register file (subclasses may narrow this)."""
-        for registers in self._register_files:
-            registers[...] = 0
+    def _bind_op(self, op) -> TapeOp:
+        """Bind one plan op to the node's live arrays (a closure)."""
+        if isinstance(op, TapeStep):
+            return self._bind_one(op)
+        if isinstance(op, RegMove):
+            return self._bind_regmove(op)
+        if isinstance(op, FusedBlock):
+            return self._bind_fused(op)
+        if isinstance(op, MvmGroup):
+            return self._bind_group(op.steps)
+        raise TapeValidationError(f"unknown plan op {op!r}")
 
     def _bind_one(self, step: TapeStep) -> TapeOp:
-        """Bind one tape step to the node's live arrays (a closure)."""
+        """Bind one tape step (an MVM binds as a group of one)."""
         tile_id, core_id, instr, eff_addr = step
         tile = self.node.tiles[tile_id]
         mem = tile.memory._data
@@ -460,9 +558,8 @@ class TapeReplayer:
             raise TapeValidationError(
                 f"unexpected tile-stream opcode {op.name} on tape")
         core = tile.cores[core_id]
-        self._track_registers(core)
         if op == Opcode.MVM:
-            return _bind_mvm(core, instr)
+            return self._bind_group((step,))
         if op == Opcode.ALU:
             return _bind_alu(core, instr)
         if op == Opcode.ALUI:  # the immediate expansion is cached, read-only
@@ -481,12 +578,127 @@ class TapeReplayer:
         raise TapeValidationError(
             f"unexpected core-stream opcode {op.name} on tape")
 
+    def _bind_regmove(self, mv: RegMove) -> TapeOp:
+        tile = self.node.tiles[mv.tile_id]
+        dst = tile.cores[mv.dst_core].registers._data
+        src = tile.cores[mv.src_core].registers._data
+        d, s, w = mv.dst_reg, mv.src_reg, mv.width
+        return _bind_move(dst[:, d:d + w], src[:, s:s + w],
+                          overlap=dst is src and s < d + w and d < s + w)
+
+    def _bind_fused(self, block: FusedBlock) -> TapeOp:
+        """A fused block is one wide instruction: its members' ranges are
+        contiguous, so the first member widened to the block's total
+        width goes through the ordinary step binder."""
+        steps = block.steps
+        total = sum(s.instruction.vec_width for s in steps)
+        first = steps[0].instruction
+        if block.kind == "set":  # members may carry different immediates
+            core = self.node.tiles[block.tile_id].cores[block.core_id]
+            out = core.registers._data[:, first.dest:first.dest + total]
+            imm_vec = np.concatenate([
+                np.full(s.instruction.vec_width, s.instruction.imm,
+                        dtype=np.int64) for s in steps])
+            imm_vec.setflags(write=False)
+
+            def step() -> None:
+                out[...] = imm_vec
+            return step
+        return self._bind_one(TapeStep(
+            block.tile_id, block.core_id, replace(first, vec_width=total),
+            steps[0].eff_addr))
+
+    def _bind_group(self, steps: tuple[TapeStep, ...]) -> TapeOp:
+        """One closure for k independent MVMs (a lone MVM is k = 1).
+
+        When every active unit is ideal with an exact float64 product
+        (:meth:`~repro.arch.mvmu.MVMU._f64_product_is_exact`), one shared
+        dimension and one format, the k products run as one stacked
+        ``(k, cols, rows) @ (k, rows, batch)`` matmul, lanes minor like
+        the registers they come from, and
+        :meth:`~repro.arch.mvmu.MVMU.rescale` finishes them in place —
+        the method :meth:`~repro.arch.mvmu.MVMU.execute` ends with too,
+        and elementwise, so the stacked result is bitwise per-unit
+        ``execute``.  Otherwise the members simply execute one by one at
+        the group's slot (hoisting is legal either way; only the BLAS
+        stacking needs exactness).
+
+        The stack spans only the union box of the members' nonzero rows
+        and columns (zero rows add exact zeros to the integer sums, zero
+        columns yield exact zeros), and each member's DAC rows of it are
+        one gather with its ``filter``/``stride`` shuffle folded in.
+        """
+        per_step = []
+        jobs = []
+        stackable = True
+        dims = set()
+        for s in steps:
+            core = self.node.tiles[s.tile_id].cores[s.core_id]
+            cfg = core.config
+            instr = s.instruction
+            per_step.append(_bind_mvm(core, instr))
+            for m in range(cfg.num_mvmus):
+                if not instr.mask & (1 << m):
+                    continue
+                mvmu = core.mvmus[m]
+                if not (mvmu.model.is_ideal and mvmu._f64_product_is_exact()):
+                    stackable = False
+                dims.add(cfg.mvmu_dim)
+                jobs.append((core.registers._data, cfg.xbar_in_base(m),
+                             cfg.xbar_out_base(m), mvmu,
+                             instr.filter, instr.stride))
+        rescale = jobs[0][3].rescale
+        if any(job[3].fmt != jobs[0][3].fmt for job in jobs):
+            stackable = False
+        if not stackable or len(dims) != 1:
+            def step() -> None:
+                for fn in per_step:
+                    fn()
+            return step
+        dim = dims.pop()
+        k = len(jobs)
+        # y = x @ M per lane is M^T @ x^T over all lanes at once.
+        units = tuple(id(job[3]) for job in jobs)
+        stacked = self._stacks.get(units)
+        if stacked is None:
+            matrices, (r0, r1), (c0, c1) = _box_stack(
+                [job[3].matrix for job in jobs])
+            # Scratch sized once for the node's batch, shared by every op
+            # over these units (ops run one at a time).  Products are only
+            # written inside the box: the columns outside it stay 0.
+            stacked = self._stacks[units] = (
+                matrices, (r0, r1), (c0, c1),
+                np.empty((k, r1 - r0, self.batch), dtype=np.float64),
+                np.zeros((k, dim, self.batch), dtype=np.float64))
+        matrices, (r0, r1), (c0, c1), xs_all, ys_all = stacked
+        gathers = []
+        for regs, in_base, _out, _m, filt, stride in jobs:
+            dac = MVMU.shuffle_inputs(np.arange(dim), filt, stride)[r0:r1]
+            if np.array_equal(dac, np.arange(r0, r1)):
+                gathers.append((regs, slice(in_base + r0, in_base + r1)))
+            else:
+                gathers.append((regs, dac + in_base))
+
+        def step() -> None:
+            for idx, (regs, src) in enumerate(gathers):
+                xs_all[idx] = regs[:, src].T
+            ys = ys_all[:, c0:c1]
+            np.matmul(matrices, xs_all, out=ys)
+            rescale(ys)
+            # Slice assignment casts f64 -> int64 per destination; the
+            # values are exact integers after the clamp, so the cast equals
+            # astype(np.int64) without materializing the full array.
+            for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
+                regs[:, out_base:out_base + dim] = ys_all[idx].T
+        return step
+
     # -- data movement (mirrors Simulator.write_input / read_output) -------
 
     def begin(self) -> None:
         """Per-run initialisation: zeroed registers, re-preloaded constant
         memory (what a fresh node would hold) and empty NoC flows."""
-        self._reset_registers()
+        for registers in self._zero_runs:
+            registers[...] = 0
         for memory, words in self._constants:
             memory[...] = words
         for flow in self._flows.values():
@@ -533,3 +745,14 @@ class TapeReplayer:
         if self.batch == 1:
             outputs = {name: words[0] for name, words in outputs.items()}
         return outputs
+
+
+def _box_stack(matrices) -> tuple:
+    """``(stack, rows, cols)``: each matrix's part in the half-open
+    ``rows`` x ``cols`` union box of their nonzeros, transposed, stacked."""
+    nonzero = np.logical_or.reduce([m != 0 for m in matrices])
+    (r0, r1), (c0, c1) = [
+        (int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0)
+        for hits in (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))]
+    return (np.stack([m[r0:r1, c0:c1].T.astype(np.float64)
+                      for m in matrices]), (r0, r1), (c0, c1))

@@ -48,16 +48,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.dataflow import core_effects
-from repro.arch.mvmu import MVMU
 from repro.isa.opcodes import AluOp, Opcode
-from repro.sim.tape import (ExecutionTape, TapeOp, TapeReplayer, TapeStep,
-                            TapeValidationError, _bind_move, _bind_mvm)
+from repro.sim.tape import (ExecutionTape, FusedBlock, MvmGroup, RegMove,
+                            TapeStep)
 from repro.tile.attribute_buffer import PERSISTENT_COUNT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,52 +81,6 @@ class TapeOptimizationError(RuntimeError):
     then counts the refusal and serves the tape by plain (still fast)
     replay.
     """
-
-
-@dataclass(frozen=True)
-class RegMove:
-    """A forwarded load: copy registers instead of round-tripping memory.
-
-    Replaces a ``load`` whose full range was written by a single earlier
-    ``store`` with an intra-tile register-file copy from the store's
-    source registers.  ``src_core`` and ``dst_core`` may differ — shared
-    memory is exactly how cores on one tile communicate.
-    """
-
-    tile_id: int
-    dst_core: int
-    dst_reg: int
-    src_core: int
-    src_reg: int
-    width: int
-
-
-@dataclass(frozen=True)
-class FusedBlock:
-    """A run of same-kind steps on one core fused into one wide op.
-
-    ``kind`` is one of ``copy``/``set``/``alu``/``alui``/``load``/
-    ``store``; members appear in plan order with contiguous destination
-    (and source / memory) ranges, so the fused closure is a single numpy
-    slice operation over the concatenated range.
-    """
-
-    kind: str
-    tile_id: int
-    core_id: int
-    steps: tuple[TapeStep, ...]
-
-
-@dataclass(frozen=True)
-class MvmGroup:
-    """Independent MVM steps hoisted to one slot for a stacked BLAS call.
-
-    Members touch pairwise-disjoint cores and nothing between the
-    group's anchor and each member's original slot touches that member's
-    core — so executing them together at the anchor is order-equivalent.
-    """
-
-    steps: tuple[TapeStep, ...]
 
 
 @dataclass(frozen=True)
@@ -746,225 +699,3 @@ def optimize_tape(tape: ExecutionTape,
         mvm_groups=mvm_groups,
         mvms_batched=mvms_batched)
     return OptimizedTape(plan=tuple(plan), report=report)
-
-
-# ---------------------------------------------------------------------------
-# Replayer over an optimized plan
-# ---------------------------------------------------------------------------
-
-
-class OptimizedReplayer(TapeReplayer):
-    """Replays an :class:`OptimizedTape` plan against a node's live arrays.
-
-    Functionally a :class:`~repro.sim.tape.TapeReplayer` whose closure
-    list comes from the optimized plan instead of the raw step list.
-    Register zeroing is computed from the *source* tape — an eliminated
-    store's core must start each run zeroed even if the plan no longer
-    touches it — and narrowed to the registers a step may read before
-    their first definite write.
-    """
-
-    def __init__(self, tape: ExecutionTape, optimized: OptimizedTape,
-                 node, program) -> None:
-        self.optimized = optimized
-        super().__init__(tape, node, program)
-
-    @property
-    def plan(self) -> tuple:
-        return self.optimized.plan
-
-    def _bind(self) -> list[TapeOp]:
-        self._zero_runs = self._read_before_write_runs()
-        # Stacked MVM operands by member units: a recurrent plan runs the
-        # same units once per time step, and one stack serves them all.
-        self._stacks: dict[tuple, np.ndarray] = {}
-        ops = []
-        for op in self.plan:
-            if _is_mvm(op):  # a lone MVM is a group of one
-                ops.append(self._bind_group(MvmGroup(steps=(op,))))
-            elif isinstance(op, TapeStep):
-                ops.append(self._bind_one(op))
-            elif isinstance(op, RegMove):
-                ops.append(self._bind_regmove(op))
-            elif isinstance(op, FusedBlock):
-                ops.append(self._bind_fused(op))
-            elif isinstance(op, MvmGroup):
-                ops.append(self._bind_group(op))
-            else:
-                raise TapeValidationError(f"unknown plan op {op!r}")
-        return ops
-
-    def _read_before_write_runs(self) -> list:
-        """Register runs that must be zeroed before each run.
-
-        The base replayer zeroes every tracked register file; the only
-        registers whose initial value is actually observable are those
-        some step may read before the first *definite* write.  One walk
-        over the source steps computes that set exactly (a ``may_write``
-        does not count as covering — the read could still see zeros).
-        The forwarding pass never widens it: a ``RegMove`` reads the
-        registers its store read, and the store's own read already
-        marked them.
-        """
-        core_cfg = self.node.tiles[
-            next(iter(self.node.tiles))].cores[0].config
-        needed: dict[tuple[int, int], np.ndarray] = {}
-        written: dict[tuple[int, int], np.ndarray] = {}
-        num_regs = core_cfg.num_registers
-        for step in self.tape.steps:
-            if step.core_id is None:
-                continue
-            key = (step.tile_id, step.core_id)
-            if key not in needed:
-                needed[key] = np.zeros(num_regs, dtype=bool)
-                written[key] = np.zeros(num_regs, dtype=bool)
-            eff = core_effects(step.instruction, core_cfg)
-            for start, width in eff.all_reads():
-                mask = needed[key][start:start + width]
-                np.logical_or(mask, ~written[key][start:start + width],
-                              out=mask)
-            for start, width in eff.writes:
-                written[key][start:start + width] = True
-        runs = []
-        for key, mask in needed.items():
-            regs = self.node.tiles[key[0]].cores[key[1]].registers._data
-            padded = np.concatenate(([False], mask, [False]))
-            edges = np.flatnonzero(padded[1:] != padded[:-1])
-            for start, stop in zip(edges[::2], edges[1::2]):
-                runs.append(regs[:, start:stop])
-        return runs
-
-    def _reset_registers(self) -> None:
-        for registers in self._zero_runs:
-            registers[...] = 0
-
-    def _bind_regmove(self, mv: RegMove) -> TapeOp:
-        tile = self.node.tiles[mv.tile_id]
-        dst = tile.cores[mv.dst_core].registers._data
-        src = tile.cores[mv.src_core].registers._data
-        d, s, w = mv.dst_reg, mv.src_reg, mv.width
-        return _bind_move(dst[:, d:d + w], src[:, s:s + w],
-                          overlap=dst is src and s < d + w and d < s + w)
-
-    def _bind_fused(self, block: FusedBlock) -> TapeOp:
-        """A fused block is one wide instruction: its members' ranges are
-        contiguous, so the first member widened to the block's total
-        width goes through the ordinary step binder."""
-        steps = block.steps
-        total = sum(s.instruction.vec_width for s in steps)
-        first = steps[0].instruction
-        if block.kind == "set":  # members may carry different immediates
-            core = self.node.tiles[block.tile_id].cores[block.core_id]
-            out = core.registers._data[:, first.dest:first.dest + total]
-            imm_vec = np.concatenate([
-                np.full(s.instruction.vec_width, s.instruction.imm,
-                        dtype=np.int64) for s in steps])
-            imm_vec.setflags(write=False)
-
-            def step() -> None:
-                out[...] = imm_vec
-            return step
-        return self._bind_one(TapeStep(
-            block.tile_id, block.core_id, replace(first, vec_width=total),
-            steps[0].eff_addr))
-
-    def _bind_group(self, group: MvmGroup) -> TapeOp:
-        """One closure for k independent MVMs.
-
-        When every active unit takes the bit-exact ideal float64 path
-        with one shared dimension and format, the k products run as one
-        stacked ``(k, cols, rows) @ (k, rows, batch)`` matmul, lanes minor
-        like the registers they come from — the rescale and saturate
-        are elementwise, so the stacked result is bitwise identical to
-        per-unit :meth:`~repro.arch.mvmu.MVMU.execute` calls.  Otherwise
-        the members simply execute sequentially at the anchor slot
-        (hoisting is legal either way; only the BLAS stacking needs
-        exactness).
-
-        The stack spans only the union box of the members' nonzero rows
-        and columns (zero rows add exact zeros to the integer sums, zero
-        columns yield exact zeros), and each member's DAC rows of it are
-        one gather with its ``filter``/``stride`` shuffle folded in.
-        """
-        per_step = []
-        jobs = []
-        stackable = True
-        dims = set()
-        for s in group.steps:
-            core = self.node.tiles[s.tile_id].cores[s.core_id]
-            cfg = core.config
-            instr = s.instruction
-            per_step.append(_bind_mvm(core, instr))
-            for m in range(cfg.num_mvmus):
-                if not instr.mask & (1 << m):
-                    continue
-                mvmu = core.mvmus[m]
-                if not (mvmu.model.is_ideal and mvmu._f64_product_is_exact()):
-                    stackable = False
-                dims.add(cfg.mvmu_dim)
-                jobs.append((core.registers._data, cfg.xbar_in_base(m),
-                             cfg.xbar_out_base(m), mvmu,
-                             instr.filter, instr.stride))
-        fmt = jobs[0][3].fmt
-        if any(job[3].fmt != fmt for job in jobs):
-            stackable = False
-        if not stackable or len(dims) != 1:
-            def step() -> None:
-                for fn in per_step:
-                    fn()
-            return step
-        dim = dims.pop()
-        # y = x @ M per lane is M^T @ x^T over all lanes at once.
-        units = tuple(id(job[3]) for job in jobs)
-        stacked = self._stacks.get(units)
-        if stacked is None:
-            stacked = self._stacks[units] = _box_stack(
-                [job[3].matrix for job in jobs])
-        matrices, (r0, r1), (c0, c1) = stacked
-        gathers = []
-        for regs, in_base, _out, _m, filt, stride in jobs:
-            dac = MVMU.shuffle_inputs(np.arange(dim), filt, stride)[r0:r1]
-            if np.array_equal(dac, np.arange(r0, r1)):
-                gathers.append((regs, slice(in_base + r0, in_base + r1)))
-            else:
-                gathers.append((regs, dac + in_base))
-        # scale is a power of two (1 << frac_bits), so multiplying by the
-        # reciprocal is exact; every intermediate is an exact integer in
-        # float64 (the _f64_product_is_exact precondition, which holds in
-        # any summation order), so the whole rescale/saturate chain runs
-        # in f64 bitwise-identically to MVMU.execute's int64 path, with
-        # preallocated buffers.
-        inv_scale = np.array(1.0 / fmt.scale)
-        lo, hi = np.array(float(fmt.int_min)), np.array(float(fmt.int_max))
-        k = len(jobs)
-        # Scratch sized once for the node's batch.  Products are only
-        # written inside the box: the columns outside it stay 0.
-        xs_all = np.empty((k, r1 - r0, self.batch), dtype=np.float64)
-        ys_all = np.zeros((k, dim, self.batch), dtype=np.float64)
-
-        def step() -> None:
-            for idx, (regs, src) in enumerate(gathers):
-                xs_all[idx] = regs[:, src].T
-            ys = ys_all[:, c0:c1]
-            np.matmul(matrices, xs_all, out=ys)
-            np.multiply(ys, inv_scale, out=ys)
-            np.floor(ys, out=ys)
-            np.maximum(ys, lo, out=ys)
-            np.minimum(ys, hi, out=ys)
-            # Slice assignment casts f64 -> int64 per destination; the
-            # values are exact integers after the clamp, so the cast equals
-            # astype(np.int64) without materializing the full array.
-            for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
-                regs[:, out_base:out_base + dim] = ys_all[idx].T
-        return step
-
-
-def _box_stack(matrices) -> tuple:
-    """``(stack, rows, cols)``: each matrix's part in the half-open
-    ``rows`` x ``cols`` union box of their nonzeros, transposed, stacked."""
-    nonzero = np.logical_or.reduce([m != 0 for m in matrices])
-    (r0, r1), (c0, c1) = [
-        (int(hits[0]), int(hits[-1]) + 1) if hits.size else (0, 0)
-        for hits in (np.flatnonzero(nonzero.any(axis=a)) for a in (1, 0))]
-    return (np.stack([m[r0:r1, c0:c1].T.astype(np.float64)
-                      for m in matrices]), (r0, r1), (c0, c1))

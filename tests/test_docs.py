@@ -179,7 +179,8 @@ def test_retired_serving_mechanisms_stay_retired():
 # -- doctests on the facade modules -----------------------------------------
 
 FACADE_MODULES = ["repro.store", "repro.serve.sharding",
-                  "repro.serve.scheduler", "repro.fleet.resilience"]
+                  "repro.serve.scheduler", "repro.serve.server",
+                  "repro.fleet.resilience"]
 
 
 @pytest.mark.parametrize("module_name", FACADE_MODULES)

@@ -593,6 +593,37 @@ class TestPredictFields:
         run(main())
 
 
+    @pytest.mark.parametrize("bad", [[10**400], ["0.5"], [True], [None]],
+                             ids=["huge-int", "string", "bool", "null"])
+    def test_gateway_refuses_an_input_that_is_not_numbers(self, tmp_path,
+                                                          bad):
+        """The front door answers a vector that is not numbers with a
+        400 (never a 500) before anything is queued or counted, and
+        ``PumaFleet.predict`` refuses it with a ``ValueError``
+        (:func:`repro.serve.check_vector`)."""
+        from repro.fleet import PumaFleet
+
+        spec = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
+        vector = bad + [0.0] * 7
+
+        async def main():
+            fleet = PumaFleet([spec], work_dir=str(tmp_path))
+            fleet._running = True      # no workers: nothing may queue
+            state = fleet.models["mlp"]
+            response = await fleet._handle(HttpRequest(
+                "POST", "/v1/predict", body=json.dumps(
+                    {"model": "mlp", "inputs": {"x": vector}}).encode()))
+            assert response.status == 400, response.body
+            assert "integers or floats" in response.json()["error"]
+            with pytest.raises(ValueError, match="integers or floats"):
+                await fleet.predict("mlp", {"x": vector})
+            assert len(state.queue) == 0
+            assert (state.served, state.failed, state.sheds,
+                    state.rejections) == (0, 0, 0, 0)
+
+        run(main())
+
+
 # -- the one EDF queue, at the gateway and in PumaServer --------------------
 
 _EIGHT_IN = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})

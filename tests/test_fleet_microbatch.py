@@ -163,6 +163,11 @@ class TestOneDispatchOneBatch:
         run(main())
 
 
+# Input vectors that are not numbers (repro.serve.check_vector): a JSON
+# integer too large for a float, a string, a boolean and a null.
+NOT_NUMBERS = [[10**400], ["0.5"], [True], [None]]
+
+
 class TestPerRiderOutcomes:
     def test_bad_riders_fail_alone(self, tmp_path, reference):
         """One wrong-length input, one spent deadline, N-2 good: one
@@ -171,7 +176,13 @@ class TestPerRiderOutcomes:
         The gateway's clock is frozen, so the doomed rider's 1 µs
         budget never lapses *there*: it travels as ``deadline_ms`` and
         the worker — on real time — sheds it as that item's 504.
+        Vectors that are not numbers are refused before they queue at
+        the gateway, and as riders of an exchange sent straight to the
+        worker each gets its own 400 beside good riders served bitwise.
         """
+        width = SPEC.params["dims"][0]
+        not_numbers = [bad + [0.0] * (width - 1) for bad in NOT_NUMBERS]
+
         async def main():
             async with PumaFleet([SPEC], num_workers=1,
                                  work_dir=str(tmp_path),
@@ -183,13 +194,19 @@ class TestPerRiderOutcomes:
                     fleet.predict(SPEC.name, {"x": np.zeros(5)}),
                     fleet.predict(SPEC.name, inputs(1), deadline_ms=1e-3),
                     *(fleet.predict(SPEC.name, inputs(s)) for s in good),
+                    *(fleet.predict(SPEC.name, {"x": bad})
+                      for bad in not_numbers),
                     return_exceptions=True)
                 after = await server_stats(fleet)
                 wrong_length, expired, *replies = outcomes
+                replies, refused = replies[:len(good)], replies[len(good):]
                 assert type(wrong_length) is FleetError
                 assert "rejected by w0" in str(wrong_length)
                 assert type(expired) is FleetDeadlineError
                 assert "w0 shed the request" in str(expired)
+                for error in refused:
+                    assert type(error) is ValueError
+                    assert "integers or floats" in str(error)
                 for s, reply in zip(good, replies):
                     assert reply["words"] == reference(s)
                 # The good riders still ran together, as one batch.
@@ -200,6 +217,32 @@ class TestPerRiderOutcomes:
                 assert counters(fleet) == {
                     "served": len(good), "failed": 1, "sheds": 1,
                     "rejections": 0, "retries": 0, "inflight": 0}
+
+                # The same vectors as riders of one exchange, straight
+                # to the worker, interleaved with good riders.
+                handle = fleet.manager.workers["w0"]
+                riders = [{"inputs": {"x": inputs(s)["x"].tolist()}}
+                          for s in good[:4]]
+                for i, bad in enumerate(not_numbers):
+                    riders.insert(2 * i + 1, {"inputs": {"x": bad}})
+                response = await fleet.pool.request(
+                    handle.host, handle.port, "POST", "/v1/predict",
+                    body=json.dumps({"route_key": route_key(SPEC),
+                                     "requests": riders}).encode(),
+                    timeout=60.0)
+                assert response.status == 200
+                items = response.json()["replies"]
+                for s, item in zip(good[:4], items[0::2]):
+                    assert item["status"] == 200
+                    assert item["words"] == reference(s)
+                for item in items[1::2]:
+                    assert item["status"] == 400, item
+                    assert "integers or floats" in item["error"]
+                final = await server_stats(fleet)
+                assert final["batches_formed"] \
+                    == after["batches_formed"] + 1
+                assert final["lanes_simulated"] \
+                    == after["lanes_simulated"] + 4
 
         run(main())
 

@@ -26,7 +26,6 @@ from repro.engine import clear_tape_caches, tape_cache_info
 from repro.serve import ShardedEngine
 from repro.sim.tape import (ExecutionTape, TapeReplayer, TapeStep,
                             find_unsupported_op)
-from repro.sim.tapeopt import OptimizedReplayer
 from repro.workloads.boltzmann import build_rbm_model
 from repro.workloads.cnn import small_cnn_spec
 from repro.workloads.lstm import build_lstm_model
@@ -208,10 +207,9 @@ def test_bound_steps_take_no_arguments(workload):
     engine.run_batch(inputs)
     assert engine.run_batch(inputs).execution == "optimized"
     (tape,) = engine.compiled.execution_tapes.values()
-    for plan, kind in ((None, TapeReplayer), (tape.optimized,
-                                              OptimizedReplayer)):
+    for plan in (None, tape.optimized):
         replayer = engine._bind_replayer(tape, plan, 4)
-        assert type(replayer) is kind
+        assert replayer.optimized is plan
         assert replayer.ops
         for op in replayer.ops:
             assert not inspect.signature(op).parameters, op

@@ -905,6 +905,13 @@ class TestSubmitSideEffectOrdering:
                 await server.submit({"x": xs[1]}, deadline_s="0.5")
             with pytest.raises(ValueError, match="finite"):
                 await server.submit({"x": xs[1]}, deadline_s=True)
+            # An input vector holds numbers: a JSON integer too large for
+            # a float, a string, a boolean and a null are refused, never
+            # cast (check_vector).
+            width = DIMS[0]
+            for bad in ([10**400], ["0.5"], [True], [None]):
+                with pytest.raises(ValueError, match="integers or floats"):
+                    await server.submit({"x": bad + [0.0] * (width - 1)})
             assert snapshot() == baseline
 
             # Expired deadline into a FULL queue: shed, not rejected —

@@ -343,7 +343,7 @@ def test_replay_pays_only_for_live_programmed_work(spec, max_ops, max_cells):
     engine, tape = fleet_plan(spec)
     assert len(tape.optimized.plan) <= max_ops
     replayer = engine._bind_replayer(tape, tape.optimized, 1)
-    cells = sum(stack.size for stack, _rows, _cols
+    cells = sum(stack.size for stack, _rows, _cols, *_scratch
                 in replayer._stacks.values())
     assert 0 < cells <= max_cells
 

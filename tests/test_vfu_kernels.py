@@ -7,7 +7,9 @@ These tests pin the kernels to an independent reference — the arithmetic
 ``_apply`` carried as an ``if`` chain before the table existed — under
 every aliasing the binders produce, pin the LUT gather to the
 interpolation it tabulates over the whole word domain, and pin the
-lane-minor, box-bound MVM group to ``MVMU.execute``.
+lane-minor, box-bound MVM group and ``MVMU.execute`` — which share
+``MVMU.rescale`` — to the MVM's integer definition, ``(x @ W) >>
+frac_bits`` saturated (:func:`mvm_reference`).
 """
 
 import numpy as np
@@ -26,9 +28,9 @@ from repro.isa import instruction as isa
 from repro.isa.opcodes import AluOp
 from repro.isa.program import NodeProgram
 from repro.node.node import Node
-from repro.sim.tape import ExecutionTape, TapeStep, _bind_alu
-from repro.sim.tapeopt import (MvmGroup, OptimizationReport,
-                               OptimizedReplayer, OptimizedTape)
+from repro.sim.tape import (ExecutionTape, MvmGroup, TapeReplayer, TapeStep,
+                            _bind_alu)
+from repro.sim.tapeopt import OptimizationReport, OptimizedTape
 from repro.tile.shared_memory import SharedMemory
 
 FMT = FixedPointFormat()
@@ -228,9 +230,11 @@ def test_wide_format_takes_the_generic_paths():
         np.testing.assert_array_equal(
             out, reference(op, a, b if binary else None, WIDE), op.name)
 
-    # A lone MVM whose float64 product could round stays on MVMU.execute.
+    # A lone MVM whose float64 product could round stays on MVMU.execute,
+    # whose int64 product and shift are the integer definition exactly.
     wide = default_config().with_core(fixed_point=WIDE)
     matrix = rng.integers(-(1 << 28), 1 << 28, size=(128, 128))
+    matrix[0, 5] = (1 << 27) + 1
     replayer, node = _mvm_replayer(matrix, 2, config=wide)
     core = node.tiles[0].cores[0]
     assert not core.mvmus[0]._f64_product_is_exact()
@@ -240,12 +244,33 @@ def test_wide_format_takes_the_generic_paths():
     core.registers._data[:, :128] = x
     replayer.ops[0]()
     out = core.config.xbar_out_base(0)
+    expected = mvm_reference(x, matrix, WIDE)
     np.testing.assert_array_equal(core.registers._data[:, out:out + 128],
-                                  core.mvmus[0].execute(x))
+                                  expected)
+    np.testing.assert_array_equal(core.mvmus[0].execute(x), expected)
+    # (2**27 - 1) * (2**27 + 1) = 2**54 - 1 rounds up to 2**54 in float64:
+    # the int64 shift reads 2**30 - 1 where a float rescale reads 2**30.
+    x = np.zeros((2, 128), dtype=np.int64)
+    x[:, 0] = (1 << 27) - 1
+    core.registers._data[:, :128] = x
+    replayer.ops[0]()
+    assert (core.registers._data[:, out + 5] == (1 << 30) - 1).all()
+    np.testing.assert_array_equal(core.registers._data[:, out:out + 128],
+                                  mvm_reference(x, matrix, WIDE))
+
+
+def mvm_reference(x, matrix, fmt=FMT):
+    """An MVM instruction's integer definition, sharing no code with
+    ``MVMU``: ``FixedPointFormat.multiply``'s semantics over the dot
+    product — the int64 product ``x @ W`` shifted right by ``frac_bits``
+    (floor, so negative odd products round toward -inf) and saturated."""
+    product = np.asarray(x, dtype=np.int64) @ np.asarray(matrix,
+                                                         dtype=np.int64)
+    return fmt.saturate(product >> fmt.frac_bits)
 
 
 def _mvm_replayer(matrix, batch, filter_=0, stride=0, config=None, steps=1):
-    """An OptimizedReplayer whose whole plan is ``steps`` lone MVM steps."""
+    """A replayer of a plain tape of ``steps`` lone MVM steps."""
     config = config if config is not None else default_config()
     program = NodeProgram(name="mvm")
     mvm = isa.mvm(1, filter=filter_, stride=stride)
@@ -253,18 +278,18 @@ def _mvm_replayer(matrix, batch, filter_=0, stride=0, config=None, steps=1):
     program.weights[(0, 0, 0)] = matrix
     node = Node.for_program(config, program, lambda _delay, _cb: None,
                             seed=0, batch=batch)
-    plan_steps = tuple(TapeStep(0, 0, mvm, 0) for _ in range(steps))
-    tape = ExecutionTape(steps=plan_steps, stats_by_batch={},
-                         recorded_batch=1)
-    plan = OptimizedTape(plan=plan_steps, report=OptimizationReport(
-        steps, steps, 0, 0, 0, 0, 0, 0, 0))
-    return OptimizedReplayer(tape, plan, node, program), node
+    tape = ExecutionTape(steps=tuple(TapeStep(0, 0, mvm, 0)
+                                     for _ in range(steps)),
+                         stats_by_batch={}, recorded_batch=1)
+    return TapeReplayer(tape, node, program), node
 
 
 @pytest.mark.parametrize("batch", [1, 5])
 @pytest.mark.parametrize("filter_,stride", [(0, 0), (5, 2)])
 def test_lone_mvm_binds_as_a_group_of_one_equal_to_execute(batch, filter_,
                                                             stride):
+    """The plain tape's MVM binds through the stacked group binder, and
+    it and ``MVMU.execute`` both equal the integer definition."""
     dim = default_config().core.mvmu_dim
     rng = np.random.default_rng(3)
     matrix = rng.integers(-3000, 3000, size=(dim, dim))
@@ -278,7 +303,7 @@ def test_lone_mvm_binds_as_a_group_of_one_equal_to_execute(batch, filter_,
     assert any(isinstance(cell.cell_contents, np.ndarray)
                and cell.cell_contents.shape == (1, dim, dim)
                for cell in closure)
-    assert replayer.optimized.report.mvm_groups == 0   # a binding detail
+    assert replayer.optimized is None   # no plan: the identity plan
 
     core = node.tiles[0].cores[0]
     cfg = core.config
@@ -286,12 +311,34 @@ def test_lone_mvm_binds_as_a_group_of_one_equal_to_execute(batch, filter_,
     x[0, :4] = [1, 3, 4097, FMT.int_max]
     core.registers._data[:, :dim] = x
     replayer.ops[0]()
-    expected = core.mvmus[0].execute(MVMU.shuffle_inputs(x, filter_, stride))
+    shuffled = MVMU.shuffle_inputs(x, filter_, stride)
+    expected = mvm_reference(shuffled, matrix)
     out = cfg.xbar_out_base(0)
     np.testing.assert_array_equal(core.registers._data[:, out:out + dim],
                                   expected)
+    np.testing.assert_array_equal(core.mvmus[0].execute(shuffled), expected)
     assert (expected == FMT.int_max).any() and (
         expected == FMT.int_min).any()
+    assert ((shuffled @ matrix)[:, 2] % 2 == 1).any()   # odd negatives ran
+
+
+def test_execute_and_a_bound_group_share_one_rescale(monkeypatch):
+    """One MVM arithmetic: the interpreter's ``MVMU.execute`` and a
+    stacked group both finish their product with ``MVMU.rescale``."""
+    calls = []
+    rescale = MVMU.rescale
+
+    def spy(self, full):
+        calls.append(full.shape)
+        return rescale(self, full)
+
+    monkeypatch.setattr(MVMU, "rescale", spy)
+    dim = default_config().core.mvmu_dim
+    replayer, node = _mvm_replayer(np.eye(dim, dtype=np.int64), 3)
+    replayer.ops[0]()
+    assert calls == [(1, dim, 3)]
+    node.tiles[0].cores[0].mvmus[0].execute(np.zeros((3, dim)))
+    assert calls == [(1, dim, 3), (3, dim)]
 
 
 def test_group_scratch_is_one_allocation_per_group_not_per_batch_size():
@@ -328,10 +375,11 @@ def _box(rng, dim, rows, cols):
     return matrix
 
 
-def _group_replayer(members, batch):
-    """An OptimizedReplayer whose plan is one MvmGroup with one MVM step
-    per core: ``members[c]`` is core c's ``(matrices, filter, stride)``,
-    one matrix per active MVMU."""
+def _group_replayer(members, batch, config=None):
+    """A replayer whose plan is one MvmGroup with one MVM step per core:
+    ``members[c]`` is core c's ``(matrices, filter, stride)``, one
+    matrix per active MVMU."""
+    config = config if config is not None else default_config()
     program = NodeProgram(name="group")
     steps = []
     for core_id, (matrices, filter_, stride) in enumerate(members):
@@ -341,14 +389,47 @@ def _group_replayer(members, batch):
         for m, matrix in enumerate(matrices):
             program.weights[(0, core_id, m)] = matrix
         steps.append(TapeStep(0, core_id, mvm, 0))
-    node = Node.for_program(default_config(), program,
-                            lambda _delay, _cb: None, seed=0, batch=batch)
+    node = Node.for_program(config, program, lambda _delay, _cb: None,
+                            seed=0, batch=batch)
     tape = ExecutionTape(steps=tuple(steps), stats_by_batch={},
                          recorded_batch=1)
     plan = OptimizedTape(plan=(MvmGroup(steps=tuple(steps)),),
                          report=OptimizationReport(
                              len(steps), 1, 0, 0, 0, 0, 0, 1, len(steps)))
-    return OptimizedReplayer(tape, plan, node, program), node
+    return TapeReplayer(tape, node, program, plan), node
+
+
+def _run_group_against_the_definition(members, batch, seed, config=None):
+    """Bind ``members`` as one group, fill every register with words,
+    run the group, and check each unit's XbarOut — and ``MVMU.execute``
+    on the same operands — against :func:`mvm_reference`.  Returns the
+    replayer and the union box ``((r0, r1), (c0, c1))``."""
+    replayer, node = _group_replayer(members, batch, config)
+    cfg = node.tiles[0].cores[0].config
+    dim = cfg.mvmu_dim
+    (_stack, rows, (c0, c1), *_scratch), = replayer._stacks.values()
+    rng = np.random.default_rng(seed)
+    cores = node.tiles[0].cores
+    for core_id in range(len(members)):
+        regs = cores[core_id].registers._data
+        regs[...] = rng.integers(FMT.int_min, FMT.int_max + 1,
+                                 size=regs.shape)
+    before = [core.registers._data.copy() for core in cores]
+    replayer.ops[0]()
+    for core_id, (matrices, filter_, stride) in enumerate(members):
+        regs = cores[core_id].registers._data
+        for m, matrix in enumerate(matrices):
+            x = MVMU.shuffle_inputs(
+                before[core_id][:, cfg.xbar_in_base(m):
+                                cfg.xbar_in_base(m) + dim], filter_, stride)
+            expected = mvm_reference(x, matrix)
+            out = cfg.xbar_out_base(m)
+            got = regs[:, out:out + dim]
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(
+                cores[core_id].mvmus[m].execute(x), expected)
+            assert not got[:, :c0].any() and not got[:, c1:].any()
+    return replayer, (rows, (c0, c1))
 
 
 def _group_cases(dim):
@@ -370,14 +451,15 @@ def _group_cases(dim):
                                   "box-shuffled", "all-zero"])
 def test_box_bound_group_equals_per_unit_execute(case, batch):
     """A stacked group bound to its members' union nonzero box, DAC rows
-    gathered through each member's shuffle, is bitwise
-    ``MVMU.execute(shuffle_inputs(x))`` per unit, with garbage in every
-    XbarOut register beforehand, columns outside the box included."""
-    cfg = default_config().core
-    dim = cfg.mvmu_dim
+    gathered through each member's shuffle, is bitwise the integer
+    definition of every member's MVM — as ``MVMU.execute`` is — with
+    garbage in every XbarOut register beforehand, columns outside the
+    box included."""
+    dim = default_config().core.mvmu_dim
     members = _group_cases(dim)[case]
-    replayer, node = _group_replayer(members, batch)
-    (stack, (r0, r1), (c0, c1)), = replayer._stacks.values()
+    replayer, ((r0, r1), (c0, c1)) = _run_group_against_the_definition(
+        members, batch, seed=batch)
+    (stack, *_box_and_scratch), = replayer._stacks.values()
     nonzero = np.zeros((dim, dim), dtype=bool)
     for matrices, _f, _s in members:
         for matrix in matrices:
@@ -387,22 +469,40 @@ def test_box_bound_group_equals_per_unit_execute(case, batch):
                            c1 - c0, r1 - r0)
     if case != "full-and-box":
         assert stack[0].size < dim * dim                  # narrower than dim
-    rng = np.random.default_rng(batch)
-    cores = node.tiles[0].cores
-    for core_id in range(len(members)):
-        cores[core_id].registers._data[...] = rng.integers(
-            FMT.int_min, FMT.int_max + 1,
-            size=cores[core_id].registers._data.shape)
-    before = [core.registers._data.copy() for core in cores]
-    replayer.ops[0]()
-    for core_id, (matrices, filter_, stride) in enumerate(members):
-        regs = cores[core_id].registers._data
-        for m in range(len(matrices)):
-            x = before[core_id][:, cfg.xbar_in_base(m):
-                                cfg.xbar_in_base(m) + dim]
-            expected = cores[core_id].mvmus[m].execute(
-                MVMU.shuffle_inputs(x, filter_, stride))
-            out = cfg.xbar_out_base(m)
-            got = regs[:, out:out + dim]
-            np.testing.assert_array_equal(got, expected)
-            assert not got[:, :c0].any() and not got[:, c1:].any()
+
+
+@given(dim=st.sampled_from([8, 32, 128]),
+       units=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+       shuffle=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_execute_and_bound_groups_are_the_integer_definition(
+        dim, units, batch, seed, zero_share, shuffle):
+    """Over crossbar dims, group sizes (``units[c]`` MVMUs on core c,
+    k = their sum), batches, extreme and ordinary words, zero rows and
+    columns anywhere and shuffled inputs: a bound group and
+    ``MVMU.execute`` both equal ``(x @ W) >> frac_bits``, saturated,
+    bitwise."""
+    rng = np.random.default_rng(seed)
+
+    def words(shape):
+        drawn = rng.integers(FMT.int_min, FMT.int_max + 1, size=shape)
+        pick = rng.integers(0, 3, size=shape)
+        drawn[pick == 1] = rng.choice(EXTREMES, size=int((pick == 1).sum()))
+        drawn[pick == 2] = rng.integers(-300, 300, size=int((pick == 2).sum()))
+        return drawn
+
+    members = []
+    for count in units:
+        matrices = []
+        for _ in range(count):
+            matrix = words((dim, dim))
+            matrix[rng.random(dim) < zero_share, :] = 0
+            matrix[:, rng.random(dim) < zero_share] = 0
+            matrices.append(matrix)
+        filter_ = int(rng.integers(1, dim + 1)) if shuffle else 0
+        stride = int(rng.integers(0, max(filter_, 1)))
+        members.append((matrices, filter_, stride))
+    _run_group_against_the_definition(
+        members, batch, seed, default_config().with_core(mvmu_dim=dim))
