@@ -34,11 +34,13 @@ that pattern:
   batched into one stacked matmul — still bitwise-identical (the plan
   is checked once, when the tape is recorded, against the recording
   run's own words; a refuted plan leaves the tape on plain replay).
-  Programs using the stochastic ``RANDOM`` op
-  (and unseeded engines) transparently fall back to the interpreter;
-  :func:`tape_cache_info` reports recordings/replays/optimized runs/
-  fallbacks, ``execution_mode="replay"`` serves the plain tape, and
-  ``execution_mode="interpret"`` disables the fast path outright;
+  Every engine is seeded, so its programmed state, tape and artifact
+  are functions of (config, device model, seed); programs using the
+  stochastic ``RANDOM`` op, the one cache bypass, fall back to the
+  interpreter; :func:`tape_cache_info` reports recordings/replays/
+  optimized runs/fallbacks, ``execution_mode="replay"`` serves the
+  plain tape, and ``execution_mode="interpret"`` disables the fast path
+  outright;
 * all of the above persists **across processes** through the artifact
   store (:mod:`repro.store`): ``artifact_dir=`` makes the engine
   warm-start from a matching on-disk artifact (compilation + programmed
@@ -63,6 +65,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import numbers
 import threading
 import weakref
 from pathlib import Path
@@ -94,6 +97,7 @@ from repro.sim.tapeopt import (
 from repro.store import (
     MANIFEST_NAME,
     ArtifactError,
+    LoadedArtifact,
     artifact_key,
     fingerprint_digest,
     fingerprint_value,
@@ -122,8 +126,7 @@ EXECUTION_MODES = ("auto", "replay", "interpret")
 # cache must not keep dead models (and their weight arrays) alive.
 _COMPILE_CACHE: "weakref.WeakKeyDictionary[Model, dict[tuple, CompiledModel]]" \
     = weakref.WeakKeyDictionary()
-_cache_hits = 0
-_cache_misses = 0
+_compile_events = dict.fromkeys(("hits", "misses"), 0)
 
 
 def _cache_fingerprint(config: PumaConfig,
@@ -155,13 +158,12 @@ def compile_cached(model: Model, config: PumaConfig,
     on a cache miss, its non-``None`` result (e.g. an artifact-store
     load) is cached in place of a fresh compilation.
     """
-    global _cache_hits, _cache_misses
     per_model = _COMPILE_CACHE.setdefault(model, {})
     key = _cache_fingerprint(config, options)
     if key in per_model:
-        _cache_hits += 1
+        _compile_events["hits"] += 1
     else:
-        _cache_misses += 1
+        _compile_events["misses"] += 1
         compiled = loader() if loader is not None else None
         if compiled is None:
             compiled = compile_model(model, config, options)
@@ -172,16 +174,13 @@ def compile_cached(model: Model, config: PumaConfig,
 def compile_cache_info() -> CompileCacheInfo:
     """Hits/misses/live-entry counts of the process-wide compile cache."""
     entries = sum(len(compiled) for compiled in _COMPILE_CACHE.values())
-    return CompileCacheInfo(hits=_cache_hits, misses=_cache_misses,
-                            entries=entries)
+    return CompileCacheInfo(entries=entries, **_compile_events)
 
 
 def clear_compile_cache() -> None:
     """Drop every cached compilation and reset the hit/miss counters."""
-    global _cache_hits, _cache_misses
     _COMPILE_CACHE.clear()
-    _cache_hits = 0
-    _cache_misses = 0
+    _compile_events.update(dict.fromkeys(_compile_events, 0))
 
 
 # -- execution-tape cache introspection ------------------------------------
@@ -197,12 +196,11 @@ def clear_compile_cache() -> None:
 _TAPE_MODELS: "weakref.WeakValueDictionary[int, CompiledModel]" = \
     weakref.WeakValueDictionary()
 _tape_lock = threading.Lock()
-_tape_recordings = 0
-_tape_replays = 0
-_tape_fallbacks = 0
-_tape_optimized = 0
-_tape_optimizer_fallbacks = 0
-_tape_derived_stats = 0
+# Tape events by name.  An optimized run is a replay served by the fused
+# plan, so TapeCacheInfo.replays reports "replay" + "optimized".
+_tape_events = dict.fromkeys(
+    ("recording", "replay", "optimized", "fallback", "optimizer_fallback",
+     "derived"), 0)
 
 
 class TapeCacheInfo(NamedTuple):
@@ -217,8 +215,8 @@ class TapeCacheInfo(NamedTuple):
             optimized run is also a replay; ``optimized`` counts the
             subset).
         fallbacks: runs that wanted the fast path but used the interpreter
-            (stochastic RANDOM-op program, unseeded engine, or a tape that
-            failed validation at replay time).
+            (stochastic RANDOM-op program, or a tape that failed
+            validation at replay time).
         optimized: replays served by a fused/optimized execution plan.
         optimizer_fallbacks: plans refuted when their tape was recorded
             (structural self-check failed, or words differed from the
@@ -254,47 +252,60 @@ def tape_cache_info() -> TapeCacheInfo:
             entries += sum(1 for tape in tapes.values()
                            if isinstance(tape, ExecutionTape))
         return TapeCacheInfo(
-            entries=entries, recordings=_tape_recordings,
-            replays=_tape_replays, fallbacks=_tape_fallbacks,
-            optimized=_tape_optimized,
-            optimizer_fallbacks=_tape_optimizer_fallbacks,
-            derived_stats=_tape_derived_stats)
+            entries=entries, recordings=_tape_events["recording"],
+            replays=_tape_events["replay"] + _tape_events["optimized"],
+            fallbacks=_tape_events["fallback"],
+            optimized=_tape_events["optimized"],
+            optimizer_fallbacks=_tape_events["optimizer_fallback"],
+            derived_stats=_tape_events["derived"])
 
 
 def clear_tape_caches() -> None:
     """Drop every recorded tape on live compilations and reset counters."""
-    global _tape_recordings, _tape_replays, _tape_fallbacks
-    global _tape_optimized, _tape_optimizer_fallbacks, _tape_derived_stats
     with _tape_lock:
         for compiled in _TAPE_MODELS.values():
             compiled.execution_tapes.clear()
-        _tape_recordings = 0
-        _tape_replays = 0
-        _tape_fallbacks = 0
-        _tape_optimized = 0
-        _tape_optimizer_fallbacks = 0
-        _tape_derived_stats = 0
+        _tape_events.update(dict.fromkeys(_tape_events, 0))
 
 
 def _count_tape_event(kind: str) -> None:
-    global _tape_recordings, _tape_replays, _tape_fallbacks
-    global _tape_optimized, _tape_optimizer_fallbacks, _tape_derived_stats
     with _tape_lock:
-        if kind == "recording":
-            _tape_recordings += 1
-        elif kind == "replay":
-            _tape_replays += 1
-        elif kind == "optimized":
-            # An optimized run is a replay served by the fused plan: the
-            # replays counter stays the "tape-served runs" total.
-            _tape_replays += 1
-            _tape_optimized += 1
-        elif kind == "optimizer_fallback":
-            _tape_optimizer_fallbacks += 1
-        elif kind == "derived":
-            _tape_derived_stats += 1
-        else:
-            _tape_fallbacks += 1
+        _tape_events[kind] += 1
+
+
+def _insert_capped(cache: dict, key, value, cap: int) -> None:
+    """Make ``key -> value`` the newest entry of ``cache``, evicting the
+    oldest entries beyond ``cap``.  Callers hold the lock guarding
+    ``cache``: a dict shared by replica engines would otherwise race
+    ``next(iter())`` / ``pop`` on eviction."""
+    cache.pop(key, None)
+    cache[key] = value
+    while len(cache) > cap:
+        cache.pop(next(iter(cache)))
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an ``int``, or :class:`ValueError`.
+
+    A programmed crossbar is a function of (config, device model, seed),
+    so every engine has an integer seed; ``None``, a boolean, a float or
+    a string is refused, never truncated or parsed.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"bad seed {seed!r} (must be an integer)")
+    return int(seed)
+
+
+class _Persisted(NamedTuple):
+    """The on-disk artifact this engine's in-memory state matches."""
+
+    path: Path                      # the resolved artifact directory
+    stats_batches: frozenset[int]   # batch sizes its tape holds stats for
+
+    @classmethod
+    def of(cls, path: Path, tape: ExecutionTape | None) -> "_Persisted":
+        return cls(path.resolve(), frozenset(
+            tape.stats_by_batch if tape is not None else ()))
 
 
 def _reject_nan(inputs: Mapping[str, np.ndarray]) -> None:
@@ -315,16 +326,18 @@ class InferenceEngine:
         config: accelerator configuration (Table 3 defaults when omitted).
         options: compiler options; part of the compile-cache key.
         crossbar_model: overrides the device model (noise studies).
-        seed: RNG seed for write noise and the RANDOM op.  The same seed is
-            used for every run, so repeated calls see identically programmed
-            crossbars — the property that makes batched and sequential
-            executions comparable bit for bit.
+        seed: RNG seed for write noise and the RANDOM op, an integer
+            (NumPy integers become ``int``; anything else raises
+            :class:`ValueError`).  The same seed is used for every run,
+            so repeated calls see identically programmed crossbars — the
+            property that makes batched and sequential executions
+            comparable bit for bit.
         execution_mode: ``"auto"`` (default) records a batch-generic
             execution tape on the first run, optimizes it
             (:mod:`repro.sim.tapeopt`), checks the plan against that run,
             and replays it afterwards at any batch size, falling back to
             the event-driven interpreter when the program cannot be taped
-            (stochastic RANDOM op, unseeded engine) and to plain replay
+            (stochastic RANDOM op) and to plain replay
             when the plan was refuted; ``"replay"`` serves the plain
             tape (the baseline the benchmark measures; its recordings
             still check a plan) and is strict: it raises ``ValueError``
@@ -350,7 +363,7 @@ class InferenceEngine:
     def __init__(self, model: Model | None, config: PumaConfig | None = None,
                  options: CompilerOptions | None = None,
                  crossbar_model: CrossbarModel | None = None,
-                 seed: int | None = 0, *,
+                 seed: int = 0, *,
                  compiled: CompiledModel | None = None,
                  execution_mode: str = "auto",
                  artifact_dir: str | Path | None = None) -> None:
@@ -366,7 +379,7 @@ class InferenceEngine:
         self.config = config if config is not None else PumaConfig()
         self.options = options
         self.crossbar_model = crossbar_model
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self.execution_mode = execution_mode
         self.artifact_dir = Path(artifact_dir) if artifact_dir else None
         # config/crossbar_model/seed are fixed for the engine's lifetime;
@@ -376,15 +389,11 @@ class InferenceEngine:
         self._fingerprint = (fingerprint_value(self.config),
                              fingerprint_value(self.crossbar_model),
                              self.seed)
-        # The artifact path this engine already loaded or saved, so
-        # repeated ensure_artifacts() calls (server + shard pool wiring)
-        # don't re-hash and re-deserialize a multi-MB artifact per layer
-        # — plus which batch sizes the on-disk tape carries stats for
-        # (stats derived after adoption still need a save), and whether
-        # an in-memory tape invalidation made the on-disk copy stale.
-        self._adopted_artifact: Path | None = None
-        self._persisted_stats_batches: set[int] = set()
-        self._artifact_stale = False
+        # The artifact this engine's in-memory state matches (loaded or
+        # saved), so repeated ensure_artifacts() calls (server + shard
+        # pool wiring) don't re-hash and re-deserialize a multi-MB
+        # artifact per layer; None once nothing on disk matches.
+        self._artifact: _Persisted | None = None
         if compiled is not None:
             self.compiled = compiled
         else:
@@ -404,7 +413,7 @@ class InferenceEngine:
     def from_compiled(cls, compiled: CompiledModel,
                       config: PumaConfig | None = None, *,
                       crossbar_model: CrossbarModel | None = None,
-                      seed: int | None = 0,
+                      seed: int = 0,
                       execution_mode: str = "auto",
                       artifact_dir: str | Path | None = None
                       ) -> "InferenceEngine":
@@ -426,7 +435,7 @@ class InferenceEngine:
 
     # -- persistent artifact store -----------------------------------------
 
-    def _key_digests(self) -> tuple[str, str, int | None]:
+    def _key_digests(self) -> tuple[str, str, int]:
         """The engine key as stable digests (what artifact manifests pin)."""
         config_fp, crossbar_fp, seed = self._fingerprint
         return (fingerprint_digest(config_fp),
@@ -440,15 +449,13 @@ class InferenceEngine:
                 "no artifact directory configured (pass artifact_dir= to "
                 "the engine or to this call)")
         if self.model is not None:
-            content = model_digest(self.model)
             content = fingerprint_digest(
-                (content, fingerprint_value(self.options)))
+                (model_digest(self.model), fingerprint_value(self.options)))
             name = self.model.name
         else:
             content = program_digest(self.compiled.program)
             name = self.compiled.program.name
-        config_digest, crossbar_digest, seed = self._key_digests()
-        key = fingerprint_digest((config_digest, crossbar_digest, seed))
+        key = fingerprint_digest(self._key_digests())
         return Path(base) / artifact_key(name, content, key)
 
     def _resolve_compiled(self) -> CompiledModel:
@@ -460,75 +467,50 @@ class InferenceEngine:
         engine's (config, crossbar model, seed) has no programmed state
         yet — e.g. the model was compiled in-process under a different
         seed — the store is still consulted for the state and tapes.
-
-        ``seed=None`` bypasses the store entirely, in both directions:
-        fresh-entropy state must not be frozen to disk
-        (:meth:`save_artifacts` raises) and, symmetrically, must never be
-        *served* from disk — an unseeded engine compiles fresh and runs
-        the interpreter, end of story.
         """
-        loader = self._try_load_store \
-            if self.artifact_dir is not None and self.seed is not None \
-            else None
-        compiled = compile_cached(self.model, self.config, self.options,
-                                  loader=loader)
-        if (self.artifact_dir is not None
-                and self._adopted_artifact is None
-                and self.seed is not None
-                and self._fingerprint not in compiled.programmed_states):
-            loaded = self._load_store()
-            if loaded is not None:
-                self._adopt_loaded(compiled, loaded)
+        if self.artifact_dir is None:
+            return compile_cached(self.model, self.config, self.options)
+        compiled = compile_cached(
+            self.model, self.config, self.options,
+            loader=lambda: self._adopt_artifact(self._artifact_path()))
+        if self._fingerprint not in compiled.programmed_states:
+            self._adopt_artifact(self._artifact_path(), compiled)
         return compiled
 
-    def _load_store(self):
-        """This engine's validated artifact, or ``None`` to rebuild.
+    def _adopt_artifact(self, path: Path,
+                        compiled: CompiledModel | None = None,
+                        loaded: LoadedArtifact | None = None
+                        ) -> CompiledModel | None:
+        """Load this engine's artifact at ``path`` (unless ``loaded``
+        holds it already), install its programmed state and tape under
+        this engine's key on ``compiled`` (default: the artifact's own
+        compilation), and record it as the artifact the in-memory state
+        matches.
 
-        Any validation failure (version/fingerprint mismatch, corrupt or
-        truncated payloads) is treated as a cache miss — the store must
-        never produce a wrong answer, only a slower start.
+        Returns the compilation, or ``None`` when ``path`` holds no valid
+        artifact for this key.  Any validation failure (version or
+        fingerprint mismatch, corrupt or truncated payloads) is a cache
+        miss — the store must never produce a wrong answer, only a
+        slower start.
         """
-        path = self._artifact_path()
-        if not (path / MANIFEST_NAME).is_file():
-            return None
-        try:
-            loaded = load_artifact(path,
-                                   expected_key_digests=self._key_digests())
-        except ArtifactError:
-            return None
-        self._adopted_artifact = path.resolve()
-        self._persisted_stats_batches = self._tape_stats_batches(loaded.tape)
-        self._artifact_stale = False
-        return loaded
-
-    @staticmethod
-    def _tape_stats_batches(tape: ExecutionTape | None) -> set[int]:
-        return set(tape.stats_by_batch) if tape is not None else set()
-
-    def _try_load_store(self) -> CompiledModel | None:
-        """Compile-cache loader hook: the artifact's compilation, with
-        this engine's caches installed, or ``None`` to compile."""
-        loaded = self._load_store()
         if loaded is None:
-            return None
-        return self._adopt_loaded(loaded.compiled, loaded)
-
-    def _adopt_loaded(self, compiled: CompiledModel, loaded) -> CompiledModel:
-        """Install a loaded artifact's caches under this engine's keys.
-
-        An unseeded engine adopts nothing: persisted programmed state and
-        tapes would freeze exactly the entropy ``seed=None`` asks to stay
-        fresh (the load path already fails loudly on such artifacts; this
-        guard keeps in-process adoption honest too).
-        """
-        if self.seed is None:
-            return compiled
+            if not (path / MANIFEST_NAME).is_file():
+                return None
+            try:
+                loaded = load_artifact(
+                    path, expected_key_digests=self._key_digests())
+            except ArtifactError:
+                return None
+        if compiled is None:
+            compiled = loaded.compiled
         with _tape_lock:
-            compiled.programmed_states[self._fingerprint] = \
-                loaded.programmed_state
+            _insert_capped(compiled.programmed_states, self._fingerprint,
+                           loaded.programmed_state, _PROGRAMMED_STATE_CAP)
             if loaded.tape is not None:
-                compiled.execution_tapes[self._fingerprint] = loaded.tape
+                _insert_capped(compiled.execution_tapes, self._fingerprint,
+                               loaded.tape, _EXECUTION_TAPE_CAP)
             _TAPE_MODELS[id(compiled)] = compiled
+        self._artifact = _Persisted.of(path, loaded.tape)
         return compiled
 
     @classmethod
@@ -561,22 +543,21 @@ class InferenceEngine:
                      crossbar_model=loaded.crossbar_model, seed=loaded.seed,
                      compiled=loaded.compiled, execution_mode=execution_mode,
                      artifact_dir=artifact_dir)
-        engine._adopt_loaded(engine.compiled, loaded)
-        engine._adopted_artifact = Path(path).resolve()
-        engine._persisted_stats_batches = cls._tape_stats_batches(loaded.tape)
+        engine._adopt_artifact(Path(path), loaded=loaded)
         return engine
 
     def save_artifacts(self, path: str | Path | None = None) -> Path:
         """Persist this engine's warm state as an on-disk artifact.
 
-        Warms first (a no-op when already warm), then writes the
-        compilation, the programmed crossbar state for this engine's
-        (config, crossbar model, seed), and the batch-generic execution
-        tape recorded at that key (with every batch size's derived stats)
-        — so a later :meth:`from_artifacts` (or an ``artifact_dir``
-        engine in a brand-new process) starts exactly where this engine
-        stands.  Record the tape and derive the stats you want persisted
-        before saving (``warm(batch=N)`` per serving batch size).
+        Programs the crossbars first (a no-op when already programmed),
+        then writes the compilation, the programmed crossbar state for
+        this engine's (config, crossbar model, seed), and the
+        batch-generic execution tape recorded at that key (with every
+        batch size's derived stats) — so a later :meth:`from_artifacts`
+        (or an ``artifact_dir`` engine in a brand-new process) starts
+        exactly where this engine stands.  Record the tape and derive the
+        stats you want persisted before saving (``warm(batch=N)`` per
+        serving batch size).
 
         Args:
             path: explicit artifact directory; defaults to the keyed slot
@@ -586,17 +567,9 @@ class InferenceEngine:
             The artifact directory written.
 
         Raises:
-            ArtifactError: the engine is unseeded (``seed=None`` state
-                must not be frozen to disk).
             ValueError: no path given and no ``artifact_dir`` configured.
         """
-        if self.seed is None:
-            raise ArtifactError(
-                "cannot save artifacts for an unseeded engine: seed=None "
-                "requests fresh entropy per run, which a persisted state "
-                "would freeze")
-        self.warm()
-        state = self.compiled.programmed_states.get(self._state_key())
+        state = self._programmed_state()
         tape = self.compiled.execution_tapes.get(self._fingerprint)
         target = Path(path) if path is not None else self._artifact_path()
         saved = save_artifact(
@@ -604,21 +577,20 @@ class InferenceEngine:
             programmed_state=state, config=self.config,
             options=self.options, crossbar_model=self.crossbar_model,
             seed=self.seed)
-        self._adopted_artifact = saved.resolve()
-        self._persisted_stats_batches = self._tape_stats_batches(tape)
-        self._artifact_stale = False
+        self._artifact = _Persisted.of(saved, tape)
         return saved
 
     def ensure_artifacts(self, artifact_dir: str | Path | None = None, *,
                          batch: int | None = None) -> Path | None:
         """Make the on-disk artifact exist and this engine warm — both ways.
 
-        The idempotent primitive behind ``cli warm`` and the serving
-        layers: if a valid artifact for this engine's key already exists,
-        adopt its caches (programmed state + tapes); otherwise warm the
-        engine (recording a tape for ``batch`` when given) and save one.
-        Either way, the next process pointed at the same directory
-        warm-starts.
+        The idempotent primitive behind the serving layers: an engine
+        that holds no programmed state yet adopts a valid artifact for
+        its key (programmed state + tape) when one exists; otherwise the
+        engine is warmed (recording a tape for ``batch`` when given) and
+        its in-memory state saved, unless the artifact it was loaded
+        from or saved to already holds it.  Either way, the next process
+        pointed at the same directory warm-starts.
 
         Args:
             artifact_dir: store directory; defaults to (and, on first
@@ -633,41 +605,21 @@ class InferenceEngine:
         """
         base = Path(artifact_dir) if artifact_dir is not None \
             else self.artifact_dir
-        if base is None or self.seed is None:
-            # No store configured, or nothing persistable: seed=None
-            # state must stay fresh per run (save_artifacts would raise).
+        if base is None:
             return None
         if self.artifact_dir is None:
             self.artifact_dir = base
         path = self._artifact_path(base)
-        adopted = (path.resolve() == self._adopted_artifact
-                   and not self._artifact_stale)
-        if adopted and (
-                batch is None or self._replay_blocker() is not None
-                or batch in self._persisted_stats_batches):
-            # Already loaded from (or saved to) this exact artifact, the
-            # in-memory tape was not invalidated since, and the requested
-            # batch's stats are on disk (not merely derived in memory) —
-            # don't re-hash and re-deserialize it per serving layer.
+        if self._fingerprint not in self.compiled.programmed_states:
+            self._adopt_artifact(path, self.compiled)
+        record = self._artifact
+        if record is not None and record.path == path.resolve() and (
+                batch is None or batch in record.stats_batches
+                or self._replay_blocker() is not None):
+            # This artifact holds the in-memory state, down to the
+            # requested batch's stats: nothing to load or save.
             return path
-        if not adopted and (path / MANIFEST_NAME).is_file():
-            try:
-                loaded = load_artifact(
-                    path, expected_key_digests=self._key_digests())
-            except ArtifactError:
-                loaded = None
-            if loaded is not None:
-                self._adopt_loaded(self.compiled, loaded)
-                self._adopted_artifact = path.resolve()
-                self._persisted_stats_batches = \
-                    self._tape_stats_batches(loaded.tape)
-                self._artifact_stale = False
-                if batch is None or batch in self._persisted_stats_batches \
-                        or self._replay_blocker() is not None:
-                    return path
-        self.warm()
-        if batch is not None:
-            self.warm(batch=batch)
+        self.warm(batch=batch)
         return self.save_artifacts(path)
 
     # -- data formatting ---------------------------------------------------
@@ -751,42 +703,27 @@ class InferenceEngine:
         self._infer_batch(inputs)
         _reject_nan(inputs)
 
-    def _state_key(self) -> tuple | None:
-        """Programmed-state cache key; ``None`` when seed=None (fresh
-        entropy per run must not be frozen)."""
-        if self.seed is None:
-            return None
-        return self._fingerprint
-
-    def _programmed_state(self) -> NodeProgrammedState | None:
+    def _programmed_state(self) -> NodeProgrammedState:
         """The crossbar programming for this engine's (config, crossbar
         model, seed), performed on first use and cached on the compiled
         model; every simulator and replay node — any batch size, any
         replica engine sharing the compilation — installs it instead of
         re-programming, bitwise identically (Section 3.2.5: weights are
-        written once at configuration time).  ``None`` for ``seed=None``,
-        whose fresh entropy per run must not be frozen.
+        written once at configuration time).
         """
-        key = self._state_key()
-        if key is None:
-            return None
         states = self.compiled.programmed_states
-        state = states.get(key)
+        state = states.get(self._fingerprint)
         if state is None:
             state = NodeProgrammedState.for_program(
                 self.config, self.program, self.crossbar_model,
                 np.random.default_rng(self.seed))
-            # The insert-then-evict below mutates a dict shared by every
-            # replica engine serving this compilation; serialize it (thread
-            # replicas would otherwise race next(iter())/pop on eviction).
+            # A seed/noise sweep over one kept-alive model would otherwise
+            # pin one multi-MB crossbar snapshot per (config, crossbar
+            # model, seed) forever; evicting the oldest entries costs
+            # only a re-programming pass.
             with _tape_lock:
-                states[key] = state
-                # A seed/noise sweep over one kept-alive model would
-                # otherwise pin one multi-MB crossbar snapshot per
-                # (config, crossbar model, seed) forever; evicting the
-                # oldest entries costs only a re-programming pass.
-                while len(states) > _PROGRAMMED_STATE_CAP:
-                    states.pop(next(iter(states)), None)
+                _insert_capped(states, self._fingerprint, state,
+                               _PROGRAMMED_STATE_CAP)
         return state
 
     def _simulator(self, batch: int,
@@ -806,8 +743,7 @@ class InferenceEngine:
         caches) the configuration-time crossbar programming so the first
         real request doesn't pay it — and so worker processes forked after
         ``warm()`` inherit the programmed arrays copy-on-write.  No-op
-        when the state is already cached, or with ``seed=None`` (fresh
-        entropy per run cannot be pre-programmed).
+        when the state is already cached.
 
         With ``batch`` the warm-up additionally guarantees tape coverage
         for that batch size: the first call records the batch-generic
@@ -816,21 +752,20 @@ class InferenceEngine:
         input-independent); later calls only derive that batch's
         timing stats via a shadow simulation, which is how one tape comes
         to serve the whole batch ladder.  Ignored when the engine cannot
-        replay (``execution_mode="interpret"``, RANDOM-op program, or
-        seed=None).
+        replay (``execution_mode="interpret"`` or a RANDOM-op program).
         """
-        if self._programmed_state() is not None:
-            if batch is not None and self._replay_blocker() is None:
-                tape = self.compiled.execution_tapes.get(self._fingerprint)
-                if tape is None:
-                    rng = np.random.default_rng(0)
-                    self.run_batch({
-                        name: self.quantize(
-                            rng.uniform(-1.0, 1.0, size=(batch, length)))
-                        for name, (_tile, _addr, length)
-                        in self.program.input_layout.items()})
-                elif tape.stats_for(batch) is None:
-                    self._stats_for_batch(tape, batch)
+        self._programmed_state()
+        if batch is not None and self._replay_blocker() is None:
+            tape = self.compiled.execution_tapes.get(self._fingerprint)
+            if tape is None:
+                rng = np.random.default_rng(0)
+                self.run_batch({
+                    name: self.quantize(
+                        rng.uniform(-1.0, 1.0, size=(batch, length)))
+                    for name, (_tile, _addr, length)
+                    in self.program.input_layout.items()})
+            elif tape.stats_for(batch) is None:
+                self._stats_for_batch(tape, batch)
         return self
 
     # -- trace replay ------------------------------------------------------
@@ -839,9 +774,6 @@ class InferenceEngine:
         """Why this engine cannot trace-replay, or ``None`` if it can."""
         if self.execution_mode == "interpret":
             return "execution_mode='interpret'"
-        if self.seed is None:
-            return ("seed=None requests fresh entropy per run, which a "
-                    "recorded schedule would freeze")
         if self._tape_blocker is False:  # not scanned yet
             self._tape_blocker = find_unsupported_op(self.program)
         return self._tape_blocker
@@ -885,15 +817,8 @@ class InferenceEngine:
         if replayer is None or replayer.tape is not tape:
             plan = tape.optimized if self.execution_mode == "auto" else None
             replayer = self._bind_replayer(tape, plan, batch)
-            self._keep_replayer(batch, replayer)
+            _insert_capped(self._replayers, batch, replayer, _REPLAYER_CAP)
         return replayer
-
-    def _keep_replayer(self, batch: int, replayer: TapeReplayer) -> None:
-        """Cache ``replayer`` for ``batch``, evicting the oldest widths."""
-        self._replayers.pop(batch, None)
-        self._replayers[batch] = replayer
-        while len(self._replayers) > _REPLAYER_CAP:
-            self._replayers.pop(next(iter(self._replayers)))
 
     def _bind_replayer(self, tape: ExecutionTape,
                        plan: OptimizedTape | None, batch: int
@@ -903,18 +828,16 @@ class InferenceEngine:
                             plan)
 
     def _invalidate_tape(self) -> None:
-        """Drop the tape, its bound replayers, and the persistence
-        bookkeeping that claimed it was saved.
+        """Drop the tape, its bound replayers, and the record of the
+        artifact that holds it.
 
-        Clearing ``_persisted_stats_batches`` and raising
-        ``_artifact_stale`` makes the next :meth:`ensure_artifacts` /
-        :meth:`save_artifacts` rewrite the on-disk artifact instead of
-        trusting a manifest that still advertises the evicted tape.
+        With no record, the next :meth:`ensure_artifacts` saves the
+        in-memory state over the on-disk artifact instead of trusting
+        (or re-adopting) a manifest that still carries the evicted tape.
         """
         self._replayers.clear()
         self.compiled.execution_tapes.pop(self._fingerprint, None)
-        self._persisted_stats_batches.clear()
-        self._artifact_stale = True
+        self._artifact = None
 
     def _stats_for_batch(self, tape: ExecutionTape, batch: int
                          ) -> SimulationStats:
@@ -1014,19 +937,16 @@ class InferenceEngine:
             _count_tape_event("fallback")
             return words, sim.stats, "interpreter"
         checked = self._checked_plan(tape, inputs, batch, words)
-        tapes = self.compiled.execution_tapes
-        # Shared with every replica engine on this compilation: serialize
-        # the insert-then-evict (concurrent recorders would otherwise race
-        # next(iter())/pop once the cap is reached).
+        # Shared with every replica engine on this compilation.
         with _tape_lock:
-            tapes[self._fingerprint] = tape
-            while len(tapes) > _EXECUTION_TAPE_CAP:
-                tapes.pop(next(iter(tapes)), None)
+            _insert_capped(self.compiled.execution_tapes, self._fingerprint,
+                           tape, _EXECUTION_TAPE_CAP)
             _TAPE_MODELS[id(self.compiled)] = self.compiled
         if checked is not None and self.execution_mode == "auto":
             # The check bound this width already: serve it from here on.
             with self._replay_lock:
-                self._keep_replayer(batch, checked)
+                _insert_capped(self._replayers, batch, checked,
+                               _REPLAYER_CAP)
         _count_tape_event("recording")
         return words, sim.stats, "interpreter"
 

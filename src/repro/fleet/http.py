@@ -94,7 +94,8 @@ class HttpResponse:
 def _parse_json(body: bytes):
     try:
         return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as error:      # RecursionError: nested too deep
         raise ProtocolError(f"malformed JSON body: {error}") from error
 
 

@@ -10,6 +10,10 @@ The manager owns the boring-but-critical half of a fleet — processes:
 * **Readiness** — a worker is not *ready* until its ``/healthz`` answers
   over real HTTP; the manager polls with a deadline so a wedged child
   becomes a spawn failure, not a hung fleet.
+* **Lifeline** — the manager keeps its end of that pipe open for the
+  worker's whole life.  The kernel closes it when the gateway dies, by
+  any means (``SIGKILL`` included), and a worker reads that EOF as
+  "gateway gone": it drains and exits instead of serving on, orphaned.
 * **Eviction & respawn** — the gateway's health loop calls
   :meth:`evict` after consecutive probe failures; the process is
   terminated (then killed) and a replacement with a fresh id is spawned,
@@ -23,6 +27,7 @@ import itertools
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 
 from repro.fleet.http import FleetConnectionError, HttpConnection
 from repro.fleet.worker import run_worker, worker_bootstrap
@@ -41,6 +46,7 @@ class WorkerHandle:
 
     worker_id: str
     process: mp.process.BaseProcess
+    lifeline: Connection      # closed when the worker is let go
     host: str
     port: int
     healthy: bool = True
@@ -106,7 +112,8 @@ class WorkerManager:
             max_batch_size=self.max_batch_size,
             host=self.host,
             max_queue_depth=self.max_queue_depth)
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
+        # Duplex: the worker writes its hello, then waits to read EOF.
+        parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=run_worker, args=(bootstrap, child_conn),
             name=f"fleet-{worker_id}", daemon=True)
@@ -117,15 +124,14 @@ class WorkerManager:
             hello = await asyncio.to_thread(
                 _recv_with_deadline, parent_conn, process, deadline)
         except WorkerSpawnError:
-            _terminate(process)
+            _terminate(process, parent_conn)
             raise
-        finally:
-            parent_conn.close()
         handle = WorkerHandle(worker_id=worker_id, process=process,
-                              host=self.host, port=int(hello["port"]))
+                              lifeline=parent_conn, host=self.host,
+                              port=int(hello["port"]))
         while not await probe_health(handle):
             if time.monotonic() > deadline or not process.is_alive():
-                _terminate(process)
+                _terminate(process, parent_conn)
                 raise WorkerSpawnError(
                     f"{worker_id} (pid {process.pid}) reported port "
                     f"{handle.port} but never became healthy")
@@ -140,7 +146,7 @@ class WorkerManager:
         """Forget and terminate one worker (health loop, shutdown)."""
         handle = self.workers.pop(worker_id, None)
         if handle is not None:
-            _terminate(handle.process)
+            _terminate(handle.process, handle.lifeline)
         return handle
 
     async def shutdown_worker(self, handle: WorkerHandle, *,
@@ -161,9 +167,10 @@ class WorkerManager:
         deadline = time.monotonic() + timeout
         while handle.process.is_alive():
             if time.monotonic() > deadline:
-                _terminate(handle.process)
+                _terminate(handle.process, handle.lifeline)
                 return False
             await asyncio.sleep(0.02)
+        handle.lifeline.close()
         self.workers.pop(handle.worker_id, None)
         return True
 
@@ -171,7 +178,7 @@ class WorkerManager:
         for handle in list(self.workers.values()):
             await self.shutdown_worker(handle, drain=drain)
         for handle in list(self.workers.values()):
-            _terminate(handle.process)
+            _terminate(handle.process, handle.lifeline)
         self.workers.clear()
 
 
@@ -196,7 +203,9 @@ def _recv_with_deadline(conn, process, deadline: float) -> dict:
                 f"{process.exitcode} before reporting its port")
 
 
-def _terminate(process) -> None:
+def _terminate(process, lifeline: Connection) -> None:
+    """Stop ``process`` (terminate, then kill) and close its lifeline."""
+    lifeline.close()
     if process.is_alive():
         process.terminate()
         process.join(timeout=5.0)

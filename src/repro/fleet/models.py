@@ -140,6 +140,10 @@ def build_engine(spec: FleetModelSpec, config: Any = None, *,
     The same spec + config yields bitwise-identical engines in any
     process — the property every fleet guarantee (retry on another
     replica, warm-start from the network) rests on.
+
+    Raises:
+        FleetModelError: the builder refuses the spec's parameters
+            (missing, mistyped or out of range) or its crossbar.
     """
     from repro import default_config
     from repro.engine import InferenceEngine
@@ -147,8 +151,7 @@ def build_engine(spec: FleetModelSpec, config: Any = None, *,
     if config is None:
         config = default_config()
     crossbar = spec.crossbar_model()
-    kw = dict(crossbar_model=crossbar, seed=spec.seed,
-              execution_mode=execution_mode, artifact_dir=artifact_dir)
+    model = compiled = None
     try:
         if spec.kind == "mlp":
             from repro.workloads import build_mlp_model
@@ -185,9 +188,15 @@ def build_engine(spec: FleetModelSpec, config: Any = None, *,
             from repro.workloads.cnn import small_cnn_spec
 
             compiled = compile_cnn(small_cnn_spec(seed=spec.seed), config)
-            return InferenceEngine.from_compiled(compiled, config, **kw)
     except KeyError as error:
         raise FleetModelError(
             f"{spec.name}: spec kind {spec.kind!r} is missing required "
             f"parameter {error.args[0]!r}") from error
-    return InferenceEngine(model, config, **kw)
+    except (AttributeError, TypeError, ValueError) as error:
+        raise FleetModelError(
+            f"{spec.name}: the {spec.kind!r} builder refused its "
+            f"parameters: {error}") from error
+    return InferenceEngine(model, config, compiled=compiled,
+                           crossbar_model=crossbar, seed=spec.seed,
+                           execution_mode=execution_mode,
+                           artifact_dir=artifact_dir)

@@ -233,10 +233,9 @@ class FleetWorker:
                     _engine_cold_build, spec,
                     os.path.join(self.work_dir, "artifacts"),
                     self.max_batch_size)
-                if artifact_path is not None:
-                    await self._push_blob(
-                        key, await asyncio.to_thread(
-                            pack_artifact_dir, artifact_path))
+                await self._push_blob(
+                    key, await asyncio.to_thread(
+                        pack_artifact_dir, artifact_path))
             from repro.serve import PumaServer
 
             server = PumaServer(engine,
@@ -256,9 +255,10 @@ class FleetWorker:
             key = payload.get("route_key")
             if not isinstance(key, str) or not key:
                 raise FleetModelError("missing route_key")
+            # The build refuses a bad spec inside load_model.
+            return json_response(await self.load_model(key, spec))
         except FleetModelError as error:
             return error_response(400, str(error))
-        return json_response(await self.load_model(key, spec))
 
     # -- inference ----------------------------------------------------------
 
@@ -421,14 +421,17 @@ def _engine_cold_build(spec: FleetModelSpec, artifact_base: str,
                        batch: int):
     """Thread-side cold build: compile + program + record + save."""
     engine = build_engine(spec, artifact_dir=artifact_base)
-    try:
-        artifact_path = engine.ensure_artifacts(batch=batch)
-    except ArtifactError:
-        artifact_path = None        # seed=None etc.: serve without a blob
-    return engine, artifact_path
+    return engine, engine.ensure_artifacts(batch=batch)
 
 
 async def _worker_main(bootstrap: dict, conn) -> None:
+    """Serve until ``/v1/shutdown`` or until the gateway is gone.
+
+    After the hello, ``conn`` is the gateway's lifeline: the gateway
+    never writes to it again, so the first time it reads as ready is the
+    EOF of a gateway that closed it or died.  The worker then drains
+    and exits, like a ``/v1/shutdown``.
+    """
     worker = FleetWorker(
         worker_id=bootstrap["worker_id"],
         store_address=tuple(bootstrap["store_address"])
@@ -439,8 +442,18 @@ async def _worker_main(bootstrap: dict, conn) -> None:
         max_queue_depth=bootstrap.get("max_queue_depth"))
     await worker.start()
     conn.send({"ok": True, "port": worker.http.port, "pid": os.getpid()})
-    conn.close()
-    await worker.run_until_shutdown()
+    loop = asyncio.get_running_loop()
+
+    def gateway_gone() -> None:
+        loop.remove_reader(conn.fileno())
+        worker.shutdown.set()
+
+    loop.add_reader(conn.fileno(), gateway_gone)
+    try:
+        await worker.run_until_shutdown()
+    finally:
+        loop.remove_reader(conn.fileno())
+        conn.close()
 
 
 def run_worker(bootstrap: dict, conn) -> None:

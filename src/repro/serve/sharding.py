@@ -164,14 +164,6 @@ class ShardedEngine:
                  num_shards: int = 2) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if engine.seed is None:
-            # seed=None asks every programming pass for fresh entropy, so
-            # each shard pass would see *different* noisy crossbars and the
-            # merged result could not equal the single-engine pass.
-            raise ValueError(
-                "ShardedEngine requires a seeded engine (seed is None): "
-                "replicas must program identical crossbars for the merged "
-                "result to be bitwise identical to the unsharded run")
         self.engine = engine
         self.num_shards = num_shards
 

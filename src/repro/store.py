@@ -139,9 +139,7 @@ class ArtifactStoreInfo(NamedTuple):
 
 
 _counter_lock = threading.Lock()
-_saves = 0
-_loads = 0
-_rejections = 0
+_store_events = dict.fromkeys(("save", "load", "rejection"), 0)
 
 
 def store_info() -> ArtifactStoreInfo:
@@ -153,19 +151,14 @@ def store_info() -> ArtifactStoreInfo:
         True
     """
     with _counter_lock:
-        return ArtifactStoreInfo(saves=_saves, loads=_loads,
-                                 rejections=_rejections)
+        return ArtifactStoreInfo(saves=_store_events["save"],
+                                 loads=_store_events["load"],
+                                 rejections=_store_events["rejection"])
 
 
 def _count(kind: str) -> None:
-    global _saves, _loads, _rejections
     with _counter_lock:
-        if kind == "save":
-            _saves += 1
-        elif kind == "load":
-            _loads += 1
-        else:
-            _rejections += 1
+        _store_events[kind] += 1
 
 
 # -- fingerprints and keys ---------------------------------------------------
@@ -382,18 +375,11 @@ def save_artifact(path: str | Path, *, compiled: Any,
 
     Raises:
         ArtifactError: ``programmed_state`` is missing, ``seed`` is not
-            a plain int (``None`` means fresh entropy per run, which must
-            not be frozen to disk — the same rule as the in-process
-            programmed-state cache), or ``tape`` is given for a program
-            that can never be replayed (stochastic RANDOM op).
+            a plain int, or ``tape`` is given for a program that can
+            never be replayed (stochastic RANDOM op).
     """
     from repro.sim.tape import ExecutionTape, find_unsupported_op
 
-    if seed is None:
-        raise ArtifactError(
-            "cannot persist artifacts for seed=None: fresh entropy per "
-            "run must not be frozen to disk (same rule as the in-process "
-            "programmed-state cache)")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ArtifactError(
             f"artifact seed must be a plain int, got {seed!r}")
@@ -617,8 +603,7 @@ def load_artifact(path: str | Path,
 
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise _fail(f"{root}: artifact seed must be a plain int, got "
-                    f"{seed!r} — seedless engines bypass the store in "
-                    f"both directions")
+                    f"{seed!r}")
 
     tape = payload.get("tape")
     tape_meta = manifest.get("tape")

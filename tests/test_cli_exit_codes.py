@@ -10,9 +10,11 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -33,6 +35,33 @@ def _http_json(url: str, payload: dict | None = None) -> dict:
     opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
     with opener.open(request, timeout=60) as response:
         return json.load(response)
+
+
+def _fleet_url(process: subprocess.Popen) -> str:
+    """The gateway URL a one-worker ``cli fleet`` prints once it is up."""
+    banner = []
+    reader = threading.Thread(
+        target=lambda: banner.append(process.stdout.readline()),
+        daemon=True)
+    reader.start()
+    reader.join(timeout=120)
+    assert banner and banner[0].startswith(
+        "fleet up: 1 worker(s) behind http://"), banner
+    return banner[0].split()[-1]
+
+
+def _exited(pid: int) -> bool:
+    """Whether ``pid`` has exited: no such process, or a zombie that only
+    waits for whoever adopted it to reap it."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return False
 
 
 @pytest.fixture()
@@ -193,15 +222,7 @@ class TestFleetCommand:
              "--workers", "1"],
             stdout=subprocess.PIPE, text=True, env=env)
         try:
-            banner = []
-            reader = threading.Thread(
-                target=lambda: banner.append(process.stdout.readline()),
-                daemon=True)
-            reader.start()
-            reader.join(timeout=120)
-            assert banner and banner[0].startswith(
-                "fleet up: 1 worker(s) behind http://"), banner
-            url = banner[0].split()[-1]
+            url = _fleet_url(process)
 
             x = np.random.default_rng(0).uniform(-1.0, 1.0, 16)
             reply = _http_json(url + "/v1/predict",
@@ -225,6 +246,46 @@ class TestFleetCommand:
                 process.kill()
                 process.wait()
             process.stdout.close()
+
+    def test_workers_exit_when_the_gateway_is_killed(self,
+                                                     deployment_file):
+        """``SIGKILL`` gives the gateway no chance to drain its workers.
+        Each worker reads EOF on the pipe the gateway held, drains and
+        exits on its own: within 10 s its pid is gone and its port
+        refuses connections."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fleet", deployment_file,
+             "--workers", "1"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        pids = []
+        try:
+            url = _fleet_url(process)
+            host = url[len("http://"):].split(":")[0]
+            workers = list(_http_json(url + "/metrics")["workers"].values())
+            pids = [entry["metrics"]["pid"] for entry in workers]
+            ports = [entry["port"] for entry in workers]
+            assert len(pids) == 1
+
+            process.kill()
+            process.wait(timeout=60)
+            deadline = time.monotonic() + 10.0
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, \
+                    f"workers {pids} outlived their gateway by 10 s"
+                time.sleep(0.05)
+            for port in ports:
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection((host, port), timeout=5).close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_fleet_drains_on_the_terminals_sigint(self, deployment_file,
                                                   tmp_path):
@@ -271,15 +332,7 @@ class TestFleetCommand:
             return replies, outstanding
 
         try:
-            banner = []
-            reader = threading.Thread(
-                target=lambda: banner.append(process.stdout.readline()),
-                daemon=True)
-            reader.start()
-            reader.join(timeout=120)
-            assert banner and banner[0].startswith(
-                "fleet up: 1 worker(s) behind http://"), banner
-            host, port = banner[0].split()[-1][len("http://"):].split(":")
+            host, port = _fleet_url(process)[len("http://"):].split(":")
             replies, outstanding = asyncio.run(
                 in_flight_then_sigint(host, int(port)))
             assert outstanding >= 100

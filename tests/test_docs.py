@@ -140,11 +140,15 @@ _FAULT_SURFACE = re.compile(
     "|Drop" "Connection|arm" "_chaos|fault" "_plan")
 
 
-def _src_lines_matching(pattern: re.Pattern) -> list[str]:
-    """Every ``src/`` line ``pattern`` finds, as ``path:number: line``."""
+def _src_lines_matching(pattern: re.Pattern,
+                        files: tuple[str, ...] | None = None) -> list[str]:
+    """Every ``src/`` line ``pattern`` finds (in ``files`` only, when
+    given), as ``path:number: line``."""
+    paths = sorted((ROOT / "src").rglob("*")) if files is None \
+        else [ROOT / name for name in files]
     return [
         f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
-        for path in sorted((ROOT / "src").rglob("*"))
+        for path in paths
         if path.is_file() and "__pycache__" not in path.parts
         for number, line in enumerate(
             path.read_text(errors="replace").splitlines(), start=1)
@@ -167,12 +171,18 @@ _RETIRED_SERVING = re.compile(
     "Continuous" "Batcher|continuous" "=|auto" "scal|private" "_replayer"
     "|re" "fills|load" "gen|bursty" "_trace|run" "_trace|Load" "Report"
     "|batch" "_window|hold" "_for|window" "_started")
+# Every engine is seeded (an integer, checked at construction), so the
+# engine and the shard layer hold no unseeded branch.
+_UNSEEDED_ENGINE = re.compile("seed" "=None|seed" " is None")
+_SEEDED_FILES = ("src/repro/engine.py", "src/repro/serve/sharding.py")
 
 
 def test_retired_serving_mechanisms_stay_retired():
     """Nothing under ``src/`` names continuous batching, autoscaling,
-    the load generator or the batch window's hold."""
-    offenders = _src_lines_matching(_RETIRED_SERVING)
+    the load generator or the batch window's hold, and neither the
+    engine nor the shard layer knows an unseeded engine."""
+    offenders = _src_lines_matching(_RETIRED_SERVING) \
+        + _src_lines_matching(_UNSEEDED_ENGINE, _SEEDED_FILES)
     assert not offenders, "\n".join(offenders)
 
 

@@ -45,6 +45,10 @@ from repro.fleet.netstore import (
 from repro.fleet.worker import predict_fields
 
 
+# Nested far past any recursion limit the interpreter may be given.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -217,6 +221,13 @@ class TestHttpPlane:
 
     def test_bad_json_body_raises_protocol_error(self):
         request = HttpRequest(method="POST", path="/", body=b"{nope")
+        with pytest.raises(ProtocolError, match="malformed JSON"):
+            request.json()
+
+    def test_deeply_nested_json_is_a_protocol_error(self):
+        """``json.loads`` raises ``RecursionError`` past its nesting
+        limit; a body is refused like any other malformed JSON."""
+        request = HttpRequest(method="POST", path="/", body=DEEP_JSON)
         with pytest.raises(ProtocolError, match="malformed JSON"):
             request.json()
 
@@ -624,6 +635,28 @@ class TestPredictFields:
         run(main())
 
 
+@pytest.mark.parametrize("door, path", [
+    ("gateway", "/v1/predict"), ("worker", "/v1/predict"),
+    ("worker", "/v1/models")])
+def test_deeply_nested_body_is_a_400_at_both_doors(tmp_path, door, path):
+    """A 100,000-deep body is a 400 ``bad_request`` at the gateway's
+    front door and at a worker, never a 500."""
+    from repro.fleet import PumaFleet
+
+    async def main():
+        if door == "gateway":
+            fleet = PumaFleet([_EIGHT_IN], work_dir=str(tmp_path))
+            fleet._running = True      # no workers: nothing may queue
+            handle = fleet._handle
+        else:
+            handle = FleetWorker("w0", None, str(tmp_path)).handle
+        return await handle(HttpRequest("POST", path, body=DEEP_JSON))
+
+    response = run(main())
+    assert response.status == 400, response.body
+    assert response.json()["reason"] == "bad_request"
+
+
 # -- the one EDF queue, at the gateway and in PumaServer --------------------
 
 _EIGHT_IN = FleetModelSpec("mlp", "mlp", {"dims": [8, 4]})
@@ -976,6 +1009,46 @@ class TestFleetWorker:
                 assert response.status == 400
                 assert "typo" in response.json()["error"]
                 await connection.close()
+            finally:
+                await worker.close()
+
+        run(main())
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mlp", "params": {"dims": "ab"}},
+        {"kind": "mlp", "params": {"dims": [4, -1]}},
+        {"kind": "lstm", "params": {"input_size": "x", "hidden_size": 4,
+                                    "output_size": 2}},
+        {"kind": "graph", "params": {"graph": 3}},
+        {"kind": "mlp", "params": {"dims": [8, 4]},
+         "crossbar": {"write_noise_sigma": "a"}},
+    ], ids=["mlp-dims-str", "mlp-dims-negative", "lstm-input-str",
+            "graph-not-object", "crossbar-sigma-str"])
+    def test_a_spec_the_builder_refuses_is_a_400(self, tmp_path, spec):
+        """A load body whose spec the builder refuses is a 400 naming
+        the model; the worker hosts nothing, and a good spec then
+        loads."""
+        good = FleetModelSpec("good", "mlp", {"dims": [8, 4]})
+
+        def load(spec_dict, key):
+            return worker.handle(HttpRequest("POST", "/v1/models",
+                                             body=json.dumps({
+                                                 "spec": spec_dict,
+                                                 "route_key": key}).encode()))
+
+        worker = FleetWorker("w6", None, str(tmp_path / "work"),
+                             max_batch_size=2)
+
+        async def main():
+            await worker.start()
+            try:
+                response = await load({"name": "bad", **spec}, "bad-key")
+                assert response.status == 400, response.body
+                assert "bad" in response.json()["error"]
+                assert worker.hosted == {}
+                response = await load(good.to_dict(), route_key(good))
+                assert response.status == 200, response.body
+                assert list(worker.hosted) == [route_key(good)]
             finally:
                 await worker.close()
 

@@ -283,7 +283,7 @@ def test_noiseless_run_leaves_every_conductance_underived():
     engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
                              seed=0, execution_mode="interpret")
     engine.warm()
-    state = engine.compiled.programmed_states[engine._state_key()]
+    state = engine.compiled.programmed_states[engine._fingerprint]
     assert all(conductance is None
                for _m, _lv, conductance in state.mvmus.values())
     sim = Simulator(CFG, engine.program, seed=0, programmed_state=state)
@@ -343,7 +343,7 @@ def test_warm_programs_exactly_what_a_fresh_node_would(sigma):
                              execution_mode="interpret")
     assert len(engine.program.weights) > 2     # RNG order matters
     engine.warm()
-    warmed = engine.compiled.programmed_states[engine._state_key()]
+    warmed = engine.compiled.programmed_states[engine._fingerprint]
 
     fresh = Simulator(CFG, engine.program, crossbar_model=model, seed=3)
     expected = programmed_state_of(fresh.node, engine.program)
@@ -384,7 +384,7 @@ def test_warm_builds_no_tiles(monkeypatch):
     engine = InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
                              seed=0, execution_mode="interpret")
     engine.warm()
-    assert engine._state_key() in engine.compiled.programmed_states
+    assert engine._fingerprint in engine.compiled.programmed_states
     assert built == []
     engine.predict({"x": engine.quantize(np.linspace(-1, 1, 32))})
     assert built                                # the run does build them
@@ -398,3 +398,33 @@ def test_programming_rejects_a_mismatched_crossbar_model():
     with pytest.raises(ValueError, match="crossbar dim 64 != core "
                                          "mvmu_dim 128"):
         engine.warm()
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "3"],
+                         ids=["none", "bool", "float", "str"])
+def test_engine_refuses_a_seed_that_is_not_an_integer(seed):
+    """A programmed crossbar is a function of (config, device model,
+    seed): a seed that is not an integer is refused at construction —
+    not served, and not failed only at the first run."""
+    with pytest.raises(ValueError, match="seed"):
+        InferenceEngine(build_mlp_model([32, 24, 10], seed=0), CFG,
+                        seed=seed)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    core = CFG.core
+    noisy = CrossbarModel(dim=core.mvmu_dim, bits_per_cell=core.bits_per_cell,
+                          bits_per_input=core.bits_per_input,
+                          write_noise_sigma=0.1)
+    model = build_mlp_model([32, 24, 10], seed=0)
+    numpy_seeded, int_seeded = (
+        InferenceEngine(model, CFG, crossbar_model=noisy, seed=seed,
+                        execution_mode="interpret")
+        for seed in (np.int64(2), 2))
+    assert type(numpy_seeded.seed) is int
+    x = {"x": np.linspace(-1, 1, 32)}
+    got, want = numpy_seeded.predict(x), int_seeded.predict(x)
+    assert got.words.keys() == want.words.keys()
+    for name in want.words:
+        np.testing.assert_array_equal(got[name], want[name])
+    assert got.stats == want.stats

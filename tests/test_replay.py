@@ -279,17 +279,6 @@ def test_random_op_with_strict_replay_raises():
         engine.run_batch(random_inputs(engine, 2))
 
 
-def test_unseeded_engine_falls_back():
-    """seed=None means fresh entropy per run: never record, never replay."""
-    engine = InferenceEngine(build_mlp_model([32, 24, 16, 10], seed=0),
-                             CFG, seed=None)
-    inputs = random_inputs(engine, batch=2)
-    before = tape_cache_info()
-    assert engine.run_batch(inputs).execution == "interpreter"
-    assert engine.run_batch(inputs).execution == "interpreter"
-    assert tape_cache_info().recordings == before.recordings
-
-
 def test_interpret_mode_never_records():
     engine = make_engine("mlp", "ideal", execution_mode="interpret")
     before = tape_cache_info()

@@ -255,13 +255,6 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="num_shards"):
             ShardedEngine(engine, num_shards=0)
 
-    def test_rejects_unseeded_engine(self, model):
-        """seed=None replicas would program different noisy crossbars —
-        the bitwise-identity contract cannot hold, so refuse up front."""
-        unseeded = InferenceEngine(model, crossbar_model=NOISY, seed=None)
-        with pytest.raises(ValueError, match="seed"):
-            ShardedEngine(unseeded, num_shards=2)
-
     def test_input_validation_happens_before_the_pool(self, engine):
         """Bad input names fail up front, before any shard pass runs."""
         with pytest.raises(ValueError, match="unknown input"):
@@ -306,7 +299,7 @@ class TestProgrammedStateCache:
 
         warmed = InferenceEngine(model, crossbar_model=crossbar, seed=3,
                                  execution_mode="interpret").warm()
-        state = warmed.compiled.programmed_states[warmed._state_key()]
+        state = warmed.compiled.programmed_states[warmed._fingerprint]
         inputs = batch_inputs(warmed, 2)
         config = default_config()
         fresh = Simulator(config, warmed.program, crossbar_model=crossbar,
@@ -336,15 +329,6 @@ class TestProgrammedStateCache:
         cached = engine.run_batch(inputs)  # restores rng position
         assert np.array_equal(first["out"], cached["out"])
 
-    def test_seed_none_bypasses_cache(self, model):
-        engine = InferenceEngine(model, crossbar_model=NOISY, seed=None)
-        inputs = batch_inputs(engine, 2)
-        before = len(engine.compiled.programmed_states)
-        engine.run_batch(inputs)
-        engine.run_batch(inputs)
-        # Fresh-entropy engines must not freeze (or cache) their noise.
-        assert len(engine.compiled.programmed_states) == before
-
     def test_warm_programs_once(self, model):
         engine = InferenceEngine(model, seed=0)
         engine.warm()
@@ -352,12 +336,6 @@ class TestProgrammedStateCache:
         assert states
         engine.warm()
         assert engine.compiled.programmed_states == states
-
-    def test_warm_with_seed_none_is_a_noop(self, model):
-        engine = InferenceEngine(model, crossbar_model=NOISY, seed=None)
-        before = len(engine.compiled.programmed_states)
-        engine.warm()
-        assert len(engine.compiled.programmed_states) == before
 
     def test_cache_is_bounded_under_seed_sweeps(self):
         """A Fig-13-style sweep must not pin one snapshot per seed

@@ -491,7 +491,7 @@ def test_node_rejects_ill_fitting_state_up_front(edit, message):
     from repro.node.node import NodeProgrammedState
 
     engine = make_engine("mlp", "ideal").warm()
-    state = engine.compiled.programmed_states[engine._state_key()]
+    state = engine.compiled.programmed_states[engine._fingerprint]
     arrays = state.to_flat_arrays()
     edit(arrays)
     broken = NodeProgrammedState.from_flat_arrays(arrays, state.rng_state)
@@ -599,6 +599,25 @@ def test_ensure_persists_tape_recorded_after_adoption(tmp_path):
     assert sorted(load_artifact(path).tape.stats_by_batch) == [1, 16]
 
 
+def test_invalidated_tape_is_saved_not_readopted(tmp_path):
+    """A tape invalidated in memory (what a TapeValidationError at bind
+    time does) and re-recorded is what the next ensure_artifacts writes
+    to disk; the evicted tape is not adopted back from the artifact."""
+    engine = InferenceEngine(build_mlp_model([16, 12, 8], seed=0), CFG,
+                             seed=7, artifact_dir=tmp_path)
+    path = engine.ensure_artifacts(batch=4)
+    engine._invalidate_tape()
+    assert engine.predict({"x": np.zeros((3, 16))}).execution == \
+        "interpreter"                              # re-records
+    rerecorded = engine.compiled.execution_tapes[engine._fingerprint]
+    saves = store_info().saves
+    assert engine.ensure_artifacts(batch=4) == path
+    assert store_info().saves == saves + 1, "the artifact was not rewritten"
+    assert load_artifact(path).manifest["tape"]["stats_batches"] == [3, 4]
+    assert engine.compiled.execution_tapes[engine._fingerprint] \
+        is rerecorded, "the evicted tape was re-adopted from disk"
+
+
 def test_corrupt_artifact_triggers_cold_rebuild(tmp_path):
     """artifact_dir engines rebuild through corruption — never a wrong
     answer, never an exception."""
@@ -618,20 +637,6 @@ def test_corrupt_artifact_triggers_cold_rebuild(tmp_path):
     cold = make_engine("mlp", "ideal")
     inputs = random_inputs(cold, batch=4, seed=12)
     assert_same_result(rebuilt.run_batch(inputs), cold.run_batch(inputs))
-
-
-def test_unseeded_engine_cannot_save(tmp_path):
-    engine = make_engine("mlp", "ideal", seed=None)
-    with pytest.raises(ArtifactError, match="seed=None"):
-        engine.save_artifacts(tmp_path / "artifact")
-
-
-def test_unseeded_engine_ensure_is_a_noop(tmp_path):
-    """Serving layers wire ensure_artifacts unconditionally; seed=None
-    engines must quietly skip the store rather than raise."""
-    engine = make_engine("mlp", "ideal", seed=None)
-    assert engine.ensure_artifacts(tmp_path) is None
-    assert list(Path(tmp_path).iterdir()) == []
 
 
 def test_save_without_directory_raises():

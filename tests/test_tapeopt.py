@@ -11,10 +11,10 @@ the refusal is counted once, and every answer is still bitwise correct.
 
 The second half audits the cache-bypass rules at all four layers —
 compile cache, programmed-state cache, tape cache, artifact store — for
-the two bypassing configurations: ``seed=None`` (fresh entropy per run)
-and stochastic RANDOM-op programs (schedule must never be frozen).
-Artifacts that *would* smuggle state past those rules fail loudly at
-load, including a tampered optimizer plan caught by its manifest digest.
+the engines' one bypass: stochastic RANDOM-op programs (schedule must
+never be frozen).  Artifacts that *would* smuggle state past those rules
+fail loudly at load (a non-int seed, too), including a tampered
+optimizer plan caught by its manifest digest.
 """
 
 import dataclasses
@@ -348,33 +348,7 @@ def test_replay_pays_only_for_live_programmed_work(spec, max_ops, max_cells):
     assert 0 < cells <= max_cells
 
 
-# -- cache-bypass audit: seed=None and RANDOM-op programs -------------------
-
-
-def test_unseeded_engine_bypasses_every_cache(tmp_path):
-    """seed=None: no programmed state, no tape, no artifacts — ever."""
-    engine = InferenceEngine(build_mlp_model(SMALL_DIMS, seed=0), CFG,
-                             seed=None)
-    before = tape_cache_info()
-    inputs = random_inputs(engine, batch=2)
-    first = engine.run_batch(inputs)
-    second = engine.run_batch(inputs)
-    assert first.execution == second.execution == "interpreter"
-    after = tape_cache_info()
-    assert after.recordings == before.recordings
-    assert after.replays == before.replays
-    assert after.optimized == before.optimized
-    assert after.fallbacks == before.fallbacks + 2
-    # Programmed-state and tape caches hold nothing under this engine's
-    # key (the compile cache may legitimately share the compilation).
-    assert engine._state_key() is None
-    assert None not in engine.compiled.programmed_states
-    assert engine._fingerprint not in engine.compiled.execution_tapes
-    # The artifact store refuses in both directions.
-    with pytest.raises(ArtifactError, match="seed=None"):
-        engine.save_artifacts(tmp_path / "unseeded")
-    assert engine.ensure_artifacts(tmp_path) is None
-    assert list(tmp_path.iterdir()) == []
+# -- cache-bypass audit: RANDOM-op programs ---------------------------------
 
 
 def test_random_op_program_bypasses_tape_and_store(tmp_path):
@@ -396,7 +370,7 @@ def test_random_op_program_bypasses_tape_and_store(tmp_path):
     donor = make_engine(SMALL_DIMS)
     donor.run_batch(random_inputs(donor, batch=2))
     donor_tape = next(iter(donor.compiled.execution_tapes.values()))
-    state = engine.compiled.programmed_states[engine._state_key()]
+    state = engine.compiled.programmed_states[engine._fingerprint]
     with pytest.raises(ArtifactError, match="never be replayed"):
         save_artifact(tmp_path / "rbm", compiled=engine.compiled,
                       tape=donor_tape, programmed_state=state,
@@ -413,7 +387,7 @@ def test_random_op_program_bypasses_tape_and_store(tmp_path):
 def test_save_artifact_rejects_non_int_seed(tmp_path, seed):
     donor = make_engine(SMALL_DIMS)
     donor.run_batch(random_inputs(donor, batch=2))
-    state = donor.compiled.programmed_states[donor._state_key()]
+    state = donor.compiled.programmed_states[donor._fingerprint]
     with pytest.raises(ArtifactError):
         save_artifact(tmp_path / "art", compiled=donor.compiled, tape=None,
                       programmed_state=state, config=CFG, options=None,
