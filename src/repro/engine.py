@@ -26,14 +26,15 @@ that pattern:
   resolved dynamic schedule as a *batch-generic* execution tape
   (:mod:`repro.sim.tape`) cached on the :class:`CompiledModel`; every
   later run — at any batch size — replays the tape as a flat sequence of
-  pre-bound numpy operations, with batch-dependent timing derived on
-  demand by a shadow timing simulation.  By default the tape is further
-  compiled by the **tape optimizer** (:mod:`repro.sim.tapeopt`): dead
-  stores eliminated, store→load pairs forwarded to register moves,
-  adjacent same-shape ops fused into wide kernels, independent MVMs
-  batched into one stacked matmul — still bitwise-identical (the plan
-  is checked once, when the tape is recorded, against the recording
-  run's own words; a refuted plan leaves the tape on plain replay).
+  pre-bound numpy operations, with batch-dependent timing derived by a
+  shadow timing simulation when a result's stats are first read.  By
+  default the tape is further compiled by the **tape optimizer**
+  (:mod:`repro.sim.tapeopt`): dead stores eliminated, store→load pairs
+  forwarded to register moves, adjacent same-shape ops fused into wide
+  kernels, independent MVMs batched into one stacked matmul — still
+  bitwise-identical (the plan is checked once, when the tape is
+  recorded, against the recording run's own words; a refuted plan
+  leaves the tape on plain replay).
   Every engine is seeded, so its programmed state, tape and artifact
   are functions of (config, device model, seed); programs using the
   stochastic ``RANDOM`` op, the one cache bypass, fall back to the
@@ -65,6 +66,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import functools
 import numbers
 import threading
 import weakref
@@ -116,8 +118,9 @@ _PROGRAMMED_STATE_CAP = 8
 # serves every batch size — a tape holds the step list plus per-batch
 # stats snapshots, small next to a programmed-state entry).
 _EXECUTION_TAPE_CAP = 8
-# Bound replayers (node + pre-bound closures) kept per engine; the node's
-# (batch, words) arrays dominate, so keep only the recent batch sizes.
+# Bound replayers (node + closures over its views) kept per engine, least
+# recently used evicted first.  A new or evicted width costs that bind
+# alone: the rest is cached on the tape, and stats derive on first read.
 _REPLAYER_CAP = 4
 
 EXECUTION_MODES = ("auto", "replay", "interpret")
@@ -470,11 +473,13 @@ class InferenceEngine:
         """
         if self.artifact_dir is None:
             return compile_cached(self.model, self.config, self.options)
+        path, tried = self._artifact_path(), []
         compiled = compile_cached(
             self.model, self.config, self.options,
-            loader=lambda: self._adopt_artifact(self._artifact_path()))
-        if self._fingerprint not in compiled.programmed_states:
-            self._adopt_artifact(self._artifact_path(), compiled)
+            loader=lambda: tried.append(path) or self._adopt_artifact(path))
+        # One store read: an artifact the loader rejected is not re-read.
+        if not tried and self._fingerprint not in compiled.programmed_states:
+            self._adopt_artifact(path, compiled)
         return compiled
 
     def _adopt_artifact(self, path: Path,
@@ -751,8 +756,11 @@ class InferenceEngine:
         plan's recording check sees real data; the schedule is
         input-independent); later calls only derive that batch's
         timing stats via a shadow simulation, which is how one tape comes
-        to serve the whole batch ladder.  Ignored when the engine cannot
-        replay (``execution_mode="interpret"`` or a RANDOM-op program).
+        to serve the whole batch ladder.  Unlike a serving pass, which
+        derives only when its result's ``stats`` are read, this is eager:
+        the way to put a width's stats in the next saved artifact.
+        Ignored when the engine cannot replay
+        (``execution_mode="interpret"`` or a RANDOM-op program).
         """
         self._programmed_state()
         if batch is not None and self._replay_blocker() is None:
@@ -817,7 +825,7 @@ class InferenceEngine:
         if replayer is None or replayer.tape is not tape:
             plan = tape.optimized if self.execution_mode == "auto" else None
             replayer = self._bind_replayer(tape, plan, batch)
-            _insert_capped(self._replayers, batch, replayer, _REPLAYER_CAP)
+        _insert_capped(self._replayers, batch, replayer, _REPLAYER_CAP)
         return replayer
 
     def _bind_replayer(self, tape: ExecutionTape,
@@ -852,17 +860,16 @@ class InferenceEngine:
         batch-1 cost, because event ordering depends on the batch only
         through those charged latencies.
         """
-        if tape.stats_for(batch) is None:
-            zeros = {
-                name: np.zeros(length, dtype=np.int64)
-                for name, (_tile, _addr, length)
-                in self.program.input_layout.items()
-            }
-            sim = self._simulator(1, stats_batch=batch)
-            sim.run(zeros)
-            tape.add_stats(batch, sim.stats)
-            _count_tape_event("derived")
-        return tape.stats_copy(batch)
+        stats = tape.stats_for(batch)
+        if stats is not None:
+            return stats.copy()
+        sim = self._simulator(1, stats_batch=batch)
+        sim.run({name: np.zeros(length, dtype=np.int64)
+                 for name, (_tile, _addr, length)
+                 in self.program.input_layout.items()})
+        tape.add_stats(batch, sim.stats)
+        _count_tape_event("derived")
+        return sim.stats
 
     def _checked_plan(self, tape: ExecutionTape,
                       inputs: dict[str, np.ndarray], batch: int,
@@ -890,11 +897,12 @@ class InferenceEngine:
         return replayer
 
     def _execute(self, inputs: dict[str, np.ndarray], batch: int
-                 ) -> tuple[dict[str, np.ndarray], SimulationStats, str]:
+                 ) -> RunResult:
         """One pass: replay (optimized when possible) or interpret+record.
 
-        Returns ``(words, stats, execution)`` with ``execution`` naming the
-        path taken (``"optimized"`` / ``"replay"`` / ``"interpreter"``).
+        The result's ``execution`` names the path taken (``"optimized"`` /
+        ``"replay"`` / ``"interpreter"``).  A replayed pass hands its
+        result the tape and width, and the stats derive on first read.
         """
         blocker = self._replay_blocker()
         if blocker is not None:
@@ -905,7 +913,9 @@ class InferenceEngine:
             if self.execution_mode != "interpret":
                 _count_tape_event("fallback")
             sim = self._simulator(batch)
-            return sim.run(inputs), sim.stats, "interpreter"
+            words = sim.run(inputs)
+            return RunResult(words, self.fmt, sim.stats, batch,
+                             execution="interpreter")
 
         with self._replay_lock:
             try:
@@ -914,9 +924,12 @@ class InferenceEngine:
                     words = replayer.run(inputs)
                     execution = ("replay" if replayer.optimized is None
                                  else "optimized")
-                    stats = self._stats_for_batch(replayer.tape, batch)
                     _count_tape_event(execution)
-                    return words, stats, execution
+                    return RunResult(words, self.fmt, batch=batch,
+                                     derive_stats=functools.partial(
+                                         self._stats_for_batch,
+                                         replayer.tape, batch),
+                                     execution=execution)
             except TapeValidationError:
                 # A stale/incompatible tape is an internal cache problem,
                 # never a user-facing failure: drop it and re-record below.
@@ -935,7 +948,8 @@ class InferenceEngine:
             # computed them); only the tape is discarded, and the miss is
             # counted like every other fast-path fallback.
             _count_tape_event("fallback")
-            return words, sim.stats, "interpreter"
+            return RunResult(words, self.fmt, sim.stats, batch,
+                             execution="interpreter")
         checked = self._checked_plan(tape, inputs, batch, words)
         # Shared with every replica engine on this compilation.
         with _tape_lock:
@@ -948,7 +962,8 @@ class InferenceEngine:
                 _insert_capped(self._replayers, batch, checked,
                                _REPLAYER_CAP)
         _count_tape_event("recording")
-        return words, sim.stats, "interpreter"
+        return RunResult(words, self.fmt, sim.stats, batch,
+                         execution="interpreter")
 
     # -- execution ---------------------------------------------------------
 
@@ -989,10 +1004,7 @@ class InferenceEngine:
             size is 1) that also carries float views and the pass's stats.
         """
         self._check_names(inputs)
-        batch = self._infer_batch(inputs)
-        words, stats, execution = self._execute(dict(inputs), batch)
-        return RunResult(words=words, fmt=self.fmt, stats=stats,
-                         batch=batch, execution=execution)
+        return self._execute(dict(inputs), self._infer_batch(inputs))
 
     def run(self, inputs: Mapping[str, np.ndarray]) -> RunResult:
         """Run a single input (1-D fixed-point vectors) through the

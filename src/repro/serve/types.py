@@ -13,9 +13,8 @@ contract (``engine.run_batch(inputs)["out"]``) keeps working unchanged.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from repro.fixedpoint import FixedPointFormat
 from repro.sim.stats import SimulationStats
 
 
-@dataclass(eq=False)
 class RunResult(Mapping):
     """The complete result of one engine run (batched or single).
 
@@ -34,9 +32,11 @@ class RunResult(Mapping):
         fmt: the datapath fixed-point format (for the float views).
         stats: simulation statistics of the pass that produced this
             result — a private copy per pass, so mutating it never reaches
-            the tape's cached stats or another pass's result.  For a
-            request served out of a coalesced batch, these are the stats
-            of the *whole* batch pass (shared by its lanes).
+            the tape's cached stats or another pass's result.  Given as
+            ``stats``, or derived or copied on first read by
+            ``derive_stats`` (a replayed pass: a caller that never reads
+            them pays nothing).  For a request served out of a coalesced
+            batch, these are the *whole* batch pass's, shared by its lanes.
         batch: number of inferences in the pass.
         lane_stats: per-lane stats when the run used the sequential
             reference path (one single-input simulation per row);
@@ -71,15 +71,25 @@ class RunResult(Mapping):
         result.execution                          # "optimized"/"interpreter"
     """
 
-    words: dict[str, np.ndarray]
-    fmt: FixedPointFormat
-    stats: SimulationStats
-    batch: int = 1
-    lane_stats: tuple[SimulationStats, ...] | None = field(
-        default=None, repr=False)
-    shard_stats: tuple[SimulationStats, ...] | None = field(
-        default=None, repr=False)
-    execution: str | None = field(default=None, repr=False)
+    def __init__(self, words: dict[str, np.ndarray], fmt: FixedPointFormat,
+                 stats: SimulationStats | None = None, batch: int = 1, *,
+                 derive_stats: Callable[[], SimulationStats] | None = None,
+                 lane_stats: tuple[SimulationStats, ...] | None = None,
+                 shard_stats: tuple[SimulationStats, ...] | None = None,
+                 execution: str | None = None) -> None:
+        if (stats is None) == (derive_stats is None):
+            raise ValueError("give exactly one of stats and derive_stats")
+        self.words, self.fmt, self.batch = words, fmt, batch
+        self.lane_stats, self.shard_stats = lane_stats, shard_stats
+        self.execution = execution
+        self._derive_stats = derive_stats
+        if stats is not None:
+            self.stats = stats
+
+    @cached_property
+    def stats(self) -> SimulationStats:
+        """The pass's stats, derived or copied on first read."""
+        return self._derive_stats()
 
     # -- mapping over the fixed-point words (legacy contract) -------------
 
@@ -151,11 +161,13 @@ class RunResult(Mapping):
         ``index`` (broadcast 1-D outputs are shared).  ``stats`` and
         ``batch`` still describe the coalesced pass the lane rode in —
         per-lane stats do not exist for a SIMD-over-batch execution.
+        Slicing reads no stats; the lanes share the pass's one object.
         """
         words = {name: (w if w.ndim == 1 else w[index])
                  for name, w in self.words.items()}
-        return RunResult(words=words, fmt=self.fmt, stats=self.stats,
-                         batch=self.batch, execution=self.execution)
+        return RunResult(words=words, fmt=self.fmt, batch=self.batch,
+                         derive_stats=lambda: self.stats,
+                         execution=self.execution)
 
     # -- presentation ------------------------------------------------------
 

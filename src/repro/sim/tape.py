@@ -171,13 +171,14 @@ class ExecutionTape:
     What does depend on the batch is timing (latencies stretch with lanes,
     which changes the event interleaving, stall counts, cycle totals, and
     energy): those live in ``stats_by_batch``, seeded by the recording run
-    and extended on demand via a shadow timing simulation
-    (``Simulator(stats_batch=...)``, see :mod:`repro.sim.simulator`).
+    and extended by a shadow timing simulation when a result's stats are
+    first read (``Simulator(stats_batch=...)``, see
+    :mod:`repro.sim.simulator`).
 
     Attributes:
         steps: data-carrying instructions in global completion order.
         stats_by_batch: per-batch-size statistics.  Input-independent, so
-            a replay hands out a fresh copy per run (:meth:`stats_copy`).
+            a replayed pass's result reads a private copy.
         recorded_batch: SIMD batch width of the recording run (the order
             of ``steps`` — any legal completion order replays exactly, so
             this is provenance, not a replay constraint).
@@ -198,6 +199,16 @@ class ExecutionTape:
     # OptimizedTape | None; compare=False keeps tape equality about the
     # schedule, not the derived plan.
     optimized: object | None = field(default=None, compare=False, repr=False)
+    # Batch-independent bind work shared by every width's TapeReplayer
+    # ("zero_runs", one MVM stack per unit set); never pickled.
+    bind_cache: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "bind_cache"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, bind_cache={})
 
     def batches(self) -> list[int]:
         """Batch sizes with derived (or recorded) stats, sorted."""
@@ -210,14 +221,6 @@ class ExecutionTape:
     def add_stats(self, batch: int, stats: SimulationStats) -> None:
         """Cache one batch size's derived statistics (a private copy)."""
         self.stats_by_batch[int(batch)] = stats.copy()
-
-    def stats_copy(self, batch: int) -> SimulationStats:
-        """A private, mutation-safe copy of the stats for ``batch``."""
-        stats = self.stats_by_batch.get(batch)
-        if stats is None:
-            raise KeyError(f"no stats derived for batch {batch} "
-                           f"(have {self.batches()})")
-        return stats.copy()
 
 
 class TapeRecorder:
@@ -469,9 +472,9 @@ class TapeReplayer:
         self.program = program
         self.batch = node.batch
         self._flows: dict[tuple[int, int], deque] = defaultdict(deque)
-        # Stacked MVM operands and scratch by member units: a recurrent
-        # plan runs the same units once per time step, and one stack
-        # serves them all.
+        # Stacked MVM operands (the tape's) and scratch by member unit
+        # positions: a recurrent plan runs the same units once per time
+        # step, and one stack serves them all.
         self._stacks: dict[tuple, tuple] = {}
         # (memory view, words) of every constant begin() preloads.
         self._constants: list[tuple[np.ndarray, np.ndarray]] = []
@@ -482,53 +485,14 @@ class TapeReplayer:
                     words = np.atleast_1d(np.asarray(values, dtype=np.int64))
                     self._constants.append(
                         (memory[:, addr:addr + words.shape[-1]], words))
-            self._zero_runs = self._read_before_write_runs()
+            self._zero_runs = [
+                node.tiles[tile_id].cores[core_id].registers._data[:, a:b]
+                for tile_id, core_id, a, b in _read_before_write_runs(
+                    tape, next(iter(node.tiles.values())).cores[0].config)]
             self.ops = [self._bind_op(op) for op in self.plan]
         except (KeyError, IndexError, AttributeError) as error:
             raise TapeValidationError(
                 f"tape does not match the node/program: {error}") from error
-
-    def _read_before_write_runs(self) -> list[np.ndarray]:
-        """Register runs that must be zeroed before each run.
-
-        Unlike shared memory, whose valid/count protocol guarantees
-        def-before-use, register reads are ungated: a schedule reading a
-        register before its first write saw a fresh node's zeros in the
-        interpreter, and must again on every replay (not a previous
-        run's leftovers).  One walk over the *source* steps finds exactly
-        the registers some step may read before their first definite
-        write (a ``may_write`` does not count as covering — the read
-        could still see zeros).  Every plan of the tape needs no more: a
-        ``RegMove`` reads the registers its store read, and the store's
-        own read already marked them.
-        """
-        core_cfg = self.node.tiles[
-            next(iter(self.node.tiles))].cores[0].config
-        needed: dict[tuple[int, int], np.ndarray] = {}
-        written: dict[tuple[int, int], np.ndarray] = {}
-        num_regs = core_cfg.num_registers
-        for step in self.tape.steps:
-            if step.core_id is None:
-                continue
-            key = (step.tile_id, step.core_id)
-            if key not in needed:
-                needed[key] = np.zeros(num_regs, dtype=bool)
-                written[key] = np.zeros(num_regs, dtype=bool)
-            eff = core_effects(step.instruction, core_cfg)
-            for start, width in eff.all_reads():
-                mask = needed[key][start:start + width]
-                np.logical_or(mask, ~written[key][start:start + width],
-                              out=mask)
-            for start, width in eff.writes:
-                written[key][start:start + width] = True
-        runs = []
-        for key, mask in needed.items():
-            regs = self.node.tiles[key[0]].cores[key[1]].registers._data
-            padded = np.concatenate(([False], mask, [False]))
-            edges = np.flatnonzero(padded[1:] != padded[:-1])
-            for start, stop in zip(edges[::2], edges[1::2]):
-                runs.append(regs[:, start:stop])
-        return runs
 
     def _bind_op(self, op) -> TapeOp:
         """Bind one plan op to the node's live arrays (a closure)."""
@@ -630,44 +594,37 @@ class TapeReplayer:
         """
         per_step = []
         jobs = []
-        stackable = True
-        dims = set()
+        units = []
         for s in steps:
             core = self.node.tiles[s.tile_id].cores[s.core_id]
             cfg = core.config
             instr = s.instruction
             per_step.append(_bind_mvm(core, instr))
             for m in range(cfg.num_mvmus):
-                if not instr.mask & (1 << m):
-                    continue
-                mvmu = core.mvmus[m]
-                if not (mvmu.model.is_ideal and mvmu._f64_product_is_exact()):
-                    stackable = False
-                dims.add(cfg.mvmu_dim)
-                jobs.append((core.registers._data, cfg.xbar_in_base(m),
-                             cfg.xbar_out_base(m), mvmu,
-                             instr.filter, instr.stride))
-        rescale = jobs[0][3].rescale
-        if any(job[3].fmt != jobs[0][3].fmt for job in jobs):
-            stackable = False
-        if not stackable or len(dims) != 1:
+                if instr.mask & (1 << m):
+                    units.append((s.tile_id, s.core_id, m))
+                    jobs.append((core.registers._data, cfg.xbar_in_base(m),
+                                 cfg.xbar_out_base(m), core.mvmus[m],
+                                 instr.filter, instr.stride))
+        units = tuple(units)
+        shared = self._shared_stack(units, [job[3] for job in jobs])
+        if shared is None:
             def step() -> None:
                 for fn in per_step:
                     fn()
             return step
-        dim = dims.pop()
+        rescale = jobs[0][3].rescale
+        dim = jobs[0][3].dim
         k = len(jobs)
         # y = x @ M per lane is M^T @ x^T over all lanes at once.
-        units = tuple(id(job[3]) for job in jobs)
         stacked = self._stacks.get(units)
         if stacked is None:
-            matrices, (r0, r1), (c0, c1) = _box_stack(
-                [job[3].matrix for job in jobs])
             # Scratch sized once for the node's batch, shared by every op
             # over these units (ops run one at a time).  Products are only
             # written inside the box: the columns outside it stay 0.
+            stack, (r0, r1), cols = shared
             stacked = self._stacks[units] = (
-                matrices, (r0, r1), (c0, c1),
+                stack, (r0, r1), cols,
                 np.empty((k, r1 - r0, self.batch), dtype=np.float64),
                 np.zeros((k, dim, self.batch), dtype=np.float64))
         matrices, (r0, r1), (c0, c1), xs_all, ys_all = stacked
@@ -691,6 +648,23 @@ class TapeReplayer:
             for idx, (regs, _in, out_base, _m, _f, _s) in enumerate(jobs):
                 regs[:, out_base:out_base + dim] = ys_all[idx].T
         return step
+
+    def _shared_stack(self, units: tuple, mvmus: list) -> tuple | None:
+        """The ``_box_stack`` of the units at positions ``units``, or
+        ``None`` when they cannot stack; computed once per tape, and
+        reused while the units hold the very matrices it was built from."""
+        programmed = tuple(mvmu._matrix for mvmu in mvmus)
+        cached = self.tape.bind_cache.get(units)
+        if cached is None or any(
+                a is not b for a, b in zip(cached[0], programmed)):
+            first = mvmus[0]
+            stackable = all(
+                mvmu.model.is_ideal and mvmu._f64_product_is_exact()
+                and mvmu.dim == first.dim and mvmu.fmt == first.fmt
+                for mvmu in mvmus)
+            cached = self.tape.bind_cache[units] = (programmed, _box_stack(
+                [mvmu.matrix for mvmu in mvmus]) if stackable else None)
+        return cached[1]
 
     # -- data movement (mirrors Simulator.write_input / read_output) -------
 
@@ -745,6 +719,48 @@ class TapeReplayer:
         if self.batch == 1:
             outputs = {name: words[0] for name, words in outputs.items()}
         return outputs
+
+
+def _read_before_write_runs(tape, core_cfg) -> list[tuple[int, ...]]:
+    """``(tile, core, start, stop)`` register runs to zero before each run.
+
+    Unlike shared memory, whose valid/count protocol guarantees
+    def-before-use, register reads are ungated: a schedule reading a
+    register before its first write saw a fresh node's zeros in the
+    interpreter, and must again on every replay (not a previous run's
+    leftovers).  One walk over the *source* steps finds exactly the
+    registers some step may read before their first definite write (a
+    ``may_write`` does not count as covering — the read could still see
+    zeros).  Every plan of the tape needs no more: a ``RegMove`` reads
+    the registers its store read, and the store's own read already
+    marked them.  Walked once per tape: the runs are batch-independent.
+    """
+    if "zero_runs" in tape.bind_cache:
+        return tape.bind_cache["zero_runs"]
+    needed: dict[tuple[int, int], np.ndarray] = {}
+    written: dict[tuple[int, int], np.ndarray] = {}
+    num_regs = core_cfg.num_registers
+    for step in tape.steps:
+        if step.core_id is None:
+            continue
+        key = (step.tile_id, step.core_id)
+        if key not in needed:
+            needed[key] = np.zeros(num_regs, dtype=bool)
+            written[key] = np.zeros(num_regs, dtype=bool)
+        eff = core_effects(step.instruction, core_cfg)
+        for start, width in eff.all_reads():
+            mask = needed[key][start:start + width]
+            np.logical_or(mask, ~written[key][start:start + width], out=mask)
+        for start, width in eff.writes:
+            written[key][start:start + width] = True
+    runs = []
+    for (tile_id, core_id), mask in needed.items():
+        padded = np.concatenate(([False], mask, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        runs += [(tile_id, core_id, int(a), int(b))
+                 for a, b in zip(edges[::2], edges[1::2])]
+    tape.bind_cache["zero_runs"] = runs
+    return runs
 
 
 def _box_stack(matrices) -> tuple:

@@ -169,7 +169,8 @@ def test_replay_batch_one_shapes():
 
 def test_tape_is_batch_generic():
     """One recording serves every batch size; timing stats for a batch the
-    tape never saw are derived by shadow simulation, not re-recording."""
+    tape never saw are derived by shadow simulation, not re-recording,
+    when the pass's stats are first read."""
     engine = make_engine("mlp", "ideal")
     reference = make_engine("mlp", "ideal", execution_mode="interpret")
     assert engine.run_batch(random_inputs(engine, 4)).execution \
@@ -177,11 +178,13 @@ def test_tape_is_batch_generic():
     assert engine.run_batch(random_inputs(engine, 4)).execution \
         == "optimized"
     # A new batch size replays the same tape immediately — no second
-    # recording pass — with stats derived for that batch.
+    # recording pass — with stats derived for that batch on first read.
     before = tape_cache_info()
     inputs8 = random_inputs(engine, 8)
     result8 = engine.run_batch(inputs8)
     assert result8.execution == "optimized"
+    assert tape_cache_info().derived_stats == before.derived_stats
+    result8.stats                       # the first read derives them
     after = tape_cache_info()
     assert after.recordings == before.recordings
     assert after.derived_stats == before.derived_stats + 1

@@ -58,8 +58,9 @@ def record_calls(engine, name, log, label):
 
 
 def test_every_pass_runs_on_the_loop_thread():
-    """``run_batch`` is every pass; a replayed pass derives its stats
-    through ``_stats_for_batch``."""
+    """``run_batch`` is every pass.  A replayed pass derives no stats;
+    ``_stats_for_batch`` runs only where a result's stats are read, which
+    must be the loop thread too."""
     engine = mlp_engine()
     rng = np.random.default_rng(4)
     requests = [{name: rng.normal(0.0, 0.5, length)

@@ -50,10 +50,13 @@ def zeros(engine, batch):
 
 def cached_stats(engine, batch) -> SimulationStats:
     """The stats a pass at ``batch`` copies from: the tape's cache, or —
-    for a RANDOM-op program, which never tapes — the run's own."""
+    for a RANDOM-op program, which never tapes — the run's own.  A
+    replayed pass derives its width's stats on first read, so the pass's
+    ``stats`` are read before the tape's cache is."""
     result = engine.run_batch(zeros(engine, batch))
+    stats = result.stats
     tape = engine.compiled.execution_tapes.get(engine._fingerprint)
-    return result.stats if tape is None else tape.stats_for(batch)
+    return stats if tape is None else tape.stats_for(batch)
 
 
 def containers(stats: SimulationStats) -> dict[str, object]:
